@@ -5,20 +5,23 @@
 //! `cargo run -p sesr-bench --bin tables -- table4` and by this bench's
 //! setup output.
 
-#![allow(deprecated)] // the run_table4 shim must keep working until removed
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesr_classifiers::cost::mobilenet_v2_paper_spec;
-use sesr_defense::experiments::{run_table4, table4_sr_models};
-use sesr_defense::report::format_table4;
+use sesr_defense::eval::{EvalPlan, EvalSink, ModelBank, TextTableSink};
+use sesr_defense::experiments::{table4_sr_models, ExperimentConfig};
 use sesr_npu::{estimate_network, estimate_pipeline, NpuConfig};
 use std::time::Duration;
 
 fn print_table4_rows() {
     let npu = NpuConfig::ethos_u55_256();
-    if let Ok(rows) = run_table4(&npu) {
-        eprintln!("{}", format_table4(&rows, &npu.name));
-    }
+    let Ok(bank) = ModelBank::ephemeral(ExperimentConfig::quick()) else {
+        return;
+    };
+    eprintln!("Table IV — end-to-end latency on {}", npu.name);
+    let mut table = TextTableSink::new(std::io::stderr());
+    let mut sinks: [&mut dyn EvalSink; 1] = [&mut table];
+    // Setup output only: a failed print must not fail the bench.
+    let _ = EvalPlan::table4(&npu).run_with_sinks(&bank, &mut sinks);
 }
 
 fn npu_estimation(c: &mut Criterion) {

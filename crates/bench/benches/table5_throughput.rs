@@ -10,10 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesr_bench::bench_image;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::SrModelKind;
-use sesr_serve::{
-    DefenseRequest, DefenseServer, GatewayBuilder, RouteConfig, RouteKey, ServeConfig, ServeError,
-    WorkerAssets,
-};
+use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError};
 use sesr_tensor::Tensor;
 use std::time::Duration;
 
@@ -51,21 +48,18 @@ fn sequential_burst(c: &mut Criterion) {
 
 fn served_burst(c: &mut Criterion) {
     let images = burst_images();
-    let config = ServeConfig {
+    let config = RouteConfig {
         num_workers: 4,
         max_batch: 8,
         max_linger: Duration::from_millis(1),
         queue_capacity: 64,
-        cache_capacity: 0,
     };
-    let server = DefenseServer::start(config, |_| {
-        Ok(WorkerAssets::new(DefensePipeline::new(
-            PreprocessConfig::paper(),
-            SrModelKind::NearestNeighbor.build_seeded_upscaler(2, 0)?,
-        )))
-    })
-    .expect("start server");
-    let client = server.client();
+    let gateway = GatewayBuilder::new()
+        .cache_capacity(0)
+        .route_with(RouteKey::paper(SrModelKind::NearestNeighbor, 2), config)
+        .build()
+        .expect("start gateway");
+    let client = gateway.client();
 
     let mut group = c.benchmark_group("table5_throughput_32x24px");
     group
@@ -76,7 +70,7 @@ fn served_burst(c: &mut Criterion) {
             let pending: Vec<_> = images
                 .iter()
                 .map(|image| loop {
-                    match client.submit(image.clone()) {
+                    match client.submit(DefenseRequest::new(image.clone())) {
                         Ok(p) => break p,
                         Err(ServeError::Overloaded) => {
                             std::thread::sleep(Duration::from_micros(50))
@@ -92,9 +86,9 @@ fn served_burst(c: &mut Criterion) {
     });
     group.finish();
 
-    eprintln!("[table5] serve stats: {}", server.stats());
+    eprintln!("[table5] serve stats: {}", gateway.stats().global);
     drop(client);
-    server.shutdown();
+    gateway.shutdown();
 }
 
 /// The same burst spread across three gateway routes: measures the

@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+use sesr_bench::cli::Cli;
 use sesr_classifiers::{ClassifierKind, ClassifierTrainer, ClassifierTrainingConfig};
 use sesr_datagen::{ClassificationDataset, DatasetConfig, SrDataset, SrDatasetConfig};
 use sesr_models::trainer::{SrLoss, SrTrainer, SrTrainingConfig};
@@ -47,14 +48,10 @@ struct Args {
     seed: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pretrain <store-dir> [--list] [--kinds a,b] [--epochs N] [--train-size N] \
-         [--val-size N] [--hr-size N] [--classifiers a,b] [--classes N] \
-         [--classifier-epochs N] [--seed N]"
-    );
-    exit(2);
-}
+const USAGE: &str =
+    "usage: pretrain <store-dir> [--list] [--kinds a,b] [--epochs N] [--train-size N] \
+     [--val-size N] [--hr-size N] [--classifiers a,b] [--classes N] \
+     [--classifier-epochs N] [--seed N]";
 
 /// A trainable SR kind: any zoo name/slug the registry parses, minus the
 /// interpolation baselines (which have no weights to train or store).
@@ -85,53 +82,46 @@ fn parse_args() -> Args {
         classifier_epochs: 6,
         seed: 0,
     };
-    let mut raw = std::env::args().skip(1);
-    let Some(store_dir) = raw.next() else { usage() };
-    if store_dir.starts_with("--") {
-        usage();
+    let mut cli = Cli::from_env(USAGE);
+    match cli.next_arg() {
+        Some(store_dir) if !store_dir.starts_with("--") => args.store_dir = store_dir,
+        _ => cli.fail("the first argument must be <store-dir>"),
     }
-    args.store_dir = store_dir;
-    while let Some(flag) = raw.next() {
-        if flag == "--list" {
-            args.list = true;
-            continue;
-        }
-        let Some(value) = raw.next() else { usage() };
-        let parse_usize = |v: &str| v.parse::<usize>().unwrap_or_else(|_| usage());
+    let integer = "an integer";
+    while let Some(flag) = cli.next_arg() {
         match flag.as_str() {
+            "--list" => args.list = true,
             "--kinds" => {
                 args.kinds = Some(
-                    value
+                    cli.value(&flag)
                         .split(',')
                         .filter(|name| !name.is_empty() && *name != "none")
                         .map(|name| {
-                            parse_sr_kind(name).unwrap_or_else(|| {
-                                eprintln!("unknown SR kind {name:?}");
-                                usage()
-                            })
+                            parse_sr_kind(name)
+                                .unwrap_or_else(|| cli.fail(&format!("unknown SR kind {name:?}")))
                         })
                         .collect(),
                 );
             }
             "--classifiers" => {
-                args.classifiers = value
+                args.classifiers = cli
+                    .value(&flag)
                     .split(',')
                     .map(|name| {
                         parse_classifier_kind(name).unwrap_or_else(|| {
-                            eprintln!("unknown classifier kind {name:?}");
-                            usage()
+                            cli.fail(&format!("unknown classifier kind {name:?}"))
                         })
                     })
                     .collect();
             }
-            "--epochs" => args.epochs = parse_usize(&value),
-            "--train-size" => args.train_size = parse_usize(&value),
-            "--val-size" => args.val_size = parse_usize(&value),
-            "--hr-size" => args.hr_size = parse_usize(&value),
-            "--classes" => args.classes = parse_usize(&value),
-            "--classifier-epochs" => args.classifier_epochs = parse_usize(&value),
-            "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+            "--epochs" => args.epochs = cli.parsed(&flag, integer),
+            "--train-size" => args.train_size = cli.parsed(&flag, integer),
+            "--val-size" => args.val_size = cli.parsed(&flag, integer),
+            "--hr-size" => args.hr_size = cli.parsed(&flag, integer),
+            "--classes" => args.classes = cli.parsed(&flag, integer),
+            "--classifier-epochs" => args.classifier_epochs = cli.parsed(&flag, integer),
+            "--seed" => args.seed = cli.parsed(&flag, integer),
+            _ => cli.unknown(&flag),
         }
     }
     args

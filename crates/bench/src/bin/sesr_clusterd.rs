@@ -47,24 +47,17 @@
 
 #![forbid(unsafe_code)]
 
-use sesr_cluster::{Cluster, ClusterConfig, MemberState, WorkerCommand};
+use sesr_bench::cli::Cli;
+use sesr_bench::demo_routes;
+use sesr_cluster::{serve_member, Cluster, ClusterConfig, MemberState, WorkerCommand};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
-use sesr_net::{NetConfig, NetServer};
 use sesr_serve::{GatewayBuilder, RouteKey};
-use std::io::Read as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sesr-clusterd [--addr HOST:PORT] [--members N] [--store PATH] \
-         [--telemetry PATH] [--max-runtime-secs N]\n\
-         \u{20}      sesr-clusterd --worker [--store PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: sesr-clusterd [--addr HOST:PORT] [--members N] [--store PATH] \
+     [--telemetry PATH] [--max-runtime-secs N]\n\
+     \u{20}      sesr-clusterd --worker [--store PATH]";
 
 struct Args {
     worker: bool,
@@ -84,49 +77,22 @@ fn parse_args() -> Args {
         telemetry: None,
         max_runtime: None,
     };
-    let mut seen: Vec<String> = Vec::new();
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        if seen.contains(&arg) {
-            eprintln!("{arg} given twice");
-            usage()
-        }
-        seen.push(arg.clone());
-        let mut value = || match iter.next() {
-            Some(value) => value,
-            None => {
-                eprintln!("{arg} needs a value");
-                usage()
-            }
-        };
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--worker" => args.worker = true,
-            "--addr" => args.addr = value(),
-            "--members" => match value().parse::<u32>() {
-                Ok(n) if n > 0 => args.members = n,
-                _ => {
-                    eprintln!("--members needs a positive integer");
-                    usage()
-                }
-            },
-            "--store" => args.store = Some(value()),
-            "--telemetry" => args.telemetry = Some(value()),
-            "--max-runtime-secs" => match value().parse::<u64>() {
-                Ok(n) if n > 0 => args.max_runtime = Some(Duration::from_secs(n)),
-                _ => {
-                    eprintln!("--max-runtime-secs needs a positive integer");
-                    usage()
-                }
-            },
-            _ => {
-                eprintln!("unknown flag {arg}");
-                usage()
+            "--addr" => args.addr = cli.value(&arg),
+            "--members" => args.members = cli.positive(&arg),
+            "--store" => args.store = Some(cli.value(&arg)),
+            "--telemetry" => args.telemetry = Some(cli.value(&arg)),
+            "--max-runtime-secs" => {
+                args.max_runtime = Some(Duration::from_secs(cli.positive(&arg)));
             }
+            _ => cli.unknown(&arg),
         }
     }
     if args.worker && (args.telemetry.is_some() || args.max_runtime.is_some()) {
-        eprintln!("--worker takes only --store");
-        usage()
+        cli.fail("--worker takes only --store");
     }
     args
 }
@@ -134,11 +100,7 @@ fn parse_args() -> Args {
 /// The routes every member serves (and the front routes on). The
 /// store-backed SESR-M2 route exists only when a store is configured.
 fn fleet_routes(with_store: bool) -> Vec<RouteKey> {
-    let mut routes = vec![
-        RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none()),
-        RouteKey::new(SrModelKind::Bicubic, 2, PreprocessConfig::none()),
-        RouteKey::paper(SrModelKind::NearestNeighbor, 2),
-    ];
+    let mut routes = demo_routes().to_vec();
     if with_store {
         routes.push(RouteKey::new(
             SrModelKind::SesrM2,
@@ -158,9 +120,8 @@ fn main() {
     }
 }
 
-/// One worker: a full gateway behind a private reactor, tethered to the
-/// supervisor by stdin. Exits cleanly on stdin EOF (planned drain, or the
-/// front died); crash restarts are the supervisor's job, not ours.
+/// One worker: build the member gateway, then hand it to
+/// [`serve_member`] for the rest of the process's life.
 fn run_worker(args: &Args) -> ! {
     let routes = fleet_routes(args.store.is_some());
     let mut builder = GatewayBuilder::new();
@@ -184,55 +145,10 @@ fn run_worker(args: &Args) -> ! {
         }
     };
 
-    // The front is this worker's only client, carrying the whole arc's
-    // traffic over one connection: per-client token buckets would shed the
-    // internal link, so admission control stays at the front tier.
-    let config = NetConfig {
-        per_client_limit: None,
-        global_limit: None,
-        max_inflight_per_conn: 256,
-        ..NetConfig::default()
-    };
-    let server = match NetServer::bind("127.0.0.1:0", config, gateway.client()) {
-        Ok(server) => server,
-        Err(err) => {
-            eprintln!("cannot bind worker socket: {err}");
-            std::process::exit(1);
-        }
-    };
-    // The supervisor contract: exactly one "listening on ADDR" line on
-    // stdout, flushed before any traffic can arrive.
-    println!("listening on {}", server.local_addr());
-
-    // Orphan tether: the supervisor holds our stdin open for our whole
-    // life. EOF means a planned drain or a dead front — either way, exit.
-    let stdin_closed = Arc::new(AtomicBool::new(false));
-    let tether = Arc::clone(&stdin_closed);
-    std::thread::Builder::new()
-        .name("stdin-tether".to_string())
-        .spawn(move || {
-            let mut sink = [0u8; 64];
-            let mut stdin = std::io::stdin().lock();
-            while let Ok(n) = stdin.read(&mut sink) {
-                if n == 0 {
-                    break;
-                }
-            }
-            // lint: allow(atomic-ordering): one-shot flag paired with the main loop's acquire
-            tether.store(true, Ordering::Release);
-        })
-        .expect("spawn stdin tether");
-
-    // lint: allow(atomic-ordering): acquire pairs with the tether's release
-    while !stdin_closed.load(Ordering::Acquire) {
-        if server.is_finished() {
-            eprintln!("worker reactor exited unexpectedly");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(25));
+    if let Err(err) = serve_member(gateway) {
+        eprintln!("worker failed: {err}");
+        std::process::exit(1);
     }
-    server.stop();
-    gateway.shutdown();
     println!("clean shutdown");
     std::process::exit(0);
 }

@@ -32,20 +32,15 @@
 
 #![forbid(unsafe_code)]
 
-use sesr_defense::pipeline::PreprocessConfig;
-use sesr_models::SrModelKind;
+use sesr_bench::cli::Cli;
+use sesr_bench::demo_routes;
 use sesr_net::{NetConfig, NetServer, RateLimit};
-use sesr_serve::{GatewayBuilder, RouteConfig, RouteKey};
+use sesr_serve::{GatewayBuilder, RouteConfig};
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sesr-netd [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-         [--cache-capacity N] [--max-connections N] [--per-client B:R] [--global B:R] \
-         [--telemetry PATH] [--max-runtime-secs N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: sesr-netd [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
+     [--cache-capacity N] [--max-connections N] [--per-client B:R] [--global B:R] \
+     [--telemetry PATH] [--max-runtime-secs N]";
 
 struct Args {
     addr: String,
@@ -59,19 +54,19 @@ struct Args {
     max_runtime: Option<Duration>,
 }
 
-/// Parse `BURST:RATE` into a limit; `0:0` means "disabled".
-fn parse_limit(flag: &str, value: &str) -> Option<RateLimit> {
+/// Parse the `BURST:RATE` value of `flag` into a limit; `0:0` means
+/// "disabled".
+fn parse_limit(cli: &mut Cli, flag: &str) -> Option<RateLimit> {
+    let value = cli.value(flag);
     let Some((burst, rate)) = value.split_once(':') else {
-        eprintln!("{flag} needs BURST:RATE (e.g. 256:512)");
-        usage()
+        cli.fail(&format!("{flag} needs BURST:RATE (e.g. 256:512)"))
     };
     match (burst.parse::<u64>(), rate.parse::<u64>()) {
         (Ok(0), Ok(0)) => None,
         (Ok(burst), Ok(rate)) if burst > 0 => Some(RateLimit::new(burst, rate)),
-        _ => {
-            eprintln!("{flag} needs BURST:RATE with a positive burst (or 0:0 to disable)");
-            usage()
-        }
+        _ => cli.fail(&format!(
+            "{flag} needs BURST:RATE with a positive burst (or 0:0 to disable)"
+        )),
     }
 }
 
@@ -87,47 +82,21 @@ fn parse_args() -> Args {
         telemetry: None,
         max_runtime: None,
     };
-    let mut seen: Vec<String> = Vec::new();
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        if seen.contains(&arg) {
-            eprintln!("{arg} given twice");
-            usage()
-        }
-        seen.push(arg.clone());
-        let mut value = || match iter.next() {
-            Some(value) => value,
-            None => {
-                eprintln!("{arg} needs a value");
-                usage()
-            }
-        };
-        let parse_usize = |flag: &str, value: String| match value.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} needs a positive integer");
-                usage()
-            }
-        };
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--addr" => args.addr = value(),
-            "--workers" => args.workers = parse_usize("--workers", value()),
-            "--queue-capacity" => args.queue_capacity = parse_usize("--queue-capacity", value()),
-            "--cache-capacity" => args.cache_capacity = parse_usize("--cache-capacity", value()),
-            "--max-connections" => args.max_connections = parse_usize("--max-connections", value()),
-            "--per-client" => args.per_client = parse_limit("--per-client", &value()),
-            "--global" => args.global = parse_limit("--global", &value()),
-            "--telemetry" => args.telemetry = Some(value()),
+            "--addr" => args.addr = cli.value(&arg),
+            "--workers" => args.workers = cli.positive(&arg),
+            "--queue-capacity" => args.queue_capacity = cli.positive(&arg),
+            "--cache-capacity" => args.cache_capacity = cli.positive(&arg),
+            "--max-connections" => args.max_connections = cli.positive(&arg),
+            "--per-client" => args.per_client = parse_limit(&mut cli, &arg),
+            "--global" => args.global = parse_limit(&mut cli, &arg),
+            "--telemetry" => args.telemetry = Some(cli.value(&arg)),
             "--max-runtime-secs" => {
-                args.max_runtime = Some(Duration::from_secs(parse_usize(
-                    "--max-runtime-secs",
-                    value(),
-                ) as u64))
+                args.max_runtime = Some(Duration::from_secs(cli.positive(&arg)));
             }
-            _ => {
-                eprintln!("unknown flag {arg}");
-                usage()
-            }
+            _ => cli.unknown(&arg),
         }
     }
     args
@@ -136,22 +105,18 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
 
-    let nearest = RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none());
-    let bicubic = RouteKey::new(SrModelKind::Bicubic, 2, PreprocessConfig::none());
-    let paper = RouteKey::paper(SrModelKind::NearestNeighbor, 2);
-    let route_config = RouteConfig {
-        num_workers: args.workers,
-        queue_capacity: args.queue_capacity,
-        ..RouteConfig::default()
-    };
-    let gateway = match GatewayBuilder::new()
-        .route_with(nearest, route_config.clone())
-        .route_with(bicubic, route_config.clone())
-        .route_with(paper, route_config)
-        .default_route(nearest)
-        .cache_capacity(args.cache_capacity)
-        .build()
-    {
+    let routes = demo_routes();
+    let mut builder = GatewayBuilder::new()
+        .default_route_config(RouteConfig {
+            num_workers: args.workers,
+            queue_capacity: args.queue_capacity,
+            ..RouteConfig::default()
+        })
+        .cache_capacity(args.cache_capacity);
+    for route in routes {
+        builder = builder.route(route);
+    }
+    let gateway = match builder.default_route(routes[0]).build() {
         Ok(gateway) => gateway,
         Err(err) => {
             eprintln!("cannot build gateway: {err}");
@@ -186,10 +151,10 @@ fn main() {
     // The harness contract: exactly one "listening on ADDR" line on stdout,
     // flushed before traffic starts (CI greps the port out of it).
     println!("listening on {}", server.local_addr());
-    for route in server_routes() {
+    for route in routes {
         println!("route {route}");
     }
-    println!("default route {nearest}");
+    println!("default route {}", routes[0]);
 
     let deadline = args
         .max_runtime
@@ -213,12 +178,4 @@ fn main() {
     }
     gateway.shutdown();
     println!("clean shutdown");
-}
-
-fn server_routes() -> [RouteKey; 3] {
-    [
-        RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none()),
-        RouteKey::new(SrModelKind::Bicubic, 2, PreprocessConfig::none()),
-        RouteKey::paper(SrModelKind::NearestNeighbor, 2),
-    ]
 }

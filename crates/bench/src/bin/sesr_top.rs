@@ -17,7 +17,7 @@
 //! re-reads and re-parses the file, so the dashboard follows a live exporter
 //! without holding any connection to the process that writes it. In live
 //! mode successive frames are kept in a [`WindowedStore`], from which
-//! per-route throughput sparklines are diffed; a v2 snapshot's ALERTS and
+//! per-route throughput sparklines are diffed; the snapshot's ALERTS and
 //! HEALTH panes render the SLO engine's verdicts.
 //!
 //! Per-route stage latencies are recovered purely from the metric naming
@@ -29,16 +29,12 @@
 
 #![forbid(unsafe_code)]
 
+use sesr_bench::cli::Cli;
 use sesr_telemetry::{HealthState, HistogramSnapshot, TelemetrySnapshot, WindowedStore};
 use std::time::{Duration, Instant};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sesr-top <snapshot.json> [--once | --check | --ticks N] \
-         [--interval-ms N] [--route SUBSTR]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: sesr-top <snapshot.json> [--once | --check | --ticks N] \
+     [--interval-ms N] [--route SUBSTR]";
 
 struct Args {
     path: String,
@@ -50,84 +46,39 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut path = None;
-    let mut interval = None;
+    let mut interval = Duration::from_millis(1000);
     let mut ticks = None;
     let mut route = None;
     let mut check = false;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut flag_value = |name: &str| match iter.next() {
-            Some(value) => value,
-            None => {
-                eprintln!("{name} needs a value");
-                usage()
-            }
-        };
-        // One mode flag, once: --once, --check and --ticks all decide how
-        // many frames run, so any pair of them (or a repeat) conflicts.
-        let mut set_ticks = |flag: &str, value: u64| {
-            if ticks.is_some() || check {
-                eprintln!("{flag} conflicts with an earlier --once/--check/--ticks");
-                usage()
-            }
-            ticks = Some(value);
-        };
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(arg) = cli.next_arg() {
+        // One mode flag: --once, --check and --ticks all decide how many
+        // frames run, so any pair of them conflicts.
+        if matches!(arg.as_str(), "--once" | "--check" | "--ticks") && (ticks.is_some() || check) {
+            cli.fail(&format!(
+                "{arg} conflicts with an earlier --once/--check/--ticks"
+            ));
+        }
         match arg.as_str() {
-            "--once" => set_ticks("--once", 1),
-            "--check" => {
-                if ticks.is_some() || check {
-                    eprintln!("--check conflicts with an earlier --once/--check/--ticks");
-                    usage()
-                }
-                check = true;
-            }
-            "--ticks" => match flag_value("--ticks").parse() {
-                Ok(n) if n > 0 => set_ticks("--ticks", n),
-                _ => {
-                    eprintln!("--ticks needs a positive integer");
-                    usage()
-                }
-            },
-            "--interval-ms" => {
-                if interval.is_some() {
-                    eprintln!("--interval-ms given twice");
-                    usage()
-                }
-                match flag_value("--interval-ms").parse() {
-                    Ok(ms) => interval = Some(Duration::from_millis(ms)),
-                    Err(_) => {
-                        eprintln!("--interval-ms needs an integer");
-                        usage()
-                    }
-                }
-            }
-            "--route" => {
-                if route.is_some() {
-                    eprintln!("--route given twice");
-                    usage()
-                }
-                route = Some(flag_value("--route"));
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                usage()
-            }
-            positional if path.is_none() => path = Some(positional.to_string()),
-            extra => {
-                eprintln!("unexpected argument {extra}");
-                usage()
-            }
+            "--once" => ticks = Some(1),
+            "--check" => check = true,
+            "--ticks" => ticks = Some(cli.positive(&arg)),
+            "--interval-ms" => interval = Duration::from_millis(cli.parsed(&arg, "an integer")),
+            "--route" => route = Some(cli.value(&arg)),
+            flag if flag.starts_with("--") => cli.unknown(flag),
+            _ if path.is_none() => path = Some(arg),
+            _ => cli.fail(&format!("unexpected argument {arg}")),
         }
     }
-    match path {
-        Some(path) => Args {
-            path,
-            interval: interval.unwrap_or(Duration::from_millis(1000)),
-            ticks,
-            route,
-            check,
-        },
-        None => usage(),
+    let Some(path) = path else {
+        cli.fail("missing <snapshot.json>")
+    };
+    Args {
+        path,
+        interval,
+        ticks,
+        route,
+        check,
     }
 }
 
@@ -424,10 +375,7 @@ fn run_check(args: &Args) -> ! {
     let filter = args.route.as_deref();
     let status = render_status(&snapshot, filter);
     if status.is_empty() {
-        println!(
-            "{}: no health or alert data (v1 snapshot or no SLO runtime)",
-            args.path
-        );
+        println!("{}: no health or alert data (no SLO runtime)", args.path);
     } else {
         print!("{status}");
     }

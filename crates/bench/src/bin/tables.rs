@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 use sesr_attacks::AttackKind;
+use sesr_bench::cli::{exit_usage, Cli};
 use sesr_classifiers::ClassifierKind;
 use sesr_defense::eval::{CsvSink, EvalPlan, EvalSink, JsonSink, ModelBank, TextTableSink};
 use sesr_defense::experiments::ExperimentConfig;
@@ -46,14 +47,10 @@ use sesr_store::ModelStore;
 use sesr_telemetry::Telemetry;
 use std::sync::Arc;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tables [all|table1|table2|table3|table4|transfer|gateway] [smoke|quick|full]\n\
-         \x20      [--list] [--filter A,B] [--attacks a,b] [--json PATH] [--csv PATH]\n\
-         \x20      [--store DIR] [--workers N] [--telemetry PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "usage: tables [all|table1|table2|table3|table4|transfer|gateway] [smoke|quick|full]\n\
+     \x20      [--list] [--filter A,B] [--attacks a,b] [--json PATH] [--csv PATH]\n\
+     \x20      [--store DIR] [--workers N] [--telemetry PATH]";
 
 fn config_for_scale(scale: &str) -> ExperimentConfig {
     match scale {
@@ -96,7 +93,7 @@ fn config_for_scale(scale: &str) -> ExperimentConfig {
             config
         }
         "full" => ExperimentConfig::full(),
-        _ => usage(),
+        _ => exit_usage(USAGE),
     }
 }
 
@@ -171,7 +168,7 @@ fn plan_for_selection(
         "table4" => EvalPlan::table4(&NpuConfig::ethos_u55_256()),
         "transfer" => EvalPlan::transfer(config),
         "gateway" => gateway_plan(config),
-        _ => usage(),
+        _ => exit_usage(USAGE),
     }
 }
 
@@ -202,19 +199,13 @@ fn parse_args() -> Args {
         telemetry: None,
     };
     let mut positional = 0usize;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut flag_value = |name: &str| match iter.next() {
-            Some(value) => value,
-            None => {
-                eprintln!("{name} needs a value");
-                usage()
-            }
-        };
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--list" => args.list = true,
             "--filter" => {
-                args.filter = flag_value("--filter")
+                args.filter = cli
+                    .value(&arg)
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
@@ -222,7 +213,8 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--attacks" => {
-                let parsed: Option<Vec<AttackKind>> = flag_value("--attacks")
+                let parsed: Option<Vec<AttackKind>> = cli
+                    .value(&arg)
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
@@ -230,32 +222,20 @@ fn parse_args() -> Args {
                     .collect();
                 match parsed {
                     Some(kinds) if !kinds.is_empty() => args.attacks = Some(kinds),
-                    _ => {
-                        eprintln!("--attacks: unknown attack name");
-                        usage()
-                    }
+                    _ => cli.fail("--attacks: unknown attack name"),
                 }
             }
-            "--json" => args.json = Some(flag_value("--json")),
-            "--csv" => args.csv = Some(flag_value("--csv")),
-            "--store" => args.store = Some(flag_value("--store")),
-            "--telemetry" => args.telemetry = Some(flag_value("--telemetry")),
-            "--workers" => match flag_value("--workers").parse() {
-                Ok(n) if n > 0 => args.workers = Some(n),
-                _ => {
-                    eprintln!("--workers needs a positive integer");
-                    usage()
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                usage()
-            }
-            positional_arg => {
+            "--json" => args.json = Some(cli.value(&arg)),
+            "--csv" => args.csv = Some(cli.value(&arg)),
+            "--store" => args.store = Some(cli.value(&arg)),
+            "--telemetry" => args.telemetry = Some(cli.value(&arg)),
+            "--workers" => args.workers = Some(cli.positive(&arg)),
+            flag if flag.starts_with("--") => cli.unknown(flag),
+            _ => {
                 match positional {
-                    0 => args.selection = positional_arg.to_string(),
-                    1 => args.scale = positional_arg.to_string(),
-                    _ => usage(),
+                    0 => args.selection = arg,
+                    1 => args.scale = arg,
+                    _ => cli.fail(&format!("unexpected argument {arg}")),
                 }
                 positional += 1;
             }

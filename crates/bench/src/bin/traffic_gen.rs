@@ -44,20 +44,17 @@
 #![forbid(unsafe_code)]
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use sesr_bench::cli::Cli;
+use sesr_bench::demo_routes;
 use sesr_net::{Frame, NetClient, NetError, RequestOptions, ResponseBody, RetryReason};
 use sesr_telemetry::TelemetrySnapshot;
 use sesr_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: traffic-gen --addr HOST:PORT [--rates R1,R2,...] [--step-ms N] \
-         [--connections N] [--unique-images N] [--zipf-s S] [--deadline-ms N] \
-         [--seed N] [--out PATH] [--cluster]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: traffic-gen --addr HOST:PORT [--rates R1,R2,...] [--step-ms N] \
+     [--connections N] [--unique-images N] [--zipf-s S] [--deadline-ms N] \
+     [--seed N] [--out PATH] [--cluster]";
 
 struct Args {
     addr: String,
@@ -86,71 +83,37 @@ fn parse_args() -> Args {
         out: "BENCH_net_frontend.json".to_string(),
         cluster: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = || match iter.next() {
-            Some(value) => value,
-            None => {
-                eprintln!("{arg} needs a value");
-                usage()
-            }
-        };
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--addr" => addr = Some(value()),
+            "--addr" => addr = Some(cli.value(&arg)),
             "--rates" => {
-                args.rates = value()
+                args.rates = cli
+                    .value(&arg)
                     .split(',')
                     .map(|r| match r.trim().parse::<f64>() {
                         Ok(rate) if rate > 0.0 => rate,
-                        _ => {
-                            eprintln!("--rates needs positive numbers");
-                            usage()
-                        }
+                        _ => cli.fail("--rates needs positive numbers"),
                     })
                     .collect();
-                if args.rates.is_empty() {
-                    eprintln!("--rates needs at least one rate");
-                    usage()
-                }
             }
-            "--step-ms" => match value().parse::<u64>() {
-                Ok(ms) if ms > 0 => args.step = Duration::from_millis(ms),
-                _ => usage(),
+            "--step-ms" => args.step = Duration::from_millis(cli.positive(&arg)),
+            "--connections" => args.connections = cli.positive(&arg),
+            "--unique-images" => args.unique_images = cli.positive(&arg),
+            "--zipf-s" => match cli.parsed::<f64>(&arg, "a number") {
+                s if s >= 0.0 => args.zipf_s = s,
+                _ => cli.fail("--zipf-s needs a non-negative number"),
             },
-            "--connections" => match value().parse::<usize>() {
-                Ok(n) if n > 0 => args.connections = n,
-                _ => usage(),
-            },
-            "--unique-images" => match value().parse::<usize>() {
-                Ok(n) if n > 0 => args.unique_images = n,
-                _ => usage(),
-            },
-            "--zipf-s" => match value().parse::<f64>() {
-                Ok(s) if s >= 0.0 => args.zipf_s = s,
-                _ => usage(),
-            },
-            "--deadline-ms" => match value().parse::<u32>() {
-                Ok(ms) => args.deadline_ms = ms,
-                Err(_) => usage(),
-            },
-            "--seed" => match value().parse::<u64>() {
-                Ok(seed) => args.seed = seed,
-                Err(_) => usage(),
-            },
-            "--out" => args.out = value(),
+            "--deadline-ms" => args.deadline_ms = cli.parsed(&arg, "an integer"),
+            "--seed" => args.seed = cli.parsed(&arg, "an integer"),
+            "--out" => args.out = cli.value(&arg),
             "--cluster" => args.cluster = true,
-            _ => {
-                eprintln!("unknown flag {arg}");
-                usage()
-            }
+            _ => cli.unknown(&arg),
         }
     }
     match addr {
         Some(addr) => Args { addr, ..args },
-        None => {
-            eprintln!("--addr is required");
-            usage()
-        }
+        None => cli.fail("--addr is required"),
     }
 }
 
@@ -179,9 +142,6 @@ impl Zipf {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
-
-/// The routes `sesr-netd` serves; the empty label is its default route.
-const ROUTES: [&str; 3] = ["", "bicubic:x2:raw", "nearest-neighbor:x2:jpeg75+wavelet2"];
 
 #[derive(Default, Clone)]
 struct StepStats {
@@ -274,7 +234,11 @@ fn run_step(
         }
         if now >= next_send {
             let options = RequestOptions {
-                route: ROUTES[route.sample(rng)].to_string(),
+                // The default route goes by the empty label, the others by name.
+                route: match route.sample(rng) {
+                    0 => String::new(),
+                    rank => demo_routes()[rank].label(),
+                },
                 deadline_ms,
                 skip_cache: false,
             };
@@ -347,7 +311,7 @@ fn run(args: &Args) -> Result<(), String> {
         })
         .collect();
     let content = Zipf::new(args.unique_images, args.zipf_s);
-    let route = Zipf::new(ROUTES.len(), 1.2);
+    let route = Zipf::new(demo_routes().len(), 1.2);
 
     let mut clients: Vec<NetClient> = Vec::new();
     for _ in 0..args.connections {

@@ -1,16 +1,21 @@
-//! Shared helpers for the benchmark harness: small pre-built inputs and
-//! models so every Criterion bench measures the same, comparable workloads.
+//! Shared helpers for the benchmark harness and the workspace binaries:
+//! small pre-built inputs and models so every Criterion bench measures the
+//! same, comparable workloads, plus the flag parser ([`cli`]) and demo route
+//! list ([`demo_routes`]) the daemons and the load generator agree on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod lint;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sesr_classifiers::ClassifierKind;
+use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
 use sesr_nn::Layer;
+use sesr_serve::RouteKey;
 use sesr_tensor::{init, Shape, Tensor};
 
 /// A deterministic `[1, 3, size, size]` test image with values in `[0, 1]`.
@@ -34,6 +39,18 @@ pub fn bench_sr_network(kind: SrModelKind) -> Box<dyn Layer> {
 pub fn bench_classifier(kind: ClassifierKind, num_classes: usize) -> Box<dyn Layer> {
     let mut rng = StdRng::seed_from_u64(11);
     kind.build_local(num_classes, &mut rng)
+}
+
+/// The three interpolation routes `sesr-netd` and every `sesr-clusterd`
+/// member serve and `traffic-gen` drives — cheap enough that a loopback
+/// driver measures the front-end, not the SR math. The first is the
+/// default route; the last runs the full paper preprocessing.
+pub fn demo_routes() -> [RouteKey; 3] {
+    [
+        RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none()),
+        RouteKey::new(SrModelKind::Bicubic, 2, PreprocessConfig::none()),
+        RouteKey::paper(SrModelKind::NearestNeighbor, 2),
+    ]
 }
 
 #[cfg(test)]

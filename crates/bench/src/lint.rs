@@ -16,6 +16,7 @@
 //! | `process-spawn` | `Command::new` (child processes) confined to the cluster supervisor and binaries |
 //! | `forbid-unsafe` | every crate root opts into `#![forbid(unsafe_code)]` |
 //! | `no-unwrap` | no `.unwrap()` / `.expect("…")` in non-test serve/telemetry/store code |
+//! | `no-deprecated` | no `#[deprecated]` items and no `allow(deprecated)`, test code included |
 //!
 //! # Annotations
 //!
@@ -34,12 +35,13 @@
 use std::path::{Path, PathBuf};
 
 /// The rule identifiers, in `--explain` order.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "atomic-ordering",
     "thread-spawn",
     "process-spawn",
     "forbid-unsafe",
     "no-unwrap",
+    "no-deprecated",
 ];
 
 /// Long-form explanation for `--explain <rule>`; `None` for unknown rules.
@@ -82,6 +84,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              with `unwrap_or_else(PoisonError::into_inner)` as the rest of the stack does.\n\
              Note: only `.expect(` followed by a string literal is flagged, so parser\n\
              helpers like `self.expect(b'[')` are fine.",
+        ),
+        "no-deprecated" => Some(
+            "no-deprecated: no `#[deprecated]` attribute and no `allow(deprecated)` anywhere\n\
+             in the workspace, test code included. Every caller of a workspace API lives in\n\
+             this repository, so a compatibility shim is deleted in the change that replaces\n\
+             it, not parked: a parked shim is a second way to do the same thing that every\n\
+             later change must thread through. Move the callers and delete the old item.",
         ),
         _ => None,
     }
@@ -632,6 +641,18 @@ pub fn lint_file(path: &Path, source: &str) -> Vec<Finding> {
                 search = at;
             }
         }
+
+        // no-deprecated: test code is not exempt — that is where the
+        // `allow(deprecated)` that keeps a shim alive lives.
+        if line.contains("#[deprecated") || line.contains("allow(deprecated)") {
+            flag(
+                "no-deprecated",
+                line_no,
+                "deprecated item or `allow(deprecated)`: delete the shim and move its \
+                 callers (see --explain no-deprecated)"
+                    .to_string(),
+            );
+        }
     }
 
     findings
@@ -786,6 +807,21 @@ mod tests {
         // process.
         let ctor = "fn f() { let c = WorkerCommand::new(3); }\n";
         assert!(lint_file(Path::new("crates/serve/src/x.rs"), ctor).is_empty());
+    }
+
+    #[test]
+    fn deprecated_attributes_and_allows_are_flagged_even_in_tests() {
+        let source = "#[deprecated(note = \"use g\")]\npub fn f() {}\n\
+             #[cfg(test)]\n#[allow(deprecated)]\nmod tests {}\n";
+        for path in ["crates/nn/src/x.rs", "tests/integration_x.rs"] {
+            let findings = lint_file(Path::new(path), source);
+            let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+            assert_eq!(lines, [1, 4], "{path}: {findings:?}");
+            assert!(findings.iter().all(|f| f.rule == "no-deprecated"));
+        }
+        // Prose and string literals mentioning the attribute are fine.
+        let prose = "// #[deprecated] in a comment\npub const S: &str = \"allow(deprecated)\";\n";
+        assert!(lint_file(Path::new("crates/nn/src/x.rs"), prose).is_empty());
     }
 
     #[test]

@@ -25,7 +25,8 @@ fn write_fixture() -> PathBuf {
     //  line 3: ad-hoc thread                               -> thread-spawn
     //  line 4: panicking accessor in the serve crate       -> no-unwrap
     //  line 5: ad-hoc child process                        -> process-spawn
-    //  line 7: annotation without a justification          -> annotation
+    //  line 6: parked compatibility shim                   -> no-deprecated
+    //  line 8: annotation without a justification          -> annotation
     std::fs::write(
         src.join("lib.rs"),
         "use std::sync::atomic::{AtomicU64, Ordering};\n\
@@ -33,6 +34,7 @@ fn write_fixture() -> PathBuf {
          pub fn worker() { std::thread::spawn(|| {}).join().unwrap(); }\n\
          pub fn get(v: Option<u32>) -> u32 { v.expect(\"present\") }\n\
          pub fn child() { let _ = std::process::Command::new(\"ls\").spawn(); }\n\
+         #[deprecated] pub fn old() {}\n\
          \n\
          // lint: allow(atomic-ordering):\n\
          pub const X: u32 = 0;\n",
@@ -44,7 +46,8 @@ fn write_fixture() -> PathBuf {
         src.join("prose.rs"),
         "#![forbid(unsafe_code)]\n\
          // thread::spawn and .unwrap() in a comment are fine\n\
-         pub const DOC: &str = \"Ordering::SeqCst in a string is fine\";\n",
+         pub const DOC: &str = \"Ordering::SeqCst in a string is fine\";\n\
+         pub const WHY: &str = \"#[deprecated] in a string is fine\";\n",
     )
     .unwrap();
 
@@ -96,7 +99,8 @@ fn fixture_violations_produce_nonzero_exit_with_file_line_diagnostics() {
         &format!("{bad}:3: [no-unwrap]"),
         &format!("{bad}:4: [no-unwrap]"),
         &format!("{bad}:5: [process-spawn]"),
-        &format!("{bad}:7: [annotation]"),
+        &format!("{bad}:6: [no-deprecated]"),
+        &format!("{bad}:8: [annotation]"),
     ] {
         assert!(
             stdout.contains(expected),

@@ -34,4 +34,6 @@ pub mod supervisor;
 pub use backend::{reconnect_policy, ClusterBackend};
 pub use cluster::{Cluster, ClusterConfig};
 pub use ring::{key_hash, HashRing, MemberId};
-pub use supervisor::{Control, MemberInfo, MemberState, SupervisorConfig, WorkerCommand};
+pub use supervisor::{
+    serve_member, Control, MemberInfo, MemberState, SupervisorConfig, WorkerCommand,
+};

@@ -14,6 +14,8 @@
 //!   handlers never run — takes its workers with it instead of leaking
 //!   port-squatting processes.
 //!
+//! [`serve_member`] is the worker's half of both.
+//!
 //! Health is probed over the wire itself: a stats frame every
 //! [`SupervisorConfig::health_interval`], answered with the member's full
 //! telemetry snapshot. One probe does double duty — liveness signal and the
@@ -29,16 +31,16 @@
 //! watcher, exactly one broadcast per promotion.
 
 use crate::ring::MemberId;
-use sesr_net::{NetClient, ReconnectPolicy};
-use sesr_serve::RouteKey;
+use sesr_net::{NetClient, NetConfig, NetServer, ReconnectPolicy};
+use sesr_serve::{DefenseGateway, RouteKey};
 use sesr_store::ModelStore;
 use sesr_telemetry::{Telemetry, TelemetrySnapshot};
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Stdio};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -680,6 +682,56 @@ pub(crate) fn probe_policy() -> ReconnectPolicy {
         initial_backoff: Duration::from_millis(25),
         max_backoff: Duration::from_millis(200),
     }
+}
+
+/// The member side of the contract in the module docs — the whole worker
+/// role of a `--worker` process once it has built its gateway. Serves
+/// `gateway` on an OS-chosen loopback port, prints the one
+/// `listening on ADDR` line the supervisor waits for, blocks until stdin
+/// hits EOF (planned drain, or the front died), then stops the reactor and
+/// shuts the gateway down. Crash restarts are the supervisor's job.
+///
+/// Any worker main can end in this one call (`sesr-clusterd --worker` does;
+/// `perf --worker` carries its own copy of the same steps and can be
+/// replaced by it).
+///
+/// # Errors
+///
+/// Binding the socket or spawning the tether thread failed, or the reactor
+/// exited while the supervisor still held stdin open.
+pub fn serve_member(gateway: DefenseGateway) -> std::io::Result<()> {
+    // The front is this member's only client, carrying the whole arc's
+    // traffic over one connection: per-client token buckets would shed the
+    // internal link, so admission control stays at the front tier.
+    let config = NetConfig {
+        per_client_limit: None,
+        global_limit: None,
+        max_inflight_per_conn: 256,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config, gateway.client())?;
+    // Exactly one line, flushed before any traffic can arrive.
+    println!("listening on {}", server.local_addr());
+
+    // The tether reads on its own thread so the loop below can also notice a
+    // dead reactor; blocked in `read`, it is never joined.
+    let (eof_tx, eof_rx) = std::sync::mpsc::channel();
+    std::thread::Builder::new()
+        .name("stdin-tether".to_string())
+        .spawn(move || {
+            let mut sink = [0u8; 64];
+            let mut stdin = std::io::stdin().lock();
+            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+            let _ = eof_tx.send(());
+        })?;
+    while let Err(RecvTimeoutError::Timeout) = eof_rx.recv_timeout(Duration::from_millis(25)) {
+        if server.is_finished() {
+            return Err(std::io::Error::other("worker reactor exited unexpectedly"));
+        }
+    }
+    server.stop();
+    gateway.shutdown();
+    Ok(())
 }
 
 #[cfg(test)]

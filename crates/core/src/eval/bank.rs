@@ -48,8 +48,8 @@ impl TrainCounts {
 /// config (different epochs, dataset size, seed, …) gets a fresh identity
 /// and never silently reuses stale weights.
 ///
-/// Training uses exactly the seed derivations of the legacy
-/// `experiments` drivers, so plan-based tables reproduce the historical
+/// Training uses exactly the seed derivations of the reference drivers in
+/// `tests/eval_shim_parity.rs`, which holds plan-based tables to those
 /// numbers bit for bit.
 pub struct ModelBank {
     registry: ModelRegistry,
@@ -89,9 +89,8 @@ impl ModelBank {
     }
 
     /// A bank over a fresh process-unique temporary store, removed when the
-    /// bank is dropped. This is what the deprecated `run_tableN` shims use:
-    /// they keep their historical train-every-invocation semantics by never
-    /// reusing a store.
+    /// bank is dropped — for tests and one-shot runs that must train from
+    /// scratch rather than reuse a store.
     ///
     /// # Errors
     ///

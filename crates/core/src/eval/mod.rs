@@ -23,9 +23,8 @@
 //!   which pushes attacked images through `DefenseGateway` routes instead of
 //!   calling the pipeline directly.
 //!
-//! The legacy `experiments::run_table1..run_table4` drivers survive as
-//! deprecated shims over [`EvalPlan::table1`]..[`EvalPlan::table4`] with
-//! bitwise-identical output.
+//! The paper's tables are the plan constructors [`EvalPlan::table1`] ..
+//! [`EvalPlan::table4`]; [`TextTableSink`] renders their records.
 //!
 //! # Example
 //!

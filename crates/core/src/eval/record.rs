@@ -3,8 +3,7 @@
 //! A record is an ordered list of `(key, value)` fields rather than a fixed
 //! struct, so one sink implementation can render every scenario kind — the
 //! text sink aligns columns from the keys, the JSON sink emits one object
-//! per record, and the legacy table shims reconstruct their typed rows by
-//! field name.
+//! per record, and callers read typed values back by field name.
 
 /// One typed field value of an [`EvalRecord`].
 #[derive(Debug, Clone, PartialEq)]

@@ -1,12 +1,9 @@
-//! Legacy experiment drivers for the paper's tables, now thin shims over the
-//! [`eval`](crate::eval) plan API.
+//! The shared experiment configuration and the in-memory SR training
+//! helpers behind the quickstart examples.
 //!
-//! The `run_table1..run_table4` functions are **deprecated**: each builds
-//! the corresponding [`EvalPlan`] and executes it
-//! against an ephemeral, throw-away model store, preserving the historical
-//! semantics (retrain on every invocation) and bitwise-identical output.
-//! New code should build plans directly and share a persistent
-//! [`ModelBank`] so training happens once:
+//! The paper's tables are [`EvalPlan`](crate::eval::EvalPlan)s
+//! (`EvalPlan::table1`..`table4`); run them against a persistent
+//! [`ModelBank`](crate::eval::ModelBank) so training happens once:
 //!
 //! ```no_run
 //! use sesr_defense::eval::{EvalPlan, ModelBank};
@@ -19,7 +16,6 @@
 //! # Ok::<(), sesr_tensor::TensorError>(())
 //! ```
 
-use crate::eval::{EvalPlan, EvalRecord, ModelBank, PlanReport};
 use crate::pipeline::{DefensePipeline, PreprocessConfig};
 use crate::Result;
 use rand::rngs::StdRng;
@@ -29,9 +25,7 @@ use sesr_classifiers::ClassifierKind;
 use sesr_datagen::{SrDataset, SrDatasetConfig};
 use sesr_models::trainer::{evaluate_network_psnr, SrLoss, SrTrainer, SrTrainingConfig};
 use sesr_models::{NetworkUpscaler, SrModelKind};
-use sesr_nn::serialize::{tensors_from_string, tensors_to_string};
 use sesr_nn::Layer;
-use sesr_npu::NpuConfig;
 use sesr_tensor::{Tensor, TensorError};
 
 /// Sizes and hyperparameters shared by the experiment drivers.
@@ -116,75 +110,6 @@ impl ExperimentConfig {
     }
 }
 
-/// One row of the Table I reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table1Row {
-    /// SR model name.
-    pub model: String,
-    /// Paper-scale parameter count (analytic).
-    pub params: u64,
-    /// Paper-scale MACs for 299×299 → 598×598 (analytic).
-    pub macs: u64,
-    /// PSNR measured on the synthetic validation set (dB).
-    pub measured_psnr: f32,
-    /// PSNR reported in the paper (DIV2K, dB).
-    pub paper_psnr: Option<f32>,
-    /// Parameter count reported in the paper.
-    pub paper_params: Option<u64>,
-    /// MACs reported in the paper.
-    pub paper_macs: Option<u64>,
-}
-
-/// One section (classifier) of the Table II reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table2Section {
-    /// Classifier name.
-    pub classifier: String,
-    /// Clean accuracy on the evaluation subset (1.0 by construction).
-    pub clean_accuracy: f32,
-    /// One row per defense; each row holds `(attack name, robust accuracy)`.
-    pub rows: Vec<Table2Row>,
-}
-
-/// One defense row of Table II.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table2Row {
-    /// Defense (upscaler) name or "No Defense".
-    pub defense: String,
-    /// Robust accuracy per attack, in the order of the config's attack list.
-    pub accuracies: Vec<(String, f32)>,
-}
-
-/// One row of the Table III (JPEG ablation) reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table3Row {
-    /// Classifier name.
-    pub classifier: String,
-    /// Defense (upscaler) name.
-    pub defense: String,
-    /// Attack name.
-    pub attack: String,
-    /// Robust accuracy without the JPEG stage.
-    pub no_jpeg_accuracy: f32,
-    /// Robust accuracy with the JPEG stage.
-    pub jpeg_accuracy: f32,
-}
-
-/// One row of the Table IV (Ethos-U55 latency) reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table4Row {
-    /// SR model name.
-    pub sr_model: String,
-    /// Classification latency in milliseconds (enlarged MobileNet-V2).
-    pub classification_ms: f64,
-    /// SR latency in milliseconds.
-    pub sr_ms: f64,
-    /// End-to-end latency in milliseconds.
-    pub total_ms: f64,
-    /// End-to-end frames per second.
-    pub fps: f64,
-}
-
 /// A trained SR model paired with its kind, ready to be cloned into defenses.
 pub struct TrainedSrModel {
     /// Which zoo entry this is.
@@ -203,10 +128,8 @@ pub struct TrainedSrModel {
 ///
 /// Returns an error if the parameter/buffer lists differ in length or shape.
 pub fn copy_weights(source: &dyn Layer, target: &mut dyn Layer) -> Result<()> {
-    let mut source_tensors: Vec<&Tensor> = source.params().iter().map(|p| &p.value).collect();
-    source_tensors.extend(source.buffers());
-    let encoded = tensors_to_string(&source_tensors);
-    let tensors = tensors_from_string(&encoded)?;
+    let mut tensors: Vec<&Tensor> = source.params().iter().map(|p| &p.value).collect();
+    tensors.extend(source.buffers());
     let num_params = target.params().len();
     let num_buffers = target.buffers().len();
     if num_params + num_buffers != tensors.len() {
@@ -216,28 +139,24 @@ pub fn copy_weights(source: &dyn Layer, target: &mut dyn Layer) -> Result<()> {
             tensors.len(),
         )));
     }
+    // Check every shape before writing anything, so a mismatch leaves the
+    // target untouched.
+    let target_params = target.params();
+    let current = target_params.iter().map(|p| &p.value);
+    for (have, new) in current.chain(target.buffers()).zip(&tensors) {
+        if have.shape() != new.shape() {
+            return Err(TensorError::ShapeMismatch {
+                left: have.shape().dims().to_vec(),
+                right: new.shape().dims().to_vec(),
+            });
+        }
+    }
     let (param_tensors, buffer_tensors) = tensors.split_at(num_params);
-    for (param, tensor) in target.params().iter().zip(param_tensors) {
-        if param.value.shape() != tensor.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: param.value.shape().dims().to_vec(),
-                right: tensor.shape().dims().to_vec(),
-            });
-        }
-    }
-    for (buffer, tensor) in target.buffers().iter().zip(buffer_tensors) {
-        if buffer.shape() != tensor.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: buffer.shape().dims().to_vec(),
-                right: tensor.shape().dims().to_vec(),
-            });
-        }
-    }
     for (param, tensor) in target.params_mut().iter_mut().zip(param_tensors) {
-        param.value = tensor.clone();
+        param.value = (*tensor).clone();
     }
     for (buffer, tensor) in target.buffers_mut().iter_mut().zip(buffer_tensors) {
-        **buffer = tensor.clone();
+        **buffer = (*tensor).clone();
     }
     Ok(())
 }
@@ -245,7 +164,7 @@ pub fn copy_weights(source: &dyn Layer, target: &mut dyn Layer) -> Result<()> {
 /// Train every learned SR model in the config on a shared synthetic dataset.
 ///
 /// This is the in-memory training path used by the quickstart examples; plan
-/// runs train through [`ModelBank`] instead, which
+/// runs train through [`ModelBank`](crate::eval::ModelBank) instead, which
 /// persists and reuses the weights.
 ///
 /// # Errors
@@ -310,145 +229,6 @@ pub fn build_defense(
     Ok(DefensePipeline::new(preprocess, Box::new(upscaler)))
 }
 
-/// Run a plan against a throw-away store (the deprecated shims' semantics:
-/// every invocation retrains from scratch) and turn a scenario failure into
-/// a hard error, matching the legacy all-or-nothing drivers.
-fn run_ephemeral(plan: EvalPlan, config: &ExperimentConfig) -> Result<PlanReport> {
-    let bank = ModelBank::ephemeral(config.clone())?;
-    let report = plan.run(&bank)?;
-    if let Some(failure) = report.failures().first() {
-        if let crate::eval::ScenarioStatus::Failed { error } = &failure.status {
-            return Err(TensorError::invalid_argument(format!(
-                "scenario {} failed: {error}",
-                failure.meta.name
-            )));
-        }
-    }
-    Ok(report)
-}
-
-fn missing(record: &EvalRecord, key: &str) -> TensorError {
-    TensorError::invalid_argument(format!("eval record is missing field {key:?}: {record:?}"))
-}
-
-fn require_text(record: &EvalRecord, key: &str) -> Result<String> {
-    record
-        .get_text(key)
-        .map(str::to_string)
-        .ok_or_else(|| missing(record, key))
-}
-
-fn require_f32(record: &EvalRecord, key: &str) -> Result<f32> {
-    record
-        .get_float(key)
-        .map(|v| v as f32)
-        .ok_or_else(|| missing(record, key))
-}
-
-fn require_f64(record: &EvalRecord, key: &str) -> Result<f64> {
-    record.get_float(key).ok_or_else(|| missing(record, key))
-}
-
-fn require_int(record: &EvalRecord, key: &str) -> Result<u64> {
-    record.get_int(key).ok_or_else(|| missing(record, key))
-}
-
-/// Reproduce Table I: train every learned SR model, measure PSNR on the
-/// synthetic validation set, and report paper-scale parameters/MACs.
-///
-/// # Errors
-///
-/// Returns an error if any training or cost computation fails.
-#[deprecated(
-    since = "0.1.0",
-    note = "build `eval::EvalPlan::table1` and run it against a shared `eval::ModelBank` \
-            (trains once per config instead of per invocation); see README migration notes"
-)]
-pub fn run_table1(config: &ExperimentConfig) -> Result<Vec<Table1Row>> {
-    let report = run_ephemeral(EvalPlan::table1(config), config)?;
-    let mut rows = Vec::new();
-    for record in report.records() {
-        rows.push(Table1Row {
-            model: require_text(record, "model")?,
-            params: require_int(record, "params")?,
-            macs: require_int(record, "macs")?,
-            measured_psnr: require_f32(record, "measured_psnr")?,
-            paper_psnr: record.get_float("paper_psnr").map(|v| v as f32),
-            paper_params: record.get_int("paper_params"),
-            paper_macs: record.get_int("paper_macs"),
-        });
-    }
-    Ok(rows)
-}
-
-/// Reproduce Table II: robust accuracy of every classifier under every attack
-/// for every defense. Classifier sections run in parallel workers.
-///
-/// # Errors
-///
-/// Returns an error if any stage (training, attacking, defending) fails.
-#[deprecated(
-    since = "0.1.0",
-    note = "build `eval::EvalPlan::table2` and run it against a shared `eval::ModelBank` \
-            (trains once per config instead of per invocation); see README migration notes"
-)]
-pub fn run_table2(config: &ExperimentConfig) -> Result<Vec<Table2Section>> {
-    let report = run_ephemeral(EvalPlan::table2(config), config)?;
-    let mut sections = Vec::new();
-    for scenario in &report.scenarios {
-        let Some(first) = scenario.records.first() else {
-            continue;
-        };
-        let mut section = Table2Section {
-            classifier: require_text(first, "classifier")?,
-            clean_accuracy: require_f32(first, "clean_accuracy")?,
-            rows: Vec::new(),
-        };
-        for record in &scenario.records {
-            let defense = require_text(record, "defense")?;
-            let cell = (
-                require_text(record, "attack")?,
-                require_f32(record, "robust_accuracy")?,
-            );
-            match section.rows.iter_mut().find(|row| row.defense == defense) {
-                Some(row) => row.accuracies.push(cell),
-                None => section.rows.push(Table2Row {
-                    defense,
-                    accuracies: vec![cell],
-                }),
-            }
-        }
-        sections.push(section);
-    }
-    Ok(sections)
-}
-
-/// Reproduce Table III: the JPEG ablation (defense with and without the JPEG
-/// stage) for a subset of classifiers, defenses and attacks.
-///
-/// # Errors
-///
-/// Returns an error if any stage fails.
-#[deprecated(
-    since = "0.1.0",
-    note = "build `eval::EvalPlan::table3` and run it against a shared `eval::ModelBank` \
-            (trains once per config instead of per invocation); see README migration notes"
-)]
-pub fn run_table3(config: &ExperimentConfig) -> Result<Vec<Table3Row>> {
-    let report = run_ephemeral(EvalPlan::table3(config), config)?;
-    let mut rows = Vec::new();
-    for record in report.records() {
-        rows.push(Table3Row {
-            classifier: require_text(record, "classifier")?,
-            defense: require_text(record, "defense")?,
-            attack: require_text(record, "attack")?,
-            no_jpeg_accuracy: require_f32(record, "no_jpeg_accuracy")?,
-            jpeg_accuracy: require_f32(record, "jpeg_accuracy")?,
-        });
-    }
-    Ok(rows)
-}
-
 /// The SR models reported in Table IV, in the paper's row order.
 pub fn table4_sr_models() -> Vec<SrModelKind> {
     vec![
@@ -459,37 +239,11 @@ pub fn table4_sr_models() -> Vec<SrModelKind> {
     ]
 }
 
-/// Reproduce Table IV analytically: end-to-end latency of the enlarged
-/// MobileNet-V2 plus each SR model on an Ethos-U55-class NPU.
-///
-/// # Errors
-///
-/// Returns an error if a spec or the NPU configuration is inconsistent.
-#[deprecated(
-    since = "0.1.0",
-    note = "build `eval::EvalPlan::table4` and run it against an `eval::ModelBank`; \
-            see README migration notes"
-)]
-pub fn run_table4(npu: &NpuConfig) -> Result<Vec<Table4Row>> {
-    // Table IV is analytic: no training, so the ephemeral store stays empty.
-    let report = run_ephemeral(EvalPlan::table4(npu), &ExperimentConfig::quick())?;
-    let mut rows = Vec::new();
-    for record in report.records() {
-        rows.push(Table4Row {
-            sr_model: require_text(record, "sr_model")?,
-            classification_ms: require_f64(record, "classification_ms")?,
-            sr_ms: require_f64(record, "sr_ms")?,
-            total_ms: require_f64(record, "total_ms")?,
-            fps: require_f64(record, "fps")?,
-        });
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::eval::{EvalPlan, ModelBank};
+    use sesr_npu::NpuConfig;
 
     #[test]
     fn copy_weights_roundtrip() {
@@ -534,18 +288,27 @@ mod tests {
 
     #[test]
     fn table4_is_analytic_and_ordered() {
-        let rows = run_table4(&NpuConfig::ethos_u55_256()).unwrap();
+        // Table IV is analytic: no training, so the ephemeral store stays empty.
+        let bank = ModelBank::ephemeral(ExperimentConfig::quick()).unwrap();
+        let report = EvalPlan::table4(&NpuConfig::ethos_u55_256())
+            .run(&bank)
+            .unwrap();
+        assert!(report.ok());
+        assert_eq!(bank.train_counts().total(), 0);
+        let rows: Vec<_> = report.records().collect();
         assert_eq!(rows.len(), 4);
+        let ms = |row: usize, key: &str| rows[row].get_float(key).unwrap();
         // Classification latency is the same for every row (same enlarged classifier).
-        for row in &rows {
-            assert!((row.classification_ms - rows[0].classification_ms).abs() < 1e-9);
-            assert!((row.total_ms - (row.sr_ms + row.classification_ms)).abs() < 1e-9);
+        for row in 0..rows.len() {
+            assert!((ms(row, "classification_ms") - ms(0, "classification_ms")).abs() < 1e-9);
+            let stages = ms(row, "sr_ms") + ms(row, "classification_ms");
+            assert!((ms(row, "total_ms") - stages).abs() < 1e-9);
         }
         // FSRCNN is the slowest, SESR-M2 the fastest (Table IV ordering).
-        assert_eq!(rows[0].sr_model, "FSRCNN");
-        assert_eq!(rows[3].sr_model, "SESR-M2");
-        assert!(rows[0].total_ms > rows[3].total_ms);
-        let fps_ratio = rows[3].fps / rows[0].fps;
+        assert_eq!(rows[0].get_text("sr_model"), Some("FSRCNN"));
+        assert_eq!(rows[3].get_text("sr_model"), Some("SESR-M2"));
+        assert!(ms(0, "total_ms") > ms(3, "total_ms"));
+        let fps_ratio = ms(3, "fps") / ms(0, "fps");
         assert!(
             (1.8..6.0).contains(&fps_ratio),
             "FPS ratio {fps_ratio} outside expected band"

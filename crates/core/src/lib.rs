@@ -22,10 +22,8 @@
 //!   × ε × classifier grids, executed on a share-nothing worker pool with
 //!   store-backed train-once model provisioning
 //!   ([`ModelBank`](eval::ModelBank)) and streaming result sinks.
-//! * [`experiments`] — the legacy per-table drivers, now deprecated shims
-//!   over [`eval`] with bitwise-identical output.
-//! * [`report`] — plain-text table formatting used by the `tables` binary and
-//!   the benchmark harness.
+//! * [`experiments`] — the shared [`ExperimentConfig`](experiments::ExperimentConfig)
+//!   and the in-memory SR training helpers the quickstart examples use.
 //!
 //! # Quickstart
 //!
@@ -50,7 +48,6 @@ pub mod eval;
 pub mod experiments;
 pub mod extensions;
 pub mod pipeline;
-pub mod report;
 pub mod robustness;
 
 pub use pipeline::{DefendTrace, DefensePipeline, PreprocessConfig};

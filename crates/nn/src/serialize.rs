@@ -1,94 +1,12 @@
 //! Weight serialization for caching trained models between runs.
 //!
-//! Two encodings of the same tensor-list model are provided:
-//!
-//! * a **plain-text** format (one header line with the number of tensors,
-//!   then per tensor a shape line and one line of whitespace-separated `f32`
-//!   values), which is human-inspectable and diff-friendly;
-//! * a **compact binary** format (little-endian length-prefixed shapes and
-//!   raw `f32` bit patterns), which is ~4x smaller and bit-exact by
-//!   construction. `sesr-store` uses this one inside its checkpoint
-//!   container.
-//!
-//! Both encodings round-trip every `f32` bit pattern the models can produce,
-//! including negative zero and subnormals (the text format prints
-//! shortest-round-trip decimal, the binary format stores raw bits).
+//! One encoding: a **compact binary** format (little-endian length-prefixed
+//! shapes and raw `f32` bit patterns), bit-exact by construction for every
+//! `f32` bit pattern including negative zero and subnormals. `sesr-store`
+//! wraps it in its self-validating checkpoint container.
 
-use crate::{Layer, Result};
+use crate::Result;
 use sesr_tensor::{Shape, Tensor, TensorError};
-use std::fs;
-use std::path::Path;
-
-/// Serialise a list of tensors to a string in the checkpoint format.
-pub fn tensors_to_string(tensors: &[&Tensor]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{}\n", tensors.len()));
-    for t in tensors {
-        let dims: Vec<String> = t.shape().dims().iter().map(|d| d.to_string()).collect();
-        out.push_str(&dims.join(" "));
-        out.push('\n');
-        let vals: Vec<String> = t.data().iter().map(|v| format!("{v:e}")).collect();
-        out.push_str(&vals.join(" "));
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse a checkpoint string back into tensors.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] if the text is not a valid
-/// checkpoint.
-pub fn tensors_from_string(text: &str) -> Result<Vec<Tensor>> {
-    let mut lines = text.lines();
-    let count: usize = lines
-        .next()
-        .ok_or_else(|| TensorError::invalid_argument("empty checkpoint"))?
-        .trim()
-        .parse()
-        .map_err(|_| TensorError::invalid_argument("invalid tensor count"))?;
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
-        let shape_line = lines
-            .next()
-            .ok_or_else(|| TensorError::invalid_argument("missing shape line"))?;
-        let dims: Vec<usize> = if shape_line.trim().is_empty() {
-            Vec::new()
-        } else {
-            shape_line
-                .split_whitespace()
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| TensorError::invalid_argument("invalid shape value"))
-                })
-                .collect::<Result<Vec<usize>>>()?
-        };
-        if dims.len() > sesr_tensor::MAX_RANK {
-            return Err(TensorError::invalid_argument(format!(
-                "checkpoint tensor claims rank {} (max {})",
-                dims.len(),
-                sesr_tensor::MAX_RANK
-            )));
-        }
-        let data_line = lines
-            .next()
-            .ok_or_else(|| TensorError::invalid_argument("missing data line"))?;
-        let data: Vec<f32> = if data_line.trim().is_empty() {
-            Vec::new()
-        } else {
-            data_line
-                .split_whitespace()
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| TensorError::invalid_argument("invalid float value"))
-                })
-                .collect::<Result<Vec<f32>>>()?
-        };
-        tensors.push(Tensor::from_vec(Shape::new(&dims), data)?);
-    }
-    Ok(tensors)
-}
 
 /// Serialise a list of tensors to the compact little-endian binary format:
 /// `u32` tensor count, then per tensor a `u32` rank, `u64` dims, a `u64`
@@ -216,87 +134,20 @@ pub fn tensors_from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>> {
     Ok(tensors)
 }
 
-/// Save the parameters of a layer (in `params()` order) to a checkpoint file.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] if the file cannot be written.
-pub fn save_layer(layer: &dyn Layer, path: impl AsRef<Path>) -> Result<()> {
-    let tensors: Vec<&Tensor> = layer.params().iter().map(|p| &p.value).collect();
-    let text = tensors_to_string(&tensors);
-    fs::write(path.as_ref(), text)
-        .map_err(|e| TensorError::invalid_argument(format!("cannot write checkpoint: {e}")))
-}
-
-/// Load parameters saved by [`save_layer`] back into a layer with an
-/// identical architecture.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be read, the tensor count differs, or
-/// any shape differs from the layer's current parameters.
-pub fn load_layer(layer: &mut dyn Layer, path: impl AsRef<Path>) -> Result<()> {
-    let text = fs::read_to_string(path.as_ref())
-        .map_err(|e| TensorError::invalid_argument(format!("cannot read checkpoint: {e}")))?;
-    let tensors = tensors_from_string(&text)?;
-    let mut params = layer.params_mut();
-    if tensors.len() != params.len() {
-        return Err(TensorError::invalid_argument(format!(
-            "checkpoint has {} tensors but the layer has {} parameters",
-            tensors.len(),
-            params.len()
-        )));
-    }
-    for (param, tensor) in params.iter_mut().zip(tensors) {
-        if param.value.shape() != tensor.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: param.value.shape().dims().to_vec(),
-                right: tensor.shape().dims().to_vec(),
-            });
-        }
-        param.value = tensor;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conv2d, Sequential};
+    use crate::{Conv2d, Layer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sesr_tensor::Shape;
 
-    #[test]
-    fn tensor_string_roundtrip() {
-        let a = Tensor::from_vec(Shape::new(&[2, 2]), vec![1.0, -2.5, 3.25e-4, 4.0]).unwrap();
-        let b = Tensor::scalar(7.0);
-        let text = tensors_to_string(&[&a, &b]);
-        let parsed = tensors_from_string(&text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].shape().dims(), &[2, 2]);
-        for (x, y) in parsed[0].data().iter().zip(a.data()) {
-            assert!((x - y).abs() < 1e-9);
-        }
-        assert_eq!(parsed[1].to_scalar().unwrap(), 7.0);
-    }
-
-    #[test]
-    fn invalid_checkpoints_are_rejected() {
-        assert!(tensors_from_string("").is_err());
-        assert!(tensors_from_string("not_a_number\n").is_err());
-        assert!(tensors_from_string("1\n2 2\n1.0 2.0 3.0\n").is_err());
-    }
-
-    /// Bit-exact round-trip through both encodings.
+    /// Bit-exact round-trip through the binary encoding.
     fn roundtrip_bitwise(tensor: &Tensor) {
-        let from_text = tensors_from_string(&tensors_to_string(&[tensor])).unwrap();
-        let from_bytes = tensors_from_bytes(&tensors_to_bytes(&[tensor])).unwrap();
-        for parsed in [&from_text[0], &from_bytes[0]] {
-            assert_eq!(parsed.shape(), tensor.shape());
-            for (a, b) in parsed.data().iter().zip(tensor.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} != {b} bitwise");
-            }
+        let parsed = tensors_from_bytes(&tensors_to_bytes(&[tensor])).unwrap();
+        assert_eq!(parsed[0].shape(), tensor.shape());
+        for (a, b) in parsed[0].data().iter().zip(tensor.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} != {b} bitwise");
         }
     }
 
@@ -333,26 +184,6 @@ mod tests {
     fn extreme_normals_roundtrip_bitwise() {
         let t = Tensor::from_vec(Shape::new(&[3]), vec![f32::MAX, f32::MIN, f32::EPSILON]).unwrap();
         roundtrip_bitwise(&t);
-    }
-
-    #[test]
-    fn malformed_text_checkpoint_rejection_matrix() {
-        let cases: &[(&str, &str)] = &[
-            ("count with no tensors", "2\n"),
-            ("missing data line", "1\n2 2\n"),
-            ("shape/data mismatch (short)", "1\n2 2\n1.0 2.0\n"),
-            ("shape/data mismatch (long)", "1\n2 2\n1 2 3 4 5\n"),
-            ("non-numeric shape", "1\nx 2\n1.0 2.0\n"),
-            ("non-numeric value", "1\n2\n1.0 nope\n"),
-            ("negative tensor count", "-1\n"),
-            ("negative dimension", "1\n-2 2\n1.0 2.0 3.0 4.0\n"),
-        ];
-        for (what, text) in cases {
-            assert!(
-                tensors_from_string(text).is_err(),
-                "{what} must be rejected"
-            );
-        }
     }
 
     #[test]
@@ -396,7 +227,6 @@ mod tests {
         rank7.extend_from_slice(&1u64.to_le_bytes()); // len
         rank7.extend_from_slice(&1.0f32.to_le_bytes());
         assert!(tensors_from_bytes(&rank7).is_err());
-        assert!(tensors_from_string("1\n1 1 1 1 1 1 1\n1.0\n").is_err());
 
         // Shape products that overflow usize are corruption, not a panic
         // (and in release must not wrap around to a "valid" small product).
@@ -419,49 +249,5 @@ mod tests {
         for (parsed, original) in via_bytes.iter().zip(&tensors) {
             assert_eq!(&parsed, original);
         }
-    }
-
-    #[test]
-    fn layer_save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("sesr_nn_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("conv.ckpt");
-
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut net = Sequential::new("save_test");
-        net.push(Conv2d::new(1, 2, 3, 1, 1, &mut rng));
-        save_layer(&net, &path).unwrap();
-
-        let mut rng2 = StdRng::seed_from_u64(999);
-        let mut net2 = Sequential::new("load_test");
-        net2.push(Conv2d::new(1, 2, 3, 1, 1, &mut rng2));
-        assert_ne!(net.params()[0].value, net2.params()[0].value);
-        load_layer(&mut net2, &path).unwrap();
-        for (a, b) in net.params()[0]
-            .value
-            .data()
-            .iter()
-            .zip(net2.params()[0].value.data())
-        {
-            assert!((a - b).abs() < 1e-6);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_architecture_mismatch() {
-        let dir = std::env::temp_dir().join("sesr_nn_ckpt_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mismatch.ckpt");
-
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut small = Sequential::new("small");
-        small.push(Conv2d::new(1, 2, 3, 1, 1, &mut rng));
-        save_layer(&small, &path).unwrap();
-
-        let mut big = Sequential::new("big");
-        big.push(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
-        assert!(load_layer(&mut big, &path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

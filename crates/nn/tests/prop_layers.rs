@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sesr_nn::serialize::{tensors_from_string, tensors_to_string};
+use sesr_nn::serialize::{tensors_from_bytes, tensors_to_bytes};
 use sesr_nn::{
     cross_entropy_loss, softmax, BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, Linear, PRelu, ReLU,
     Sequential,
@@ -66,16 +66,15 @@ proptest! {
         prop_assert!(manual.max_abs_diff(&composed).unwrap() < 1e-5);
     }
 
-    /// Weight serialization round-trips bit-for-bit within float tolerance
-    /// for arbitrary tensors.
+    /// Weight serialization round-trips bit-for-bit for arbitrary tensors.
     #[test]
     fn serialization_roundtrip(values in prop::collection::vec(-1e3f32..1e3, 1..60)) {
         let tensor = Tensor::from_slice(&values);
-        let text = tensors_to_string(&[&tensor]);
-        let parsed = tensors_from_string(&text).unwrap();
+        let parsed = tensors_from_bytes(&tensors_to_bytes(&[&tensor])).unwrap();
         prop_assert_eq!(parsed.len(), 1);
+        prop_assert_eq!(parsed[0].shape(), tensor.shape());
         for (a, b) in parsed[0].data().iter().zip(tensor.data()) {
-            prop_assert!((a - b).abs() <= b.abs() * 1e-5 + 1e-6);
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -61,8 +61,8 @@ pub type WorkerFactory = Box<dyn FnMut(usize) -> sesr_tensor::Result<WorkerAsset
 /// (re)builds its workers, and the currently active shard.
 struct RouteEntry {
     config: RouteConfig,
-    /// `None` for routes built from pre-built assets (the compatibility
-    /// shim), which cannot be reloaded.
+    /// `None` for routes built from pre-built assets, which cannot be
+    /// reloaded.
     factory: Mutex<Option<WorkerFactory>>,
     /// Per-route stats; survives reloads so the breakdown covers the route's
     /// whole lifetime.
@@ -686,8 +686,7 @@ impl DefenseGateway {
 
     /// Stop every shard and join all threads.
     ///
-    /// Like [`DefenseServer::shutdown`](crate::server::DefenseServer::shutdown),
-    /// drop every outstanding [`GatewayClient`] clone (and stop any
+    /// Drop every outstanding [`GatewayClient`] clone (and stop any
     /// [`ReloadWatcher`]) first, otherwise the submission channels stay open
     /// and the join blocks.
     pub fn shutdown(self) {
@@ -719,8 +718,7 @@ enum RouteSource {
     Auto,
     /// Built by a caller-supplied factory. Reloadable.
     Factory(WorkerFactory),
-    /// Pre-built assets handed over as-is (the compatibility shim's path).
-    /// Not reloadable.
+    /// Pre-built assets handed over as-is. Not reloadable.
     Prebuilt(Vec<WorkerAssets>),
 }
 
@@ -845,10 +843,10 @@ impl GatewayBuilder {
         self
     }
 
-    /// Declare a route from pre-built worker assets (one per worker). Used
-    /// by the [`DefenseServer`](crate::server::DefenseServer) shim, whose
-    /// legacy factory closures are neither `Send` nor `'static`; such a
-    /// route cannot be hot-reloaded.
+    /// Declare a route from pre-built worker assets (one per worker), for
+    /// builders that are neither `Send` nor `'static` (the gateway evaluation
+    /// scenario hands over bank-hydrated pipelines this way); such a route
+    /// cannot be hot-reloaded.
     pub fn route_with_assets(
         mut self,
         key: RouteKey,

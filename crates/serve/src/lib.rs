@@ -61,9 +61,6 @@
 //!   `crates/bench/tests/alloc_tracking.rs`). Only the response tensors,
 //!   which escape the worker thread, are plain allocations.
 //!
-//! The legacy single-pipeline [`DefenseServer`] API is kept as a thin
-//! one-route compatibility shim over the gateway.
-//!
 //! # Quickstart
 //!
 //! ```
@@ -110,10 +107,7 @@ pub use cache::{content_hash, LruCache};
 pub use eval::GatewayScenario;
 pub use gateway::{DefenseGateway, GatewayBuilder, GatewayClient, ReloadWatcher, WorkerFactory};
 pub use route::{DefenseRequest, RouteConfig, RouteKey};
-pub use server::{
-    DefenseClient, DefenseResponse, DefenseServer, PendingResponse, ServeConfig, ServeError,
-    WorkerAssets,
-};
+pub use server::{DefenseResponse, PendingResponse, ServeError, WorkerAssets};
 pub use slo::{SloMonitor, SloPolicy, SloRuntime};
 pub use stats::{GatewayStats, ServeStats, StatsRecorder};
 pub use telemetry::{write_snapshot_atomic, TelemetryExporter};

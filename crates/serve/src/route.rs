@@ -148,20 +148,6 @@ impl RouteConfig {
     }
 }
 
-impl From<&crate::server::ServeConfig> for RouteConfig {
-    /// Carry a single-pipeline `ServeConfig` over to one gateway route (the
-    /// compatibility-shim mapping; `cache_capacity` stays a gateway-level
-    /// knob).
-    fn from(config: &crate::server::ServeConfig) -> Self {
-        RouteConfig {
-            num_workers: config.num_workers,
-            max_batch: config.max_batch,
-            max_linger: config.max_linger,
-            queue_capacity: config.queue_capacity,
-        }
-    }
-}
-
 /// One routed request: an image, the route that should defend it, and
 /// per-request serving options.
 #[derive(Debug, Clone)]

@@ -1,28 +1,13 @@
-//! The single-pipeline serving façade, now a thin one-route compatibility
-//! shim over the multi-model [`DefenseGateway`].
-//!
-//! [`DefenseServer::start`] keeps its original closure-factory signature —
-//! build `num_workers` private pipelines, serve one defense — but the engine
-//! behind it is a gateway with exactly one route (which is also the default
-//! route), so the queue → batcher → worker behaviour, backpressure and
-//! caching semantics are the gateway's. New code should use
-//! [`GatewayBuilder`] directly and declare
-//! its routes; this module also hosts the types both layers share
-//! ([`ServeError`], [`ServeConfig`], [`WorkerAssets`], [`DefenseResponse`],
-//! [`PendingResponse`]).
+//! The types every serving layer shares: the client-facing [`ServeError`],
+//! the per-worker [`WorkerAssets`], and the [`DefenseResponse`] /
+//! [`PendingResponse`] pair a submission resolves to. The engine itself is
+//! the [`DefenseGateway`](crate::gateway::DefenseGateway).
 
-use crate::gateway::{DefenseGateway, GatewayBuilder, GatewayClient};
-use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::shard::JobResult;
-use crate::stats::ServeStats;
-use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
-use sesr_models::SrModelKind;
+use sesr_defense::pipeline::DefensePipeline;
 use sesr_nn::Layer;
-use sesr_store::ModelRegistry;
 use sesr_tensor::{Tensor, TensorError};
-use std::path::Path;
 use std::sync::mpsc::Receiver;
-use std::time::Duration;
 
 /// Errors surfaced to serving clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,38 +52,6 @@ impl From<TensorError> for ServeError {
     }
 }
 
-/// Tuning knobs of the single-route serving shim (see
-/// [`RouteConfig`] for the per-route gateway
-/// equivalent; `From<&ServeConfig>` maps between them).
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads, each owning an independent pipeline (default 4).
-    pub num_workers: usize,
-    /// Maximum images coalesced into one defend call (default 8).
-    pub max_batch: usize,
-    /// Longest the batcher waits for more requests after the first one
-    /// (default 1 ms; `Duration::ZERO` dispatches immediately).
-    pub max_linger: Duration,
-    /// Bounded submission-queue capacity; submissions beyond it are rejected
-    /// with [`ServeError::Overloaded`] (default 64).
-    pub queue_capacity: usize,
-    /// LRU cache capacity in defended images; 0 disables caching
-    /// (default 256).
-    pub cache_capacity: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            num_workers: 4,
-            max_batch: 8,
-            max_linger: Duration::from_millis(1),
-            queue_capacity: 64,
-            cache_capacity: 256,
-        }
-    }
-}
-
 /// Everything one worker owns: a defense pipeline, an optional classifier
 /// run on the defended output to produce labels, and a private
 /// [`ScratchSpace`](sesr_models::ScratchSpace) whose arena is reused across
@@ -127,47 +80,6 @@ impl WorkerAssets {
             classifier: Some(classifier),
             scratch: sesr_models::ScratchSpace::new(),
         }
-    }
-
-    /// Build a defend-only worker whose upscaler is hydrated with trained
-    /// weights from a model store (see
-    /// [`SrModelKind::build_from_store`](sesr_models::SrModelKind::build_from_store)).
-    ///
-    /// Every worker built from the same registry hydrates from the same
-    /// memoized checkpoint, so the whole pool computes bitwise-identical
-    /// defenses — and the artifact is read and validated from disk only once.
-    /// When nothing is stored for `(kind, scale)` the worker falls back to
-    /// the seeded-random network; corrupt artifacts fail construction with a
-    /// typed error.
-    ///
-    /// # Errors
-    ///
-    /// Everything `build_from_store` can return.
-    pub fn from_store(
-        registry: &ModelRegistry,
-        kind: SrModelKind,
-        scale: usize,
-        preprocess: PreprocessConfig,
-        seed: u64,
-    ) -> sesr_tensor::Result<WorkerAssets> {
-        let upscaler = kind.build_from_store(scale, registry, seed)?;
-        Ok(WorkerAssets::new(DefensePipeline::new(
-            preprocess, upscaler,
-        )))
-    }
-
-    /// The route key matching this worker's pipeline: scale and
-    /// preprocessing read off the pipeline, the model recovered from the
-    /// upscaler name (falling back to the nearest-neighbor baseline for
-    /// custom upscalers the zoo cannot name).
-    pub(crate) fn route_key(&self) -> RouteKey {
-        let model = SrModelKind::parse(self.pipeline.upscaler_name())
-            .unwrap_or(SrModelKind::NearestNeighbor);
-        RouteKey::new(
-            model,
-            self.pipeline.scale(),
-            self.pipeline.preprocess_config(),
-        )
     }
 }
 
@@ -247,164 +159,24 @@ impl PendingResponse {
     }
 }
 
-/// Cloneable submission handle to a running [`DefenseServer`]: a
-/// [`GatewayClient`] pinned to the server's single route.
-#[derive(Clone)]
-pub struct DefenseClient {
-    inner: GatewayClient,
-}
-
-impl DefenseClient {
-    /// Submit one `[1, 3, H, W]` image without blocking.
-    ///
-    /// On an LRU hit the returned [`PendingResponse`] is already resolved; on
-    /// a miss the request is enqueued for batching.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the submission queue is full,
-    /// [`ServeError::InvalidRequest`] for non-`[1, C, H, W]` inputs,
-    /// [`ServeError::Closed`] when the server is gone.
-    pub fn submit(&self, image: Tensor) -> Result<PendingResponse, ServeError> {
-        self.inner.submit(DefenseRequest::new(image))
-    }
-
-    /// Submit and wait: the convenience path for synchronous callers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates every [`ServeError`] that [`DefenseClient::submit`] or
-    /// [`PendingResponse::wait`] can produce.
-    pub fn defend_blocking(&self, image: Tensor) -> JobResult {
-        self.submit(image)?.wait()
-    }
-
-    /// Snapshot of the server's latency/throughput statistics.
-    pub fn stats(&self) -> ServeStats {
-        self.inner.stats().global
-    }
-}
-
-/// The single-defense serving engine: a [`DefenseGateway`] with exactly one
-/// route, kept for callers that deploy one model per process.
-pub struct DefenseServer {
-    gateway: DefenseGateway,
-    client: DefenseClient,
-}
-
-impl DefenseServer {
-    /// Start the engine. `factory(worker_index)` is called once per worker on
-    /// the calling thread to build that worker's private pipeline (and
-    /// optional classifier); use a deterministic factory (e.g.
-    /// [`SrModelKind::build_seeded_upscaler`](sesr_models::SrModelKind::build_seeded_upscaler)
-    /// with a fixed seed) when all workers must compute the same function.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid or the factory fails.
-    pub fn start<F>(config: ServeConfig, mut factory: F) -> Result<DefenseServer, ServeError>
-    where
-        F: FnMut(usize) -> sesr_tensor::Result<WorkerAssets>,
-    {
-        if config.num_workers == 0 {
-            return Err(ServeError::InvalidRequest(
-                "num_workers, max_batch and queue_capacity must all be positive".to_string(),
-            ));
-        }
-        // Legacy factories are neither `Send` nor `'static`, so the assets
-        // are built here and handed to the gateway pre-built; the resulting
-        // route is not hot-reloadable (use `GatewayBuilder` for that).
-        let mut assets = Vec::with_capacity(config.num_workers);
-        for worker in 0..config.num_workers {
-            assets.push(factory(worker)?);
-        }
-        let key = assets[0].route_key();
-        let gateway = GatewayBuilder::new()
-            .cache_capacity(config.cache_capacity)
-            .route_with_assets(key, RouteConfig::from(&config), assets)
-            .build()?;
-        let client = DefenseClient {
-            inner: gateway.client(),
-        };
-        Ok(DefenseServer { gateway, client })
-    }
-
-    /// Start the engine with every worker hydrated from a trained-weight
-    /// store at `store_path`: the *deploy many* half of the train-once /
-    /// deploy-many workflow.
-    ///
-    /// One [`ModelRegistry`] is shared across the pool, so the newest
-    /// artifact for `(kind, scale)` is read and validated once and all
-    /// `config.num_workers` workers receive identical weights. With an empty
-    /// store the pool falls back to the seeded-random network (still
-    /// identical across workers, since all use `seed`); a corrupt or
-    /// version-mismatched artifact aborts startup with a typed error instead
-    /// of serving damaged weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the store cannot be opened, the artifact fails
-    /// validation, or the configuration is invalid.
-    pub fn start_from_store(
-        config: ServeConfig,
-        store_path: impl AsRef<Path>,
-        kind: SrModelKind,
-        scale: usize,
-        preprocess: PreprocessConfig,
-        seed: u64,
-    ) -> Result<DefenseServer, ServeError> {
-        let gateway = GatewayBuilder::new()
-            .cache_capacity(config.cache_capacity)
-            .seed(seed)
-            .open_store(store_path)?
-            .route_with(
-                RouteKey::new(kind, scale, preprocess),
-                RouteConfig::from(&config),
-            )
-            .build()?;
-        let client = DefenseClient {
-            inner: gateway.client(),
-        };
-        Ok(DefenseServer { gateway, client })
-    }
-
-    /// A cloneable submission handle.
-    pub fn client(&self) -> DefenseClient {
-        self.client.clone()
-    }
-
-    /// Snapshot of the latency/throughput statistics.
-    pub fn stats(&self) -> ServeStats {
-        self.gateway.stats().global
-    }
-
-    /// Stop the engine and join all threads.
-    ///
-    /// Dropping the server's own client closes the submission channel once
-    /// every external [`DefenseClient`] clone is gone; the batcher then
-    /// drains the queue and exits, which closes the work queue and stops the
-    /// workers. Drop outstanding client clones (or stop submitting) before
-    /// calling `shutdown`, otherwise the join blocks until the last clone
-    /// disappears.
-    pub fn shutdown(self) {
-        let DefenseServer { gateway, client } = self;
-        drop(client);
-        gateway.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DefenseGateway, DefenseRequest, GatewayBuilder, RouteConfig, RouteKey};
     use sesr_defense::pipeline::PreprocessConfig;
     use sesr_models::{SrModelKind, Upscaler};
     use sesr_tensor::{init, Shape};
+    use std::time::Duration;
 
-    fn nearest_assets() -> sesr_tensor::Result<WorkerAssets> {
-        Ok(WorkerAssets::new(DefensePipeline::new(
-            PreprocessConfig::paper(),
-            SrModelKind::NearestNeighbor.build_seeded_upscaler(2, 0)?,
-        )))
+    fn nearest_route() -> RouteKey {
+        RouteKey::paper(SrModelKind::NearestNeighbor, 2)
+    }
+
+    fn nearest_gateway(config: RouteConfig) -> DefenseGateway {
+        GatewayBuilder::new()
+            .route_with(nearest_route(), config)
+            .build()
+            .unwrap()
     }
 
     fn test_image(seed: u64, size: usize) -> Tensor {
@@ -415,10 +187,12 @@ mod tests {
 
     #[test]
     fn round_trip_matches_direct_defend() {
-        let server = DefenseServer::start(ServeConfig::default(), |_| nearest_assets()).unwrap();
-        let client = server.client();
+        let gateway = nearest_gateway(RouteConfig::default());
+        let client = gateway.client();
         let image = test_image(1, 16);
-        let response = client.defend_blocking(image.clone()).unwrap();
+        let response = client
+            .defend_blocking(DefenseRequest::new(image.clone()))
+            .unwrap();
         assert_eq!(response.defended.shape().dims(), &[1, 3, 32, 32]);
         assert!(!response.cache_hit);
 
@@ -430,21 +204,22 @@ mod tests {
         .unwrap();
         assert_eq!(response.defended, direct);
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 
     #[test]
     fn mixed_shapes_are_batched_separately() {
-        let config = ServeConfig {
+        let gateway = nearest_gateway(RouteConfig {
             max_linger: Duration::from_millis(20),
-            ..ServeConfig::default()
-        };
-        let server = DefenseServer::start(config, |_| nearest_assets()).unwrap();
-        let client = server.client();
+            ..RouteConfig::default()
+        });
+        let client = gateway.client();
         let pending: Vec<_> = (0..8)
             .map(|i| {
                 let size = if i % 2 == 0 { 8 } else { 16 };
-                client.submit(test_image(i, size)).unwrap()
+                client
+                    .submit(DefenseRequest::new(test_image(i, size)))
+                    .unwrap()
             })
             .collect();
         for (i, pending) in pending.into_iter().enumerate() {
@@ -456,48 +231,53 @@ mod tests {
             );
         }
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 
     #[test]
     fn invalid_requests_are_rejected_synchronously() {
-        let server = DefenseServer::start(ServeConfig::default(), |_| nearest_assets()).unwrap();
-        let client = server.client();
+        let gateway = nearest_gateway(RouteConfig::default());
+        let client = gateway.client();
         let rank2 = Tensor::zeros(Shape::new(&[4, 4]));
         assert!(matches!(
-            client.submit(rank2),
+            client.submit(DefenseRequest::new(rank2)),
             Err(ServeError::InvalidRequest(_))
         ));
         let multi = Tensor::zeros(Shape::new(&[2, 3, 8, 8]));
         assert!(matches!(
-            client.submit(multi),
+            client.submit(DefenseRequest::new(multi)),
             Err(ServeError::InvalidRequest(_))
         ));
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 
     #[test]
     fn labels_come_from_the_worker_classifier() {
         use rand::{rngs::StdRng, SeedableRng};
-        let server = DefenseServer::start(ServeConfig::default(), |_| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let classifier = sesr_classifiers::ClassifierKind::MobileNetV2.build_local(4, &mut rng);
-            Ok(WorkerAssets::with_classifier(
-                DefensePipeline::new(
-                    PreprocessConfig::paper(),
-                    SrModelKind::NearestNeighbor.build_seeded_upscaler(2, 0)?,
-                ),
-                classifier,
-            ))
-        })
-        .unwrap();
-        let client = server.client();
-        let response = client.defend_blocking(test_image(5, 16)).unwrap();
+        let gateway = GatewayBuilder::new()
+            .route_with_factory(nearest_route(), RouteConfig::default(), |_| {
+                let mut rng = StdRng::seed_from_u64(3);
+                let classifier =
+                    sesr_classifiers::ClassifierKind::MobileNetV2.build_local(4, &mut rng);
+                Ok(WorkerAssets::with_classifier(
+                    DefensePipeline::new(
+                        PreprocessConfig::paper(),
+                        SrModelKind::NearestNeighbor.build_seeded_upscaler(2, 0)?,
+                    ),
+                    classifier,
+                ))
+            })
+            .build()
+            .unwrap();
+        let client = gateway.client();
+        let response = client
+            .defend_blocking(DefenseRequest::new(test_image(5, 16)))
+            .unwrap();
         assert!(response.label.is_some());
         assert!(response.label.unwrap() < 4);
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 
     /// An upscaler that sleeps, to make backpressure deterministic in tests.
@@ -521,28 +301,30 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_overloaded() {
-        let config = ServeConfig {
+        let config = RouteConfig {
             num_workers: 1,
             max_batch: 1,
             max_linger: Duration::ZERO,
             queue_capacity: 2,
-            cache_capacity: 0,
         };
-        let server = DefenseServer::start(config, |_| {
-            Ok(WorkerAssets::new(DefensePipeline::new(
-                PreprocessConfig::none(),
-                Box::new(SlowUpscaler {
-                    delay: Duration::from_millis(40),
-                    inner: SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
-                }),
-            )))
-        })
-        .unwrap();
-        let client = server.client();
+        let gateway = GatewayBuilder::new()
+            .cache_capacity(0)
+            .route_with_factory(nearest_route(), config, |_| {
+                Ok(WorkerAssets::new(DefensePipeline::new(
+                    PreprocessConfig::none(),
+                    Box::new(SlowUpscaler {
+                        delay: Duration::from_millis(40),
+                        inner: SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
+                    }),
+                )))
+            })
+            .build()
+            .unwrap();
+        let client = gateway.client();
         let mut pending = Vec::new();
         let mut rejected = 0usize;
         for seed in 0..32 {
-            match client.submit(test_image(seed, 8)) {
+            match client.submit(DefenseRequest::new(test_image(seed, 8))) {
                 Ok(p) => pending.push(p),
                 Err(ServeError::Overloaded) => rejected += 1,
                 Err(other) => panic!("unexpected error: {other}"),
@@ -552,25 +334,27 @@ mod tests {
             rejected > 0,
             "a 2-slot queue behind a 40ms/image worker must reject a 32-image burst"
         );
-        assert_eq!(server.stats().rejected, rejected as u64);
+        assert_eq!(gateway.stats().global.rejected, rejected as u64);
         for p in pending {
             p.wait().unwrap();
         }
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 
     #[test]
     fn cache_hits_skip_recomputation() {
-        let server = DefenseServer::start(ServeConfig::default(), |_| nearest_assets()).unwrap();
-        let client = server.client();
+        let gateway = nearest_gateway(RouteConfig::default());
+        let client = gateway.client();
         let image = test_image(9, 16);
-        let first = client.defend_blocking(image.clone()).unwrap();
+        let first = client
+            .defend_blocking(DefenseRequest::new(image.clone()))
+            .unwrap();
         assert!(!first.cache_hit);
-        let second = client.defend_blocking(image.clone()).unwrap();
+        let second = client.defend_blocking(DefenseRequest::new(image)).unwrap();
         assert!(second.cache_hit);
         assert_eq!(first.defended, second.defended);
-        let stats = server.stats();
+        let stats = gateway.stats().global;
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1, "the first lookup was a miss");
@@ -580,45 +364,50 @@ mod tests {
             "the second request must not recompute"
         );
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
+    }
+
+    /// A store holding one (random but fixed) SESR-M2 trained-weight
+    /// stand-in; returns its root and the saved artifact.
+    fn seeded_store(tag: &str, seed: u64) -> (std::path::PathBuf, sesr_store::StoredArtifact) {
+        use rand::{rngs::StdRng, SeedableRng};
+        use sesr_store::{Checkpoint, ModelStore};
+        let dir = std::env::temp_dir().join(format!("sesr_serve_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let network = SrModelKind::SesrM2.build_local_network(&mut rng).unwrap();
+        let artifact = ModelStore::open(&dir)
+            .unwrap()
+            .save(&Checkpoint::from_layer("SESR-M2", 2, 0, network.as_ref()))
+            .unwrap();
+        (dir, artifact)
+    }
+
+    fn sesr_route() -> RouteKey {
+        RouteKey::new(SrModelKind::SesrM2, 2, PreprocessConfig::none())
     }
 
     #[test]
     fn start_from_store_hydrates_identical_workers() {
-        use sesr_store::{Checkpoint, ModelStore};
-        let dir = std::env::temp_dir().join(format!("sesr_serve_store_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        // Populate the store with a (random but fixed) trained-weight stand-in.
-        {
-            use rand::{rngs::StdRng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(77);
-            let network = SrModelKind::SesrM2.build_local_network(&mut rng).unwrap();
-            let store = ModelStore::open(&dir).unwrap();
-            store
-                .save(&Checkpoint::from_layer("SESR-M2", 2, 0, network.as_ref()))
-                .unwrap();
-        }
-        let config = ServeConfig {
-            num_workers: 2,
-            cache_capacity: 0, // force every request through a worker
-            ..ServeConfig::default()
-        };
-        let server = DefenseServer::start_from_store(
-            config,
-            &dir,
-            SrModelKind::SesrM2,
-            2,
-            PreprocessConfig::none(),
-            0,
-        )
-        .unwrap();
-        let client = server.client();
+        let (dir, _) = seeded_store("store", 77);
+        let gateway = GatewayBuilder::new()
+            .cache_capacity(0) // force every request through a worker
+            .open_store(&dir)
+            .unwrap()
+            .route_with(sesr_route(), RouteConfig::default())
+            .build()
+            .unwrap();
+        let client = gateway.client();
         let image = test_image(4, 8);
         // Sequential submissions land on whichever worker is free; identical
         // outputs prove the pool hydrated identical weights.
-        let first = client.defend_blocking(image.clone()).unwrap();
+        let first = client
+            .defend_blocking(DefenseRequest::new(image.clone()))
+            .unwrap();
         for _ in 0..6 {
-            let next = client.defend_blocking(image.clone()).unwrap();
+            let next = client
+                .defend_blocking(DefenseRequest::new(image.clone()))
+                .unwrap();
             assert_eq!(first.defended, next.defended);
         }
         // And those outputs are the stored network's, not the seeded fallback.
@@ -630,36 +419,22 @@ mod tests {
         .unwrap();
         assert_ne!(first.defended, fallback);
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn start_from_store_rejects_a_corrupt_artifact() {
-        use sesr_store::{Checkpoint, ModelStore};
-        let dir = std::env::temp_dir().join(format!("sesr_serve_corrupt_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let artifact = {
-            use rand::{rngs::StdRng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(1);
-            let network = SrModelKind::SesrM2.build_local_network(&mut rng).unwrap();
-            let store = ModelStore::open(&dir).unwrap();
-            store
-                .save(&Checkpoint::from_layer("SESR-M2", 2, 0, network.as_ref()))
-                .unwrap()
-        };
+        let (dir, artifact) = seeded_store("corrupt", 1);
         let mut bytes = std::fs::read(&artifact.path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&artifact.path, &bytes).unwrap();
-        let result = DefenseServer::start_from_store(
-            ServeConfig::default(),
-            &dir,
-            SrModelKind::SesrM2,
-            2,
-            PreprocessConfig::none(),
-            0,
-        );
+        let result = GatewayBuilder::new()
+            .open_store(&dir)
+            .unwrap()
+            .route(sesr_route())
+            .build();
         assert!(
             matches!(result, Err(ServeError::Pipeline(_))),
             "a corrupt artifact must abort startup, not serve damaged weights"
@@ -669,43 +444,26 @@ mod tests {
 
     #[test]
     fn shutdown_joins_cleanly_and_closes_the_queue() {
-        let server = DefenseServer::start(ServeConfig::default(), |_| nearest_assets()).unwrap();
-        let client = server.client();
-        client.defend_blocking(test_image(2, 8)).unwrap();
+        let gateway = nearest_gateway(RouteConfig::default());
+        let client = gateway.client();
+        client
+            .defend_blocking(DefenseRequest::new(test_image(2, 8)))
+            .unwrap();
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 
     #[test]
     fn zero_worker_config_is_rejected() {
-        let config = ServeConfig {
+        let config = RouteConfig {
             num_workers: 0,
-            ..ServeConfig::default()
+            ..RouteConfig::default()
         };
         assert!(matches!(
-            DefenseServer::start(config, |_| nearest_assets()),
+            GatewayBuilder::new()
+                .route_with(nearest_route(), config)
+                .build(),
             Err(ServeError::InvalidRequest(_))
         ));
-    }
-
-    #[test]
-    fn route_key_recovery_names_zoo_models_and_falls_back() {
-        let assets = nearest_assets().unwrap();
-        let key = assets.route_key();
-        assert_eq!(key.model, SrModelKind::NearestNeighbor);
-        assert_eq!(key.scale, 2);
-
-        let custom = WorkerAssets::new(DefensePipeline::new(
-            PreprocessConfig::none(),
-            Box::new(SlowUpscaler {
-                delay: Duration::ZERO,
-                inner: SrModelKind::Bicubic.build_interpolation(2).unwrap(),
-            }),
-        ));
-        assert_eq!(
-            custom.route_key().model,
-            SrModelKind::NearestNeighbor,
-            "unrecognised upscaler names fall back to the baseline key"
-        );
     }
 }

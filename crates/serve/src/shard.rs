@@ -2,14 +2,12 @@
 //! batcher thread and a private worker pool.
 //!
 //! A [`DefenseGateway`](crate::gateway::DefenseGateway) owns one shard per
-//! [`RouteKey`](crate::route::RouteKey); the
-//! [`DefenseServer`](crate::server::DefenseServer) compatibility shim owns
-//! exactly one. Shards share nothing but the gateway-wide output cache and
-//! the global stats recorder, so a saturated route rejects its own traffic
-//! without slowing any other route. Retiring a shard (shutdown or hot
-//! reload) is drain-based: dropping every submission sender lets the batcher
-//! finish the queue, close the work channel and stop the workers — in-flight
-//! jobs always get their response.
+//! [`RouteKey`](crate::route::RouteKey). Shards share nothing but the
+//! gateway-wide output cache and the global stats recorder, so a saturated
+//! route rejects its own traffic without slowing any other route. Retiring a
+//! shard (shutdown or hot reload) is drain-based: dropping every submission
+//! sender lets the batcher finish the queue, close the work channel and stop
+//! the workers — in-flight jobs always get their response.
 
 use crate::cache::LruCache;
 use crate::route::{RouteConfig, RouteKey};

@@ -12,8 +12,8 @@
 //!                     scale=<integer upscaling factor; 1 for classifiers>
 //!                     tensors=<tensor count (parameters + buffers)>
 //!                     config_digest=<16-hex-digit training-config digest>
-//!                     encoding=<text|binary>
-//! [16+hlen..len-8)  weight payload in the declared `sesr_nn::serialize`
+//!                     encoding=binary
+//! [16+hlen..len-8)  weight payload in the `sesr_nn::serialize` binary
 //!                   encoding
 //! [len-8..len)      FNV-1a 64 checksum of header + payload
 //! ```
@@ -23,9 +23,7 @@
 //! means future layout changes fail loudly instead of misparsing.
 
 use crate::error::{Result, StoreError};
-use sesr_nn::serialize::{
-    tensors_from_bytes, tensors_from_string, tensors_to_bytes, tensors_to_string,
-};
+use sesr_nn::serialize::{tensors_from_bytes, tensors_to_bytes};
 use sesr_nn::Layer;
 use sesr_tensor::Tensor;
 
@@ -53,33 +51,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// How the weight payload is encoded inside the container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightEncoding {
-    /// Human-inspectable shortest-round-trip decimal text.
-    Text,
-    /// Compact raw-bit binary (~4x smaller); the default.
-    Binary,
-}
-
-impl WeightEncoding {
-    fn as_str(self) -> &'static str {
-        match self {
-            WeightEncoding::Text => "text",
-            WeightEncoding::Binary => "binary",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self> {
-        match s {
-            "text" => Ok(WeightEncoding::Text),
-            "binary" => Ok(WeightEncoding::Binary),
-            other => Err(StoreError::corrupt(format!(
-                "unknown weight encoding {other:?}"
-            ))),
-        }
-    }
-}
+/// The only payload encoding format version 1 carries; the header names it
+/// so a reader refuses anything else instead of misparsing the payload.
+const PAYLOAD_ENCODING: &str = "binary";
 
 /// The metadata header carried alongside the weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +68,6 @@ pub struct CheckpointMeta {
     /// Digest of the training configuration that produced the weights, for
     /// provenance (see e.g. `SrTrainingConfig::digest`).
     pub config_digest: u64,
-    /// Payload encoding.
-    pub encoding: WeightEncoding,
 }
 
 /// Trained weights plus their metadata, ready to be stored or applied to a
@@ -113,7 +85,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Snapshot a layer's parameters (in `params()` order) and non-learnable
     /// buffers (in `buffers()` order, appended after the parameters) into a
-    /// checkpoint with binary weight encoding.
+    /// checkpoint.
     ///
     /// Capturing the buffers is what makes a restored classifier evaluate
     /// identically to the trained instance: batch-norm running statistics
@@ -134,16 +106,9 @@ impl Checkpoint {
                 scale,
                 tensor_count: tensors.len(),
                 config_digest,
-                encoding: WeightEncoding::Binary,
             },
             tensors,
         }
-    }
-
-    /// Switch the payload encoding used by [`Checkpoint::to_bytes`].
-    pub fn with_encoding(mut self, encoding: WeightEncoding) -> Self {
-        self.meta.encoding = encoding;
-        self
     }
 
     /// Copy this checkpoint's tensors into `layer`'s parameters and
@@ -203,18 +168,11 @@ impl Checkpoint {
     /// Encode the checkpoint as one self-validating byte blob.
     pub fn to_bytes(&self) -> Vec<u8> {
         let header = format!(
-            "model={}\nscale={}\ntensors={}\nconfig_digest={:016x}\nencoding={}\n",
-            self.meta.model_id,
-            self.meta.scale,
-            self.meta.tensor_count,
-            self.meta.config_digest,
-            self.meta.encoding.as_str()
+            "model={}\nscale={}\ntensors={}\nconfig_digest={:016x}\nencoding={PAYLOAD_ENCODING}\n",
+            self.meta.model_id, self.meta.scale, self.meta.tensor_count, self.meta.config_digest,
         );
         let refs: Vec<&Tensor> = self.tensors.iter().collect();
-        let payload = match self.meta.encoding {
-            WeightEncoding::Text => tensors_to_string(&refs).into_bytes(),
-            WeightEncoding::Binary => tensors_to_bytes(&refs),
-        };
+        let payload = tensors_to_bytes(&refs);
         let mut out =
             Vec::with_capacity(16 + header.len() + payload.len() + std::mem::size_of::<u64>());
         out.extend_from_slice(CHECKPOINT_MAGIC);
@@ -232,7 +190,8 @@ impl Checkpoint {
     /// # Errors
     ///
     /// * [`StoreError::Corrupt`] — bad magic, truncation, unparsable header,
-    ///   payload/tensor-count mismatch;
+    ///   payload/tensor-count mismatch, a payload encoding other than
+    ///   `binary`;
     /// * [`StoreError::FormatVersionMismatch`] — written by a different
     ///   container version;
     /// * [`StoreError::ChecksumMismatch`] — any bit flip in header or
@@ -277,15 +236,8 @@ impl Checkpoint {
             .map_err(|_| StoreError::corrupt("header is not valid UTF-8"))?;
         let meta = parse_header(header)?;
         let payload = &body[header_len..];
-        let tensors = match meta.encoding {
-            WeightEncoding::Text => {
-                let text = std::str::from_utf8(payload)
-                    .map_err(|_| StoreError::corrupt("text payload is not valid UTF-8"))?;
-                tensors_from_string(text)
-            }
-            WeightEncoding::Binary => tensors_from_bytes(payload),
-        }
-        .map_err(|e| StoreError::corrupt(format!("payload decode failed: {e}")))?;
+        let tensors = tensors_from_bytes(payload)
+            .map_err(|e| StoreError::corrupt(format!("payload decode failed: {e}")))?;
         if tensors.len() != meta.tensor_count {
             return Err(StoreError::corrupt(format!(
                 "header declares {} tensors but the payload holds {}",
@@ -345,19 +297,26 @@ fn parse_header(header: &str) -> Result<CheckpointMeta> {
                     StoreError::corrupt(format!("unparsable config digest {value:?}"))
                 })?);
             }
-            "encoding" => encoding = Some(WeightEncoding::parse(value)?),
+            "encoding" => {
+                if value != PAYLOAD_ENCODING {
+                    return Err(StoreError::corrupt(format!(
+                        "unknown weight encoding {value:?}"
+                    )));
+                }
+                encoding = Some(());
+            }
             // Unknown keys are tolerated so minor-version writers can add
             // fields without breaking this reader.
             _ => {}
         }
     }
     let missing = |what: &str| StoreError::corrupt(format!("header is missing {what}"));
+    encoding.ok_or_else(|| missing("encoding"))?;
     Ok(CheckpointMeta {
         model_id: model_id.ok_or_else(|| missing("model"))?,
         scale: scale.ok_or_else(|| missing("scale"))?,
         tensor_count: tensor_count.ok_or_else(|| missing("tensors"))?,
         config_digest: config_digest.ok_or_else(|| missing("config_digest"))?,
-        encoding: encoding.ok_or_else(|| missing("encoding"))?,
     })
 }
 
@@ -379,15 +338,12 @@ mod tests {
     #[test]
     fn roundtrip_preserves_meta_and_weights_bitwise() {
         let net = test_layer(1);
-        for encoding in [WeightEncoding::Binary, WeightEncoding::Text] {
-            let ckpt =
-                Checkpoint::from_layer("SESR-M2", 2, 0xdead_beef, &net).with_encoding(encoding);
-            let decoded = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-            assert_eq!(decoded.meta, ckpt.meta);
-            assert_eq!(decoded.tensors.len(), 4); // 2 convs x (weight, bias)
-            for (a, b) in decoded.tensors.iter().zip(&ckpt.tensors) {
-                assert_eq!(a, b, "{encoding:?} roundtrip must be bit-exact");
-            }
+        let ckpt = Checkpoint::from_layer("SESR-M2", 2, 0xdead_beef, &net);
+        let decoded = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert_eq!(decoded.meta, ckpt.meta);
+        assert_eq!(decoded.tensors.len(), 4); // 2 convs x (weight, bias)
+        for (a, b) in decoded.tensors.iter().zip(&ckpt.tensors) {
+            assert_eq!(a, b, "roundtrip must be bit-exact");
         }
     }
 
@@ -464,6 +420,29 @@ mod tests {
             Checkpoint::from_bytes(&flipped),
             Err(StoreError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn text_encoding_header_is_refused() {
+        // A well-formed container (valid framing and checksum) whose header
+        // names the retired text encoding must be a typed error, never an
+        // attempt to read the payload as binary.
+        let good = Checkpoint::from_layer("m", 2, 0, &test_layer(1)).to_bytes();
+        let header_len = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize;
+        let header = std::str::from_utf8(&good[16..16 + header_len]).unwrap();
+        let header = header.replace("encoding=binary", "encoding=text");
+        let mut bytes = good[..12].to_vec();
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        bytes.extend_from_slice(&good[16 + header_len..good.len() - 8]);
+        let checksum = fnv1a64(&bytes[16..]);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        match Checkpoint::from_bytes(&bytes) {
+            Err(StoreError::Corrupt { reason }) => {
+                assert!(reason.contains("unknown weight encoding"), "{reason}");
+            }
+            other => panic!("expected a typed corruption error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!  <root>/<model>/x<scale>/v0001-<digest>.sesrckpt ─┘
 //! ```
 //!
-//! * [`Checkpoint`] wraps the `sesr_nn::serialize` tensor formats (text and
-//!   compact binary f32) in a self-validating container: magic, format
-//!   version, metadata header (model id, scale, tensor count, training-config
-//!   digest, encoding) and a trailing FNV-1a 64 checksum.
+//! * [`Checkpoint`] wraps the `sesr_nn::serialize` compact binary f32 tensor
+//!   format in a self-validating container: magic, format version, metadata
+//!   header (model id, scale, tensor count, training-config digest, encoding
+//!   name) and a trailing FNV-1a 64 checksum.
 //! * [`ModelStore`] is the on-disk side: content-addressed, versioned
 //!   artifact files under a store root, written atomically (temp file +
 //!   rename), with every corruption mode surfaced as a typed [`StoreError`].
@@ -43,8 +43,7 @@ pub mod registry;
 pub mod store;
 
 pub use checkpoint::{
-    fnv1a64, Checkpoint, CheckpointMeta, WeightEncoding, CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_MAGIC,
+    fnv1a64, Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC,
 };
 pub use error::{Result, StoreError};
 pub use registry::ModelRegistry;

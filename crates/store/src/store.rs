@@ -404,7 +404,6 @@ pub fn slugify(model_id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::WeightEncoding;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sesr_nn::{Conv2d, Sequential};
@@ -468,9 +467,7 @@ mod tests {
     fn list_spans_models_scales_and_encodings() {
         let (dir, store) = temp_store();
         store.save(&test_checkpoint(1)).unwrap();
-        store
-            .save(&test_checkpoint(2).with_encoding(WeightEncoding::Text))
-            .unwrap();
+        store.save(&test_checkpoint(2)).unwrap();
         let mut other = test_checkpoint(3);
         other.meta.model_id = "FSRCNN".to_string();
         store.save(&other).unwrap();

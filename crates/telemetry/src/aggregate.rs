@@ -65,10 +65,7 @@ pub fn merge_snapshots<'a>(
             *gauges.entry(name).or_insert(0) += value;
         }
         for (name, histogram) in &part.histograms {
-            histograms
-                .entry(name)
-                .or_default()
-                .merge(histogram);
+            histograms.entry(name).or_default().merge(histogram);
         }
     }
     TelemetrySnapshot {

@@ -68,7 +68,7 @@ pub use slo::{
     Alert, AlertSeverity, BurnRateRule, SloEngine, SloEvaluation, SloObjective, SloSpec,
     SloTransition, StatusBoard,
 };
-pub use snapshot::{TelemetrySnapshot, SCHEMA, SCHEMA_V1};
+pub use snapshot::{TelemetrySnapshot, SCHEMA};
 pub use window::{Frame, WindowDelta, WindowedStore};
 
 use std::sync::Arc;

@@ -13,10 +13,6 @@ use std::fmt::Write as _;
 /// changes to the layout.
 pub const SCHEMA: &str = "sesr-telemetry/v2";
 
-/// The previous schema, still accepted by [`TelemetrySnapshot::from_json`]:
-/// a v1 document is a v2 document with no `alerts` or `health` keys.
-pub const SCHEMA_V1: &str = "sesr-telemetry/v1";
-
 /// Everything a telemetry hub knows at one instant.
 ///
 /// The JSON layout (see [`TelemetrySnapshot::to_json`]) is a stable,
@@ -24,8 +20,7 @@ pub const SCHEMA_V1: &str = "sesr-telemetry/v1";
 /// `histograms`, `events`, `alerts`, `health` and `dropped_events` keys,
 /// with metric maps keyed by name in sorted order. `from_json` inverts
 /// `to_json` exactly, which the schema-validation test in `tests/` asserts;
-/// it also still reads [`SCHEMA_V1`] documents, which simply lack the
-/// status keys.
+/// every key is required and any other schema identifier is refused.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// Counter values, sorted by name.
@@ -225,7 +220,7 @@ impl TelemetrySnapshot {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or_else(|| fail("missing schema"))?;
-        if schema != SCHEMA && schema != SCHEMA_V1 {
+        if schema != SCHEMA {
             return Err(fail(&format!("unsupported schema '{schema}'")));
         }
         let counters = root
@@ -326,59 +321,54 @@ impl TelemetrySnapshot {
                 })
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
-        // Status keys are v2-only; a v1 document reads as having none.
-        let alerts = match root.get("alerts") {
-            Some(node) => node
-                .as_array()
-                .ok_or_else(|| fail("alerts is not an array"))?
-                .iter()
-                .map(|alert| {
-                    let field = |key: &str| {
-                        alert
-                            .get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| fail(&format!("alert missing u64 '{key}'")))
-                    };
-                    let text = |key: &str| {
-                        alert
-                            .get(key)
-                            .and_then(Value::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| fail(&format!("alert missing string '{key}'")))
-                    };
-                    let severity = alert
-                        .get("severity")
+        let alerts = root
+            .get("alerts")
+            .and_then(Value::as_array)
+            .ok_or_else(|| fail("missing alerts"))?
+            .iter()
+            .map(|alert| {
+                let field = |key: &str| {
+                    alert
+                        .get(key)
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| fail(&format!("alert missing u64 '{key}'")))
+                };
+                let text = |key: &str| {
+                    alert
+                        .get(key)
                         .and_then(Value::as_str)
-                        .and_then(AlertSeverity::parse)
-                        .ok_or_else(|| fail("alert missing severity"))?;
-                    Ok(Alert {
-                        slo: text("slo")?,
-                        route: text("route")?,
-                        severity,
-                        burn_milli: field("burn_milli")?,
-                        long_window_ms: field("long_window_ms")?,
-                        short_window_ms: field("short_window_ms")?,
-                        since_ms: field("since_ms")?,
-                    })
+                        .map(str::to_string)
+                        .ok_or_else(|| fail(&format!("alert missing string '{key}'")))
+                };
+                let severity = alert
+                    .get("severity")
+                    .and_then(Value::as_str)
+                    .and_then(AlertSeverity::parse)
+                    .ok_or_else(|| fail("alert missing severity"))?;
+                Ok(Alert {
+                    slo: text("slo")?,
+                    route: text("route")?,
+                    severity,
+                    burn_milli: field("burn_milli")?,
+                    long_window_ms: field("long_window_ms")?,
+                    short_window_ms: field("short_window_ms")?,
+                    since_ms: field("since_ms")?,
                 })
-                .collect::<Result<Vec<_>, JsonError>>()?,
-            None => Vec::new(),
-        };
-        let health = match root.get("health") {
-            Some(node) => node
-                .as_object()
-                .ok_or_else(|| fail("health is not an object"))?
-                .iter()
-                .map(|(route, state)| {
-                    state
-                        .as_str()
-                        .and_then(HealthState::parse)
-                        .map(|state| (route.clone(), state))
-                        .ok_or_else(|| fail(&format!("route '{route}' has a bad health state")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
+            })
+            .collect::<Result<Vec<_>, JsonError>>()?;
+        let health = root
+            .get("health")
+            .and_then(Value::as_object)
+            .ok_or_else(|| fail("missing health"))?
+            .iter()
+            .map(|(route, state)| {
+                state
+                    .as_str()
+                    .and_then(HealthState::parse)
+                    .map(|state| (route.clone(), state))
+                    .ok_or_else(|| fail(&format!("route '{route}' has a bad health state")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let dropped_events = root
             .get("dropped_events")
             .and_then(Value::as_u64)
@@ -527,20 +517,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse_without_status_keys() {
-        // A v2 export with the status keys stripped and the schema rolled
-        // back is exactly what PR 6's exporter wrote.
+    fn v1_documents_are_refused() {
+        // What PR 6's exporter wrote: the v1 identifier and no status keys.
         let mut snapshot = sample();
         snapshot.alerts.clear();
         snapshot.health.clear();
-        let v1 = snapshot
-            .to_json()
-            .replace(SCHEMA, SCHEMA_V1)
+        let v2 = snapshot.to_json();
+        let v1 = v2
+            .replace(SCHEMA, "sesr-telemetry/v1")
             .replace("\"alerts\":[],", "")
             .replace("\"health\":{},", "");
         assert!(!v1.contains("alerts"), "fixture must be a true v1 doc");
-        let reparsed = TelemetrySnapshot::from_json(&v1).unwrap();
-        assert_eq!(reparsed, snapshot);
+        let err = TelemetrySnapshot::from_json(&v1).unwrap_err();
+        assert!(err.message.contains("unsupported schema"), "{err:?}");
+        // The status keys are required even under the current identifier.
+        let err = TelemetrySnapshot::from_json(&v2.replace("\"health\":{},", "")).unwrap_err();
+        assert!(err.message.contains("missing health"), "{err:?}");
     }
 
     #[test]

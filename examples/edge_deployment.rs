@@ -10,10 +10,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![allow(deprecated)] // run_table4 is the legacy path; see examples/eval_plan.rs
 
-use sesr_defense::experiments::run_table4;
-use sesr_defense::report::format_table4;
+use sesr_defense::eval::{EvalPlan, EvalSink, ModelBank, TextTableSink};
+use sesr_defense::experiments::ExperimentConfig;
 use sesr_models::SrModelKind;
 use sesr_npu::{estimate_network, NpuConfig};
 
@@ -21,9 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Edge deployment latency planning ==\n");
 
     // Table IV reproduction on the default Ethos-U55-256-class configuration.
+    // The plan is analytic, so the throw-away bank never trains anything.
     let u55 = NpuConfig::ethos_u55_256();
-    let rows = run_table4(&u55)?;
-    println!("{}", format_table4(&rows, &u55.name));
+    println!("Table IV — end-to-end latency on {}", u55.name);
+    let bank = ModelBank::ephemeral(ExperimentConfig::quick())?;
+    let mut table = TextTableSink::new(std::io::stdout());
+    let mut sinks: [&mut dyn EvalSink; 1] = [&mut table];
+    let report = EvalPlan::table4(&u55).run_with_sinks(&bank, &mut sinks)?;
+    assert!(report.ok(), "table IV plan must complete");
 
     // Extension: how does the picture change across NPU configurations?
     println!("\nNPU configuration sweep (SR-only latency for 299x299 -> 598x598):");

@@ -48,8 +48,8 @@ use rand::SeedableRng;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{ScratchSpace, SrModelKind, Upscaler};
 use sesr_serve::{
-    DefenseRequest, DefenseServer, GatewayBuilder, RouteConfig, RouteKey, ServeConfig, ServeError,
-    SloPolicy, SloRuntime, WorkerAssets,
+    DefenseGateway, DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError, SloPolicy,
+    SloRuntime, WorkerAssets,
 };
 use sesr_telemetry::{AlertSeverity, BurnRateRule, HealthPolicy, HealthState, SloTransition};
 use sesr_tensor::{init, Shape, Tensor};
@@ -82,22 +82,20 @@ fn sequential_pipeline() -> DefensePipeline {
     )
 }
 
-fn start_server(cache_capacity: usize) -> Result<DefenseServer, ServeError> {
-    DefenseServer::start(
-        ServeConfig {
-            num_workers: 4,
-            max_batch: 8,
-            max_linger: Duration::from_millis(1),
-            queue_capacity: 64,
-            cache_capacity,
-        },
-        |_| {
-            Ok(WorkerAssets::new(DefensePipeline::new(
-                PreprocessConfig::paper(),
-                SrModelKind::NearestNeighbor.build_seeded_upscaler(2, 0)?,
-            )))
-        },
-    )
+/// A one-route gateway: the paper defense over nearest-neighbor ×2.
+fn start_server(cache_capacity: usize) -> Result<DefenseGateway, ServeError> {
+    GatewayBuilder::new()
+        .cache_capacity(cache_capacity)
+        .route_with(
+            RouteKey::paper(SrModelKind::NearestNeighbor, 2),
+            RouteConfig {
+                num_workers: 4,
+                max_batch: 8,
+                max_linger: Duration::from_millis(1),
+                queue_capacity: 64,
+            },
+        )
+        .build()
 }
 
 /// Time the sequential single-image baseline over `requests`.
@@ -114,7 +112,7 @@ fn run_sequential(requests: &[Tensor]) -> Result<(f64, Vec<Tensor>), ServeError>
 
 /// Push `requests` through a running server, retrying on `Overloaded`.
 fn run_served(
-    server: &DefenseServer,
+    server: &DefenseGateway,
     requests: &[Tensor],
 ) -> Result<(f64, Vec<Tensor>), ServeError> {
     let client = server.client();
@@ -122,7 +120,7 @@ fn run_served(
     let mut pending = Vec::with_capacity(requests.len());
     for image in requests {
         loop {
-            match client.submit(image.clone()) {
+            match client.submit(DefenseRequest::new(image.clone())) {
                 Ok(p) => break pending.push(p),
                 // The demo wants every request answered; a latency-sensitive
                 // caller would shed the request instead of retrying.
@@ -151,7 +149,7 @@ fn main() -> Result<(), ServeError> {
     let (seq_rate, seq_out) = run_sequential(&distinct)?;
     let server = start_server(0)?; // distinct traffic: cache cannot help
     let (cold_rate, cold_out) = run_served(&server, &distinct)?;
-    let cold_stats = server.stats();
+    let cold_stats = server.stats().global;
     server.shutdown();
     for (a, b) in seq_out.iter().zip(&cold_out) {
         assert_eq!(a, b, "served output diverged from the sequential defense");
@@ -190,7 +188,7 @@ fn main() -> Result<(), ServeError> {
     let server = start_server(256)?;
     run_served(&server, &uniques)?; // warm the cache
     let (served_rate, served_out) = run_served(&server, &requests)?;
-    let stats = server.stats();
+    let stats = server.stats().global;
     server.shutdown();
     for (a, b) in seq_out.iter().zip(&served_out) {
         assert_eq!(a, b, "cached output diverged from the sequential defense");

@@ -1,6 +1,6 @@
 //! End-to-end *train once, deploy many*: train a small SESR model (or reuse
 //! one already in the store), persist it as a content-addressed artifact, and
-//! hydrate a multi-worker `DefenseServer` from the store.
+//! hydrate a multi-worker `DefenseGateway` route from the store.
 //!
 //! Run standalone (trains into a temp store on first run):
 //!
@@ -23,10 +23,9 @@
 #![forbid(unsafe_code)]
 
 use sesr_datagen::{SrDataset, SrDatasetConfig};
-use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::trainer::{evaluate_upscaler_psnr, SrLoss, SrTrainer, SrTrainingConfig};
 use sesr_models::SrModelKind;
-use sesr_serve::{DefenseServer, ServeConfig, ServeError, WorkerAssets};
+use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError};
 use sesr_store::{ModelRegistry, ModelStore};
 use sesr_tensor::{init, Shape, Tensor};
 
@@ -104,22 +103,28 @@ fn main() -> Result<(), ServeError> {
     );
 
     // ------------------------------------------------------- deploy many
-    let server = DefenseServer::start(
-        ServeConfig {
-            num_workers: NUM_WORKERS,
-            cache_capacity: 0, // every request must exercise a worker
-            ..ServeConfig::default()
-        },
-        |_worker| WorkerAssets::from_store(&registry, KIND, SCALE, PreprocessConfig::paper(), SEED),
-    )?;
-    let client = server.client();
+    // One store-backed route: the gateway resolves the newest artifact once
+    // and hydrates every worker of the pool from that validated checkpoint.
+    let gateway = GatewayBuilder::new()
+        .cache_capacity(0) // every request must exercise a worker
+        .seed(SEED)
+        .with_store(store)
+        .route_with(
+            RouteKey::paper(KIND, SCALE),
+            RouteConfig {
+                num_workers: NUM_WORKERS,
+                ..RouteConfig::default()
+            },
+        )
+        .build()?;
+    let client = gateway.client();
 
     use rand::{rngs::StdRng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(7);
     let image: Tensor = init::uniform(Shape::new(&[1, 3, 16, 16]), 0.0, 1.0, &mut rng);
-    let first = client.defend_blocking(image.clone())?;
+    let first = client.defend_blocking(DefenseRequest::new(image.clone()))?;
     for _ in 0..3 * NUM_WORKERS {
-        let next = client.defend_blocking(image.clone())?;
+        let next = client.defend_blocking(DefenseRequest::new(image.clone()))?;
         assert_eq!(
             first.defended, next.defended,
             "all store-hydrated workers must produce bitwise-identical outputs"
@@ -130,11 +135,9 @@ fn main() -> Result<(), ServeError> {
          identical",
         1 + 3 * NUM_WORKERS
     );
-    println!("stats: {}", server.stats());
-    let (registry_hits, registry_misses) = registry.hit_counts();
-    println!("registry: {registry_hits} memoized hydrations, {registry_misses} disk load(s)");
+    println!("stats: {}", gateway.stats().global);
     drop(client);
-    server.shutdown();
+    gateway.shutdown();
     println!("train-and-serve loop complete: artifact stored, pool hydrated, outputs identical");
     Ok(())
 }

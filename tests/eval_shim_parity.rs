@@ -1,25 +1,26 @@
-//! Shim-parity proof: the plan-backed `run_table1` / `run_table2` shims must
-//! produce **byte-identical** formatted output to the pre-redesign drivers
-//! on the `quick` configuration.
+//! Plan-parity proof: `EvalPlan::table1` / `EvalPlan::table2`, run against a
+//! throw-away [`ModelBank`], must produce **exactly** the numbers of the
+//! pre-redesign drivers on the `quick` configuration — whole records compared
+//! for equality, so every `f32` must match exactly.
 //!
 //! The `legacy` module below is a faithful reimplementation of the original
 //! monolithic drivers (train in-memory on every invocation, hand weights to
 //! defenses via `copy_weights`, evaluate with the just-trained classifier
-//! instance) built only on public API. If the plan-based path diverges by a
-//! single byte — a changed seed derivation, a lossy weight round-trip, a
+//! instance) built only on public API. If the plan-based path diverges in a
+//! single bit — a changed seed derivation, a lossy weight round-trip, a
 //! dropped batch-norm buffer — these tests fail.
 
+use sesr_defense::eval::{EvalPlan, EvalRecord, ModelBank};
 use sesr_defense::experiments::ExperimentConfig;
-use sesr_defense::report::{format_table1, format_table2};
 
 mod legacy {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sesr_classifiers::{ClassifierKind, ClassifierTrainer, ClassifierTrainingConfig};
     use sesr_datagen::{ClassificationDataset, DatasetConfig};
+    use sesr_defense::eval::EvalRecord;
     use sesr_defense::experiments::{
-        build_defense, train_sr_models, ExperimentConfig, Table1Row, Table2Row, Table2Section,
-        TrainedSrModel,
+        build_defense, train_sr_models, ExperimentConfig, TrainedSrModel,
     };
     use sesr_defense::pipeline::PreprocessConfig;
     use sesr_defense::robustness::RobustnessEvaluator;
@@ -27,21 +28,23 @@ mod legacy {
     use sesr_models::SrModelKind;
     use sesr_nn::Layer;
 
-    pub fn run_table1(config: &ExperimentConfig) -> Vec<Table1Row> {
+    /// Table I: one record per learned SR model.
+    pub fn table1(config: &ExperimentConfig) -> Vec<EvalRecord> {
         let trained = train_sr_models(config).expect("legacy SR training");
         let mut rows = Vec::new();
         for model in &trained {
             let cost = paper_cost(model.kind).unwrap().expect("learned cost");
             let reported = paper_reported(model.kind);
-            rows.push(Table1Row {
-                model: model.kind.name().to_string(),
-                params: cost.params,
-                macs: cost.macs,
-                measured_psnr: model.val_psnr,
-                paper_psnr: paper_reported_psnr(model.kind),
-                paper_params: reported.map(|r| r.params),
-                paper_macs: reported.map(|r| r.macs),
-            });
+            rows.push(
+                EvalRecord::new()
+                    .text("model", model.kind.name())
+                    .int("params", cost.params)
+                    .int("macs", cost.macs)
+                    .float("measured_psnr", f64::from(model.val_psnr))
+                    .maybe_float("paper_psnr", paper_reported_psnr(model.kind).map(f64::from))
+                    .maybe_int("paper_params", reported.map(|r| r.params))
+                    .maybe_int("paper_macs", reported.map(|r| r.macs)),
+            );
         }
         rows
     }
@@ -63,12 +66,14 @@ mod legacy {
         classifier
     }
 
-    fn run_table2_section(
+    /// One classifier's Table II cells, defense-major then attack, "No
+    /// Defense" first.
+    fn table2_section(
         classifier_kind: ClassifierKind,
         dataset: &ClassificationDataset,
         trained_sr: &[TrainedSrModel],
         config: &ExperimentConfig,
-    ) -> Table2Section {
+    ) -> Vec<EvalRecord> {
         let classifier = train_classifier(classifier_kind, dataset, config);
         let mut evaluator = RobustnessEvaluator::new(
             classifier_kind.name(),
@@ -80,7 +85,7 @@ mod legacy {
         .expect("legacy evaluator");
         let clean_accuracy = evaluator.clean_accuracy().unwrap();
 
-        let mut rows: Vec<Table2Row> = Vec::new();
+        let mut cells = Vec::new();
         let mut defenses: Vec<Option<SrModelKind>> = vec![None];
         defenses.extend(config.sr_kinds.iter().copied().map(Some));
 
@@ -88,7 +93,6 @@ mod legacy {
             let defense_name = defense_kind
                 .map(|k| k.name().to_string())
                 .unwrap_or_else(|| "No Defense".to_string());
-            let mut accuracies = Vec::new();
             for attack_kind in &config.attacks {
                 let attack = attack_kind.build(config.attack);
                 let mut rng = StdRng::seed_from_u64(
@@ -110,21 +114,22 @@ mod legacy {
                             .unwrap()
                     }
                 };
-                accuracies.push((attack_kind.name().to_string(), accuracy));
+                cells.push(
+                    EvalRecord::new()
+                        .text("classifier", classifier_kind.name())
+                        .text("defense", defense_name.as_str())
+                        .text("attack", attack_kind.name())
+                        .float("epsilon", f64::from(config.attack.epsilon))
+                        .float("clean_accuracy", f64::from(clean_accuracy))
+                        .float("robust_accuracy", f64::from(accuracy))
+                        .int("num_images", adversarial.len() as u64),
+                );
             }
-            rows.push(Table2Row {
-                defense: defense_name,
-                accuracies,
-            });
         }
-        Table2Section {
-            classifier: classifier_kind.name().to_string(),
-            clean_accuracy,
-            rows,
-        }
+        cells
     }
 
-    pub fn run_table2(config: &ExperimentConfig) -> Vec<Table2Section> {
+    pub fn table2(config: &ExperimentConfig) -> Vec<EvalRecord> {
         let dataset = ClassificationDataset::generate(DatasetConfig {
             num_classes: config.num_classes,
             train_size: config.train_size,
@@ -138,33 +143,36 @@ mod legacy {
         config
             .classifiers
             .iter()
-            .map(|kind| run_table2_section(*kind, &dataset, &trained_sr, config))
+            .flat_map(|kind| table2_section(*kind, &dataset, &trained_sr, config))
             .collect()
     }
+}
+
+/// Run `plan` the way the pre-redesign drivers ran: train everything from
+/// scratch in a store nothing else has written to.
+fn plan_records(plan: EvalPlan, config: &ExperimentConfig) -> Vec<EvalRecord> {
+    let bank = ModelBank::ephemeral(config.clone()).expect("ephemeral bank");
+    let report = plan.run(&bank).expect("plan run");
+    assert!(report.ok(), "failed scenarios: {:?}", report.failures());
+    report.records().cloned().collect()
 }
 
 #[test]
 fn plan_backed_table1_is_byte_identical_to_legacy() {
     let config = ExperimentConfig::quick();
-    let legacy_text = format_table1(&legacy::run_table1(&config));
-    #[allow(deprecated)]
-    let shim_rows = sesr_defense::experiments::run_table1(&config).expect("shim table 1");
-    let shim_text = format_table1(&shim_rows);
     assert_eq!(
-        legacy_text, shim_text,
-        "plan-backed Table I output must match the pre-redesign driver byte for byte"
+        plan_records(EvalPlan::table1(&config), &config),
+        legacy::table1(&config),
+        "plan-backed Table I must equal the pre-redesign driver exactly"
     );
 }
 
 #[test]
 fn plan_backed_table2_is_byte_identical_to_legacy() {
     let config = ExperimentConfig::quick();
-    let legacy_text = format_table2(&legacy::run_table2(&config));
-    #[allow(deprecated)]
-    let shim_sections = sesr_defense::experiments::run_table2(&config).expect("shim table 2");
-    let shim_text = format_table2(&shim_sections);
     assert_eq!(
-        legacy_text, shim_text,
-        "plan-backed Table II output must match the pre-redesign driver byte for byte"
+        plan_records(EvalPlan::table2(&config), &config),
+        legacy::table2(&config),
+        "plan-backed Table II must equal the pre-redesign driver exactly"
     );
 }

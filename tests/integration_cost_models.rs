@@ -1,9 +1,9 @@
 //! Cross-crate integration tests on the analytic cost models and the NPU
 //! estimator: the quantities behind Table I and Table IV.
-#![allow(deprecated)] // the run_table4 shim must keep working until removed
 
 use sesr_classifiers::cost::mobilenet_v2_paper_spec;
-use sesr_defense::experiments::{run_table4, table4_sr_models};
+use sesr_defense::eval::{EvalPlan, ModelBank};
+use sesr_defense::experiments::{table4_sr_models, ExperimentConfig};
 use sesr_models::cost::{paper_cost, paper_reported, PAPER_INPUT};
 use sesr_models::SrModelKind;
 use sesr_npu::{estimate_network, estimate_pipeline, NpuConfig};
@@ -44,16 +44,21 @@ fn enlarged_classifier_is_cheaper_than_fsrcnn_but_not_than_sesr() {
 
 #[test]
 fn table4_reproduces_the_paper_orderings_and_fps_ratio() {
-    let rows = run_table4(&NpuConfig::ethos_u55_256()).unwrap();
-    let names: Vec<&str> = rows.iter().map(|r| r.sr_model.as_str()).collect();
+    let bank = ModelBank::ephemeral(ExperimentConfig::quick()).unwrap();
+    let report = EvalPlan::table4(&NpuConfig::ethos_u55_256())
+        .run(&bank)
+        .unwrap();
+    assert!(report.ok(), "failed scenarios: {:?}", report.failures());
+    let rows: Vec<_> = report.records().collect();
+    let names: Vec<&str> = rows.iter().filter_map(|r| r.get_text("sr_model")).collect();
     assert_eq!(names, vec!["FSRCNN", "SESR-M5", "SESR-M3", "SESR-M2"]);
     // Total latency strictly decreases down the table (Table IV shape).
     for pair in rows.windows(2) {
-        assert!(pair[0].total_ms > pair[1].total_ms);
+        assert!(pair[0].get_float("total_ms").unwrap() > pair[1].get_float("total_ms").unwrap());
     }
     // End-to-end FPS advantage of SESR-M2 over FSRCNN is roughly 3x in the
     // paper (15.06 vs 5.26); accept a generous band around it.
-    let ratio = rows[3].fps / rows[0].fps;
+    let ratio = rows[3].get_float("fps").unwrap() / rows[0].get_float("fps").unwrap();
     assert!((1.8..6.0).contains(&ratio), "fps ratio {ratio}");
 }
 

@@ -1,14 +1,11 @@
-//! End-to-end integration test: the complete Table II machinery — data
+//! End-to-end integration test: the complete Table I–III machinery — data
 //! generation, SR training, classifier training, gray-box attacks, defense
-//! pipelines — at a minutes-scale configuration.
-//!
-//! Exercises the deprecated `run_tableN` shims on purpose: they must keep
-//! working (and keep their legacy output) until removed.
-#![allow(deprecated)]
+//! pipelines — run as evaluation plans at a minutes-scale configuration.
 
 use sesr_attacks::AttackKind;
 use sesr_classifiers::ClassifierKind;
-use sesr_defense::experiments::{run_table1, run_table2, run_table3, ExperimentConfig};
+use sesr_defense::eval::{EvalPlan, EvalRecord, ModelBank};
+use sesr_defense::experiments::ExperimentConfig;
 use sesr_models::SrModelKind;
 
 fn quick_config() -> ExperimentConfig {
@@ -19,53 +16,69 @@ fn quick_config() -> ExperimentConfig {
     config
 }
 
+/// Run `plan` from scratch (fresh store) and return its records; a failed
+/// scenario fails the test.
+fn run(plan: EvalPlan, config: &ExperimentConfig) -> Vec<EvalRecord> {
+    let bank = ModelBank::ephemeral(config.clone()).expect("ephemeral bank");
+    let report = plan.run(&bank).expect("plan run");
+    assert!(report.ok(), "failed scenarios: {:?}", report.failures());
+    report.records().cloned().collect()
+}
+
 #[test]
 fn table1_pipeline_produces_complete_rows() {
     let mut config = quick_config();
     config.sr_kinds = vec![SrModelKind::SesrM2, SrModelKind::Fsrcnn];
-    let rows = run_table1(&config).expect("table 1 run");
+    let rows = run(EvalPlan::table1(&config), &config);
     assert_eq!(rows.len(), 2);
     for row in &rows {
-        assert!(row.params > 0);
-        assert!(row.macs > 0);
-        assert!(row.measured_psnr.is_finite());
-        assert!(row.paper_psnr.is_some());
+        assert!(row.get_int("params").unwrap() > 0);
+        assert!(row.get_int("macs").unwrap() > 0);
+        assert!(row.get_float("measured_psnr").unwrap().is_finite());
+        assert!(row.get_float("paper_psnr").is_some());
     }
     // SESR-M2 must be the cheaper of the two at paper scale.
-    let sesr = rows.iter().find(|r| r.model == "SESR-M2").unwrap();
-    let fsrcnn = rows.iter().find(|r| r.model == "FSRCNN").unwrap();
-    assert!(sesr.macs < fsrcnn.macs);
+    let macs = |model: &str| {
+        rows.iter()
+            .find(|r| r.get_text("model") == Some(model))
+            .and_then(|r| r.get_int("macs"))
+            .unwrap()
+    };
+    assert!(macs("SESR-M2") < macs("FSRCNN"));
 }
 
 #[test]
 fn table2_pipeline_produces_structured_sections() {
     let config = quick_config();
-    let sections = run_table2(&config).expect("table 2 run");
-    assert_eq!(sections.len(), 1);
-    let section = &sections[0];
-    assert_eq!(section.classifier, "MobileNet-V2");
-    // Evaluation subset is clean-correct by construction.
-    assert!((section.clean_accuracy - 1.0).abs() < 1e-6);
-    // One row for "No Defense" plus one per SR kind.
-    assert_eq!(section.rows.len(), 1 + config.sr_kinds.len());
-    assert_eq!(section.rows[0].defense, "No Defense");
-    for row in &section.rows {
-        assert_eq!(row.accuracies.len(), config.attacks.len());
-        for (attack, accuracy) in &row.accuracies {
-            assert_eq!(attack, "FGSM");
-            assert!((0.0..=1.0).contains(accuracy), "{accuracy} out of range");
-        }
+    let cells = run(EvalPlan::table2(&config), &config);
+    // One section (classifier); per section one row for "No Defense" plus one
+    // per SR kind, each holding one cell per attack.
+    assert_eq!(
+        cells.len(),
+        (1 + config.sr_kinds.len()) * config.attacks.len()
+    );
+    assert_eq!(cells[0].get_text("defense"), Some("No Defense"));
+    for cell in &cells {
+        assert_eq!(cell.get_text("classifier"), Some("MobileNet-V2"));
+        // Evaluation subset is clean-correct by construction.
+        assert!((cell.get_float("clean_accuracy").unwrap() - 1.0).abs() < 1e-6);
+        assert_eq!(cell.get_text("attack"), Some("FGSM"));
+        let accuracy = cell.get_float("robust_accuracy").unwrap();
+        assert!((0.0..=1.0).contains(&accuracy), "{accuracy} out of range");
     }
+    let mut defenses: Vec<&str> = cells.iter().filter_map(|c| c.get_text("defense")).collect();
+    defenses.dedup();
+    assert_eq!(defenses, ["No Defense", "Nearest Neighbor", "SESR-M2"]);
 }
 
 #[test]
 fn table3_pipeline_reports_both_jpeg_settings() {
     let mut config = quick_config();
     config.sr_kinds = vec![SrModelKind::SesrM2];
-    let rows = run_table3(&config).expect("table 3 run");
+    let rows = run(EvalPlan::table3(&config), &config);
     assert_eq!(rows.len(), 1);
     let row = &rows[0];
-    assert_eq!(row.defense, "SESR-M2");
-    assert!((0.0..=1.0).contains(&row.jpeg_accuracy));
-    assert!((0.0..=1.0).contains(&row.no_jpeg_accuracy));
+    assert_eq!(row.get_text("defense"), Some("SESR-M2"));
+    assert!((0.0..=1.0).contains(&row.get_float("jpeg_accuracy").unwrap()));
+    assert!((0.0..=1.0).contains(&row.get_float("no_jpeg_accuracy").unwrap()));
 }

@@ -8,9 +8,7 @@
 //! (c) an unserved route is a typed `ServeError::UnknownRoute`,
 //! (d) hot reload under load answers every accepted in-flight request (zero
 //!     drops) and swaps to the newest stored artifact,
-//! (e) the `DefenseServer` compatibility shim behaves exactly like a
-//!     one-route gateway,
-//! (f) the output cache is keyed by `(RouteKey, content-hash)`, so routes
+//! (e) the output cache is keyed by `(RouteKey, content-hash)`, so routes
 //!     can never serve each other's defended outputs (cache-poisoning
 //!     regression).
 
@@ -18,10 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{SrModelKind, Upscaler};
-use sesr_serve::{
-    DefenseRequest, DefenseServer, GatewayBuilder, RouteConfig, RouteKey, ServeConfig, ServeError,
-    WorkerAssets,
-};
+use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError, WorkerAssets};
 use sesr_store::{Checkpoint, ModelStore};
 use sesr_tensor::{init, Shape, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -330,55 +325,6 @@ fn hot_reload_under_load_answers_every_in_flight_request() {
     drop(client);
     gateway.shutdown();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn compat_shim_matches_a_one_route_gateway() {
-    let config = ServeConfig {
-        num_workers: 2,
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    };
-    let server = DefenseServer::start(config.clone(), |_| {
-        Ok(WorkerAssets::new(DefensePipeline::new(
-            PreprocessConfig::paper(),
-            SrModelKind::Bicubic.build_seeded_upscaler(2, 0)?,
-        )))
-    })
-    .unwrap();
-    let server_client = server.client();
-
-    let route = RouteKey::paper(SrModelKind::Bicubic, 2);
-    let gateway = GatewayBuilder::new()
-        .cache_capacity(0)
-        .route_with(route, RouteConfig::from(&config))
-        .build()
-        .unwrap();
-    let gateway_client = gateway.client();
-
-    for image in images(6, 8) {
-        let via_shim = server_client.defend_blocking(image.clone()).unwrap();
-        let via_gateway = gateway_client
-            .defend_blocking(DefenseRequest::new(image))
-            .unwrap();
-        assert_eq!(
-            via_shim.defended, via_gateway.defended,
-            "the shim and an explicit one-route gateway are the same engine"
-        );
-    }
-    let shim_stats = server.stats();
-    let gateway_stats = gateway.stats();
-    assert_eq!(shim_stats.completed, 6);
-    assert_eq!(gateway_stats.global.completed, 6);
-    assert_eq!(
-        gateway_stats.per_route.len(),
-        1,
-        "the shim serves exactly one route"
-    );
-    drop(server_client);
-    server.shutdown();
-    drop(gateway_client);
-    gateway.shutdown();
 }
 
 #[test]

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{SrModelKind, Upscaler};
-use sesr_serve::{DefenseServer, ServeConfig, ServeError, WorkerAssets};
+use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError, WorkerAssets};
 use sesr_tensor::{init, Shape, Tensor};
 use std::time::Duration;
 
@@ -29,27 +29,24 @@ fn batched_parallel_serving_is_bitwise_equivalent_to_sequential() {
             PreprocessConfig::paper(),
             kind.build_interpolation(2).unwrap(),
         );
-        let config = ServeConfig {
+        let config = RouteConfig {
             num_workers: 4,
             max_batch: 8,
             max_linger: Duration::from_millis(5),
             queue_capacity: 64,
-            cache_capacity: 0, // isolate the batching path
         };
-        let server = DefenseServer::start(config, |_| {
-            Ok(WorkerAssets::new(DefensePipeline::new(
-                PreprocessConfig::paper(),
-                kind.build_seeded_upscaler(2, 0)?,
-            )))
-        })
-        .unwrap();
-        let client = server.client();
+        let gateway = GatewayBuilder::new()
+            .cache_capacity(0) // isolate the batching path
+            .route_with(RouteKey::paper(kind, 2), config)
+            .build()
+            .unwrap();
+        let client = gateway.client();
 
         let inputs = images(24, 16);
         // Submit everything up front so the batcher actually coalesces.
         let pending: Vec<_> = inputs
             .iter()
-            .map(|image| client.submit(image.clone()).unwrap())
+            .map(|image| client.submit(DefenseRequest::new(image.clone())).unwrap())
             .collect();
         for (image, pending) in inputs.iter().zip(pending) {
             let served = pending.wait().unwrap();
@@ -60,7 +57,7 @@ fn batched_parallel_serving_is_bitwise_equivalent_to_sequential() {
             );
         }
 
-        let stats = server.stats();
+        let stats = gateway.stats().global;
         assert_eq!(stats.completed, 24);
         assert!(
             stats.largest_batch > 1,
@@ -68,7 +65,7 @@ fn batched_parallel_serving_is_bitwise_equivalent_to_sequential() {
             stats.largest_batch
         );
         drop(client);
-        server.shutdown();
+        gateway.shutdown();
     }
 }
 
@@ -95,29 +92,32 @@ impl Upscaler for SlowUpscaler {
 
 #[test]
 fn bounded_queue_rejects_with_overloaded_instead_of_blocking() {
-    let config = ServeConfig {
+    let config = RouteConfig {
         num_workers: 1,
         max_batch: 1,
         max_linger: Duration::ZERO,
         queue_capacity: 2,
-        cache_capacity: 0,
     };
-    let server = DefenseServer::start(config, |_| {
-        Ok(WorkerAssets::new(DefensePipeline::new(
-            PreprocessConfig::none(),
-            Box::new(SlowUpscaler {
-                delay: Duration::from_millis(30),
-                inner: SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
-            }),
-        )))
-    })
-    .unwrap();
-    let client = server.client();
+    let route = RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none());
+    let gateway = GatewayBuilder::new()
+        .cache_capacity(0)
+        .route_with_factory(route, config, |_| {
+            Ok(WorkerAssets::new(DefensePipeline::new(
+                PreprocessConfig::none(),
+                Box::new(SlowUpscaler {
+                    delay: Duration::from_millis(30),
+                    inner: SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
+                }),
+            )))
+        })
+        .build()
+        .unwrap();
+    let client = gateway.client();
 
     let mut accepted = Vec::new();
     let mut rejected = 0usize;
     for image in images(40, 8) {
-        match client.submit(image) {
+        match client.submit(DefenseRequest::new(image)) {
             Ok(pending) => accepted.push(pending),
             Err(ServeError::Overloaded) => rejected += 1,
             Err(other) => panic!("expected Overloaded, got {other}"),
@@ -131,46 +131,47 @@ fn bounded_queue_rejects_with_overloaded_instead_of_blocking() {
     for pending in accepted {
         pending.wait().unwrap();
     }
-    let stats = server.stats();
+    let stats = gateway.stats().global;
     assert_eq!(stats.rejected, rejected as u64);
     assert_eq!(stats.completed + stats.rejected, 40);
     drop(client);
-    server.shutdown();
+    gateway.shutdown();
 }
 
 #[test]
 fn cache_hits_skip_recomputation() {
-    let server = DefenseServer::start(ServeConfig::default(), |_| {
-        Ok(WorkerAssets::new(DefensePipeline::new(
-            PreprocessConfig::paper(),
-            SrModelKind::NearestNeighbor.build_seeded_upscaler(2, 0)?,
-        )))
-    })
-    .unwrap();
-    let client = server.client();
+    let gateway = GatewayBuilder::new()
+        .route(RouteKey::paper(SrModelKind::NearestNeighbor, 2))
+        .build()
+        .unwrap();
+    let client = gateway.client();
 
     let unique = images(6, 16);
     for image in &unique {
-        let response = client.defend_blocking(image.clone()).unwrap();
+        let response = client
+            .defend_blocking(DefenseRequest::new(image.clone()))
+            .unwrap();
         assert!(!response.cache_hit);
     }
-    let computed_after_first_pass = server.stats().computed_images;
+    let computed_after_first_pass = gateway.stats().global.computed_images;
     assert_eq!(computed_after_first_pass, 6);
 
     // Replaying the same traffic is answered from cache: no new computation.
     for image in &unique {
-        let response = client.defend_blocking(image.clone()).unwrap();
+        let response = client
+            .defend_blocking(DefenseRequest::new(image.clone()))
+            .unwrap();
         assert!(
             response.cache_hit,
             "identical resubmission must hit the cache"
         );
     }
-    let stats = server.stats();
+    let stats = gateway.stats().global;
     assert_eq!(stats.computed_images, computed_after_first_pass);
     assert_eq!(stats.cache_hits, 6);
     assert_eq!(stats.completed, 12);
     drop(client);
-    server.shutdown();
+    gateway.shutdown();
 }
 
 #[test]

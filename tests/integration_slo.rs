@@ -11,7 +11,8 @@
 //! (d) a promotion that tanks the route inside its probation window is
 //!     demoted back to the pinned prior artifact,
 //! (e) the whole story is visible as typed alerts + health in the exported
-//!     v2 snapshot, which still parses in v1 form (status keys stripped).
+//!     v2 snapshot; the same document in v1 form (status keys stripped) is
+//!     refused.
 //!
 //! Burn history is compressed onto a logical millisecond axis via
 //! `SloRuntime::tick_at`, so none of this depends on wall-clock pacing;
@@ -26,9 +27,7 @@ use sesr_serve::{
     SloRuntime,
 };
 use sesr_store::{Checkpoint, ModelStore};
-use sesr_telemetry::{
-    AlertSeverity, BurnRateRule, HealthPolicy, HealthState, TelemetrySnapshot, SCHEMA_V1,
-};
+use sesr_telemetry::{AlertSeverity, BurnRateRule, HealthPolicy, HealthState, TelemetrySnapshot};
 use sesr_tensor::{init, Shape, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -238,8 +237,9 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
         .iter()
         .any(|(label, state)| label == &route.label() && *state == HealthState::Healthy));
 
-    // The v2 document still reads in v1 form: strip the status keys, roll
-    // the schema marker back, and the parser must accept it (empty status).
+    // A v1 document is refused: strip the status keys and roll the schema
+    // marker back, and the parser must reject it instead of reading it as a
+    // snapshot with no alerts and no tracked routes.
     let clean = TelemetrySnapshot {
         alerts: Vec::new(),
         health: Vec::new(),
@@ -249,13 +249,9 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
         .to_json()
         .replace("\"alerts\":[],", "")
         .replace("\"health\":{},", "")
-        .replace(sesr_telemetry::SCHEMA, SCHEMA_V1);
-    let parsed_v1 = TelemetrySnapshot::from_json(&v1_text).unwrap();
-    assert_eq!(
-        parsed_v1.counter("gateway.shed"),
-        snapshot.counter("gateway.shed")
-    );
-    assert!(parsed_v1.alerts.is_empty() && parsed_v1.health.is_empty());
+        .replace(sesr_telemetry::SCHEMA, "sesr-telemetry/v1");
+    let err = TelemetrySnapshot::from_json(&v1_text).unwrap_err();
+    assert!(err.message.contains("unsupported schema"), "{err:?}");
 
     watcher.stop();
     drop(slo); // the runtime holds a client clone; shutdown drains clients

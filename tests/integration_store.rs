@@ -8,7 +8,7 @@ use sesr_datagen::{SrDataset, SrDatasetConfig};
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::trainer::{evaluate_upscaler_psnr, SrLoss, SrTrainer, SrTrainingConfig};
 use sesr_models::SrModelKind;
-use sesr_serve::{DefenseServer, ServeConfig, ServeError, WorkerAssets};
+use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError};
 use sesr_store::{Checkpoint, ModelRegistry, ModelStore, StoreError, CHECKPOINT_FORMAT_VERSION};
 use sesr_tensor::{init, Shape, Tensor};
 use std::path::PathBuf;
@@ -50,7 +50,7 @@ fn test_image(seed: u64) -> Tensor {
 }
 
 /// The acceptance loop: train a small SESR model, save it, restart into a
-/// fresh `DefenseServer` hydrating from the store, and check that (a) all
+/// fresh `DefenseGateway` hydrating from the store, and check that (a) all
 /// workers produce bitwise-identical defended outputs and (b) the stored
 /// weights beat the seeded-random baseline on held-out PSNR.
 #[test]
@@ -82,36 +82,36 @@ fn full_train_save_restart_serve_loop() {
             "worker {worker} hydrated different weights"
         );
     }
-    // The pool factory itself builds from the same registry.
-    WorkerAssets::from_store(&registry, KIND, SCALE, PreprocessConfig::paper(), 0).unwrap();
 
-    // (a2) Worker determinism through the running server: repeated submits of
+    // (a2) Worker determinism through the running gateway: repeated submits of
     // one image land on arbitrary workers; with the cache disabled every one
     // recomputes, so equality proves the pool serves identical weights.
-    let server = DefenseServer::start_from_store(
-        ServeConfig {
-            num_workers: NUM_WORKERS,
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-        &dir,
-        KIND,
-        SCALE,
-        PreprocessConfig::paper(),
-        0,
-    )
-    .unwrap();
-    let client = server.client();
+    let gateway = GatewayBuilder::new()
+        .cache_capacity(0)
+        .open_store(&dir)
+        .unwrap()
+        .route_with(
+            RouteKey::paper(KIND, SCALE),
+            RouteConfig {
+                num_workers: NUM_WORKERS,
+                ..RouteConfig::default()
+            },
+        )
+        .build()
+        .unwrap();
+    let client = gateway.client();
     for _ in 0..3 * NUM_WORKERS {
-        let response = client.defend_blocking(image.clone()).unwrap();
+        let response = client
+            .defend_blocking(DefenseRequest::new(image.clone()))
+            .unwrap();
         assert!(!response.cache_hit);
         assert_eq!(response.defended, reference);
     }
-    let stats = server.stats();
+    let stats = gateway.stats().global;
     assert_eq!(stats.completed, 3 * NUM_WORKERS as u64);
     assert_eq!(stats.computed_images, 3 * NUM_WORKERS as u64);
     drop(client);
-    server.shutdown();
+    gateway.shutdown();
 
     // (b) Stored weights beat the seeded-random fallback on held-out data.
     let heldout = SrDataset::generate(SrDatasetConfig {
@@ -135,7 +135,7 @@ fn full_train_save_restart_serve_loop() {
 }
 
 /// Corrupted and version-mismatched artifacts are rejected with typed errors
-/// at every level: the store, the zoo hydration path, and server startup.
+/// at every level: the store, the zoo hydration path, and gateway startup.
 #[test]
 fn damaged_artifacts_are_rejected_never_silently_loaded() {
     let dir = temp_dir("damaged");
@@ -159,14 +159,11 @@ fn damaged_artifacts_are_rejected_never_silently_loaded() {
         "hydration must fail loudly on corruption, not fall back"
     );
     assert!(matches!(
-        DefenseServer::start_from_store(
-            ServeConfig::default(),
-            &dir,
-            KIND,
-            SCALE,
-            PreprocessConfig::paper(),
-            0,
-        ),
+        GatewayBuilder::new()
+            .open_store(&dir)
+            .unwrap()
+            .route(RouteKey::paper(KIND, SCALE))
+            .build(),
         Err(ServeError::Pipeline(_))
     ));
 

@@ -6,7 +6,7 @@
 //!     same request id,
 //! (b) the snapshot carries a per-route histogram for every stage,
 //! (c) the JSON export round-trips exactly under the stable
-//!     `sesr-telemetry/v1` schema,
+//!     `sesr-telemetry/v2` schema,
 //! (d) the snapshot-file exporter produces the same schema on disk, and
 //!     `GatewayStats` counters agree with the registry view.
 
