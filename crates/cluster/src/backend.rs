@@ -166,6 +166,17 @@ impl ClusterBackend {
         }
     }
 
+    /// Apply every membership change the supervisor has sent so far.
+    /// Returns true when there was one.
+    fn apply_pending_control(&mut self) -> bool {
+        let mut progress = false;
+        while let Ok(message) = self.control.try_recv() {
+            self.apply_control(message);
+            progress = true;
+        }
+        progress
+    }
+
     /// Answer every request in flight on `id`'s link with a retry-after —
     /// the member is gone and its replies will never come.
     fn fail_link_inflight(&mut self, id: MemberId) {
@@ -312,6 +323,13 @@ impl Backend for ClusterBackend {
             // Every member drained away: nothing owns the arc.
             return Submit::Reply(self.member_down_body());
         };
+        if !self.links.get(&owner).is_some_and(|link| link.up) {
+            // The reactor parses frames before it pumps the backend, so the
+            // first request after `Cluster::wait_ready` can get here ahead
+            // of the queued `MemberUp`: apply what the supervisor has
+            // already announced before calling the arc down.
+            self.apply_pending_control();
+        }
         let disconnected = match self.links.get(&owner) {
             // Declared down by the supervisor: shed until its restart is
             // announced — no re-dial, even if something still listens.
@@ -383,12 +401,7 @@ impl Backend for ClusterBackend {
     }
 
     fn pump(&mut self) -> bool {
-        let mut progress = false;
-        while let Ok(message) = self.control.try_recv() {
-            self.apply_control(message);
-            progress = true;
-        }
-        progress | self.pump_links()
+        self.apply_pending_control() | self.pump_links()
     }
 
     fn reload(&mut self, route: &str) -> Result<String, String> {

@@ -388,11 +388,14 @@ impl Supervisor {
                         .and_then(|rest| rest.trim().parse::<SocketAddr>().ok())
                     {
                         if self.state(id) == MemberState::Starting {
+                            // Announce before publishing: whoever sees `Up`
+                            // in the view (`Cluster::wait_ready`) can rely
+                            // on the router already holding the message.
+                            let _ = self.control.send(Control::MemberUp { id, addr });
                             self.set_view(id, |info| {
                                 info.state = MemberState::Up;
                                 info.addr = Some(addr);
                             });
-                            let _ = self.control.send(Control::MemberUp { id, addr });
                         }
                     }
                 }

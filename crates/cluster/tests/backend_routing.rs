@@ -215,6 +215,27 @@ fn down_member_sheds_only_its_arc_and_removal_remaps() {
 }
 
 #[test]
+fn announced_members_are_routable_before_the_first_pump() {
+    // The reactor parses frames (→ submit) before it pumps the backend, so
+    // a request can arrive while `MemberUp` is still queued: it must be
+    // forwarded, not shed as "member down".
+    let mut fixture = start_fixture(2);
+    let label = fixture.route.label();
+    for tag in 0..8u32 {
+        match fixture.backend.submit(request_for(&label, tag, false)) {
+            Submit::Ticket(ticket) => {
+                let body = poll_until(&mut fixture.backend, ticket, Duration::from_secs(30));
+                assert!(matches!(body, ResponseBody::Ok { .. }), "got {body:?}");
+            }
+            Submit::Reply(body) => panic!("request {tag} shed before the first pump: {body:?}"),
+        }
+    }
+    let snapshot = fixture.backend.telemetry().snapshot();
+    assert_eq!(snapshot.counter("cluster.shed.member_down").unwrap_or(0), 0);
+    fixture.shutdown();
+}
+
+#[test]
 fn unknown_members_and_empty_rings_shed_instead_of_blocking() {
     // No MemberUp ever arrives: every submit sheds immediately — the front
     // must never block on a member that is not there.

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use sesr_classifiers::{ClassifierKind, ClassifierTrainer, ClassifierTrainingConfig};
 use sesr_datagen::{ClassificationDataset, DatasetConfig, SrDataset, SrDatasetConfig};
 use sesr_models::trainer::{SrLoss, SrTrainer, SrTrainingConfig};
-use sesr_models::{NetworkUpscaler, SrModelKind};
+use sesr_models::SrModelKind;
 use sesr_nn::Layer;
 use sesr_store::{fnv1a64, Checkpoint, ModelRegistry, ModelStore};
 use sesr_tensor::TensorError;
@@ -307,7 +307,9 @@ impl ModelBank {
 
     /// A defense pipeline for `spec`: `Ok(None)` for the no-defense spec,
     /// interpolation built directly, learned models hydrated/trained through
-    /// the store.
+    /// the store and deployed through `SrModelKind::wrap_network` — the
+    /// robustness rows attack and measure the network that ships (SESR
+    /// collapsed), not the training form [`ModelBank::sr_network`] returns.
     ///
     /// Every call builds an independent pipeline (share-nothing), so
     /// parallel scenarios and per-worker serving assets never contend.
@@ -332,7 +334,7 @@ impl ModelBank {
         let network = self.sr_network(kind)?;
         Ok(Some(DefensePipeline::new(
             spec.preprocess,
-            Box::new(NetworkUpscaler::new(kind.name(), 2, network)),
+            kind.wrap_network(2, network)?,
         )))
     }
 

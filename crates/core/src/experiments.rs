@@ -24,7 +24,7 @@ use sesr_attacks::{AttackConfig, AttackKind};
 use sesr_classifiers::ClassifierKind;
 use sesr_datagen::{SrDataset, SrDatasetConfig};
 use sesr_models::trainer::{evaluate_network_psnr, SrLoss, SrTrainer, SrTrainingConfig};
-use sesr_models::{NetworkUpscaler, SrModelKind};
+use sesr_models::SrModelKind;
 use sesr_nn::Layer;
 use sesr_tensor::{Tensor, TensorError};
 
@@ -202,7 +202,9 @@ pub fn train_sr_models(config: &ExperimentConfig) -> Result<Vec<TrainedSrModel>>
 }
 
 /// Build a defense pipeline for `kind`, cloning trained weights when the kind
-/// is a learned model.
+/// is a learned model; the clone is deployed through
+/// [`SrModelKind::wrap_network`], so a SESR pipeline runs the collapsed
+/// network while `trained` keeps the trainable one.
 ///
 /// # Errors
 ///
@@ -225,8 +227,10 @@ pub fn build_defense(
         .build_local_network(&mut rng)
         .ok_or_else(|| TensorError::invalid_argument("learned kind must build a network"))?;
     copy_weights(source.network.as_ref(), network.as_mut())?;
-    let upscaler = NetworkUpscaler::new(kind.name(), 2, network);
-    Ok(DefensePipeline::new(preprocess, Box::new(upscaler)))
+    Ok(DefensePipeline::new(
+        preprocess,
+        kind.wrap_network(2, network)?,
+    ))
 }
 
 /// The SR models reported in Table IV, in the paper's row order.

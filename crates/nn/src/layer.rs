@@ -73,6 +73,24 @@ pub trait Layer: Send + Sync {
         self.forward(input, train)
     }
 
+    /// The network this layer should be *deployed* as, when that differs
+    /// from the form it is trained in: `Ok(None)` (the default) means the
+    /// layer already is its own inference form.
+    ///
+    /// A layer whose training-time structure folds into a cheaper equivalent
+    /// network (SESR's collapsible linear blocks → plain convolutions)
+    /// returns that network here, built from its **current** weights — so
+    /// call the hook after weights are hydrated or copied, not before. The
+    /// result computes the same function up to floating-point
+    /// re-association and need not support [`Layer::backward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the lowered network cannot be constructed.
+    fn inference_form(&self) -> Result<Option<Box<dyn Layer>>> {
+        Ok(None)
+    }
+
     /// The layer's learnable parameters, in a stable order.
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -134,6 +152,12 @@ impl Layer for Box<dyn Layer> {
         scratch: &mut ScratchSpace,
     ) -> Result<Tensor> {
         self.as_mut().forward_scratch(input, train, scratch)
+    }
+
+    // Forwarded, not inherited: the trait default on the `Box` itself would
+    // answer `None` for every boxed network.
+    fn inference_form(&self) -> Result<Option<Box<dyn Layer>>> {
+        self.as_ref().inference_form()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -256,14 +256,17 @@ fn worker_loop(
             Ok(batch) => batch,
             Err(_) => return, // batcher gone and queue drained
         };
-        process_batch(&mut assets, batch, cache, stats);
-        if let Some(gauges) = &arena_gauges {
-            gauges.publish(&assets.scratch.stats());
-        }
+        process_batch(&mut assets, batch, cache, stats, arena_gauges.as_ref());
     }
 }
 
-fn process_batch(assets: &mut WorkerAssets, batch: Batch, cache: &SharedCache, stats: &StatsPair) {
+fn process_batch(
+    assets: &mut WorkerAssets,
+    batch: Batch,
+    cache: &SharedCache,
+    stats: &StatsPair,
+    arena_gauges: Option<&ArenaGauges>,
+) {
     // Answer expired jobs before paying for the defense: a deadline request
     // prefers a fast typed error over a late response.
     let now = Instant::now();
@@ -333,6 +336,13 @@ fn process_batch(assets: &mut WorkerAssets, batch: Batch, cache: &SharedCache, s
             scratch.recycle(defended);
             outcome
         });
+
+    // Published before any reply goes out, on the success and the error
+    // path alike: a client that snapshots telemetry right after its reply
+    // must find this batch's arena use in the gauges.
+    if let Some(gauges) = arena_gauges {
+        gauges.publish(&scratch.stats());
+    }
 
     match outcome {
         Ok((parts, labels)) => {

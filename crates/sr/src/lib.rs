@@ -15,6 +15,18 @@
 //!   maps one-to-one onto the rows of Tables I, II and IV.
 //! * [`trainer`] — training on synthetic DIV2K-like data with MAE/MSE losses.
 //! * [`cost`] — paper-scale parameter and MAC accounting (Table I).
+//!
+//! # Training form and deployed form
+//!
+//! A network is trained, checkpointed and stored in the form
+//! [`SrModelKind::build_local_network`] returns (SESR: the expanded
+//! [`Sesr`]) and deployed in its
+//! [`Layer::inference_form`](sesr_nn::Layer::inference_form) (SESR: the
+//! collapsed network; FSRCNN and EDSR unchanged). Lowering happens in one
+//! place, [`SrModelKind::wrap_network`], which every upscaler constructor
+//! ends in: *build network → load or copy weights → `wrap_network`*. No
+//! switch serves the expanded form. The collapsed network rejects `backward`
+//! with a typed error; nothing differentiates through an [`Upscaler`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

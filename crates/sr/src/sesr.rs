@@ -36,7 +36,9 @@ pub struct CollapsibleLinearBlock {
     short_residual: bool,
     expand: Conv2d,
     project: Conv2d,
-    cached_input: Option<Tensor>,
+    /// Set by `forward`, consumed by `backward` (the inner convolutions
+    /// cache the activations; the block only enforces the call order).
+    forwarded: bool,
 }
 
 impl CollapsibleLinearBlock {
@@ -80,7 +82,7 @@ impl CollapsibleLinearBlock {
             short_residual: in_channels == out_channels,
             expand,
             project,
-            cached_input: None,
+            forwarded: false,
         }
     }
 
@@ -168,7 +170,7 @@ impl Layer for CollapsibleLinearBlock {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
+        self.forwarded = true;
         let expanded = self.expand.forward(input, train)?;
         let projected = self.project.forward(&expanded, train)?;
         if self.short_residual {
@@ -178,34 +180,12 @@ impl Layer for CollapsibleLinearBlock {
         }
     }
 
-    fn forward_scratch(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        scratch: &mut ScratchSpace,
-    ) -> Result<Tensor> {
-        let expanded = self.expand.forward_scratch(input, train, scratch)?;
-        let mut projected = self.project.forward_scratch(&expanded, train, scratch)?;
-        scratch.recycle(expanded);
-        if self.short_residual {
-            if projected.shape() != input.shape() {
-                return Err(TensorError::ShapeMismatch {
-                    left: projected.shape().dims().to_vec(),
-                    right: input.shape().dims().to_vec(),
-                });
-            }
-            // The projection is arena-owned, so the residual adds in place.
-            for (p, &x) in projected.data_mut().iter_mut().zip(input.data()) {
-                *p += x;
-            }
-        }
-        Ok(projected)
-    }
-
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let _input = self.cached_input.take().ok_or_else(|| {
-            TensorError::invalid_argument("backward before forward in CollapsibleLinearBlock")
-        })?;
+        if !std::mem::take(&mut self.forwarded) {
+            return Err(TensorError::invalid_argument(
+                "backward before forward in CollapsibleLinearBlock",
+            ));
+        }
         let grad_projected = self.project.backward(grad_output)?;
         let grad_input_main = self.expand.backward(&grad_projected)?;
         if self.short_residual {
@@ -349,8 +329,10 @@ impl SesrConfig {
     }
 }
 
-/// The SESR network. Holds the training-time (over-parameterised) form; call
-/// [`Sesr::collapse`] to obtain the efficient inference network.
+/// The SESR network. Holds the training-time (over-parameterised) form: this
+/// is what trainers optimise and what store artifacts hold. It is never
+/// served — [`Layer::inference_form`] lowers it to [`Sesr::collapse`]'s
+/// [`CollapsedSesr`] wherever an upscaler is built.
 pub struct Sesr {
     config: SesrConfig,
     first: CollapsibleLinearBlock,
@@ -531,31 +513,10 @@ impl Layer for Sesr {
         self.shuffle.forward(&z, train)
     }
 
-    fn forward_scratch(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        scratch: &mut ScratchSpace,
-    ) -> Result<Tensor> {
-        let f0 = self.first.forward_scratch(input, train, scratch)?;
-        let mut x = self.act_first.forward_scratch(&f0, train, scratch)?;
-        for (block, act) in &mut self.body {
-            let y = block.forward_scratch(&x, train, scratch)?;
-            scratch.recycle(x);
-            x = act.forward_scratch(&y, train, scratch)?;
-            scratch.recycle(y);
-        }
-        // Long residual 1: add the pre-activation first feature map.
-        let y = x.add_arena(&f0, scratch.arena())?;
-        scratch.recycle(x);
-        scratch.recycle(f0);
-        let mut z = self.last.forward_scratch(&y, train, scratch)?;
-        scratch.recycle(y);
-        // Long residual 2 adds in place: `z` is arena-owned.
-        Sesr::add_input_residual_inplace(&mut z, input, self.config.scale, self.config.channels)?;
-        let out = self.shuffle.forward_scratch(&z, train, scratch)?;
-        scratch.recycle(z);
-        Ok(out)
+    /// SESR deploys collapsed: every served or evaluated SESR upscaler runs
+    /// [`CollapsedSesr`], built here from the current weights.
+    fn inference_form(&self) -> Result<Option<Box<dyn Layer>>> {
+        Ok(Some(Box::new(self.collapse()?)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -609,7 +570,13 @@ impl Layer for Sesr {
 
 /// The collapsed, inference-time SESR network (plain convolutions, PReLUs,
 /// the two long residuals and the depth-to-space tail). Produced by
-/// [`Sesr::collapse`].
+/// [`Sesr::collapse`]; this is the network every SESR upscaler serves.
+///
+/// Inference-only: [`Layer::backward`] is a typed error, never a panic.
+/// Nothing differentiates through an `Upscaler` today (the attacks take
+/// gradients of the classifier alone); an adaptive attack that needs the
+/// SR gradient must run it through the expanded [`Sesr`] holding the same
+/// weights.
 pub struct CollapsedSesr {
     config: SesrConfig,
     first: Conv2d,
@@ -828,13 +795,47 @@ mod tests {
             scratch.recycle(fast);
         }
         let warm_misses = scratch.stats().misses;
-        let out = net.forward_scratch(&x, false, &mut scratch).unwrap();
+        let out = collapsed.forward_scratch(&x, false, &mut scratch).unwrap();
         scratch.recycle(out);
         assert_eq!(
             scratch.stats().misses,
             warm_misses,
             "a warmed-up scratch space must serve the whole forward from its pools"
         );
+    }
+
+    #[test]
+    fn block_backward_before_forward_is_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut block = CollapsibleLinearBlock::new(4, 4, 3, 8, &mut rng);
+        let x = init::uniform(Shape::new(&[1, 4, 5, 5]), 0.0, 1.0, &mut rng);
+        let err = block.backward(&x).unwrap_err();
+        assert!(err.to_string().contains("backward before forward"), "{err}");
+        // One forward buys exactly one backward.
+        let y = block.forward(&x, true).unwrap();
+        assert!(block.backward(&y).is_ok());
+        assert!(block.backward(&y).is_err());
+    }
+
+    #[test]
+    fn inference_form_is_the_collapsed_network_even_behind_a_box() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let net = Sesr::new(SesrConfig::m2().with_expansion(8), &mut rng);
+        let mut expected = net.collapse().unwrap();
+        let x = init::uniform(Shape::new(&[1, 3, 6, 6]), 0.0, 1.0, &mut rng);
+        let want = expected.forward(&x, false).unwrap();
+
+        // `Box<dyn Layer>` is itself a `Layer`; if it did not forward the
+        // hook, the call below would hit the trait default and say `None`.
+        let boxed: Box<dyn Layer> = Box::new(net);
+        let mut lowered = boxed
+            .inference_form()
+            .unwrap()
+            .expect("a boxed Sesr must lower to its collapsed form");
+        assert_eq!(lowered.name(), "sesr_collapsed");
+        assert_eq!(lowered.forward(&x, false).unwrap(), want);
+        // The collapsed form is already its own inference form.
+        assert!(lowered.inference_form().unwrap().is_none());
     }
 
     #[test]

@@ -119,6 +119,12 @@ impl Upscaler for InterpolationUpscaler {
 /// serialises per upscaler instance. Concurrent serving gets parallelism by
 /// giving each worker its own `NetworkUpscaler` (see `sesr-serve`), not by
 /// sharing one.
+///
+/// The adapter runs exactly the network it is given. Deployed upscalers come
+/// from [`SrModelKind::wrap_network`](crate::SrModelKind::wrap_network),
+/// which lowers the network to its [`Layer::inference_form`] first (SESR:
+/// the collapsed net, which takes neither training nor an expanded
+/// network's weights); `new` by hand is for tests that want a specific form.
 pub struct NetworkUpscaler<L: Layer> {
     name: String,
     scale: usize,

@@ -4,7 +4,7 @@
 use crate::edsr::{Edsr, EdsrConfig};
 use crate::fsrcnn::{Fsrcnn, FsrcnnConfig};
 use crate::sesr::{Sesr, SesrConfig};
-use crate::upscaler::{InterpolationUpscaler, Upscaler};
+use crate::upscaler::{InterpolationUpscaler, NetworkUpscaler, Upscaler};
 use rand::{Rng, SeedableRng};
 use sesr_nn::spec::NetworkSpec;
 use sesr_nn::Layer;
@@ -162,8 +162,14 @@ impl SrModelKind {
     /// upscalers that compute bitwise-identical functions, so every worker in
     /// a pool can own an independent instance. Interpolation kinds ignore the
     /// seed; learned kinds build the laptop-scale network with weights seeded
-    /// from `seed` (untrained — callers wanting trained weights should copy
-    /// them in afterwards, e.g. with `sesr_defense::experiments::copy_weights`).
+    /// from `seed` (untrained) and serve its inference form.
+    ///
+    /// The result cannot take trained weights afterwards (a SESR upscaler
+    /// holds the collapsed network). For trained weights use
+    /// [`SrModelKind::build_from_store`] /
+    /// [`SrModelKind::build_from_checkpoint`], or the one supported order:
+    /// [`SrModelKind::build_local_network`] → `copy_weights` /
+    /// `Checkpoint::apply_to` → [`SrModelKind::wrap_network`].
     ///
     /// Learned local networks are ×2-only; `scale` must be 2 for them.
     ///
@@ -179,7 +185,7 @@ impl SrModelKind {
             return Ok(upscaler);
         }
         let network = self.build_seeded_network(scale, seed)?;
-        Ok(self.wrap_network(scale, network))
+        self.wrap_network(scale, network)
     }
 
     /// Seeded construction of the learned local network, shared by the
@@ -197,12 +203,26 @@ impl SrModelKind {
             .expect("learned kinds always build a local network"))
     }
 
-    fn wrap_network(&self, scale: usize, network: Box<dyn Layer>) -> Box<dyn Upscaler> {
-        Box::new(crate::upscaler::NetworkUpscaler::new(
-            self.name(),
-            scale,
-            network,
-        ))
+    /// Turn a network that already holds its final weights into the
+    /// upscaler that is deployed: the network is lowered to its
+    /// [`Layer::inference_form`] (SESR → the collapsed network; FSRCNN and
+    /// EDSR are their own inference form) and wrapped as an [`Upscaler`].
+    ///
+    /// This is the only place a learned upscaler is constructed — serving,
+    /// hot reload and the evaluation plans all come through here — so what
+    /// is measured, attacked and served is the same network. Store artifacts
+    /// keep the expanded, trainable form.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the network cannot be lowered.
+    pub fn wrap_network(
+        &self,
+        scale: usize,
+        network: Box<dyn Layer>,
+    ) -> sesr_tensor::Result<Box<dyn Upscaler>> {
+        let network = network.inference_form()?.unwrap_or(network);
+        Ok(Box::new(NetworkUpscaler::new(self.name(), scale, network)))
     }
 
     /// Build an upscaler hydrated with trained weights from a model store.
@@ -210,9 +230,10 @@ impl SrModelKind {
     /// This is the serving-side half of the *train once, deploy many*
     /// workflow: the registry resolves the newest artifact for
     /// `(self.name(), scale)` (one validated disk read per process, see
-    /// [`ModelRegistry`](sesr_store::ModelRegistry)) and its weights are
-    /// copied into a freshly built network. Interpolation kinds have no
-    /// weights and build directly.
+    /// [`ModelRegistry`](sesr_store::ModelRegistry)), its weights are
+    /// copied into a freshly built network, and that network is lowered by
+    /// [`SrModelKind::wrap_network`]. Interpolation kinds have no weights
+    /// and build directly.
     ///
     /// Fallback is deliberately narrow: only
     /// [`StoreError::NotFound`](sesr_store::StoreError::NotFound) (nothing
@@ -245,7 +266,7 @@ impl SrModelKind {
             Err(err) if err.is_not_found() => {} // train-free fallback
             Err(err) => return Err(err.into()),
         }
-        Ok(self.wrap_network(scale, network))
+        self.wrap_network(scale, network)
     }
 
     /// Build an upscaler hydrated from one specific checkpoint, bypassing
@@ -271,7 +292,7 @@ impl SrModelKind {
         checkpoint
             .apply_to(network.as_mut())
             .map_err(sesr_tensor::TensorError::from)?;
-        Ok(self.wrap_network(scale, network))
+        self.wrap_network(scale, network)
     }
 }
 
@@ -374,7 +395,7 @@ mod tests {
         let hydrated = SrModelKind::SesrM2
             .build_from_store(2, &registry, 5)
             .unwrap();
-        let direct = crate::upscaler::NetworkUpscaler::new("src", 2, source);
+        let direct = SrModelKind::SesrM2.wrap_network(2, source).unwrap();
         assert_eq!(hydrated.upscale(&x).unwrap(), direct.upscale(&x).unwrap());
         assert_ne!(
             hydrated.upscale(&x).unwrap(),
@@ -387,6 +408,104 @@ mod tests {
             .build_from_store(3, &registry, 0)
             .is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A uniform `[0, 1)` image batch of the given NCHW shape.
+    fn probe(dims: &[usize]) -> sesr_tensor::Tensor {
+        sesr_tensor::init::uniform(
+            sesr_tensor::Shape::new(dims),
+            0.0,
+            1.0,
+            &mut StdRng::seed_from_u64(7),
+        )
+    }
+
+    /// The lowering contract, SESR half: whichever public constructor built
+    /// it, a SESR upscaler computes bit for bit what an explicit
+    /// `Sesr::collapse()` of the same weights computes, and stays within
+    /// float re-association distance of the expanded network.
+    #[test]
+    fn sesr_kinds_serve_the_collapsed_network_on_every_build_path() {
+        use sesr_store::{Checkpoint, ModelRegistry, ModelStore};
+        let dir = std::env::temp_dir().join(format!("sesr_zoo_lowering_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let registry = ModelRegistry::new(ModelStore::open(&dir).unwrap());
+        // Bit-identity is checked on a small batch (it holds or fails at any
+        // size); the distance to the expanded form on serving-sized images.
+        let x = probe(&[2, 3, 8, 8]);
+        let large = probe(&[2, 3, 32, 32]);
+        let mut scratch = sesr_nn::ScratchSpace::new();
+
+        for (kind, config) in [
+            (SrModelKind::SesrM2, SesrConfig::m2()),
+            (SrModelKind::SesrM3, SesrConfig::m3()),
+            (SrModelKind::SesrM5, SesrConfig::m5()),
+            (SrModelKind::SesrXl, SesrConfig::xl()),
+        ] {
+            let sesr =
+                |seed| Sesr::new(config.with_expansion(32), &mut StdRng::seed_from_u64(seed));
+            let collapsed = |seed| NetworkUpscaler::new("ref", 2, sesr(seed).collapse().unwrap());
+
+            // Seeded weights, and "trained" weights (seed 99) that reach the
+            // upscaler through the store and through a pinned checkpoint.
+            let checkpoint = Checkpoint::from_layer(kind.name(), 2, 0, &sesr(99));
+            registry.store().save(&checkpoint).unwrap();
+            let built = [
+                (kind.build_seeded_upscaler(2, 5).unwrap(), collapsed(5)),
+                (
+                    kind.build_from_store(2, &registry, 5).unwrap(),
+                    collapsed(99),
+                ),
+                (
+                    kind.build_from_checkpoint(2, &checkpoint, 5).unwrap(),
+                    collapsed(99),
+                ),
+            ];
+            for (served, reference) in &built {
+                let want = reference.upscale(&x).unwrap();
+                assert_eq!(served.upscale(&x).unwrap(), want, "{kind}: upscale");
+                let got = served.upscale_scratch(&x, &mut scratch).unwrap();
+                assert_eq!(got, want, "{kind}: upscale_scratch");
+                scratch.recycle(got);
+            }
+
+            let expanded = NetworkUpscaler::new("expanded", 2, sesr(5));
+            let diff = built[0]
+                .0
+                .upscale(&large)
+                .unwrap()
+                .max_abs_diff(&expanded.upscale(&large).unwrap())
+                .unwrap();
+            assert!(
+                diff <= 1e-4,
+                "{kind}: collapsed vs expanded differ by {diff}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The other half: FSRCNN and EDSR have no cheaper inference form, so
+    /// their upscalers run the very network that was built.
+    #[test]
+    fn non_sesr_kinds_are_served_as_built() {
+        let x = probe(&[2, 3, 8, 8]);
+        for kind in [
+            SrModelKind::Fsrcnn,
+            SrModelKind::EdsrBase,
+            SrModelKind::Edsr,
+        ] {
+            let network = kind
+                .build_local_network(&mut StdRng::seed_from_u64(5))
+                .unwrap();
+            assert!(network.inference_form().unwrap().is_none(), "{kind}");
+            let as_built = NetworkUpscaler::new("ref", 2, network);
+            let served = kind.build_seeded_upscaler(2, 5).unwrap();
+            assert_eq!(
+                served.upscale(&x).unwrap(),
+                as_built.upscale(&x).unwrap(),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

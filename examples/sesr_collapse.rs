@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sesr_models::cost::{paper_cost, paper_reported};
-use sesr_models::{Sesr, SesrConfig, SrModelKind};
+use sesr_models::{NetworkUpscaler, Sesr, SesrConfig, SrModelKind, Upscaler};
 use sesr_nn::Layer;
 use sesr_tensor::{init, Shape};
 
@@ -45,6 +45,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "max |expanded - collapsed| on a random input: {:.3e}",
         full.max_abs_diff(&fast)?
     );
+
+    // What is served is that collapsed network: every upscaler constructor
+    // ends in `SrModelKind::wrap_network`, which lowers a SESR to its
+    // inference form after the weights are in place.
+    let served = SrModelKind::SesrM2.build_seeded_upscaler(2, 7)?;
+    let local_m2 = SesrConfig::m2().with_expansion(32);
+    let explicit = Sesr::new(local_m2, &mut StdRng::seed_from_u64(7)).collapse()?;
+    let explicit = NetworkUpscaler::new("explicit collapse", 2, explicit);
+    assert_eq!(
+        served.upscale(&input)?,
+        explicit.upscale(&input)?,
+        "the served SESR must be bit-identical to the explicit collapse"
+    );
+    println!("served SESR-M2 == explicit collapse of the same weights: bit-identical");
 
     // Paper-scale cost accounting (Table I rows).
     println!("\nPaper-scale costs (299x299 -> 598x598, RGB):");
