@@ -1,7 +1,7 @@
 //! `sesr-net` — the network front-end for the defense gateway.
 //!
 //! The serving stack (`sesr-serve`) exposes an in-process API: bounded
-//! shard queues, dynamic batchers, worker pools, an output cache, SLO
+//! shard queues, batching worker pools, an output cache, SLO
 //! health gating. This crate puts a socket in front of it without pulling
 //! in an async runtime — everything is `std::net` plus one reactor thread:
 //!
@@ -16,7 +16,7 @@
 //!   under a fairness budget, admit (hash check → token bucket → route
 //!   resolution), submit to the backend, poll in-flight replies, flush.
 //!   Overload and rate-limit sheds become structured retry-after replies;
-//!   wire deadlines propagate into the shard batcher.
+//!   wire deadlines propagate into the shard queue.
 //! - [`backend`] — where admitted requests go: the reactor is generic over
 //!   a [`Backend`], with [`LocalBackend`] submitting to an in-process
 //!   gateway and `sesr-cluster` providing a consistent-hash router that

@@ -5,7 +5,7 @@
 //! The pipeline-level scenarios in `sesr_defense::eval` prove the defense
 //! works; this scenario proves the *deployment* works: attacked images are
 //! submitted as routed [`DefenseRequest`]s and travel the full
-//! queue → batcher → worker → cache path of a
+//! queue → worker → cache path of a
 //! [`DefenseGateway`](crate::DefenseGateway) before the classifier ever
 //! sees them. Because serving is bitwise-identical to direct
 //! pipeline calls, the robust accuracies must match the pipeline scenarios —

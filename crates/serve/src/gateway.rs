@@ -3,7 +3,7 @@
 //!
 //! One [`DefenseGateway`] serves the whole model zoo at once. Each declared
 //! [`RouteKey`] — `(SR model, scale, preprocess)` — owns a private shard
-//! (bounded queue → dynamic batcher → worker pool), so a hot route saturates
+//! (bounded queue → batching worker pool), so a hot route saturates
 //! its own queue and sheds its own load while every other route keeps its
 //! full capacity. Clients submit typed [`DefenseRequest`]s through a
 //! cloneable [`GatewayClient`]; requests without an explicit route go to the
@@ -12,10 +12,10 @@
 //! ```text
 //!                         ┌────────────────── DefenseGateway ──────────────────┐
 //!                         │                 ┌─ shard sesr-m2:x2 ─────────────┐ │
-//! DefenseRequest ─────────┼─► route table ──┤ queue → batcher → workers      │ │
+//! DefenseRequest ─────────┼─► route table ──┤ queue → workers                │ │
 //! { image, RouteKey,      │   (HashMap)     └────────────────────────────────┘ │
 //!   skip_cache, deadline }│                 ┌─ shard fsrcnn:x2 ──────────────┐ │
-//!                         │            ├────┤ queue → batcher → workers      │ │
+//!                         │            ├────┤ queue → workers                │ │
 //!        UnknownRoute ◄───┤ miss       │    └────────────────────────────────┘ │
 //!                         │            └──► ... one shard per declared route   │
 //!                         │                                                    │
@@ -37,7 +37,7 @@
 
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::server::{PendingResponse, ServeError, WorkerAssets};
-use crate::shard::{spawn_shard, CacheKey, Job, ShardInner, ShardThreads, SharedCache, StatsPair};
+use crate::shard::{spawn_shard, CacheKey, Job, SharedCache, StatsPair};
 use crate::stats::{GatewayStats, ServeStats, StatsRecorder};
 use crate::telemetry::{ArenaGauges, StageProbes, TelemetryExporter};
 use crate::{content_hash, LruCache};
@@ -48,7 +48,7 @@ use sesr_telemetry::{Counter, Gauge, HealthState, Level, Probe, Telemetry, Telem
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,10 +70,12 @@ struct RouteEntry {
     /// Per-route stage probes (`route.<label>.stage.*_ns`); like the stats,
     /// they survive reloads.
     stages: Arc<StageProbes>,
-    /// The live shard; hot reload swaps the `Arc` under a brief write lock.
-    active: RwLock<Arc<ShardInner>>,
-    /// Join handles of the active shard (taken on retire/shutdown).
-    threads: Mutex<Option<ShardThreads>>,
+    /// The live shard's submission sender; hot reload swaps it under a brief
+    /// write lock. The queue closes when the last clone drops, which is what
+    /// lets a retired shard drain instead of dropping in-flight jobs.
+    active: RwLock<SyncSender<Job>>,
+    /// Worker join handles of the active shard (taken on retire/shutdown).
+    threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     /// The route's serving health as set by an SLO runtime
     /// ([`crate::slo::SloRuntime`]); stored as a [`HealthState`]
     /// discriminant so admission reads it with one relaxed load.
@@ -231,15 +233,16 @@ fn submit_to(
         image,
         request_id,
         enqueued: started,
-        deadline: deadline.map(|d| started + d),
+        // A deadline too far away to represent is no deadline.
+        deadline: deadline.and_then(|d| started.checked_add(d)),
         responder,
         cache_key,
         dequeued: None,
     };
-    // Clone the live shard handle under a brief read lock, then send outside
-    // it so a concurrent reload is never blocked behind a full queue.
-    let inner = Arc::clone(&entry.active.read().unwrap_or_else(PoisonError::into_inner));
-    match inner.sender.try_send(job) {
+    // Clone the live sender under a brief read lock, then send outside it so
+    // a concurrent reload is never blocked behind a full queue.
+    let sender = SyncSender::clone(&entry.active.read().unwrap_or_else(PoisonError::into_inner));
+    match sender.try_send(job) {
         Ok(()) => {
             // Counted only once the request is actually on its way to the
             // pipeline; a rejected submission is not a cache miss.
@@ -331,13 +334,13 @@ fn swap_in_assets(
         stages: Arc::clone(&entry.stages),
     };
     let arenas = arena_gauges(&shared.telemetry, route, entry.config.num_workers);
-    let (inner, threads) = spawn_shard(&entry.config, assets, &shared.cache, &stats, arenas);
+    let (sender, threads) = spawn_shard(&entry.config, assets, &shared.cache, &stats, arenas);
 
     // Swap the live shard; new submissions land on the fresh workers from
     // here on.
-    let old_inner = {
+    let old_sender = {
         let mut active = entry.active.write().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *active, inner)
+        std::mem::replace(&mut *active, sender)
     };
     let old_threads = entry
         .threads
@@ -345,14 +348,14 @@ fn swap_in_assets(
         .unwrap_or_else(PoisonError::into_inner)
         .replace(threads);
 
-    // Retire the old shard: dropping our handle releases its submission
-    // sender (in-flight submit calls hold transient clones, which drop as
-    // soon as their try_send returns), so the batcher drains the queue and
-    // exits, the workers finish every accepted job, and the join below
-    // returns only once all in-flight responses are delivered.
-    drop(old_inner);
-    if let Some(old_threads) = old_threads {
-        old_threads.join();
+    // Retire the old shard: dropping its sender closes the queue (in-flight
+    // submit calls hold transient clones, which drop as soon as their
+    // try_send returns), so the workers drain every accepted job and exit,
+    // and the join below returns only once all in-flight responses are
+    // delivered.
+    drop(old_sender);
+    for worker in old_threads.into_iter().flatten() {
+        let _ = worker.join();
     }
 
     // The old weights' outputs are stale now that the drain is complete;
@@ -691,7 +694,7 @@ impl DefenseGateway {
     /// and the join blocks.
     pub fn shutdown(self) {
         let DefenseGateway { shared } = self;
-        let threads: Vec<ShardThreads> = shared
+        let workers: Vec<JoinHandle<()>> = shared
             .order
             .iter()
             .filter_map(|key| {
@@ -701,12 +704,13 @@ impl DefenseGateway {
                     .unwrap_or_else(PoisonError::into_inner)
                     .take()
             })
+            .flatten()
             .collect();
         // Dropping the last strong reference releases every shard's
-        // submission sender; the batchers then drain and exit.
+        // submission sender; the workers then drain and exit.
         drop(shared);
-        for shard in threads {
-            shard.join();
+        for worker in workers {
+            let _ = worker.join();
         }
     }
 }
@@ -1012,7 +1016,7 @@ impl GatewayBuilder {
                 stages: Arc::clone(&route_stages),
             };
             let arenas = arena_gauges(&telemetry, &key, config.num_workers);
-            let (inner, threads) = spawn_shard(&config, assets, &cache, &stats, arenas);
+            let (sender, threads) = spawn_shard(&config, assets, &cache, &stats, arenas);
             let health_gauge = telemetry.metrics().gauge(&format!("route.{label}.health"));
             health_gauge.set(i64::from(HealthState::Healthy.as_u8()));
             table.insert(
@@ -1022,7 +1026,7 @@ impl GatewayBuilder {
                     factory: Mutex::new(factory),
                     stats: route_stats,
                     stages: route_stages,
-                    active: RwLock::new(inner),
+                    active: RwLock::new(sender),
                     threads: Mutex::new(Some(threads)),
                     health: AtomicU8::new(HealthState::Healthy.as_u8()),
                     health_gauge,
@@ -1587,6 +1591,22 @@ mod tests {
         let stats = client.stats().global;
         assert_eq!(stats.expired, 3);
         assert_eq!(stats.computed_images, 1, "expired jobs are never defended");
+        drop(client);
+        gateway.shutdown();
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_mean_no_deadline() {
+        let gateway = GatewayBuilder::new()
+            .route(nearest_route())
+            .build()
+            .unwrap();
+        let client = gateway.client();
+        let response = client
+            .defend_blocking(DefenseRequest::new(test_image(7, 8)).with_deadline(Duration::MAX))
+            .unwrap();
+        assert_eq!(response.defended.shape().dims(), &[1, 3, 16, 16]);
+        assert_eq!(client.stats().global.expired, 0);
         drop(client);
         gateway.shutdown();
     }

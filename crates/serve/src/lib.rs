@@ -13,9 +13,9 @@
 //!                      ┌───────────────────── DefenseGateway ─────────────────────┐
 //!                      │                                                          │
 //! DefenseRequest ──────┼─► route table ─┬─► shard sesr-m2:x2:jpeg75+wavelet2      │
-//! { image, RouteKey,   │   (UnknownRoute│     queue → batcher → worker pool       │
+//! { image, RouteKey,   │   (UnknownRoute│     queue → worker pool                 │
 //!   skip_cache,        │    on miss)    ├─► shard fsrcnn:x2:jpeg75+wavelet2       │
-//!   deadline }         │                │     queue → batcher → worker pool       │
+//!   deadline }         │                │     queue → worker pool                 │
 //!       │              │                └─► shard bicubic:x2:raw   ...            │
 //!       │   hit?       │   ┌──────────────────────────┐      │                    │
 //!       ├─────────────►│   │ shared LRU cache, keyed  │◄─────┤ insert defended    │
@@ -29,8 +29,8 @@
 //! Design points:
 //!
 //! * **Shard-per-route isolation.** Every declared route owns a bounded
-//!   submission queue, a dynamic batcher and `num_workers` private
-//!   pipelines. A hot model fills *its own* queue and sheds *its own* load
+//!   submission queue and `num_workers` private pipelines. A hot model
+//!   fills *its own* queue and sheds *its own* load
 //!   ([`ServeError::Overloaded`]); other routes keep their full capacity.
 //! * **Typed routing.** Requests are [`DefenseRequest`]s: an image, an
 //!   optional [`RouteKey`] (default route otherwise) and per-request options
@@ -50,8 +50,8 @@
 //! * **Per-route observability.** [`GatewayStats`] reports the global view
 //!   plus a per-route breakdown (jobs, p50/p95/p99, cache hit rate,
 //!   rejections).
-//! * **Dynamic batching** (per shard) with shape-homogeneous grouping, and
-//!   **share-nothing workers** as before.
+//! * **Dynamic batching** (per shard): each worker forms its batch at
+//!   pickup, grouped by shape, and workers **share nothing**.
 //! * **Cross-request tensor arena reuse.** Every worker owns a
 //!   [`ScratchSpace`](sesr_models::ScratchSpace) and defends through
 //!   `DefensePipeline::defend_scratch`, so batch merging and the whole SR

@@ -3,7 +3,7 @@
 //!
 //! A [`RouteKey`] names one deployed defense variant — SR model, upscaling
 //! factor and preprocessing — and is the unit of isolation in the gateway:
-//! every key gets its own bounded queue, batcher and worker shard, and the
+//! every key gets its own bounded queue and worker shard, and the
 //! output cache is keyed by `(RouteKey, content-hash)`. A [`DefenseRequest`]
 //! bundles an image with an optional route (falling back to the gateway's
 //! default) and per-request options (`skip_cache`, a soft deadline).
@@ -109,8 +109,8 @@ impl std::fmt::Display for RouteKey {
 }
 
 /// Per-route tuning knobs: each route owns an independent copy of the
-/// queue → batcher → worker shard, so a hot model saturates its own queue
-/// without starving the others.
+/// queue → workers shard, so a hot model saturates its own queue without
+/// starving the others.
 #[derive(Debug, Clone)]
 pub struct RouteConfig {
     /// Worker threads for this route, each owning a private pipeline
@@ -118,11 +118,14 @@ pub struct RouteConfig {
     pub num_workers: usize,
     /// Maximum images coalesced into one defend call (default 8).
     pub max_batch: usize,
-    /// Longest the batcher waits for more requests after the first one
-    /// (default 1 ms; `Duration::ZERO` dispatches immediately).
+    /// Longest a worker waits for more jobs after taking the first;
+    /// already-queued jobs join regardless (default 1 ms; `Duration::ZERO`
+    /// batches only what is already queued).
     pub max_linger: Duration,
     /// Bounded submission-queue capacity; submissions beyond it are rejected
-    /// with `ServeError::Overloaded` (default 64).
+    /// with `ServeError::Overloaded` (default 64). A route's shard therefore
+    /// holds at most `queue_capacity + num_workers × max_batch` accepted,
+    /// unanswered jobs.
     pub queue_capacity: usize,
 }
 
@@ -184,9 +187,9 @@ impl DefenseRequest {
     }
 
     /// Give the request a soft deadline measured from submission: a job
-    /// still waiting in the queue/batcher when the deadline passes is
-    /// answered with `ServeError::DeadlineExceeded` instead of being
-    /// defended late.
+    /// still waiting in the queue when the deadline passes is answered with
+    /// `ServeError::DeadlineExceeded` instead of being defended late. A
+    /// deadline too far away to represent as an `Instant` means no deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self

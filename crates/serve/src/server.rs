@@ -299,6 +299,23 @@ mod tests {
         }
     }
 
+    /// A cache-less gateway whose one route sleeps `delay_ms` per batch.
+    fn slow_gateway(config: RouteConfig, delay_ms: u64) -> DefenseGateway {
+        GatewayBuilder::new()
+            .cache_capacity(0)
+            .route_with_factory(nearest_route(), config, move |_| {
+                Ok(WorkerAssets::new(DefensePipeline::new(
+                    PreprocessConfig::none(),
+                    Box::new(SlowUpscaler {
+                        delay: Duration::from_millis(delay_ms),
+                        inner: SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
+                    }),
+                )))
+            })
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn full_queue_rejects_with_overloaded() {
         let config = RouteConfig {
@@ -307,19 +324,7 @@ mod tests {
             max_linger: Duration::ZERO,
             queue_capacity: 2,
         };
-        let gateway = GatewayBuilder::new()
-            .cache_capacity(0)
-            .route_with_factory(nearest_route(), config, |_| {
-                Ok(WorkerAssets::new(DefensePipeline::new(
-                    PreprocessConfig::none(),
-                    Box::new(SlowUpscaler {
-                        delay: Duration::from_millis(40),
-                        inner: SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
-                    }),
-                )))
-            })
-            .build()
-            .unwrap();
+        let gateway = slow_gateway(config, 40);
         let client = gateway.client();
         let mut pending = Vec::new();
         let mut rejected = 0usize;
@@ -335,6 +340,68 @@ mod tests {
             "a 2-slot queue behind a 40ms/image worker must reject a 32-image burst"
         );
         assert_eq!(gateway.stats().global.rejected, rejected as u64);
+        for p in pending {
+            p.wait().unwrap();
+        }
+        drop(client);
+        gateway.shutdown();
+    }
+
+    #[test]
+    fn a_worker_coalesces_what_queued_while_it_was_busy() {
+        let config = RouteConfig {
+            num_workers: 1,
+            max_batch: 4,
+            max_linger: Duration::ZERO,
+            queue_capacity: 8,
+        };
+        let gateway = slow_gateway(config, 200);
+        let client = gateway.client();
+        let pending: Vec<_> = (0..4)
+            .map(|seed| {
+                client
+                    .submit(DefenseRequest::new(test_image(seed, 8)))
+                    .unwrap()
+            })
+            .collect();
+        for p in pending {
+            p.wait().unwrap();
+        }
+        // The first job may be picked up alone; the other three queue behind
+        // its 200 ms defense and must leave in one batch, linger or not.
+        let stats = gateway.stats().global;
+        assert!(stats.batches <= 2, "took {} batches", stats.batches);
+        assert_eq!(stats.computed_images, 4);
+        drop(client);
+        gateway.shutdown();
+    }
+
+    #[test]
+    fn accepted_jobs_are_bounded_by_queue_plus_one_batch_per_worker() {
+        let config = RouteConfig {
+            num_workers: 1,
+            max_batch: 1,
+            max_linger: Duration::ZERO,
+            queue_capacity: 2,
+        };
+        let bound = config.queue_capacity + config.num_workers * config.max_batch;
+        let gateway = slow_gateway(config, 200);
+        let client = gateway.client();
+        let mut pending = Vec::new();
+        // 16 submissions 2 ms apart all land inside the first 200 ms defense.
+        for seed in 0..16 {
+            match client.submit(DefenseRequest::new(test_image(seed, 8))) {
+                Ok(p) => pending.push(p),
+                Err(ServeError::Overloaded) => {}
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(
+            pending.len() <= bound,
+            "accepted {} > bound {bound}",
+            pending.len()
+        );
         for p in pending {
             p.wait().unwrap();
         }

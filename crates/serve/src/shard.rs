@@ -1,13 +1,13 @@
-//! Per-route serving shard: one bounded submission queue, one dynamic
-//! batcher thread and a private worker pool.
+//! Per-route serving shard: one bounded submission queue drained by a
+//! private worker pool, each worker forming its own batch at pickup.
 //!
 //! A [`DefenseGateway`](crate::gateway::DefenseGateway) owns one shard per
 //! [`RouteKey`](crate::route::RouteKey). Shards share nothing but the
 //! gateway-wide output cache and the global stats recorder, so a saturated
 //! route rejects its own traffic without slowing any other route. Retiring a
 //! shard (shutdown or hot reload) is drain-based: dropping every submission
-//! sender lets the batcher finish the queue, close the work channel and stop
-//! the workers — in-flight jobs always get their response.
+//! sender lets the workers finish the queue and exit — in-flight jobs always
+//! get their response.
 
 use crate::cache::LruCache;
 use crate::route::{RouteConfig, RouteKey};
@@ -16,7 +16,7 @@ use crate::stats::StatsRecorder;
 use crate::telemetry::{ArenaGauges, StageProbes};
 use sesr_defense::DefendTrace;
 use sesr_tensor::Tensor;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,14 +37,10 @@ pub(crate) struct Job {
     pub deadline: Option<Instant>,
     pub responder: Sender<JobResult>,
     pub cache_key: Option<CacheKey>,
-    /// Stamped by the batcher when it pops the job off the submission queue;
-    /// `enqueued..dequeued` is the queue-wait stage, `dequeued..worker
-    /// pickup` the batch-dwell stage.
+    /// Stamped by the worker that pops the job off the submission queue;
+    /// `enqueued..dequeued` is the queue-wait stage, `dequeued..batch start`
+    /// the batch-dwell stage.
     pub dequeued: Option<Instant>,
-}
-
-struct Batch {
-    jobs: Vec<Job>,
 }
 
 /// Events are mirrored to the gateway-wide recorder and the route's own, so
@@ -94,83 +90,62 @@ impl StatsPair {
     }
 }
 
-/// The live half of a shard: what a submit needs. Held behind an
-/// `Arc` that reloads swap out; the submission channel closes when the last
-/// clone drops, which is what lets the old shard drain instead of dropping
-/// in-flight jobs.
-pub(crate) struct ShardInner {
-    pub sender: SyncSender<Job>,
-}
-
-/// The join half of a shard, retired by `ShardThreads::join` after the
-/// matching [`ShardInner`] is unreachable.
-pub(crate) struct ShardThreads {
-    batcher: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShardThreads {
-    /// Block until the shard has drained its queue and every thread exited.
-    pub fn join(self) {
-        let _ = self.batcher.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Spawn a shard: `assets` (one per worker) are consumed by the worker
-/// threads; the caller keeps the returned `ShardInner` for submissions and
-/// `ShardThreads` for retirement.
+/// Spawn a shard: one bounded queue drained by one thread per `assets`
+/// entry. The caller keeps the returned sender for submissions and the join
+/// handles for retirement: dropping every sender lets the workers drain the
+/// queue and exit.
 pub(crate) fn spawn_shard(
     config: &RouteConfig,
     assets: Vec<WorkerAssets>,
     cache: &SharedCache,
     stats: &StatsPair,
     arenas: Vec<ArenaGauges>,
-) -> (Arc<ShardInner>, ShardThreads) {
+) -> (SyncSender<Job>, Vec<JoinHandle<()>>) {
     let (submit_tx, submit_rx) = mpsc::sync_channel::<Job>(config.queue_capacity);
-    let (work_tx, work_rx) = mpsc::sync_channel::<Batch>(assets.len() * 2);
-    let work_rx = Arc::new(Mutex::new(work_rx));
-
-    let mut workers = Vec::with_capacity(assets.len());
-    for (index, worker_assets) in assets.into_iter().enumerate() {
-        let work_rx = Arc::clone(&work_rx);
-        let cache = Arc::clone(cache);
-        let stats = stats.clone();
-        let arena_gauges = arenas.get(index).cloned();
-        workers.push(std::thread::spawn(move || {
-            worker_loop(worker_assets, &work_rx, &cache, &stats, arena_gauges)
-        }));
-    }
-
-    let batcher_stats = stats.clone();
-    let max_batch = config.max_batch;
-    let max_linger = config.max_linger;
-    let batcher = std::thread::spawn(move || {
-        batcher_loop(&submit_rx, &work_tx, max_batch, max_linger, &batcher_stats)
-    });
-
-    (
-        Arc::new(ShardInner { sender: submit_tx }),
-        ShardThreads { batcher, workers },
-    )
+    let queue = Arc::new(Mutex::new(submit_rx));
+    let (max_batch, max_linger) = (config.max_batch, config.max_linger);
+    let workers = assets
+        .into_iter()
+        .enumerate()
+        .map(|(index, mut worker_assets)| {
+            let queue = Arc::clone(&queue);
+            let cache = Arc::clone(cache);
+            let stats = stats.clone();
+            let arena_gauges = arenas.get(index).cloned();
+            std::thread::spawn(move || {
+                while let Some(jobs) = next_batch(&queue, max_batch, max_linger, &stats) {
+                    for group in group_by_shape(jobs) {
+                        stats.record_batch(group.len());
+                        process_batch(
+                            &mut worker_assets,
+                            group,
+                            &cache,
+                            &stats,
+                            arena_gauges.as_ref(),
+                        );
+                    }
+                }
+            })
+        })
+        .collect();
+    (submit_tx, workers)
 }
 
-fn batcher_loop(
-    submit_rx: &Receiver<Job>,
-    work_tx: &SyncSender<Batch>,
+/// Take the next batch off the shard queue: block for the first live job,
+/// then keep taking until `max_batch` jobs or `max_linger` after the first.
+/// `None` means every sender dropped and the queue is drained.
+fn next_batch(
+    queue: &Mutex<Receiver<Job>>,
     max_batch: usize,
     max_linger: Duration,
     stats: &StatsPair,
-) {
-    // The batcher is the single consumer of the submission queue, so the
-    // queue-wait stage ends here: each pop stamps `dequeued` and reports
-    // submission → pop to the route's queue_wait probe. A job whose deadline
-    // passed while it sat in the queue is answered right here — it is never
-    // batched, never handed to a worker, and never defended late; this is
-    // the wire deadline's first enforcement point (the workers keep their
-    // own check for deadlines that expire during batch dwell).
+) -> Option<Vec<Job>> {
+    // Each pop ends the job's queue-wait stage: it stamps `dequeued` and
+    // reports submission → pop to the route's queue_wait probe. A job whose
+    // deadline passed while it sat in the queue is answered right here — it
+    // is never batched and never defended late; this is the wire deadline's
+    // first enforcement point (`process_batch` keeps its own check for
+    // deadlines that expire during the linger window).
     let pop = |mut job: Job| -> Option<Job> {
         let now = Instant::now();
         stats
@@ -185,84 +160,48 @@ fn batcher_loop(
         job.dequeued = Some(now);
         Some(job)
     };
-    loop {
-        let first = loop {
-            match submit_rx.recv() {
-                Ok(job) => {
-                    if let Some(job) = pop(job) {
-                        break job;
-                    }
-                }
-                Err(_) => return, // every submission sender dropped; drain complete
-            }
-        };
-        let mut jobs = vec![first];
-        let deadline = Instant::now() + max_linger;
-        while jobs.len() < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match submit_rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    if let Some(job) = pop(job) {
-                        jobs.push(job);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+    // The lock is held until the batch is formed, so concurrent workers
+    // never split a burst between them. A poisoned mutex just means another
+    // worker panicked mid-pickup; the receiver itself is still valid, so
+    // keep serving instead of cascading the panic across the whole pool.
+    let receiver = queue.lock().unwrap_or_else(PoisonError::into_inner);
+    let first = loop {
+        if let Some(job) = pop(receiver.recv().ok()?) {
+            break job;
         }
-
-        // Group by input shape: a batch must be shape-homogeneous to concat.
-        let mut groups: Vec<(Vec<usize>, Vec<Job>)> = Vec::new();
-        for job in jobs {
-            let dims = job.image.shape().dims().to_vec();
-            match groups.iter_mut().find(|(d, _)| *d == dims) {
-                Some((_, group)) => group.push(job),
-                None => groups.push((dims, vec![job])),
-            }
-        }
-        for (_, group) in groups {
-            stats.record_batch(group.len());
-            if let Err(mpsc::SendError(batch)) = work_tx.send(Batch { jobs: group }) {
-                // Workers are gone; fail the whole batch.
-                for job in batch.jobs {
-                    let _ = job.responder.send(Err(ServeError::Closed));
-                }
-                return;
-            }
+    };
+    let mut jobs = vec![first];
+    let linger_until = Instant::now() + max_linger;
+    while jobs.len() < max_batch {
+        // A zero timeout still takes a job that is already queued.
+        match receiver.recv_timeout(linger_until.saturating_duration_since(Instant::now())) {
+            Ok(job) => jobs.extend(pop(job)),
+            Err(_) => break,
         }
     }
+    Some(jobs)
 }
 
-fn worker_loop(
-    mut assets: WorkerAssets,
-    work_rx: &Arc<Mutex<Receiver<Batch>>>,
-    cache: &SharedCache,
-    stats: &StatsPair,
-    arena_gauges: Option<ArenaGauges>,
-) {
-    loop {
-        // Hold the lock only for the dequeue, never while defending. A
-        // poisoned mutex just means another worker panicked mid-dequeue; the
-        // receiver itself is still valid, so keep serving instead of
-        // cascading the panic across the whole pool.
-        let batch = {
-            let receiver = work_rx.lock().unwrap_or_else(PoisonError::into_inner);
-            receiver.recv()
-        };
-        let batch = match batch {
-            Ok(batch) => batch,
-            Err(_) => return, // batcher gone and queue drained
-        };
-        process_batch(&mut assets, batch, cache, stats, arena_gauges.as_ref());
+/// Split a pickup into shape-homogeneous batches: a batch must be one shape
+/// to concat.
+fn group_by_shape(jobs: Vec<Job>) -> Vec<Vec<Job>> {
+    let mut groups: Vec<Vec<Job>> = Vec::new();
+    for job in jobs {
+        let dims = job.image.shape().dims();
+        match groups
+            .iter_mut()
+            .find(|g| g[0].image.shape().dims() == dims)
+        {
+            Some(group) => group.push(job),
+            None => groups.push(vec![job]),
+        }
     }
+    groups
 }
 
 fn process_batch(
     assets: &mut WorkerAssets,
-    batch: Batch,
+    jobs: Vec<Job>,
     cache: &SharedCache,
     stats: &StatsPair,
     arena_gauges: Option<&ArenaGauges>,
@@ -270,8 +209,7 @@ fn process_batch(
     // Answer expired jobs before paying for the defense: a deadline request
     // prefers a fast typed error over a late response.
     let now = Instant::now();
-    let (live, expired): (Vec<Job>, Vec<Job>) = batch
-        .jobs
+    let (live, expired): (Vec<Job>, Vec<Job>) = jobs
         .into_iter()
         .partition(|job| job.deadline.is_none_or(|deadline| now < deadline));
     for job in expired {
@@ -282,8 +220,8 @@ fn process_batch(
         return;
     }
 
-    // The batch-dwell stage ends at worker pickup: each live job reports
-    // pop → pickup. Batch-level spans below are tagged with the first job's
+    // The batch-dwell stage ends here, at batch start: each live job reports
+    // pop → batch start. Batch-level spans below are tagged with the first job's
     // request id (a batch of one — the acceptance-test shape — therefore
     // carries every stage under a single id).
     for job in &live {

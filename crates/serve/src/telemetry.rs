@@ -25,10 +25,10 @@ use std::time::Duration;
 /// histogram.
 #[derive(Clone)]
 pub(crate) struct StageProbes {
-    /// Submission → batcher pop: how long a job sat in the bounded queue.
+    /// Submission → worker pop: how long a job sat in the bounded queue.
     pub queue_wait: Probe,
-    /// Batcher pop → worker pickup: how long a formed batch waited for a
-    /// free worker (includes the linger window spent growing the batch).
+    /// Pop → batch start: the linger window a worker spent growing the
+    /// batch.
     pub batch_dwell: Probe,
     /// Clamp + JPEG + wavelet, timed inside the defense pipeline.
     pub preprocess: Probe,

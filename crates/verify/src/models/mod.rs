@@ -6,7 +6,7 @@
 //! | module | protocol | source |
 //! |---|---|---|
 //! | [`seqlock`] | event-ring slot claim/stamp/read | `crates/telemetry/src/journal.rs` |
-//! | [`queue`] | bounded submission queue push/pop/close | `crates/serve/src/shard.rs` |
+//! | [`queue`] | bounded submission queue push / batched worker pickup / close | `crates/serve/src/shard.rs` |
 //! | [`swap`] | hot-reload swap + drain-retire | `crates/serve/src/shard.rs` + gateway reload |
 //! | [`arena`] | arena acquire/recycle in-use accounting | `crates/tensor/src/arena.rs` |
 //!

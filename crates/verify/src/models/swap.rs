@@ -1,7 +1,9 @@
 //! Model of hot-reload swap + drain-retire
 //! (`crates/serve/src/shard.rs` / the gateway reload path): a reloader
 //! redirects submitters to a fresh queue, then closes and drains the old
-//! one; the old worker must quiesce without dropping a request.
+//! one; the old worker must quiesce without dropping a request. The old
+//! worker drains the old queue directly, as the shard's workers do: there is
+//! no batcher thread between queue and worker.
 //!
 //! The protocol under check:
 //!

@@ -76,8 +76,8 @@ fn main() {
         );
     }
 
-    // 2. A 1 ms deadline the queue cannot meet: the batcher answers it with
-    //    `DeadlineExceeded` instead of wasting a worker on it.
+    // 2. A 1 ms deadline the queue cannot meet: the worker that pops it
+    //    answers `DeadlineExceeded` instead of defending it.
     let doomed = client
         .defend(
             image(2),

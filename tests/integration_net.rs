@@ -101,7 +101,7 @@ fn round_trip_reaches_the_gateway_and_its_cache() {
 fn deadline_expiring_in_queue_is_answered_not_computed_and_reactor_survives() {
     // One worker, no batching, a deep-enough queue that nothing is shed:
     // the deadlined request waits behind slow jobs and must expire *in the
-    // queue*, answered by the batcher without ever reaching a worker.
+    // queue*, answered at pop without ever being defended.
     let route_config = RouteConfig {
         num_workers: 1,
         max_batch: 1,

@@ -43,7 +43,7 @@ fn batched_parallel_serving_is_bitwise_equivalent_to_sequential() {
         let client = gateway.client();
 
         let inputs = images(24, 16);
-        // Submit everything up front so the batcher actually coalesces.
+        // Submit everything up front so the workers actually coalesce.
         let pending: Vec<_> = inputs
             .iter()
             .map(|image| client.submit(DefenseRequest::new(image.clone())).unwrap())
