@@ -3,15 +3,20 @@
 //! The shared [`CountingAllocator`] wraps the system allocator and proves the
 //! headline property of the cross-request tensor arena: once a worker's
 //! [`ScratchSpace`] is warm, the SR defense forward pass (`defend_scratch`
-//! with no JPEG/wavelet preprocessing) performs **zero heap allocations per
-//! request**, while the classic allocating path (`defend`) pays dozens of
-//! allocations for the same work.
+//! with no JPEG/wavelet preprocessing) and the MobileNet-V2 classifier
+//! forward behind it (`forward_scratch`) perform **zero heap allocations
+//! per request**, while the classic allocating path (`defend`) pays dozens
+//! of allocations for the same work.
 //!
 //! This file deliberately contains a single `#[test]` so no sibling test can
 //! allocate concurrently inside a counting window.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sesr_classifiers::ClassifierKind;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{ScratchSpace, SrModelKind};
+use sesr_nn::Layer;
 use sesr_testkit::{count_allocations, CountingAllocator};
 
 #[global_allocator]
@@ -74,12 +79,42 @@ fn sr_forward_path_allocates_zero_after_warmup() {
         stats.hit_rate()
     );
 
+    // The classifier a worker runs behind the defense: MobileNet-V2 (stem,
+    // inverted residuals with depthwise convs and batch norm, pooling head)
+    // on the same warmed scratch space.
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut classifier = ClassifierKind::MobileNetV2.build_local(10, &mut rng);
+    let frame = sesr_bench::bench_image(32);
+    let expected_logits = classifier.forward(&frame, false).unwrap();
+    for _ in 0..WARMUP {
+        let logits = classifier
+            .forward_scratch(&frame, false, &mut scratch)
+            .unwrap();
+        assert_eq!(logits, expected_logits);
+        scratch.recycle(logits);
+    }
+    let classify = count_allocations(|| {
+        for _ in 0..REQUESTS {
+            let logits = classifier
+                .forward_scratch(&frame, false, &mut scratch)
+                .unwrap();
+            scratch.recycle(logits);
+        }
+    });
+    assert_eq!(
+        classify, 0,
+        "a warmed-up arena must serve the MobileNet-V2 forward pass with zero \
+         heap allocations ({REQUESTS} frames performed {classify} allocations)"
+    );
+    assert_eq!(scratch.stats().in_use_bytes, 0, "every buffer was recycled");
+
     // Visible with `cargo test -p sesr-bench --test alloc_tracking -- --nocapture`.
     println!(
         "allocating defend: {allocating} allocations/request | arena defend_scratch: \
-         {steady} allocations over {REQUESTS} requests | arena high water {} KiB, \
+         {steady} allocations over {REQUESTS} requests | MobileNet-V2 forward_scratch: \
+         {classify} allocations over {REQUESTS} frames | arena high water {} KiB, \
          hit rate {:.0}%",
-        stats.high_water_bytes / 1024,
-        stats.hit_rate() * 100.0
+        scratch.stats().high_water_bytes / 1024,
+        scratch.stats().hit_rate() * 100.0
     );
 }

@@ -4,10 +4,11 @@
 use crate::Result;
 use rand::Rng;
 use sesr_nn::{
-    BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, MaxPool2d, Param, ReLU, Relu6, Sequential,
+    BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, MaxPool2d, Param, ReLU, Relu6, ScratchSpace,
+    Sequential,
 };
 use sesr_tensor::ops::{concat_channels, split_channels};
-use sesr_tensor::{Tensor, TensorError};
+use sesr_tensor::{Shape, Tensor, TensorError};
 
 /// MobileNet-V2 inverted residual block: 1×1 expansion → depthwise 3×3 →
 /// 1×1 linear projection, with a residual connection when the stride is 1 and
@@ -15,7 +16,9 @@ use sesr_tensor::{Tensor, TensorError};
 pub struct InvertedResidual {
     use_residual: bool,
     body: Sequential,
-    cached_input: Option<Tensor>,
+    /// Set by `forward`, taken by `backward`: the residual's gradient needs
+    /// no activation, only the proof that a forward ran.
+    forwarded: bool,
 }
 
 impl InvertedResidual {
@@ -42,7 +45,7 @@ impl InvertedResidual {
         InvertedResidual {
             use_residual: stride == 1 && in_channels == out_channels,
             body,
-            cached_input: None,
+            forwarded: false,
         }
     }
 
@@ -58,7 +61,7 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
+        self.forwarded = true;
         let out = self.body.forward(input, train)?;
         if self.use_residual {
             out.add(input)
@@ -67,10 +70,26 @@ impl Layer for InvertedResidual {
         }
     }
 
+    fn forward_scratch(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Tensor> {
+        let mut out = self.body.forward_scratch(input, train, scratch)?;
+        if self.use_residual {
+            // Adding `1.0 * x` is exact, so this is bitwise `out.add(input)`.
+            out.add_scaled_inplace(input, 1.0)?;
+        }
+        Ok(out)
+    }
+
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let _ = self.cached_input.take().ok_or_else(|| {
-            TensorError::invalid_argument("backward before forward in InvertedResidual")
-        })?;
+        if !std::mem::take(&mut self.forwarded) {
+            return Err(TensorError::invalid_argument(
+                "backward before forward in InvertedResidual",
+            ));
+        }
         let grad_body = self.body.backward(grad_output)?;
         if self.use_residual {
             grad_body.add(grad_output)
@@ -102,7 +121,8 @@ pub struct ResidualBlock {
     body: Sequential,
     shortcut: Option<Sequential>,
     relu_out: ReLU,
-    cached_input: Option<Tensor>,
+    /// Set by `forward`, taken by `backward` (see [`InvertedResidual`]).
+    forwarded: bool,
 }
 
 impl ResidualBlock {
@@ -126,7 +146,7 @@ impl ResidualBlock {
             body,
             shortcut,
             relu_out: ReLU::new(),
-            cached_input: None,
+            forwarded: false,
         }
     }
 }
@@ -137,7 +157,7 @@ impl Layer for ResidualBlock {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
+        self.forwarded = true;
         let body_out = self.body.forward(input, train)?;
         let shortcut_out = match &mut self.shortcut {
             Some(s) => s.forward(input, train)?,
@@ -148,9 +168,11 @@ impl Layer for ResidualBlock {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let _ = self.cached_input.take().ok_or_else(|| {
-            TensorError::invalid_argument("backward before forward in ResidualBlock")
-        })?;
+        if !std::mem::take(&mut self.forwarded) {
+            return Err(TensorError::invalid_argument(
+                "backward before forward in ResidualBlock",
+            ));
+        }
         let grad_sum = self.relu_out.backward(grad_output)?;
         let grad_body = self.body.backward(&grad_sum)?;
         let grad_shortcut = match &mut self.shortcut {
@@ -198,7 +220,8 @@ impl Layer for ResidualBlock {
 pub struct InceptionBlock {
     branches: Vec<Sequential>,
     branch_channels: Vec<usize>,
-    cached_input: Option<Tensor>,
+    /// Shape of the last `forward` input, taken by `backward`.
+    input_shape: Option<Shape>,
 }
 
 impl InceptionBlock {
@@ -247,7 +270,7 @@ impl InceptionBlock {
         InceptionBlock {
             branches: vec![branch1, branch3, branch5, branch_pool],
             branch_channels: vec![b1, b3, b5, bp],
-            cached_input: None,
+            input_shape: None,
         }
     }
 
@@ -263,7 +286,7 @@ impl Layer for InceptionBlock {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
+        self.input_shape = Some(input.shape().clone());
         let mut outputs = Vec::with_capacity(self.branches.len());
         for branch in &mut self.branches {
             outputs.push(branch.forward(input, train)?);
@@ -273,11 +296,11 @@ impl Layer for InceptionBlock {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self.cached_input.take().ok_or_else(|| {
+        let input_shape = self.input_shape.take().ok_or_else(|| {
             TensorError::invalid_argument("backward before forward in InceptionBlock")
         })?;
         let grads = split_channels(grad_output, &self.branch_channels)?;
-        let mut grad_input = Tensor::zeros(input.shape().clone());
+        let mut grad_input = Tensor::zeros(input_shape);
         for (branch, grad) in self.branches.iter_mut().zip(grads) {
             let g = branch.backward(&grad)?;
             grad_input.add_scaled_inplace(&g, 1.0)?;

@@ -11,7 +11,8 @@ use crate::blocks::InvertedResidual;
 use crate::Result;
 use rand::Rng;
 use sesr_nn::{
-    BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Layer, Linear, Param, Relu6, Sequential,
+    BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Layer, Linear, Param, Relu6, ScratchSpace,
+    Sequential,
 };
 use sesr_tensor::Tensor;
 
@@ -83,6 +84,15 @@ impl Layer for MobileNetV2 {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         self.network.forward(input, train)
+    }
+
+    fn forward_scratch(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Tensor> {
+        self.network.forward_scratch(input, train, scratch)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

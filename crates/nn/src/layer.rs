@@ -58,7 +58,15 @@ pub trait Layer: Send + Sync {
     ///
     /// The default implementation falls back to the allocating
     /// [`Layer::forward`], so every layer supports the scratch calling
-    /// convention; only the hot layers override it.
+    /// convention; only the served layers override it. In this crate: the
+    /// convolutions, every activation, [`PixelShuffle`](crate::PixelShuffle),
+    /// [`NearestUpsample`](crate::NearestUpsample),
+    /// [`BatchNorm2d`](crate::BatchNorm2d) (evaluation mode only),
+    /// [`GlobalAvgPool`](crate::GlobalAvgPool), [`Flatten`](crate::Flatten),
+    /// [`Linear`](crate::Linear), [`Identity`] and [`Sequential`]. The
+    /// collapsed SESR and the served MobileNet-V2 (with its inverted
+    /// residual block) override it in their own crates. ResNet, Inception,
+    /// `MaxPool2d` and `AvgPool2d` fall back: no workload serves them.
     ///
     /// # Errors
     ///

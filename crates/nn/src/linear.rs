@@ -1,6 +1,7 @@
 //! Fully-connected head layers: [`Flatten`] and [`Linear`].
 
 use crate::param::Param;
+use crate::scratch::ScratchSpace;
 use crate::{Layer, Result};
 use rand::Rng;
 use sesr_tensor::{init, Shape, Tensor, TensorError};
@@ -24,14 +25,20 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let dims = input.shape().dims();
-        if dims.is_empty() {
-            return Err(TensorError::invalid_argument("cannot flatten a scalar"));
-        }
+        let flat = flat_shape(input.shape())?;
         self.cached_shape = Some(input.shape().clone());
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        input.reshape(Shape::new(&[n, rest]))
+        input.reshape(flat)
+    }
+
+    fn forward_scratch(
+        &mut self,
+        input: &Tensor,
+        _train: bool,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Tensor> {
+        let flat = flat_shape(input.shape())?;
+        let copy = scratch.arena().alloc_copy(input);
+        Tensor::from_vec(flat, copy.into_vec())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -41,6 +48,15 @@ impl Layer for Flatten {
             .ok_or_else(|| TensorError::invalid_argument("backward before forward in Flatten"))?;
         grad_output.reshape(shape)
     }
+}
+
+/// `[N, rest...]` as the `[N, product(rest)]` matrix a classifier head takes.
+fn flat_shape(shape: &Shape) -> Result<Shape> {
+    let dims = shape.dims();
+    if dims.is_empty() {
+        return Err(TensorError::invalid_argument("cannot flatten a scalar"));
+    }
+    Ok(Shape::new(&[dims[0], dims[1..].iter().product()]))
 }
 
 /// Fully-connected layer `y = x W^T + b` over `[N, in]` inputs.
@@ -72,6 +88,42 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.weight.value.shape().dim(0)
     }
+
+    /// Batch size of an input this layer accepts.
+    fn check_input(&self, input: &Tensor) -> Result<usize> {
+        let (n, in_f) = input.shape().as_matrix()?;
+        if in_f != self.in_features() {
+            return Err(TensorError::invalid_argument(format!(
+                "linear layer expects {} input features, got {in_f}",
+                self.in_features()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// `out = x W^T + b` for a checked `[n, in]` input, the one loop both
+    /// forward paths run. Each logit sums `x[p] * W[o, p]` over ascending
+    /// `p`, skipping zero inputs, then adds the bias: the order of
+    /// `x.matmul(&W.transpose())` followed by a bias add, without the
+    /// transposed weight copy.
+    fn affine_into(&self, input: &Tensor, n: usize, out: &mut [f32]) {
+        let (in_f, out_f) = (self.in_features(), self.out_features());
+        let weight = self.weight.value.data();
+        let bias = self.bias.value.data();
+        for row in 0..n {
+            let x = &input.data()[row * in_f..(row + 1) * in_f];
+            for o in 0..out_f {
+                let w_row = &weight[o * in_f..(o + 1) * in_f];
+                let mut acc = 0.0f32;
+                for (&x_p, &w_p) in x.iter().zip(w_row) {
+                    if x_p != 0.0 {
+                        acc += x_p * w_p;
+                    }
+                }
+                out[row * out_f + o] = acc + bias[o];
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -80,25 +132,24 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let (n, in_f) = input.shape().as_matrix()?;
-        if in_f != self.in_features() {
-            return Err(TensorError::invalid_argument(format!(
-                "linear layer expects {} input features, got {in_f}",
-                self.in_features()
-            )));
-        }
+        let n = self.check_input(input)?;
         self.cached_input = Some(input.clone());
-        let w_t = self.weight.value.transpose()?;
-        let mut out = input.matmul(&w_t)?;
-        let out_f = self.out_features();
-        let bias = self.bias.value.data();
-        let data = out.data_mut();
-        for b in 0..n {
-            for o in 0..out_f {
-                data[b * out_f + o] += bias[o];
-            }
-        }
-        Ok(out)
+        let mut out = vec![0.0f32; n * self.out_features()];
+        self.affine_into(input, n, &mut out);
+        Tensor::from_vec(Shape::new(&[n, self.out_features()]), out)
+    }
+
+    /// [`Layer::forward`] into an arena buffer, without the input cache.
+    fn forward_scratch(
+        &mut self,
+        input: &Tensor,
+        _train: bool,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Tensor> {
+        let n = self.check_input(input)?;
+        let mut out = scratch.arena().alloc(n * self.out_features());
+        self.affine_into(input, n, &mut out);
+        Tensor::from_vec(Shape::new(&[n, self.out_features()]), out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -198,6 +249,32 @@ mod tests {
             let num = (fp - fm) / (2.0 * eps);
             assert!((num - gi.data()[idx]).abs() < 1e-2);
         }
+    }
+
+    #[test]
+    fn head_forward_scratch_is_bitwise_forward() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut flat = Flatten::new();
+        let mut lin = Linear::new(6, 4, &mut rng);
+        lin.params_mut()[1].value = Tensor::from_slice(&[0.5, -0.25, 0.0, 2.0]);
+        let mut x = init::normal(Shape::new(&[3, 6, 1, 1]), 0.0, 1.0, &mut rng);
+        // Zero features take the GEMM's skip branch.
+        x.data_mut()[1] = 0.0;
+        x.data_mut()[8] = 0.0;
+        let flat_x = flat.forward(&x, false).unwrap();
+        let expected = lin.forward(&flat_x, false).unwrap();
+        // Both paths keep the GEMM's order: x W^T, then the bias.
+        let weight_t = lin.params()[0].value.transpose().unwrap();
+        let mut gemm = flat_x.matmul(&weight_t).unwrap();
+        for (i, v) in gemm.data_mut().iter_mut().enumerate() {
+            *v += lin.params()[1].value.data()[i % 4];
+        }
+        assert_eq!(expected, gemm);
+        let mut scratch = ScratchSpace::new();
+        let features = flat.forward_scratch(&x, false, &mut scratch).unwrap();
+        assert_eq!(features.shape().dims(), &[3, 6]);
+        let got = lin.forward_scratch(&features, false, &mut scratch).unwrap();
+        assert_eq!(got, expected);
     }
 
     #[test]

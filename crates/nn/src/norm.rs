@@ -1,6 +1,7 @@
 //! Batch normalisation over NCHW feature maps.
 
 use crate::param::Param;
+use crate::scratch::ScratchSpace;
 use crate::{Layer, Result};
 use sesr_tensor::{Shape, Tensor, TensorError};
 
@@ -25,6 +26,9 @@ struct BnCache {
     normalized: Tensor,
     std_inv: Vec<f32>,
     input_shape: Shape,
+    /// Whether the forward normalised with batch statistics (`true`) or with
+    /// the running statistics, which are constants to the backward pass.
+    train: bool,
 }
 
 impl BatchNorm2d {
@@ -56,14 +60,9 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn name(&self) -> &str {
-        "batchnorm2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+    /// `(n, c, h, w)` of an input this layer can normalise.
+    fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize, usize)> {
         let (n, c, h, w) = input.shape().as_nchw()?;
         if c != self.channels {
             return Err(TensorError::invalid_argument(format!(
@@ -71,16 +70,25 @@ impl Layer for BatchNorm2d {
                 self.channels
             )));
         }
+        Ok((n, c, h, w))
+    }
+
+    /// `out = gamma * (x - mean) / sqrt(var + eps) + beta` over an input of
+    /// the checked `dims`, the one loop both forward paths run. `train`
+    /// normalises with the batch statistics and updates the running ones;
+    /// otherwise the running statistics are used. `cache`, when given,
+    /// receives the normalised input and each channel's
+    /// `1 / sqrt(var + eps)` for `backward`.
+    fn normalize_into(
+        &mut self,
+        data: &[f32],
+        (n, c, h, w): (usize, usize, usize, usize),
+        train: bool,
+        out: &mut [f32],
+        mut cache: Option<(&mut [f32], &mut [f32])>,
+    ) {
         let spatial = h * w;
         let count = (n * spatial) as f32;
-        let data = input.data();
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
-
-        let mut out = vec![0.0f32; input.len()];
-        let mut normalized = vec![0.0f32; input.len()];
-        let mut std_inv = vec![0.0f32; c];
-
         for ci in 0..c {
             let (mean, var) = if train {
                 let mut mean = 0.0f32;
@@ -108,22 +116,60 @@ impl Layer for BatchNorm2d {
                 (self.running_mean.data()[ci], self.running_var.data()[ci])
             };
             let inv = 1.0 / (var + self.eps).sqrt();
-            std_inv[ci] = inv;
+            let (g, beta) = (self.gamma.value.data()[ci], self.beta.value.data()[ci]);
+            if let Some((_, std_inv)) = &mut cache {
+                std_inv[ci] = inv;
+            }
             for b in 0..n {
                 let base = (b * c + ci) * spatial;
                 for i in base..base + spatial {
                     let xn = (data[i] - mean) * inv;
-                    normalized[i] = xn;
-                    out[i] = gamma[ci] * xn + beta[ci];
+                    if let Some((normalized, _)) = &mut cache {
+                        normalized[i] = xn;
+                    }
+                    out[i] = g * xn + beta;
                 }
             }
         }
+    }
+}
 
+impl Layer for BatchNorm2d {
+    fn name(&self) -> &str {
+        "batchnorm2d"
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        let dims = self.check_input(input)?;
+        let mut out = vec![0.0f32; input.len()];
+        let mut normalized = vec![0.0f32; input.len()];
+        let mut std_inv = vec![0.0f32; self.channels];
+        let cache = Some((normalized.as_mut_slice(), std_inv.as_mut_slice()));
+        self.normalize_into(input.data(), dims, train, &mut out, cache);
         self.cache = Some(BnCache {
             normalized: Tensor::from_vec(input.shape().clone(), normalized)?,
             std_inv,
             input_shape: input.shape().clone(),
+            train,
         });
+        Tensor::from_vec(input.shape().clone(), out)
+    }
+
+    /// Evaluation mode runs [`Layer::forward`]'s loop into an arena buffer,
+    /// without the backward cache. Training mode needs the cache and updates
+    /// the running statistics, so it takes the allocating path.
+    fn forward_scratch(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Tensor> {
+        if train {
+            return self.forward(input, train);
+        }
+        let dims = self.check_input(input)?;
+        let mut out = scratch.arena().alloc(input.len());
+        self.normalize_into(input.data(), dims, false, &mut out, None);
         Tensor::from_vec(input.shape().clone(), out)
     }
 
@@ -161,13 +207,19 @@ impl Layer for BatchNorm2d {
             }
             grad_beta[ci] = sum_go;
             grad_gamma[ci] = sum_go_xn;
-            // Standard batch-norm backward (through batch statistics).
             let g = gamma[ci];
             let inv = cache.std_inv[ci];
             for b in 0..n {
                 let base = (b * c + ci) * spatial;
                 for i in base..base + spatial {
-                    grad_input[i] = g * inv / count * (count * go[i] - sum_go - xn[i] * sum_go_xn);
+                    grad_input[i] = if cache.train {
+                        // Through the batch statistics, which depend on x.
+                        g * inv / count * (count * go[i] - sum_go - xn[i] * sum_go_xn)
+                    } else {
+                        // Running statistics are constants: the layer is
+                        // the affine map gamma * inv * (x - mean) + beta.
+                        g * inv * go[i]
+                    };
                 }
             }
         }
@@ -271,6 +323,67 @@ mod tests {
                 gi.data()[idx]
             );
         }
+    }
+
+    /// Eval-mode batch norm with non-trivial running statistics, the state
+    /// every gradient attack differentiates through.
+    fn eval_bn() -> BatchNorm2d {
+        let mut bn = BatchNorm2d::new(2);
+        bn.params_mut()[0].value = Tensor::from_slice(&[1.5, 0.7]);
+        bn.params_mut()[1].value = Tensor::from_slice(&[0.2, -0.3]);
+        *bn.buffers_mut()[0] = Tensor::from_slice(&[0.4, -0.1]);
+        *bn.buffers_mut()[1] = Tensor::from_slice(&[2.0, 0.5]);
+        bn
+    }
+
+    #[test]
+    fn eval_mode_backward_matches_finite_difference() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = init::normal(Shape::new(&[1, 2, 3, 3]), 0.0, 1.0, &mut rng);
+        // A non-uniform upstream gradient: loss = Σ y ⊙ r.
+        let r = init::normal(x.shape().clone(), 0.0, 1.0, &mut rng);
+        let mut bn = eval_bn();
+        bn.forward(&x, false).unwrap();
+        let gi = bn.backward(&r).unwrap();
+
+        let eps = 1e-2;
+        let loss = |input: &Tensor| -> f32 {
+            let y = eval_bn().forward(input, false).unwrap();
+            y.mul(&r).unwrap().sum()
+        };
+        for idx in 0..x.len() {
+            let mut plus = x.clone();
+            plus.data_mut()[idx] += eps;
+            let mut minus = x.clone();
+            minus.data_mut()[idx] -= eps;
+            let num = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+            assert!(
+                (num - gi.data()[idx]).abs() < 1e-2,
+                "index {idx}: fd={num} got={}",
+                gi.data()[idx]
+            );
+        }
+    }
+
+    #[test]
+    fn eval_forward_scratch_is_bitwise_forward() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let x = init::normal(Shape::new(&[3, 2, 4, 5]), 0.5, 2.0, &mut rng);
+        let mut bn = eval_bn();
+        let expected = bn.forward(&x, false).unwrap();
+        let mut scratch = ScratchSpace::new();
+        for _ in 0..2 {
+            let got = bn.forward_scratch(&x, false, &mut scratch).unwrap();
+            assert_eq!(got, expected);
+            scratch.recycle(got);
+        }
+        assert!(bn
+            .forward_scratch(
+                &Tensor::zeros(Shape::new(&[1, 3, 2, 2])),
+                false,
+                &mut scratch
+            )
+            .is_err());
     }
 
     #[test]

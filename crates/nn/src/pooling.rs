@@ -1,9 +1,10 @@
 //! Pooling layers wrapping the tensor-level pooling kernels.
 
+use crate::scratch::ScratchSpace;
 use crate::{Layer, Result};
 use sesr_tensor::pool::{
-    avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward, max_pool2d,
-    max_pool2d_backward, MaxPoolOutput, PoolConfig,
+    avg_pool2d, avg_pool2d_backward, global_avg_pool_backward, max_pool2d, max_pool2d_backward,
+    MaxPoolOutput, PoolConfig,
 };
 use sesr_tensor::{Shape, Tensor, TensorError};
 
@@ -99,8 +100,24 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+        let (n, c, h, w) = input.shape().as_nchw()?;
         self.cached_shape = Some(input.shape().clone());
-        global_avg_pool(input)
+        let mut out = vec![0.0f32; n * c];
+        plane_means_into(input.data(), h * w, &mut out);
+        Tensor::from_vec(Shape::new(&[n, c]), out)
+    }
+
+    /// [`Layer::forward`] into an arena buffer, without the shape cache.
+    fn forward_scratch(
+        &mut self,
+        input: &Tensor,
+        _train: bool,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Tensor> {
+        let (n, c, h, w) = input.shape().as_nchw()?;
+        let mut out = scratch.arena().alloc(n * c);
+        plane_means_into(input.data(), h * w, &mut out);
+        Tensor::from_vec(Shape::new(&[n, c]), out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -108,6 +125,17 @@ impl Layer for GlobalAvgPool {
             TensorError::invalid_argument("backward before forward in GlobalAvgPool")
         })?;
         global_avg_pool_backward(&shape, grad_output)
+    }
+}
+
+/// The mean of each `spatial`-long plane of `data`, into `out`: the one loop
+/// both [`GlobalAvgPool`] forward paths run. Each plane is summed front to
+/// back, then divided by its size, the order of
+/// [`global_avg_pool`](sesr_tensor::pool::global_avg_pool).
+fn plane_means_into(data: &[f32], spatial: usize, out: &mut [f32]) {
+    for (plane, mean) in out.iter_mut().enumerate() {
+        let sum: f32 = data[plane * spatial..(plane + 1) * spatial].iter().sum();
+        *mean = sum / spatial as f32;
     }
 }
 
@@ -150,6 +178,24 @@ mod tests {
             .backward(&Tensor::from_vec(Shape::new(&[1, 2]), vec![4.0, 8.0]).unwrap())
             .unwrap();
         assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn global_avg_pool_paths_are_bitwise_the_kernel() {
+        // Values whose sum depends on the summation order.
+        let x = Tensor::from_vec(
+            Shape::new(&[2, 3, 3, 5]),
+            (0..90).map(|i| (i as f32 * 0.37).sin() * 1e3).collect(),
+        )
+        .unwrap();
+        let expected = sesr_tensor::pool::global_avg_pool(&x).unwrap();
+        let mut pool = GlobalAvgPool::new();
+        assert_eq!(pool.forward(&x, false).unwrap(), expected);
+        let mut scratch = ScratchSpace::new();
+        assert_eq!(
+            pool.forward_scratch(&x, false, &mut scratch).unwrap(),
+            expected
+        );
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! need. Train with [`Layer::forward`](crate::Layer::forward), serve with
 //! `forward_scratch`.
 //!
+//! Every layer a served network is built from overrides it — convolutions,
+//! activations, upsampling, evaluation-mode batch norm and the classifier
+//! head (`GlobalAvgPool`, `Flatten`, `Linear`) — so both the SR networks and
+//! the served MobileNet-V2 run allocation-free on a warm scratch space. The
+//! [`Layer::forward_scratch`](crate::Layer::forward_scratch) docs list the
+//! layers that fall back to the allocating `forward`.
+//!
 //! # Example: arena-backed forward equals the allocating forward
 //!
 //! ```

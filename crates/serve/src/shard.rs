@@ -232,9 +232,10 @@ fn process_batch(
     }
     let lead_request = live[0].request_id;
 
-    // The worker's private arena serves the whole defense: the merged batch
-    // and every SR intermediate are recycled after use, so at steady state
-    // only the per-job response tensors (which escape to the clients) are
+    // The worker's private arena serves the whole defense and the
+    // classifier: the merged batch, every SR and classifier intermediate
+    // and the logits are recycled after use, so at steady state only the
+    // per-job response tensors (which escape to the clients) are
     // heap-allocated.
     let WorkerAssets {
         pipeline,
@@ -259,10 +260,11 @@ fn process_batch(
                 let labels = match classifier.as_mut() {
                     Some(classifier) => {
                         let span = stats.stages.classify.span(lead_request);
-                        let logits = classifier.forward(&defended, false)?;
-                        let labels = row_argmax(&logits)?;
+                        let logits = classifier.forward_scratch(&defended, false, scratch)?;
+                        let labels = row_argmax(&logits);
+                        scratch.recycle(logits);
                         drop(span);
-                        Some(labels)
+                        Some(labels?)
                     }
                     None => None,
                 };

@@ -205,6 +205,14 @@ pub fn conv2d(
 /// buffer comes from the arena too, so the caller may recycle it after use.
 /// With a warmed-up arena this performs zero heap allocations.
 ///
+/// A 1×1 convolution at stride 1 without padding skips im2col: each
+/// `[C_in, H·W]` image already is its column matrix, so it goes to the GEMM
+/// as it is, which writes straight into the image's slice of the output
+/// (no column buffer, no product buffer, no reordering copy). Either way each output
+/// element is the bias added to `Σ_p w[co, p] · col[p]`, summed in
+/// ascending `p` by the same GEMM kernel, so both paths give bitwise the
+/// same result.
+///
 /// # Errors
 ///
 /// Returns an error on rank or dimension mismatches.
@@ -231,6 +239,22 @@ pub fn conv2d_arena(
         )));
     }
     let (oh, ow) = cfg.output_size(h, w)?;
+    if cfg.kernel == 1 && cfg.stride == 1 && cfg.padding == 0 {
+        let spatial = h * w;
+        let mut out = arena.alloc(n * c_out * spatial);
+        for b in 0..n {
+            let image = &input.data()[b * c_in * spatial..(b + 1) * c_in * spatial];
+            let out_image = &mut out[b * c_out * spatial..(b + 1) * c_out * spatial];
+            matmul_slices(weight.data(), c_out, c_in, image, spatial, out_image);
+            for co in 0..c_out {
+                let b_val = bias.map(|b| b.data()[co]).unwrap_or(0.0);
+                for v in &mut out_image[co * spatial..(co + 1) * spatial] {
+                    *v += b_val;
+                }
+            }
+        }
+        return Tensor::from_vec(Shape::new(&[n, c_out, h, w]), out);
+    }
     let rows = c_in * kh * kw;
     let ncols = n * oh * ow;
     let mut cols = arena.alloc(rows * ncols);
@@ -346,6 +370,14 @@ pub fn depthwise_conv2d(
 /// Arena-backed [`depthwise_conv2d`]: the output buffer comes from `arena`,
 /// so a warmed-up arena serves repeated calls without heap allocations.
 ///
+/// The loop is tap-major over output rows: each row starts as the bias,
+/// then every in-bounds `(ky, kx)` tap adds `input · weight` over the span
+/// of output columns it reaches, as one contiguous slice pass at stride 1
+/// (which vectorises) or a strided gather otherwise. No tap tests bounds
+/// per pixel. Each output element still receives the bias first and then
+/// its in-bounds taps in ascending `(ky, kx)` order, the same sum in the
+/// same order as a per-pixel loop, so results are bitwise unchanged.
+///
 /// # Errors
 ///
 /// Returns an error on rank or dimension mismatches.
@@ -365,33 +397,51 @@ pub fn depthwise_conv2d_arena(
         )));
     }
     let (oh, ow) = cfg.output_size(h, w)?;
-    let k = cfg.kernel;
+    let (k, stride, pad) = (cfg.kernel, cfg.stride, cfg.padding);
+    // Output columns `lo..hi` of tap column `kx`: those whose input column
+    // `ox * stride + kx - pad` lies in `0..w`.
+    let columns = |kx: usize| -> (usize, usize) {
+        if kx >= w + pad {
+            return (0, 0);
+        }
+        let lo = if kx < pad {
+            (pad - kx).div_ceil(stride)
+        } else {
+            0
+        };
+        (lo, ow.min((w + pad - kx - 1) / stride + 1))
+    };
     let mut out = arena.alloc(n * c * oh * ow);
-    let in_data = input.data();
-    let w_data = weight.data();
-    for b in 0..n {
-        for ci in 0..c {
-            let in_base = (b * c + ci) * h * w;
-            let w_base = ci * k * k;
-            let b_val = bias.map(|bt| bt.data()[ci]).unwrap_or(0.0);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = b_val;
-                    for ky in 0..k {
-                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
+    for (plane, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let ci = plane % c;
+        let in_plane = &input.data()[plane * h * w..(plane + 1) * h * w];
+        let taps = &weight.data()[ci * k * k..(ci + 1) * k * k];
+        let b_val = bias.map(|bt| bt.data()[ci]).unwrap_or(0.0);
+        for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            out_row.fill(b_val);
+            for ky in 0..k {
+                let iy = match (oy * stride + ky).checked_sub(pad) {
+                    Some(iy) if iy < h => iy,
+                    _ => continue,
+                };
+                let in_row = &in_plane[iy * w..(iy + 1) * w];
+                for kx in 0..k {
+                    let (lo, hi) = columns(kx);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let tap = taps[ky * k + kx];
+                    let dst = &mut out_row[lo..hi];
+                    let src = &in_row[lo * stride + kx - pad..];
+                    if stride == 1 {
+                        for (o, &x) in dst.iter_mut().zip(src) {
+                            *o += x * tap;
                         }
-                        for kx in 0..k {
-                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += in_data[in_base + iy as usize * w + ix as usize]
-                                * w_data[w_base + ky * k + kx];
+                    } else {
+                        for (o, &x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *o += x * tap;
                         }
                     }
-                    out[(b * c + ci) * oh * ow + oy * ow + ox] = acc;
                 }
             }
         }
@@ -731,6 +781,135 @@ mod tests {
         let mut arena = TensorArena::new();
         let out = depthwise_conv2d_arena(&input, &weight, None, cfg, &mut arena).unwrap();
         assert_eq!(out, expected);
+    }
+
+    /// The per-pixel depthwise loop the row-wise kernel replaced: bias, then
+    /// every in-bounds tap in `(ky, kx)` order. Kept as the bit-identity
+    /// oracle.
+    fn depthwise_reference(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        cfg: Conv2dConfig,
+    ) -> Tensor {
+        let (n, c, h, w) = input.shape().as_nchw().unwrap();
+        let (oh, ow) = cfg.output_size(h, w).unwrap();
+        let k = cfg.kernel;
+        let mut out = vec![0.0f32; n * c * oh * ow];
+        let in_data = input.data();
+        let w_data = weight.data();
+        for b in 0..n {
+            for ci in 0..c {
+                let in_base = (b * c + ci) * h * w;
+                let w_base = ci * k * k;
+                let b_val = bias.map(|bt| bt.data()[ci]).unwrap_or(0.0);
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = b_val;
+                        for ky in 0..k {
+                            let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..k {
+                                let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                acc += in_data[in_base + iy as usize * w + ix as usize]
+                                    * w_data[w_base + ky * k + kx];
+                            }
+                        }
+                        out[(b * c + ci) * oh * ow + oy * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        t(&[n, c, oh, ow], &out)
+    }
+
+    /// Deterministic values of mixed sign and magnitude, so a reordered sum
+    /// would round differently somewhere.
+    fn wavy(shape: &[usize], phase: f32) -> Tensor {
+        let len = shape.iter().product::<usize>();
+        let data: Vec<f32> = (0..len)
+            .map(|i| ((i as f32 * 0.731 + phase).sin() * 3.7).powi(3) / 7.0)
+            .collect();
+        t(shape, &data)
+    }
+
+    #[test]
+    fn row_wise_depthwise_is_bitwise_the_per_pixel_loop() {
+        let mut configs = 0;
+        for k in [1usize, 2, 3, 5] {
+            for stride in 1..=3 {
+                for padding in 0..=k {
+                    for &(h, w) in &[(1usize, 1usize), (5, 7), (8, 8), (9, 4)] {
+                        let cfg = Conv2dConfig::new(k, stride, padding);
+                        if cfg.output_size(h, w).is_err() {
+                            continue;
+                        }
+                        let input = wavy(&[2, 3, h, w], k as f32);
+                        let weight = wavy(&[3, 1, k, k], stride as f32 + 0.5);
+                        let bias = t(&[3], &[0.25, -1.5, 3.0e-3]);
+                        for bias in [None, Some(&bias)] {
+                            let expected = depthwise_reference(&input, &weight, bias, cfg);
+                            let got = depthwise_conv2d(&input, &weight, bias, cfg).unwrap();
+                            assert_eq!(got.shape(), expected.shape(), "{cfg:?} {h}x{w}");
+                            let same = got
+                                .data()
+                                .iter()
+                                .zip(expected.data())
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(same, "{cfg:?} on {h}x{w} (bias {})", bias.is_some());
+                            configs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(configs > 300, "grid shrank to {configs} configurations");
+    }
+
+    #[test]
+    fn one_by_one_conv_is_bitwise_im2col_and_matmul() {
+        let cfg = Conv2dConfig::new(1, 1, 0);
+        for &(n, c_in, c_out, h, w) in &[(1, 3, 4, 5, 5), (3, 4, 2, 3, 7), (2, 6, 6, 1, 1)] {
+            // Zeros in the weight exercise the GEMM's zero-skip branch, zeros
+            // in the input the `0 · w` products it does not skip.
+            let mut input = wavy(&[n, c_in, h, w], 0.3);
+            for v in input.data_mut().iter_mut().step_by(3) {
+                *v = 0.0;
+            }
+            let mut weight = wavy(&[c_out, c_in, 1, 1], 1.1);
+            weight.data_mut()[1] = 0.0;
+            let bias = wavy(&[c_out], 2.0);
+            for bias in [None, Some(&bias)] {
+                // The general path: im2col, one GEMM over the whole batch,
+                // then the bias.
+                let cols = im2col(&input, cfg).unwrap();
+                let w_mat = weight.reshape(Shape::new(&[c_out, c_in])).unwrap();
+                let prod = w_mat.matmul(&cols).unwrap();
+                let mut expected = vec![0.0f32; n * c_out * h * w];
+                for b in 0..n {
+                    for co in 0..c_out {
+                        let b_val = bias.map(|bt| bt.data()[co]).unwrap_or(0.0);
+                        for s in 0..h * w {
+                            expected[(b * c_out + co) * h * w + s] =
+                                prod.data()[co * n * h * w + b * h * w + s] + b_val;
+                        }
+                    }
+                }
+                let got = conv2d(&input, &weight, bias, cfg).unwrap();
+                assert_eq!(got.shape().dims(), &[n, c_out, h, w]);
+                let same = got
+                    .data()
+                    .iter()
+                    .zip(&expected)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{n}x{c_in}->{c_out} {h}x{w} bias {}", bias.is_some());
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests for the cross-request tensor arena: the arena-backed
-//! forward/defense paths must be bitwise identical to the allocating paths
-//! for arbitrary shapes and batch sizes, and the arena's working set must
+//! forward/defense/classifier paths must be bitwise identical to the
+//! allocating paths for arbitrary shapes and batch sizes, and the arena's
+//! working set must
 //! stay bounded under sustained traffic (no leak across requests).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sesr_classifiers::ClassifierKind;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{ScratchSpace, Sesr, SesrConfig, SrModelKind};
 use sesr_nn::Layer;
@@ -77,6 +79,44 @@ proptest! {
         let got = pipeline.defend_scratch(&x, &mut scratch).unwrap();
         prop_assert_eq!(&got, &expected);
         scratch.recycle(got);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every classifier's `forward_scratch` equals its evaluation-mode
+    /// `forward` bit for bit, with batch-norm running statistics away from
+    /// their defaults, for random batch and spatial sizes; one scratch space
+    /// serves all three networks, twice, so recycled buffers are exercised.
+    #[test]
+    fn classifier_scratch_forward_is_bitwise_identical(
+        seed in 0u64..1000,
+        batch in 1usize..4,
+        height in 8usize..17,
+        width in 8usize..17,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = init::uniform(Shape::new(&[batch, 3, height, width]), 0.0, 1.0, &mut rng);
+        let mut scratch = ScratchSpace::new();
+        for kind in ClassifierKind::all() {
+            let mut net = kind.build_local(5, &mut rng);
+            // A training-mode pass moves every running mean/var off (0, 1).
+            let warm = init::normal(Shape::new(&[2, 3, height, width]), 0.5, 2.0, &mut rng);
+            net.forward(&warm, true).unwrap();
+            let expected = net.forward(&x, false).unwrap();
+            for _ in 0..2 {
+                let got = net.forward_scratch(&x, false, &mut scratch).unwrap();
+                prop_assert_eq!(got.shape(), expected.shape());
+                prop_assert!(
+                    got.data().iter().zip(expected.data()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{kind}: forward_scratch {:?} != forward {:?}",
+                    got.data(),
+                    expected.data()
+                );
+                scratch.recycle(got);
+            }
+        }
     }
 }
 
