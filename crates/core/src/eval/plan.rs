@@ -10,6 +10,8 @@ use crate::Result;
 use sesr_npu::NpuConfig;
 use sesr_telemetry::{Counter, Level, Probe, Telemetry};
 use sesr_tensor::TensorError;
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -345,8 +347,8 @@ impl EvalPlan {
     /// # Errors
     ///
     /// Returns an error for duplicate scenario names. Individual scenario
-    /// failures are recorded in the report instead — check
-    /// [`PlanReport::ok`] — and sink failures in
+    /// failures (an error or a panic) are recorded in the report instead —
+    /// check [`PlanReport::ok`] — and sink failures in
     /// [`PlanReport::sink_errors`].
     pub fn run_with_sinks(
         &self,
@@ -396,7 +398,11 @@ impl EvalPlan {
                         break;
                     }
                     let started = Instant::now();
-                    let result = execute(&scenarios[index], bank);
+                    // A panicking scenario fails alone: its worker lives on
+                    // to run the rest of the plan.
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| execute(&scenarios[index], bank)))
+                            .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
                     if tx.send((index, started.elapsed(), result)).is_err() {
                         break;
                     }
@@ -465,6 +471,16 @@ impl EvalPlan {
         report.sink_errors = sink_errors;
         Ok(report)
     }
+}
+
+/// The error a scenario that panicked is reported with.
+fn panic_error(payload: &(dyn Any + Send)) -> TensorError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    TensorError::invalid_argument(format!("scenario panicked: {message}"))
 }
 
 /// Emit one scenario to every still-healthy sink, disabling (and recording)
@@ -564,25 +580,38 @@ mod tests {
                 Err(TensorError::invalid_argument("boom"))
             }
         }
-        let bank = tiny_bank();
-        let plan = EvalPlan::new("mixed")
-            .custom("will-fail", Arc::new(Failing))
-            .scenario(
-                "will-pass",
-                ScenarioSpec::NpuLatency {
-                    sr: SrModelKind::SesrM2,
-                    npu: NpuConfig::ethos_u55_256(),
-                },
-            );
-        let report = plan.run(&bank).unwrap();
-        assert!(!report.ok());
-        assert_eq!(report.failures().len(), 1);
-        assert_eq!(report.failures()[0].meta.name, "will-fail");
-        assert!(matches!(
-            &report.failures()[0].status,
-            ScenarioStatus::Failed { error } if error.contains("boom")
-        ));
-        assert!(report.scenario("will-pass").unwrap().status.is_ok());
+        struct Panicking;
+        impl CustomScenario for Panicking {
+            fn run(&self, _bank: &ModelBank) -> Result<Vec<EvalRecord>> {
+                panic!("kaboom")
+            }
+        }
+        let failing: [(&str, Arc<dyn CustomScenario>); 2] =
+            [("boom", Arc::new(Failing)), ("kaboom", Arc::new(Panicking))];
+        for (message, scenario) in failing {
+            let bank = tiny_bank();
+            // One worker: the scenario after the failing one must run on the
+            // same thread.
+            let plan = EvalPlan::new("mixed")
+                .custom("will-fail", scenario)
+                .scenario(
+                    "will-pass",
+                    ScenarioSpec::NpuLatency {
+                        sr: SrModelKind::SesrM2,
+                        npu: NpuConfig::ethos_u55_256(),
+                    },
+                )
+                .workers(1);
+            let report = plan.run(&bank).unwrap();
+            assert!(!report.ok());
+            assert_eq!(report.failures().len(), 1);
+            assert_eq!(report.failures()[0].meta.name, "will-fail");
+            assert!(matches!(
+                &report.failures()[0].status,
+                ScenarioStatus::Failed { error } if error.contains(message)
+            ));
+            assert!(report.scenario("will-pass").unwrap().status.is_ok());
+        }
     }
 
     #[test]

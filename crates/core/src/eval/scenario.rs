@@ -233,7 +233,6 @@ fn evaluator_for(
     let dataset = bank.classification_dataset()?;
     let network = bank.classifier(classifier)?;
     let mut evaluator = RobustnessEvaluator::new(
-        classifier.name(),
         network,
         dataset.val_images(),
         dataset.val_labels(),

@@ -21,9 +21,10 @@
 //!   [`EvalPlan`](eval::EvalPlan)s over model × scale × preprocess × attack
 //!   × ε × classifier grids, executed on a share-nothing worker pool with
 //!   store-backed train-once model provisioning
-//!   ([`ModelBank`](eval::ModelBank)) and streaming result sinks.
+//!   ([`ModelBank`](eval::ModelBank)) and streaming result sinks. This is
+//!   the one way to train models for an experiment and evaluate them.
 //! * [`experiments`] — the shared [`ExperimentConfig`](experiments::ExperimentConfig)
-//!   and the in-memory SR training helpers the quickstart examples use.
+//!   every plan and bank is sized by.
 //!
 //! # Quickstart
 //!
@@ -46,12 +47,11 @@
 
 pub mod eval;
 pub mod experiments;
-pub mod extensions;
 pub mod pipeline;
 pub mod robustness;
 
 pub use pipeline::{DefendTrace, DefensePipeline, PreprocessConfig};
-pub use robustness::{DefenseEvaluation, RobustnessEvaluator, RobustnessScenario};
+pub use robustness::RobustnessEvaluator;
 
 /// Result alias re-exported from the tensor crate.
 pub type Result<T> = sesr_tensor::Result<T>;

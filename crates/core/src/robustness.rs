@@ -18,57 +18,12 @@ use sesr_attacks::Attack;
 use sesr_nn::Layer;
 use sesr_tensor::{Tensor, TensorError};
 
-/// One classifier plus its clean-correct evaluation subset.
-pub struct RobustnessScenario {
-    classifier_name: String,
-    eval_images: Vec<Tensor>,
-    eval_labels: Vec<usize>,
-}
-
-/// Result of evaluating one (attack, defense) cell of Table II / III.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DefenseEvaluation {
-    /// Name of the defense (upscaler) or `"No Defense"`.
-    pub defense: String,
-    /// Name of the attack.
-    pub attack: String,
-    /// Accuracy on the defended adversarial images, in `[0, 1]`.
-    pub robust_accuracy: f32,
-    /// Number of evaluation images.
-    pub num_images: usize,
-}
-
-/// The evaluation harness owning a trained classifier and its subset.
+/// The evaluation harness: a trained classifier plus its clean-correct
+/// evaluation subset.
 pub struct RobustnessEvaluator {
     classifier: Box<dyn Layer>,
-    scenario: RobustnessScenario,
-}
-
-impl RobustnessScenario {
-    /// Name of the classifier this scenario was built for.
-    pub fn classifier_name(&self) -> &str {
-        &self.classifier_name
-    }
-
-    /// Number of evaluation images in the clean-correct subset.
-    pub fn len(&self) -> usize {
-        self.eval_images.len()
-    }
-
-    /// `true` if the subset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.eval_images.is_empty()
-    }
-
-    /// The clean evaluation images of the subset.
-    pub fn eval_images(&self) -> &[Tensor] {
-        &self.eval_images
-    }
-
-    /// The labels of the evaluation subset.
-    pub fn eval_labels(&self) -> &[usize] {
-        &self.eval_labels
-    }
+    eval_images: Vec<Tensor>,
+    eval_labels: Vec<usize>,
 }
 
 /// Select up to `max_images` images that `classifier` classifies correctly,
@@ -114,7 +69,6 @@ impl RobustnessEvaluator {
     /// Returns an error if the image and label counts differ, inference
     /// fails, or the resulting subset is empty.
     pub fn new(
-        classifier_name: impl Into<String>,
         mut classifier: Box<dyn Layer>,
         images: &[Tensor],
         labels: &[usize],
@@ -129,17 +83,9 @@ impl RobustnessEvaluator {
         }
         Ok(RobustnessEvaluator {
             classifier,
-            scenario: RobustnessScenario {
-                classifier_name: classifier_name.into(),
-                eval_images,
-                eval_labels,
-            },
+            eval_images,
+            eval_labels,
         })
-    }
-
-    /// The scenario metadata (classifier name, subset size).
-    pub fn scenario(&self) -> &RobustnessScenario {
-        &self.scenario
     }
 
     /// Accuracy of the classifier on the clean evaluation subset (1.0 by
@@ -150,17 +96,12 @@ impl RobustnessEvaluator {
     /// Returns an error if inference fails.
     pub fn clean_accuracy(&mut self) -> Result<f32> {
         let mut correct = 0usize;
-        for (image, &label) in self
-            .scenario
-            .eval_images
-            .iter()
-            .zip(&self.scenario.eval_labels)
-        {
+        for (image, &label) in self.eval_images.iter().zip(&self.eval_labels) {
             if self.classifier.forward(image, false)?.argmax()? == label {
                 correct += 1;
             }
         }
-        Ok(correct as f32 / self.scenario.eval_images.len() as f32)
+        Ok(correct as f32 / self.eval_images.len() as f32)
     }
 
     /// Craft adversarial versions of the evaluation subset with `attack`,
@@ -174,13 +115,8 @@ impl RobustnessEvaluator {
         attack: &dyn Attack,
         rng: &mut StdRng,
     ) -> Result<Vec<Tensor>> {
-        let mut adversarial = Vec::with_capacity(self.scenario.eval_images.len());
-        for (image, &label) in self
-            .scenario
-            .eval_images
-            .iter()
-            .zip(&self.scenario.eval_labels)
-        {
+        let mut adversarial = Vec::with_capacity(self.eval_images.len());
+        for (image, &label) in self.eval_images.iter().zip(&self.eval_labels) {
             adversarial.push(attack.perturb(self.classifier.as_mut(), image, &[label], rng)?);
         }
         Ok(adversarial)
@@ -201,13 +137,8 @@ impl RobustnessEvaluator {
         surrogate: &mut dyn Layer,
         rng: &mut StdRng,
     ) -> Result<Vec<Tensor>> {
-        let mut adversarial = Vec::with_capacity(self.scenario.eval_images.len());
-        for (image, &label) in self
-            .scenario
-            .eval_images
-            .iter()
-            .zip(&self.scenario.eval_labels)
-        {
+        let mut adversarial = Vec::with_capacity(self.eval_images.len());
+        for (image, &label) in self.eval_images.iter().zip(&self.eval_labels) {
             adversarial.push(attack.perturb(surrogate, image, &[label], rng)?);
         }
         Ok(adversarial)
@@ -225,15 +156,15 @@ impl RobustnessEvaluator {
         images: &[Tensor],
         defense: Option<&DefensePipeline>,
     ) -> Result<f32> {
-        if images.len() != self.scenario.eval_labels.len() {
+        if images.len() != self.eval_labels.len() {
             return Err(TensorError::invalid_argument(format!(
                 "expected {} images, got {}",
-                self.scenario.eval_labels.len(),
+                self.eval_labels.len(),
                 images.len()
             )));
         }
         let mut correct = 0usize;
-        for (image, &label) in images.iter().zip(&self.scenario.eval_labels) {
+        for (image, &label) in images.iter().zip(&self.eval_labels) {
             let input = match defense {
                 Some(pipeline) => pipeline.defend(image)?,
                 None => image.clone(),
@@ -243,31 +174,6 @@ impl RobustnessEvaluator {
             }
         }
         Ok(correct as f32 / images.len() as f32)
-    }
-
-    /// Craft adversarial examples and evaluate one defense in a single call,
-    /// producing one cell of Table II.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if attacking, defending or classifying fails.
-    pub fn evaluate(
-        &mut self,
-        attack: &dyn Attack,
-        defense: Option<&DefensePipeline>,
-        rng: &mut StdRng,
-    ) -> Result<DefenseEvaluation> {
-        let adversarial = self.craft_adversarial(attack, rng)?;
-        let defense_name = defense
-            .map(|d| d.upscaler_name().to_string())
-            .unwrap_or_else(|| "No Defense".to_string());
-        let robust_accuracy = self.defended_accuracy(&adversarial, defense)?;
-        Ok(DefenseEvaluation {
-            defense: defense_name,
-            attack: attack.name().to_string(),
-            robust_accuracy,
-            num_images: adversarial.len(),
-        })
     }
 }
 
@@ -326,63 +232,46 @@ mod tests {
     #[test]
     fn clean_accuracy_is_one_on_the_subset() {
         let (classifier, dataset) = trained_setup();
-        let mut evaluator = RobustnessEvaluator::new(
-            "MobileNet-V2",
-            classifier,
-            dataset.val_images(),
-            dataset.val_labels(),
-            8,
-        )
-        .unwrap();
+        let mut evaluator =
+            RobustnessEvaluator::new(classifier, dataset.val_images(), dataset.val_labels(), 8)
+                .unwrap();
         assert!((evaluator.clean_accuracy().unwrap() - 1.0).abs() < 1e-6);
-        assert!(!evaluator.scenario().is_empty());
-        assert_eq!(evaluator.scenario().classifier_name(), "MobileNet-V2");
+        assert!(!evaluator.eval_images.is_empty());
+        assert_eq!(evaluator.eval_images.len(), evaluator.eval_labels.len());
     }
 
     #[test]
     fn attack_reduces_accuracy_and_defense_changes_it() {
         let (classifier, dataset) = trained_setup();
-        let mut evaluator = RobustnessEvaluator::new(
-            "MobileNet-V2",
-            classifier,
-            dataset.val_images(),
-            dataset.val_labels(),
-            6,
-        )
-        .unwrap();
+        let mut evaluator =
+            RobustnessEvaluator::new(classifier, dataset.val_images(), dataset.val_labels(), 6)
+                .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         // Use a large epsilon so even the tiny test model reliably misclassifies.
         let attack = FgsmAttack::new(AttackConfig::paper().with_epsilon(0.2));
-        let no_defense = evaluator.evaluate(&attack, None, &mut rng).unwrap();
-        assert!(no_defense.robust_accuracy <= 1.0);
-        assert_eq!(no_defense.defense, "No Defense");
-        assert_eq!(no_defense.attack, "FGSM");
+        let adversarial = evaluator.craft_adversarial(&attack, &mut rng).unwrap();
+        assert_eq!(adversarial.len(), evaluator.eval_images.len());
+        let no_defense = evaluator.defended_accuracy(&adversarial, None).unwrap();
+        assert!((0.0..=1.0).contains(&no_defense));
 
         let defense = DefensePipeline::new(
             PreprocessConfig::paper(),
             SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
         );
         let defended = evaluator
-            .evaluate(&attack, Some(&defense), &mut rng)
+            .defended_accuracy(&adversarial, Some(&defense))
             .unwrap();
-        assert_eq!(defended.defense, "nearest-neighbor");
-        assert!(defended.robust_accuracy >= 0.0 && defended.robust_accuracy <= 1.0);
+        assert!((0.0..=1.0).contains(&defended));
     }
 
     #[test]
     fn mismatched_image_count_is_rejected() {
         let (classifier, dataset) = trained_setup();
-        let mut evaluator = RobustnessEvaluator::new(
-            "MobileNet-V2",
-            classifier,
-            dataset.val_images(),
-            dataset.val_labels(),
-            4,
-        )
-        .unwrap();
-        let wrong = vec![dataset.val_images()[0].clone()];
-        if evaluator.scenario().len() != 1 {
-            assert!(evaluator.defended_accuracy(&wrong, None).is_err());
-        }
+        let mut evaluator =
+            RobustnessEvaluator::new(classifier, dataset.val_images(), dataset.val_labels(), 4)
+                .unwrap();
+        // One image more than the subset holds, whatever size it came out.
+        let wrong = &dataset.val_images()[..evaluator.eval_images.len() + 1];
+        assert!(evaluator.defended_accuracy(wrong, None).is_err());
     }
 }

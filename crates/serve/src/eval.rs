@@ -84,7 +84,6 @@ impl CustomScenario for GatewayScenario {
         let dataset = bank.classification_dataset()?;
         let classifier = bank.classifier(self.classifier)?;
         let mut evaluator = RobustnessEvaluator::new(
-            self.classifier.name(),
             classifier,
             dataset.val_images(),
             dataset.val_labels(),
@@ -212,7 +211,6 @@ mod tests {
             let classifier = bank.classifier(ClassifierKind::MobileNetV2).unwrap();
             let dataset = bank.classification_dataset().unwrap();
             let mut evaluator = RobustnessEvaluator::new(
-                "MobileNet-V2",
                 classifier,
                 dataset.val_images(),
                 dataset.val_labels(),

@@ -168,8 +168,8 @@ impl SrModelKind {
     /// holds the collapsed network). For trained weights use
     /// [`SrModelKind::build_from_store`] /
     /// [`SrModelKind::build_from_checkpoint`], or the one supported order:
-    /// [`SrModelKind::build_local_network`] → `copy_weights` /
-    /// `Checkpoint::apply_to` → [`SrModelKind::wrap_network`].
+    /// [`SrModelKind::build_local_network`] → `Checkpoint::apply_to` →
+    /// [`SrModelKind::wrap_network`].
     ///
     /// Learned local networks are ×2-only; `scale` must be 2 for them.
     ///

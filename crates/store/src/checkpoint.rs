@@ -325,7 +325,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sesr_nn::{Conv2d, Sequential};
+    use sesr_nn::{BatchNorm2d, Conv2d, Sequential};
+    use sesr_tensor::{init, Shape};
 
     fn test_layer(seed: u64) -> Sequential {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -374,6 +375,41 @@ mod tests {
         for (a, b) in before.iter().zip(wider.params()) {
             assert_eq!(a, &b.value, "a failed apply must not partially hydrate");
         }
+    }
+
+    #[test]
+    fn apply_to_carries_batchnorm_running_statistics() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let build = |rng: &mut StdRng| {
+            let mut net = Sequential::new("bn_test");
+            net.push(Conv2d::new(3, 4, 3, 1, 1, rng));
+            net.push(BatchNorm2d::new(4));
+            net
+        };
+        let mut source = build(&mut rng);
+        let mut target = build(&mut rng);
+        // Training-mode passes move the running statistics off their init
+        // values; the optimizer never sees them.
+        for _ in 0..3 {
+            let batch = init::normal(Shape::new(&[2, 3, 6, 6]), 2.0, 1.0, &mut rng);
+            source.forward(&batch, true).unwrap();
+        }
+        assert_eq!(source.buffers().len(), 2, "running mean + running var");
+        for (trained, fresh) in source.buffers().iter().zip(target.buffers()) {
+            assert_ne!(*trained, fresh, "training must move the running stats");
+        }
+        Checkpoint::from_layer("m", 1, 0, &source)
+            .apply_to(&mut target)
+            .unwrap();
+        for (a, b) in source.buffers().iter().zip(target.buffers()) {
+            assert_eq!(*a, b);
+        }
+        let probe = init::normal(Shape::new(&[1, 3, 6, 6]), 2.0, 1.0, &mut rng);
+        assert_eq!(
+            source.forward(&probe, false).unwrap(),
+            target.forward(&probe, false).unwrap(),
+            "a hydrated copy must evaluate bit for bit like the trained net"
+        );
     }
 
     #[test]

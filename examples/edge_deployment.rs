@@ -6,7 +6,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p sesr-defense --example edge_deployment
+//! cargo run --release --example edge_deployment
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,85 +1,48 @@
-//! Quickstart: train a tiny classifier on the synthetic dataset, attack it
-//! with FGSM, and show how the SR-based defense pipeline recovers accuracy.
+//! Quickstart: train a tiny SESR-M2 and classifier on the synthetic data,
+//! attack the classifier with FGSM, and show how the SR-based defense
+//! pipeline recovers accuracy — one evaluation plan on a throw-away model
+//! bank.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p sesr-defense --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sesr_attacks::{AttackConfig, AttackKind};
-use sesr_classifiers::{ClassifierKind, ClassifierTrainer, ClassifierTrainingConfig};
-use sesr_datagen::{ClassificationDataset, DatasetConfig};
-use sesr_defense::experiments::{build_defense, train_sr_models, ExperimentConfig};
-use sesr_defense::pipeline::PreprocessConfig;
-use sesr_defense::robustness::RobustnessEvaluator;
+use sesr_attacks::AttackKind;
+use sesr_classifiers::ClassifierKind;
+use sesr_defense::eval::{DefenseSpec, EvalPlan, EvalSink, ModelBank, ScenarioSpec, TextTableSink};
+use sesr_defense::experiments::ExperimentConfig;
 use sesr_models::SrModelKind;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> sesr_tensor::Result<()> {
     let config = ExperimentConfig::quick();
-    println!("== SESR defense quickstart ==");
+    let bank = ModelBank::ephemeral(config.clone())?;
 
-    // 1. Synthetic "ImageNet" and a compact classifier.
-    println!("[1/4] generating data and training a MobileNet-V2-style classifier ...");
-    let dataset = ClassificationDataset::generate(DatasetConfig {
-        num_classes: config.num_classes,
-        train_size: config.train_size,
-        val_size: config.val_size,
-        height: config.image_size,
-        width: config.image_size,
-        seed: config.seed,
-    })?;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut classifier = ClassifierKind::MobileNetV2.build_local(config.num_classes, &mut rng);
-    let report = ClassifierTrainer::new(ClassifierTrainingConfig {
-        epochs: config.classifier_epochs,
-        batch_size: 12,
-        learning_rate: 3e-3,
-    })
-    .train(classifier.as_mut(), &dataset)?;
-    println!(
-        "      train accuracy {:.1}%, val accuracy {:.1}%",
-        report.train_accuracy * 100.0,
-        report.val_accuracy * 100.0
-    );
-
-    // 2. Train a tiny SESR super-resolution model on the synthetic DIV2K-like set.
-    println!("[2/4] training SESR-M2 for the defense ...");
-    let trained_sr = train_sr_models(&config)?;
-    for model in &trained_sr {
-        println!("      {} reached {:.2} dB PSNR", model.kind, model.val_psnr);
-    }
-
-    // 3. Craft FGSM adversarial examples against the bare classifier (gray box).
-    println!("[3/4] attacking the classifier with FGSM (eps = 8/255) ...");
-    let mut evaluator = RobustnessEvaluator::new(
-        "MobileNet-V2",
-        classifier,
-        dataset.val_images(),
-        dataset.val_labels(),
-        config.eval_images,
-    )?;
-    let attack = AttackKind::Fgsm.build(AttackConfig::paper());
-    let mut attack_rng = StdRng::seed_from_u64(7);
-    let adversarial = evaluator.craft_adversarial(attack.as_ref(), &mut attack_rng)?;
-    let undefended = evaluator.defended_accuracy(&adversarial, None)?;
-    println!("      accuracy with no defense: {:.1}%", undefended * 100.0);
-
-    // 4. Defend with nearest-neighbour and with SESR-M2.
-    println!("[4/4] applying the JPEG + wavelet + SR defense ...");
-    for kind in [SrModelKind::NearestNeighbor, SrModelKind::SesrM2] {
-        let pipeline = build_defense(kind, PreprocessConfig::paper(), &trained_sr, config.seed)?;
-        let accuracy = evaluator.defended_accuracy(&adversarial, Some(&pipeline))?;
-        println!(
-            "      defense with {:<17}: {:.1}%",
-            kind.name(),
-            accuracy * 100.0
+    // Table I (SR quality of the learned models), then the gray-box
+    // robustness of a MobileNet-V2 with no defense, nearest-neighbour
+    // upscaling and SESR-M2 behind JPEG + wavelet preprocessing.
+    let plan = EvalPlan::new("quickstart")
+        .extend(EvalPlan::table1(&config))
+        .scenario(
+            "robustness/mobilenet-v2",
+            ScenarioSpec::Robustness {
+                classifier: ClassifierKind::MobileNetV2,
+                defenses: vec![
+                    DefenseSpec::none(),
+                    DefenseSpec::paper(SrModelKind::NearestNeighbor),
+                    DefenseSpec::paper(SrModelKind::SesrM2),
+                ],
+                attacks: vec![AttackKind::Fgsm],
+                epsilons: vec![8.0 / 255.0],
+            },
         );
-    }
-    println!("done.");
+
+    let mut text = TextTableSink::new(std::io::stdout());
+    let mut sinks: [&mut dyn EvalSink; 1] = [&mut text];
+    let report = plan.run_with_sinks(&bank, &mut sinks)?;
+    assert!(report.ok(), "failed scenarios: {:?}", report.failures());
     Ok(())
 }

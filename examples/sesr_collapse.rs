@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p sesr-defense --example sesr_collapse
+//! cargo run --release --example sesr_collapse
 //! ```
 
 #![forbid(unsafe_code)]

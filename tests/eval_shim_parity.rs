@@ -5,10 +5,12 @@
 //!
 //! The `legacy` module below is a faithful reimplementation of the original
 //! monolithic drivers (train in-memory on every invocation, hand weights to
-//! defenses via `copy_weights`, evaluate with the just-trained classifier
-//! instance) built only on public API. If the plan-based path diverges in a
-//! single bit — a changed seed derivation, a lossy weight round-trip, a
-//! dropped batch-norm buffer — these tests fail.
+//! defenses via `Checkpoint::from_layer(..).apply_to(..)`, evaluate with the
+//! just-trained classifier instance) built only on public API. It is the one
+//! place outside `ModelBank` that spells out the training recipes, on
+//! purpose: it is the oracle. If the plan-based path diverges in a single
+//! bit — a changed seed derivation, a lossy weight round-trip, a dropped
+//! batch-norm buffer — these tests fail.
 
 use sesr_defense::eval::{EvalPlan, EvalRecord, ModelBank};
 use sesr_defense::experiments::ExperimentConfig;
@@ -17,20 +19,84 @@ mod legacy {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sesr_classifiers::{ClassifierKind, ClassifierTrainer, ClassifierTrainingConfig};
-    use sesr_datagen::{ClassificationDataset, DatasetConfig};
+    use sesr_datagen::{ClassificationDataset, DatasetConfig, SrDataset, SrDatasetConfig};
     use sesr_defense::eval::EvalRecord;
-    use sesr_defense::experiments::{
-        build_defense, train_sr_models, ExperimentConfig, TrainedSrModel,
-    };
-    use sesr_defense::pipeline::PreprocessConfig;
+    use sesr_defense::experiments::ExperimentConfig;
+    use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
     use sesr_defense::robustness::RobustnessEvaluator;
     use sesr_models::cost::{paper_cost, paper_reported, paper_reported_psnr};
+    use sesr_models::trainer::{evaluate_network_psnr, SrLoss, SrTrainer, SrTrainingConfig};
     use sesr_models::SrModelKind;
     use sesr_nn::Layer;
+    use sesr_store::Checkpoint;
+
+    /// A trained SR network with its kind and validation PSNR.
+    struct TrainedSrModel {
+        kind: SrModelKind,
+        network: Box<dyn Layer>,
+        val_psnr: f32,
+    }
+
+    /// Train every learned SR model in the config on one shared dataset.
+    fn train_sr_models(config: &ExperimentConfig) -> Vec<TrainedSrModel> {
+        let dataset = SrDataset::generate(SrDatasetConfig {
+            train_size: config.sr_train_size,
+            val_size: config.sr_val_size,
+            hr_size: config.sr_hr_size,
+            scale: 2,
+            seed: config.seed.wrapping_add(17),
+        })
+        .expect("legacy SR dataset");
+        let trainer = SrTrainer::new(SrTrainingConfig {
+            epochs: config.sr_epochs,
+            batch_size: 4,
+            learning_rate: 1e-3,
+            loss: SrLoss::Mae,
+        });
+        let mut out = Vec::new();
+        for kind in config.sr_kinds.iter().filter(|k| k.is_learned()) {
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1000 + *kind as u64));
+            let mut network = kind.build_local_network(&mut rng).expect("learned kind");
+            trainer
+                .train(network.as_mut(), &dataset)
+                .expect("legacy SR training");
+            let val_psnr = evaluate_network_psnr(network.as_mut(), &dataset).unwrap();
+            out.push(TrainedSrModel {
+                kind: *kind,
+                network,
+                val_psnr,
+            });
+        }
+        out
+    }
+
+    /// A defense for `kind`: interpolation built directly, a learned model
+    /// rebuilt from a fresh seed, given the trained weights, then deployed
+    /// through `wrap_network`.
+    fn build_defense(
+        kind: SrModelKind,
+        trained: &[TrainedSrModel],
+        config: &ExperimentConfig,
+    ) -> DefensePipeline {
+        let preprocess = PreprocessConfig::paper();
+        if let Some(upscaler) = kind.build_interpolation(2) {
+            return DefensePipeline::new(preprocess, upscaler);
+        }
+        let source = trained
+            .iter()
+            .find(|m| m.kind == kind)
+            .expect("learned kind was trained");
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(2000 + kind as u64));
+        let mut network = kind.build_local_network(&mut rng).expect("learned kind");
+        Checkpoint::from_layer("legacy", 2, 0, source.network.as_ref())
+            .apply_to(network.as_mut())
+            .expect("identical architecture");
+        DefensePipeline::new(preprocess, kind.wrap_network(2, network).unwrap())
+    }
 
     /// Table I: one record per learned SR model.
     pub fn table1(config: &ExperimentConfig) -> Vec<EvalRecord> {
-        let trained = train_sr_models(config).expect("legacy SR training");
+        let trained = train_sr_models(config);
         let mut rows = Vec::new();
         for model in &trained {
             let cost = paper_cost(model.kind).unwrap().expect("learned cost");
@@ -76,7 +142,6 @@ mod legacy {
     ) -> Vec<EvalRecord> {
         let classifier = train_classifier(classifier_kind, dataset, config);
         let mut evaluator = RobustnessEvaluator::new(
-            classifier_kind.name(),
             classifier,
             dataset.val_images(),
             dataset.val_labels(),
@@ -106,9 +171,7 @@ mod legacy {
                 let accuracy = match defense_kind {
                     None => evaluator.defended_accuracy(&adversarial, None).unwrap(),
                     Some(kind) => {
-                        let pipeline =
-                            build_defense(kind, PreprocessConfig::paper(), trained_sr, config.seed)
-                                .expect("legacy defense build");
+                        let pipeline = build_defense(kind, trained_sr, config);
                         evaluator
                             .defended_accuracy(&adversarial, Some(&pipeline))
                             .unwrap()
@@ -139,7 +202,7 @@ mod legacy {
             seed: config.seed,
         })
         .expect("legacy dataset");
-        let trained_sr = train_sr_models(config).expect("legacy SR training");
+        let trained_sr = train_sr_models(config);
         config
             .classifiers
             .iter()
