@@ -10,7 +10,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sesr_bench::bench_image;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::SrModelKind;
-use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError};
+use sesr_serve::{
+    DefenseGateway, DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError,
+};
 use sesr_tensor::Tensor;
 use std::time::Duration;
 
@@ -24,6 +26,24 @@ fn burst_images() -> Vec<Tensor> {
     (0..BURST)
         .map(|i| base.add_scalar(i as f32 * 1e-3).clamp(0.0, 1.0))
         .collect()
+}
+
+/// Completions and latency percentiles of one metric scope (`gateway` or
+/// `route.<label>`), read from the gateway's telemetry snapshot.
+fn served_line(gateway: &DefenseGateway, scope: &str) -> String {
+    let snapshot = gateway.telemetry_snapshot();
+    let completed = snapshot.counter(&format!("{scope}.completed")).unwrap_or(0);
+    let latency = |q: f64| {
+        snapshot
+            .histogram(&format!("{scope}.latency_ns"))
+            .map_or(Duration::ZERO, |h| h.quantile_duration(q))
+    };
+    format!(
+        "{scope}: served {completed}, latency p50 {:?} p95 {:?} p99 {:?}",
+        latency(0.50),
+        latency(0.95),
+        latency(0.99)
+    )
 }
 
 fn sequential_burst(c: &mut Criterion) {
@@ -86,7 +106,7 @@ fn served_burst(c: &mut Criterion) {
     });
     group.finish();
 
-    eprintln!("[table5] serve stats: {}", gateway.stats().global);
+    eprintln!("[table5] {}", served_line(&gateway, "gateway"));
     drop(client);
     gateway.shutdown();
 }
@@ -143,7 +163,10 @@ fn gateway_burst(c: &mut Criterion) {
     });
     group.finish();
 
-    eprintln!("[table5] gateway stats:\n{}", gateway.stats());
+    for route in &routes {
+        let scope = format!("route.{}", route.label());
+        eprintln!("[table5] {}", served_line(&gateway, &scope));
+    }
     drop(client);
     gateway.shutdown();
 }

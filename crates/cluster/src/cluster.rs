@@ -162,12 +162,6 @@ impl Cluster {
         lock(&self.view).clone()
     }
 
-    /// The latest telemetry snapshot the health probe collected from
-    /// `member`, if any.
-    pub fn member_snapshot(&self, member: MemberId) -> Option<TelemetrySnapshot> {
-        lock(&self.snapshots).get(&member).cloned()
-    }
-
     /// The same snapshot the front answers a wire Stats frame with: the
     /// front hub plus the `cluster.fleet.*` rollup of every member's
     /// probed telemetry. This is what `sesr-clusterd --telemetry` exports.

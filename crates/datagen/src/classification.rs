@@ -119,11 +119,6 @@ impl ClassificationDataset {
         (&self.train_images[i], self.train_labels[i])
     }
 
-    /// Validation example `i` as `(image, label)`.
-    pub fn val_example(&self, i: usize) -> (&Tensor, usize) {
-        (&self.val_images[i], self.val_labels[i])
-    }
-
     /// All validation images.
     pub fn val_images(&self) -> &[Tensor] {
         &self.val_images

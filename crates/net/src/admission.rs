@@ -79,15 +79,6 @@ impl TokenBucket {
         self.limit
     }
 
-    /// Take one token, using the real clock.
-    ///
-    /// # Errors
-    ///
-    /// The wait until the next token becomes available.
-    pub fn try_acquire(&self) -> Result<(), Duration> {
-        self.try_acquire_at(Instant::now())
-    }
-
     /// Take one token as of `now`. Time may not run backwards: a `now`
     /// earlier than the last observed instant refills nothing (it does not
     /// panic, and it cannot destroy tokens).

@@ -268,8 +268,9 @@ mod tests {
             ))
             .build()
             .expect("interpolation gateway");
-        let mut backend = LocalBackend::new(gateway.client(), Duration::from_millis(25));
-        let default_label = gateway.routes()[0].label();
+        let client = gateway.client();
+        let default_label = client.routes()[0].label();
+        let mut backend = LocalBackend::new(client, Duration::from_millis(25));
         assert!(backend.has_route(&default_label));
         assert!(!backend.has_route("nope:x2:raw"));
 

@@ -244,12 +244,6 @@ impl Sequential {
         self
     }
 
-    /// Append an already-boxed layer (useful when building dynamically).
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of child layers.
     pub fn len(&self) -> usize {
         self.layers.len()

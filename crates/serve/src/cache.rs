@@ -65,8 +65,6 @@ pub struct LruCache<K, V> {
     head: usize,
     tail: usize,
     free: Vec<usize>,
-    hits: u64,
-    misses: u64,
     evictions: u64,
 }
 
@@ -80,8 +78,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             head: NIL,
             tail: NIL,
             free: Vec::new(),
-            hits: 0,
-            misses: 0,
             evictions: 0,
         }
     }
@@ -99,11 +95,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Lifetime `(hits, misses)` counters for this cache.
-    pub fn hit_counts(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Lifetime count of capacity evictions (entries displaced by `insert`
@@ -140,18 +131,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.index.get(key).copied() {
-            Some(slot) => {
-                self.detach(slot);
-                self.push_front(slot);
-                self.hits += 1;
-                Some(&self.nodes[slot].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = self.index.get(key).copied()?;
+        self.detach(slot);
+        self.push_front(slot);
+        Some(&self.nodes[slot].value)
     }
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry if
@@ -265,7 +248,6 @@ mod tests {
         cache.insert(1, 10);
         assert!(cache.is_empty());
         assert_eq!(cache.get(&1), None);
-        assert_eq!(cache.hit_counts(), (0, 1));
     }
 
     #[test]

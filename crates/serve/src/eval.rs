@@ -146,10 +146,14 @@ impl CustomScenario for GatewayScenario {
                 // `defend_blocking` is synchronous, so the route's counters
                 // are settled: subtract the totals of earlier passes to get
                 // this pass's share.
-                let route_stats = client.route_stats(key).map_err(|e| serve_err("stats", e))?;
-                let (prev_served, prev_hits) = seen
-                    .insert(*key, (route_stats.completed, route_stats.cache_hits))
-                    .unwrap_or((0, 0));
+                let snapshot = client.telemetry_snapshot();
+                let count = |metric: &str| {
+                    snapshot
+                        .counter(&format!("route.{}.{metric}", key.label()))
+                        .unwrap_or(0)
+                };
+                let (served, hits) = (count("completed"), count("cache_hits"));
+                let (prev_served, prev_hits) = seen.insert(*key, (served, hits)).unwrap_or((0, 0));
                 records.push(
                     EvalRecord::new()
                         .text("classifier", self.classifier.name())
@@ -159,8 +163,8 @@ impl CustomScenario for GatewayScenario {
                         .float("clean_accuracy", f64::from(clean_accuracy))
                         .float("robust_accuracy", f64::from(robust_accuracy))
                         .int("num_images", adversarial.len() as u64)
-                        .int("served", route_stats.completed - prev_served)
-                        .int("cache_hits", route_stats.cache_hits - prev_hits),
+                        .int("served", served - prev_served)
+                        .int("cache_hits", hits - prev_hits),
                 );
             }
         }

@@ -20,7 +20,7 @@
 //!                         │            └──► ... one shard per declared route   │
 //!                         │                                                    │
 //!                         │   shared LRU cache keyed by (RouteKey, hash)       │
-//!                         │   StatsRecorder per route + gateway-wide           │
+//!                         │   route.* + gateway.* metrics, one registry        │
 //!                         └────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -33,12 +33,12 @@
 //! drops nothing. [`ReloadWatcher`] automates this by polling the artifact
 //! store and reloading any route whose newest artifact changed.
 
-// lint: allow-file(atomic-ordering): route epoch + stats counters; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
+// lint: allow-file(atomic-ordering): request ids + route health; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
 
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::server::{PendingResponse, ServeError, WorkerAssets};
 use crate::shard::{spawn_shard, CacheKey, Job, SharedCache, StatsPair};
-use crate::stats::{GatewayStats, ServeStats, StatsRecorder};
+use crate::stats::StatsRecorder;
 use crate::telemetry::{ArenaGauges, StageProbes, TelemetryExporter};
 use crate::{content_hash, LruCache};
 use sesr_defense::pipeline::DefensePipeline;
@@ -436,37 +436,24 @@ fn arena_gauges(telemetry: &Telemetry, route: &RouteKey, num_workers: usize) -> 
 }
 
 /// Refresh the gateway-level cache gauges, then snapshot the whole hub. The
-/// LRU counters live behind the cache mutex, so they are mirrored into
-/// gauges here — at snapshot time, off the hot path — rather than on every
-/// lookup.
+/// LRU's eviction count and size live behind the cache mutex, so they are
+/// mirrored into gauges here — at snapshot time, off the hot path — rather
+/// than on every insert. Hits and misses are the `gateway.cache_hits` /
+/// `gateway.cache_misses` counters.
 fn telemetry_snapshot(shared: &GatewayShared) -> TelemetrySnapshot {
     if shared.cache_enabled {
-        let (hits, misses, evictions, entries) = {
+        let (evictions, entries) = {
             let cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            let (hits, misses) = cache.hit_counts();
-            (hits, misses, cache.eviction_count(), cache.len() as u64)
+            (cache.eviction_count(), cache.len() as u64)
         };
         let metrics = shared.telemetry.metrics();
         let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        metrics.gauge("gateway.cache.hits").set(clamp(hits));
-        metrics.gauge("gateway.cache.misses").set(clamp(misses));
         metrics
             .gauge("gateway.cache.evictions")
             .set(clamp(evictions));
         metrics.gauge("gateway.cache.entries").set(clamp(entries));
     }
     shared.telemetry.snapshot()
-}
-
-fn snapshot(shared: &GatewayShared) -> GatewayStats {
-    GatewayStats {
-        global: shared.stats.snapshot(),
-        per_route: shared
-            .order
-            .iter()
-            .map(|key| (*key, shared.routes[key].stats.snapshot()))
-            .collect(),
-    }
 }
 
 impl GatewayClient {
@@ -506,20 +493,6 @@ impl GatewayClient {
     /// The route requests go to when they name none.
     pub fn default_route(&self) -> RouteKey {
         self.shared.default_route
-    }
-
-    /// Global + per-route statistics snapshot.
-    pub fn stats(&self) -> GatewayStats {
-        snapshot(&self.shared)
-    }
-
-    /// One route's statistics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownRoute`] when the gateway does not serve `route`.
-    pub fn route_stats(&self, route: &RouteKey) -> Result<ServeStats, ServeError> {
-        Ok(entry_for(&self.shared, route)?.stats.snapshot())
     }
 
     /// Hot-reload one route with zero downtime and zero dropped jobs.
@@ -576,8 +549,11 @@ impl GatewayClient {
     }
 
     /// Snapshot every metric and the journal, including the freshly mirrored
-    /// cache gauges (`gateway.cache.*`). The JSON form of this snapshot is
-    /// what `sesr-top` renders.
+    /// cache gauges (`gateway.cache.*`). This is the one way to read the
+    /// gateway's numbers: gateway-wide counters (`gateway.completed`,
+    /// `gateway.cache_hits`, `gateway.reloads`, …), their per-route twins
+    /// (`route.<label>.*`), latency and stage histograms, and the journal.
+    /// Its JSON form is what `sesr-top` renders.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         telemetry_snapshot(&self.shared)
     }
@@ -655,30 +631,6 @@ impl DefenseGateway {
         GatewayClient {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Every route the gateway serves, in declaration order.
-    pub fn routes(&self) -> Vec<RouteKey> {
-        self.shared.order.clone()
-    }
-
-    /// Global + per-route statistics snapshot.
-    pub fn stats(&self) -> GatewayStats {
-        snapshot(&self.shared)
-    }
-
-    /// Hot-reload one route; see [`GatewayClient::reload`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`GatewayClient::reload`] can return.
-    pub fn reload(&self, route: &RouteKey) -> Result<(), ServeError> {
-        reload_route(&self.shared, route)
-    }
-
-    /// The gateway's telemetry hub.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.shared.telemetry
     }
 
     /// Snapshot every metric and the journal; see
@@ -1005,14 +957,14 @@ impl GatewayBuilder {
                 }
             };
             let label = key.label();
-            let route_stats = Arc::new(StatsRecorder::registered(
+            let route_recorder = Arc::new(StatsRecorder::registered(
                 telemetry.metrics(),
                 &format!("route.{label}"),
             ));
             let route_stages = Arc::new(StageProbes::for_route(&telemetry, &label));
             let stats = StatsPair {
                 global: Arc::clone(&global_stats),
-                route: Arc::clone(&route_stats),
+                route: Arc::clone(&route_recorder),
                 stages: Arc::clone(&route_stages),
             };
             let arenas = arena_gauges(&telemetry, &key, config.num_workers);
@@ -1024,7 +976,7 @@ impl GatewayBuilder {
                 Arc::new(RouteEntry {
                     config,
                     factory: Mutex::new(factory),
-                    stats: route_stats,
+                    stats: route_recorder,
                     stages: route_stages,
                     active: RwLock::new(sender),
                     threads: Mutex::new(Some(threads)),
@@ -1071,21 +1023,24 @@ fn build_with(
 ///
 /// Promotion is **health-gated**: a new artifact is only promoted while its
 /// route is [`HealthState::Healthy`]; otherwise the attempt is refused
-/// (counted, journaled as `gateway.reload_refused`) and retried on every
-/// poll until the route recovers. After a promotion the route is on
-/// probation: if its health collapses to Unhealthy inside the probation
-/// window, the watcher rolls back to the previously served artifact version
+/// (journaled as `gateway.reload_refused`) and retried on every poll until
+/// the route recovers. After a promotion the route is on probation: if its
+/// health collapses to Unhealthy inside the probation window, the watcher
+/// rolls back to the previously served artifact version
 /// (`gateway.reload_demoted`) — the stepping stone to a full canary gate.
+///
+/// The watcher keeps no counts of its own. Read them from
+/// [`GatewayClient::telemetry_snapshot`]: the registry counters
+/// `gateway.reloads` (promotions, and any other successful reload),
+/// `gateway.reload_failures` (failed reloads *and* failed rollbacks, each
+/// also a Warn `gateway.reload_failed` event), `gateway.reload_refused` and
+/// `gateway.reload_demoted`.
 ///
 /// The watcher holds a [`GatewayClient`]; call [`ReloadWatcher::stop`]
 /// before [`DefenseGateway::shutdown`] or the shutdown join will wait on it.
 pub struct ReloadWatcher {
     stop_tx: mpsc::Sender<()>,
     thread: JoinHandle<()>,
-    reloads: Arc<AtomicU64>,
-    failures: Arc<AtomicU64>,
-    refusals: Arc<AtomicU64>,
-    demotions: Arc<AtomicU64>,
 }
 
 /// Per-route watcher state: the artifact being served, plus probation
@@ -1145,14 +1100,6 @@ impl ReloadWatcher {
                 )
             })
             .collect();
-        let reloads = Arc::new(AtomicU64::new(0));
-        let failures = Arc::new(AtomicU64::new(0));
-        let refusals = Arc::new(AtomicU64::new(0));
-        let demotions = Arc::new(AtomicU64::new(0));
-        let reload_counter = Arc::clone(&reloads);
-        let failure_counter = Arc::clone(&failures);
-        let refusal_counter = Arc::clone(&refusals);
-        let demotion_counter = Arc::clone(&demotions);
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let thread = std::thread::spawn(move || loop {
             match stop_rx.recv_timeout(interval) {
@@ -1173,13 +1120,12 @@ impl ReloadWatcher {
                         // Survived probation: stays cleared.
                     } else if health == HealthState::Unhealthy {
                         if let Some(prior) = promotion.prior {
-                            let shared = &client.shared;
-                            match reload_route_pinned(shared, key, prior) {
+                            let lifecycle = &client.shared.lifecycle;
+                            let started = Instant::now();
+                            match reload_route_pinned(&client.shared, key, prior) {
                                 Ok(()) => {
-                                    demotion_counter.fetch_add(1, Ordering::Relaxed);
-                                    shared.lifecycle.reload_demotions.incr();
-                                    shared
-                                        .lifecycle
+                                    lifecycle.reload_demotions.incr();
+                                    lifecycle
                                         .reload_demoted
                                         .observe(route_index, promotion.at.elapsed());
                                     // `known` stays at the newest (bad)
@@ -1189,7 +1135,13 @@ impl ReloadWatcher {
                                     continue;
                                 }
                                 Err(_) => {
-                                    failure_counter.fetch_add(1, Ordering::Relaxed);
+                                    // The route keeps serving the artifact
+                                    // that tanked it: as loud as a failed
+                                    // forward reload.
+                                    lifecycle.reload_failures.incr();
+                                    lifecycle
+                                        .reload_failed
+                                        .observe(route_index, started.elapsed());
                                 }
                             }
                         }
@@ -1205,11 +1157,9 @@ impl ReloadWatcher {
                     // that is already missing its SLOs — a reload there
                     // destroys the evidence and risks stacking regressions.
                     if health != HealthState::Healthy {
-                        refusal_counter.fetch_add(1, Ordering::Relaxed);
-                        let shared = &client.shared;
-                        shared.lifecycle.reload_refusals.incr();
-                        shared
-                            .lifecycle
+                        let lifecycle = &client.shared.lifecycle;
+                        lifecycle.reload_refusals.incr();
+                        lifecycle
                             .reload_refused
                             .observe(route_index, Duration::ZERO);
                         // `known` is deliberately not updated: the promotion
@@ -1219,66 +1169,25 @@ impl ReloadWatcher {
                     }
                     // Mark the version seen only once it is actually being
                     // served; a failed reload (e.g. a corrupt artifact or
-                    // transient I/O) is counted and retried on every poll
-                    // until it succeeds.
-                    match client.reload(key) {
-                        Ok(()) => {
-                            reload_counter.fetch_add(1, Ordering::Relaxed);
-                            watch.promoted = Some(Promotion {
-                                at: Instant::now(),
-                                prior: watch.known,
-                            });
-                            watch.known = newest;
-                        }
-                        Err(_) => {
-                            failure_counter.fetch_add(1, Ordering::Relaxed);
-                        }
+                    // transient I/O) is counted by `reload_route` and
+                    // retried on every poll until it succeeds.
+                    if client.reload(key).is_ok() {
+                        watch.promoted = Some(Promotion {
+                            at: Instant::now(),
+                            prior: watch.known,
+                        });
+                        watch.known = newest;
                     }
                 }
             }
         });
-        Ok(ReloadWatcher {
-            stop_tx,
-            thread,
-            reloads,
-            failures,
-            refusals,
-            demotions,
-        })
-    }
-
-    /// Number of successful reloads the watcher has triggered.
-    pub fn reload_count(&self) -> u64 {
-        self.reloads.load(Ordering::Relaxed)
-    }
-
-    /// Number of reload attempts that failed (each is retried on the next
-    /// poll). A steadily climbing count means a route's newest artifact
-    /// cannot be served — e.g. it is corrupt — while the old weights keep
-    /// serving.
-    pub fn failure_count(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Number of promotions refused because the target route was not
-    /// Healthy (each is retried once the route recovers).
-    pub fn refused_count(&self) -> u64 {
-        self.refusals.load(Ordering::Relaxed)
-    }
-
-    /// Number of post-promotion rollbacks: health collapsed inside the
-    /// probation window and the prior artifact was re-pinned.
-    pub fn demotion_count(&self) -> u64 {
-        self.demotions.load(Ordering::Relaxed)
+        Ok(ReloadWatcher { stop_tx, thread })
     }
 
     /// Stop polling and join the watcher thread (releases its client).
     pub fn stop(self) {
-        let ReloadWatcher {
-            stop_tx, thread, ..
-        } = self;
-        let _ = stop_tx.send(());
-        let _ = thread.join();
+        let _ = self.stop_tx.send(());
+        let _ = self.thread.join();
     }
 }
 
@@ -1372,9 +1281,10 @@ mod tests {
         );
         assert_ne!(nearest.defended, bicubic.defended);
 
-        let stats = gateway.stats();
-        assert_eq!(stats.global.completed, 3);
-        assert_eq!(stats.route(&bicubic_route()).unwrap().completed, 1);
+        let snapshot = gateway.telemetry_snapshot();
+        assert_eq!(snapshot.counter("gateway.completed"), Some(3));
+        let bicubic_completed = format!("route.{}.completed", bicubic_route().label());
+        assert_eq!(snapshot.counter(&bicubic_completed), Some(1));
         drop(client);
         gateway.shutdown();
     }
@@ -1392,10 +1302,6 @@ mod tests {
             Err(other) => panic!("expected UnknownRoute, got {other}"),
             Ok(_) => panic!("expected UnknownRoute, got a pending response"),
         }
-        assert!(matches!(
-            client.route_stats(&missing),
-            Err(ServeError::UnknownRoute(_))
-        ));
         assert!(matches!(
             client.reload(&missing),
             Err(ServeError::UnknownRoute(_))
@@ -1418,9 +1324,18 @@ mod tests {
                 .unwrap();
             assert!(!response.cache_hit, "skip_cache must never hit");
         }
-        let stats = client.stats().global;
-        assert_eq!(stats.computed_images, 2, "skip_cache must recompute");
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0, "no lookups");
+        let snapshot = client.telemetry_snapshot();
+        assert_eq!(
+            snapshot.counter("gateway.computed_images"),
+            Some(2),
+            "skip_cache must recompute"
+        );
+        assert_eq!(
+            snapshot.counter("gateway.cache_hits"),
+            Some(0),
+            "no lookups"
+        );
+        assert_eq!(snapshot.counter("gateway.cache_misses"), Some(0));
         // And the bypassing requests inserted nothing: a normal request
         // still misses.
         assert!(
@@ -1485,9 +1400,10 @@ mod tests {
                 "{stage} must be journaled under request {computed_id}"
             );
         }
-        // Cache gauges are mirrored at snapshot time.
-        assert_eq!(snapshot.gauge("gateway.cache.hits"), Some(1));
-        assert_eq!(snapshot.gauge("gateway.cache.misses"), Some(1));
+        // One miss then one hit, counted once each; the cache size is
+        // mirrored into a gauge at snapshot time.
+        assert_eq!(snapshot.counter("gateway.cache_hits"), Some(1));
+        assert_eq!(snapshot.counter("gateway.cache_misses"), Some(1));
         assert_eq!(snapshot.gauge("gateway.cache.entries"), Some(1));
         // Worker arena gauges were published after the batch.
         assert!(
@@ -1496,7 +1412,7 @@ mod tests {
                 .is_some_and(|bytes| bytes > 0),
             "worker 0 must publish its arena high-water mark"
         );
-        // GatewayStats is a view over the same registry: the counters agree.
+        // Both requests are counted on their route and gateway-wide.
         assert_eq!(
             snapshot.counter(&format!("route.{label}.completed")),
             Some(2)
@@ -1588,9 +1504,13 @@ mod tests {
         for pending in doomed {
             assert_eq!(pending.wait().unwrap_err(), ServeError::DeadlineExceeded);
         }
-        let stats = client.stats().global;
-        assert_eq!(stats.expired, 3);
-        assert_eq!(stats.computed_images, 1, "expired jobs are never defended");
+        let snapshot = client.telemetry_snapshot();
+        assert_eq!(snapshot.counter("gateway.expired"), Some(3));
+        assert_eq!(
+            snapshot.counter("gateway.computed_images"),
+            Some(1),
+            "expired jobs are never defended"
+        );
         drop(client);
         gateway.shutdown();
     }
@@ -1606,7 +1526,10 @@ mod tests {
             .defend_blocking(DefenseRequest::new(test_image(7, 8)).with_deadline(Duration::MAX))
             .unwrap();
         assert_eq!(response.defended.shape().dims(), &[1, 3, 16, 16]);
-        assert_eq!(client.stats().global.expired, 0);
+        assert_eq!(
+            client.telemetry_snapshot().counter("gateway.expired"),
+            Some(0)
+        );
         drop(client);
         gateway.shutdown();
     }
@@ -1638,7 +1561,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            gateway.routes(),
+            gateway.client().routes(),
             vec![RouteKey::paper(SrModelKind::SesrM2, 2)]
         );
         gateway.shutdown();
@@ -1681,13 +1604,13 @@ mod tests {
             .route(bicubic_route())
             .build()
             .unwrap();
+        let client = gateway.client();
         assert!(matches!(
-            gateway.reload(&nearest_route()),
+            client.reload(&nearest_route()),
             Err(ServeError::InvalidRequest(_))
         ));
-        gateway.reload(&bicubic_route()).unwrap();
+        client.reload(&bicubic_route()).unwrap();
         // The reloaded route still serves correctly.
-        let client = gateway.client();
         let image = test_image(2, 8);
         let served = client
             .defend_blocking(DefenseRequest::new(image.clone()).on(bicubic_route()))
@@ -1737,16 +1660,25 @@ mod tests {
             b"not a checkpoint",
         )
         .unwrap();
+        let failures = || {
+            client
+                .telemetry_snapshot()
+                .counter("gateway.reload_failures")
+                .unwrap_or(0)
+        };
         let mut waited = Duration::ZERO;
-        while watcher.failure_count() < 2 && waited < Duration::from_secs(10) {
+        while failures() < 2 && waited < Duration::from_secs(10) {
             std::thread::sleep(Duration::from_millis(5));
             waited += Duration::from_millis(5);
         }
         assert!(
-            watcher.failure_count() >= 2,
+            failures() >= 2,
             "an unservable newest artifact must be counted and retried"
         );
-        assert_eq!(watcher.reload_count(), 0);
+        assert_eq!(
+            client.telemetry_snapshot().counter("gateway.reloads"),
+            Some(0)
+        );
         let after = client
             .defend_blocking(DefenseRequest::new(image).skip_cache())
             .unwrap();

@@ -22,7 +22,7 @@
 //!       ▼              │   │ by (RouteKey, hash)      │      ▼                    │
 //! PendingResponse ◄────┼── per-request response channels ◄── split batch          │
 //!                      │                                                          │
-//!                      │   StatsRecorder per route + gateway-wide (GatewayStats)  │
+//!                      │   one registry: route.* + gateway.* → telemetry_snapshot │
 //!                      └──────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -47,9 +47,10 @@
 //!   `(RouteKey, content-hash)`, so two routes serving different models can
 //!   never return each other's outputs; a reload purges only its own
 //!   route's entries.
-//! * **Per-route observability.** [`GatewayStats`] reports the global view
-//!   plus a per-route breakdown (jobs, p50/p95/p99, cache hit rate,
-//!   rejections).
+//! * **Per-route observability.** [`GatewayClient::telemetry_snapshot`] is
+//!   the one way to read a gateway: gateway-wide counters (`gateway.*`), a
+//!   per-route breakdown (`route.<label>.*`: jobs, latency histogram, cache
+//!   hits, rejections, stage timings) and the event journal.
 //! * **Dynamic batching** (per shard): each worker forms its batch at
 //!   pickup, grouped by shape, and workers **share nothing**.
 //! * **Cross-request tensor arena reuse.** Every worker owns a
@@ -84,7 +85,10 @@
 //! assert_eq!(response.defended.shape().dims(), &[1, 3, 32, 32]);
 //! // Default route:
 //! client.defend_blocking(DefenseRequest::new(image))?;
-//! println!("{}", gateway.stats());
+//! let snapshot = gateway.telemetry_snapshot();
+//! assert_eq!(snapshot.counter("gateway.completed"), Some(2));
+//! assert_eq!(snapshot.counter(&format!("route.{}.completed", bicubic.label())), Some(1));
+//! println!("{}", snapshot.render_text());
 //! drop(client); // client clones keep the submission queues open
 //! gateway.shutdown();
 //! # Ok::<(), sesr_serve::ServeError>(())
@@ -100,7 +104,7 @@ pub mod route;
 pub mod server;
 mod shard;
 pub mod slo;
-pub mod stats;
+mod stats;
 pub mod telemetry;
 
 pub use cache::{content_hash, LruCache};
@@ -109,5 +113,4 @@ pub use gateway::{DefenseGateway, GatewayBuilder, GatewayClient, ReloadWatcher, 
 pub use route::{DefenseRequest, RouteConfig, RouteKey};
 pub use server::{DefenseResponse, PendingResponse, ServeError, WorkerAssets};
 pub use slo::{SloMonitor, SloPolicy, SloRuntime};
-pub use stats::{GatewayStats, ServeStats, StatsRecorder};
 pub use telemetry::{write_snapshot_atomic, TelemetryExporter};

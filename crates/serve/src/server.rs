@@ -339,7 +339,10 @@ mod tests {
             rejected > 0,
             "a 2-slot queue behind a 40ms/image worker must reject a 32-image burst"
         );
-        assert_eq!(gateway.stats().global.rejected, rejected as u64);
+        assert_eq!(
+            gateway.telemetry_snapshot().counter("gateway.rejected"),
+            Some(rejected as u64)
+        );
         for p in pending {
             p.wait().unwrap();
         }
@@ -369,9 +372,10 @@ mod tests {
         }
         // The first job may be picked up alone; the other three queue behind
         // its 200 ms defense and must leave in one batch, linger or not.
-        let stats = gateway.stats().global;
-        assert!(stats.batches <= 2, "took {} batches", stats.batches);
-        assert_eq!(stats.computed_images, 4);
+        let snapshot = gateway.telemetry_snapshot();
+        let batches = snapshot.counter("gateway.batches").unwrap_or(0);
+        assert!(batches <= 2, "took {batches} batches");
+        assert_eq!(snapshot.counter("gateway.computed_images"), Some(4));
         drop(client);
         gateway.shutdown();
     }
@@ -421,13 +425,17 @@ mod tests {
         let second = client.defend_blocking(DefenseRequest::new(image)).unwrap();
         assert!(second.cache_hit);
         assert_eq!(first.defended, second.defended);
-        let stats = gateway.stats().global;
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1, "the first lookup was a miss");
-        assert_eq!(stats.cache_hit_rate(), 0.5);
+        let snapshot = gateway.telemetry_snapshot();
+        assert_eq!(snapshot.counter("gateway.completed"), Some(2));
+        assert_eq!(snapshot.counter("gateway.cache_hits"), Some(1));
         assert_eq!(
-            stats.computed_images, 1,
+            snapshot.counter("gateway.cache_misses"),
+            Some(1),
+            "the first lookup was a miss"
+        );
+        assert_eq!(
+            snapshot.counter("gateway.computed_images"),
+            Some(1),
             "the second request must not recompute"
         );
         drop(client);

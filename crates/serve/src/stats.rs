@@ -1,37 +1,20 @@
-//! Latency and throughput accounting for the serving subsystem.
+//! Recording handles for the serving subsystem's counters.
 //!
-//! Every [`StatsRecorder`] aggregates one stream of events into a
-//! [`ServeStats`] snapshot. The gateway keeps one recorder per route plus a
-//! global one (each event is recorded on both), and snapshots them together
-//! as [`GatewayStats`]: the global view the old single-pipeline server
-//! reported, alongside a per-[`RouteKey`] breakdown.
-//!
-//! Since the telemetry refactor the recorder is a **thin view over a
-//! [`MetricsRegistry`]**: every counter lives in the registry under a scoped
-//! name (`gateway.completed`, `route.<label>.completed`, …) and latency goes
-//! into a shared log-bucketed [`Histogram`] covering the server's whole
-//! lifetime. Recording is a handful of relaxed atomic adds — no mutex (so a
-//! panicking worker can never poison the stats for everyone else, which the
-//! old `Mutex<Inner>` implementation did via its
-//! `expect("stats mutex poisoned")`), no allocation, and snapshots are an
-//! O(buckets) merge instead of a sort of an 8192-sample window.
-//!
-//! Semantics of [`ServeStats`] are preserved with one documented shift:
-//! `p50`/`p95`/`p99` are now whole-lifetime estimates with ~2% relative
-//! error (bucket midpoints) instead of exact order statistics over a
-//! sliding window, and `mean` is the exact lifetime mean.
+//! A [`StatsRecorder`] writes one stream of serving events into a
+//! [`MetricsRegistry`] under a scoped name (`gateway.completed`,
+//! `route.<label>.completed`, …); latency goes into a log-bucketed
+//! [`Histogram`] covering the gateway's whole lifetime. The gateway keeps one
+//! recorder per route plus a global one and records every event on both.
+//! Recording is a handful of relaxed atomic adds: no lock, no allocation.
+//! The numbers are read only through the gateway's telemetry snapshot.
 
-use crate::route::RouteKey;
 use sesr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Thread-safe recorder fed by the client (rejections, cache hits) and the
-/// workers (completions, batch sizes). Cheap enough to call per request:
-/// every event is a few relaxed atomic adds on registry-owned handles, all
-/// aggregation deferred to [`StatsRecorder::snapshot`].
-pub struct StatsRecorder {
-    epoch: Instant,
+/// workers (completions, batch sizes).
+pub(crate) struct StatsRecorder {
     latency_ns: Arc<Histogram>,
     completed: Arc<Counter>,
     computed_images: Arc<Counter>,
@@ -43,30 +26,17 @@ pub struct StatsRecorder {
     batches: Arc<Counter>,
     batched_images: Arc<Counter>,
     largest_batch: Arc<Gauge>,
-    first_completion_us: Arc<Gauge>,
-    last_completion_us: Arc<Gauge>,
 }
 
 impl StatsRecorder {
-    /// Create a recorder backed by its own private registry (scope
-    /// `"serve"`). Gateways instead register their recorders in a shared
-    /// registry via [`StatsRecorder::registered`] so one
-    /// [`TelemetrySnapshot`](sesr_telemetry::TelemetrySnapshot) covers
-    /// every route.
-    pub fn new() -> Self {
-        Self::registered(&MetricsRegistry::new(), "serve")
-    }
-
-    /// Create a recorder whose metrics live in `registry` under
-    /// `scope.<metric>` names (e.g. `gateway.completed`,
+    /// A recorder whose metrics live in `registry` under `scope.<metric>`
+    /// names (e.g. `gateway.completed`,
     /// `route.sesr-m2:x2:jpeg75+wavelet2.latency_ns`). Registration is
     /// idempotent: two recorders built with the same registry and scope
     /// share the same underlying metrics.
-    pub fn registered(registry: &MetricsRegistry, scope: &str) -> Self {
+    pub(crate) fn registered(registry: &MetricsRegistry, scope: &str) -> Self {
         let counter = |metric: &str| registry.counter(&format!("{scope}.{metric}"));
-        let gauge = |metric: &str| registry.gauge(&format!("{scope}.{metric}"));
         StatsRecorder {
-            epoch: Instant::now(),
             latency_ns: registry.histogram(&format!("{scope}.latency_ns")),
             completed: counter("completed"),
             computed_images: counter("computed_images"),
@@ -77,242 +47,53 @@ impl StatsRecorder {
             expired: counter("expired"),
             batches: counter("batches"),
             batched_images: counter("batched_images"),
-            largest_batch: gauge("largest_batch"),
-            first_completion_us: gauge("first_completion_us"),
-            last_completion_us: gauge("last_completion_us"),
+            largest_batch: registry.gauge(&format!("{scope}.largest_batch")),
         }
     }
 
-    /// The lifetime latency histogram backing the percentile fields.
-    pub fn latency_histogram(&self) -> &Arc<Histogram> {
-        &self.latency_ns
-    }
-
     /// Record one finished request with its end-to-end latency.
-    pub fn record_completion(&self, latency: Duration, cache_hit: bool) {
+    pub(crate) fn record_completion(&self, latency: Duration, cache_hit: bool) {
         self.completed.incr();
         if cache_hit {
             self.cache_hits.incr();
         }
         self.latency_ns.record_duration(latency);
-        // Completion timestamps are micros since the recorder's epoch,
-        // clamped to at least 1 so 0 keeps meaning "never".
-        let now = u64::try_from(self.epoch.elapsed().as_micros())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        let now = i64::try_from(now).unwrap_or(i64::MAX);
-        self.first_completion_us.set_if_unset(now);
-        self.last_completion_us.set_max(now);
     }
 
     /// Record images that actually went through the defense pipeline (as
     /// opposed to being served from cache).
-    pub fn record_computed(&self, images: usize) {
+    pub(crate) fn record_computed(&self, images: usize) {
         self.computed_images.add(images as u64);
     }
 
-    /// Record an LRU lookup that missed (hits are counted by
-    /// [`StatsRecorder::record_completion`], which sees the resolved
-    /// response). Mirrors the cache's own lifetime counters
-    /// ([`LruCache::hit_counts`](crate::cache::LruCache::hit_counts)) into
-    /// the snapshot every client can read.
-    pub fn record_cache_miss(&self) {
+    /// Record a cache miss whose request was accepted onto a queue (hits
+    /// are counted by [`StatsRecorder::record_completion`]).
+    pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.incr();
     }
 
     /// Record a submission rejected with `Overloaded`.
-    pub fn record_rejection(&self) {
+    pub(crate) fn record_rejection(&self) {
         self.rejected.incr();
     }
 
     /// Record a request that failed inside the pipeline.
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         self.errors.incr();
     }
 
     /// Record a request whose per-request deadline passed before a worker
     /// reached it (answered with `DeadlineExceeded`, never defended).
-    pub fn record_expired(&self) {
+    pub(crate) fn record_expired(&self) {
         self.expired.incr();
     }
 
     /// Record one dispatched batch of `size` images.
-    pub fn record_batch(&self, size: usize) {
+    pub(crate) fn record_batch(&self, size: usize) {
         self.batches.incr();
         self.batched_images.add(size as u64);
         self.largest_batch
             .set_max(i64::try_from(size).unwrap_or(i64::MAX));
-    }
-
-    /// Aggregate everything recorded so far.
-    pub fn snapshot(&self) -> ServeStats {
-        let latency = self.latency_ns.snapshot();
-        let completed = self.completed.get();
-        let batches = self.batches.get();
-        let first_us = self.first_completion_us.get();
-        let last_us = self.last_completion_us.get();
-        let elapsed = Duration::from_micros((last_us - first_us).max(0) as u64);
-        let images_per_sec = if elapsed.as_secs_f64() > 0.0 && completed > 1 {
-            // The first completion opens the window, so it is not part of the
-            // rate measured across the window.
-            (completed - 1) as f64 / elapsed.as_secs_f64()
-        } else {
-            0.0
-        };
-        ServeStats {
-            completed,
-            computed_images: self.computed_images.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            rejected: self.rejected.get(),
-            errors: self.errors.get(),
-            expired: self.expired.get(),
-            batches,
-            mean_batch: if batches > 0 {
-                self.batched_images.get() as f64 / batches as f64
-            } else {
-                0.0
-            },
-            largest_batch: self.largest_batch.get().max(0) as usize,
-            p50: latency.quantile_duration(0.50),
-            p95: latency.quantile_duration(0.95),
-            p99: latency.quantile_duration(0.99),
-            mean: latency.mean_duration(),
-            images_per_sec,
-        }
-    }
-}
-
-impl Default for StatsRecorder {
-    fn default() -> Self {
-        StatsRecorder::new()
-    }
-}
-
-impl std::fmt::Debug for StatsRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatsRecorder")
-            .field("completed", &self.completed.get())
-            .field("batches", &self.batches.get())
-            .finish()
-    }
-}
-
-/// A point-in-time aggregate of serving behaviour.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeStats {
-    /// Requests answered (including cache hits).
-    pub completed: u64,
-    /// Images that actually ran through the defense pipeline.
-    pub computed_images: u64,
-    /// Requests served from the LRU cache.
-    pub cache_hits: u64,
-    /// Cache lookups that missed and went on to the pipeline (0 when caching
-    /// is disabled, since no lookups happen at all).
-    pub cache_misses: u64,
-    /// Submissions rejected with `Overloaded`.
-    pub rejected: u64,
-    /// Requests that failed inside the pipeline.
-    pub errors: u64,
-    /// Requests answered with `DeadlineExceeded` (deadline passed in queue).
-    pub expired: u64,
-    /// Batches dispatched to workers.
-    pub batches: u64,
-    /// Mean images per dispatched batch.
-    pub mean_batch: f64,
-    /// Largest batch dispatched.
-    pub largest_batch: usize,
-    /// Median end-to-end latency over the server's lifetime (log-bucketed
-    /// estimate, ~2% relative error).
-    pub p50: Duration,
-    /// 95th-percentile end-to-end latency (lifetime, ~2% estimate).
-    pub p95: Duration,
-    /// 99th-percentile end-to-end latency (lifetime, ~2% estimate).
-    pub p99: Duration,
-    /// Exact mean end-to-end latency over the server's lifetime.
-    pub mean: Duration,
-    /// Completions per second across the first→last completion window.
-    pub images_per_sec: f64,
-}
-
-impl ServeStats {
-    /// Fraction of cache lookups that hit, in `[0, 1]`; 0.0 when no lookup
-    /// has happened (cache disabled or no traffic yet).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
-}
-
-impl std::fmt::Display for ServeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "served {} (cache {}/{} hits, {:.0}% | rejected {}, errors {}, expired {}) | \
-             {} batches, mean {:.2} img/batch, max {} | \
-             latency p50 {:?} p95 {:?} p99 {:?} mean {:?} | {:.1} images/sec",
-            self.completed,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-            self.rejected,
-            self.errors,
-            self.expired,
-            self.batches,
-            self.mean_batch,
-            self.largest_batch,
-            self.p50,
-            self.p95,
-            self.p99,
-            self.mean,
-            self.images_per_sec
-        )
-    }
-}
-
-/// Snapshot of a whole gateway: the global aggregate plus one [`ServeStats`]
-/// per route, in route-declaration order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatewayStats {
-    /// Aggregate over every route (what a single-pipeline server reported).
-    pub global: ServeStats,
-    /// Per-route breakdown, in the order routes were declared.
-    pub per_route: Vec<(RouteKey, ServeStats)>,
-}
-
-impl GatewayStats {
-    /// The breakdown entry for `route`, if the gateway serves it.
-    pub fn route(&self, route: &RouteKey) -> Option<&ServeStats> {
-        self.per_route
-            .iter()
-            .find(|(key, _)| key == route)
-            .map(|(_, stats)| stats)
-    }
-}
-
-impl std::fmt::Display for GatewayStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "gateway: {}", self.global)?;
-        for (route, stats) in &self.per_route {
-            writeln!(
-                f,
-                "  {route}: {} jobs | p50 {:?} p95 {:?} p99 {:?} | cache {:.0}% | \
-                 rejected {}, errors {}, expired {}",
-                stats.completed,
-                stats.p50,
-                stats.p95,
-                stats.p99,
-                stats.cache_hit_rate() * 100.0,
-                stats.rejected,
-                stats.errors,
-                stats.expired,
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -320,9 +101,26 @@ impl std::fmt::Display for GatewayStats {
 mod tests {
     use super::*;
 
-    /// Assert `got` is within 2% of `want` (the histogram's error bound).
-    fn assert_close(got: Duration, want: Duration) {
-        let (got, want) = (got.as_nanos() as f64, want.as_nanos() as f64);
+    fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
+        let dump = registry.collect();
+        dump.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
+    fn latency(registry: &MetricsRegistry) -> sesr_telemetry::HistogramSnapshot {
+        let dump = registry.collect();
+        dump.histograms
+            .into_iter()
+            .find(|(n, _)| n == "serve.latency_ns")
+            .map(|(_, h)| h)
+            .expect("the recorder registers its latency histogram")
+    }
+
+    /// Assert `got_ns` is within 2% of `want` (the histogram's error bound).
+    fn assert_close(got_ns: u64, want: Duration) {
+        let (got, want) = (got_ns as f64, want.as_nanos() as f64);
         assert!(
             (got - want).abs() <= want * 0.02,
             "expected {want}ns ± 2%, got {got}ns"
@@ -331,86 +129,47 @@ mod tests {
 
     #[test]
     fn percentiles_track_order_statistics_within_error_bound() {
-        let recorder = StatsRecorder::new();
+        let registry = MetricsRegistry::new();
+        let recorder = StatsRecorder::registered(&registry, "serve");
         for ms in 1..=100u64 {
             recorder.record_completion(Duration::from_millis(ms), false);
         }
-        let stats = recorder.snapshot();
-        assert_eq!(stats.completed, 100);
-        assert_close(stats.p50, Duration::from_millis(50));
-        assert_close(stats.p95, Duration::from_millis(95));
-        assert_close(stats.p99, Duration::from_millis(99));
+        let hist = latency(&registry);
+        assert_eq!(hist.count, 100);
+        assert_close(hist.quantile(0.50), Duration::from_millis(50));
+        assert_close(hist.quantile(0.95), Duration::from_millis(95));
+        assert_close(hist.quantile(0.99), Duration::from_millis(99));
         // The mean is exact (sum/count), not bucketed.
-        assert_eq!(stats.mean, Duration::from_micros(50_500));
-    }
-
-    /// Before/after parity: the histogram-backed snapshot must agree with
-    /// the old sort-the-window estimator (same `ceil(q·n)` rank convention)
-    /// to within the bucket error bound, on an adversarial mixed-scale
-    /// latency stream.
-    #[test]
-    fn histogram_percentiles_match_sorting_estimator() {
-        let recorder = StatsRecorder::new();
-        let mut window_us: Vec<u64> = Vec::new();
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..6_000 {
-            // xorshift* over five orders of magnitude: 10µs .. ~1s.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let sample_us = 10 + state.wrapping_mul(0x2545_f491_4f6c_dd1d) % 1_000_000;
-            recorder.record_completion(Duration::from_micros(sample_us), false);
-            window_us.push(sample_us);
-        }
-        window_us.sort_unstable();
-        let reference = |q: f64| -> Duration {
-            let rank = ((q * window_us.len() as f64).ceil() as usize).clamp(1, window_us.len());
-            Duration::from_micros(window_us[rank - 1])
-        };
-        let stats = recorder.snapshot();
-        for (q, got) in [(0.50, stats.p50), (0.95, stats.p95), (0.99, stats.p99)] {
-            assert_close(got, reference(q));
-        }
-        let exact_mean_us = window_us.iter().sum::<u64>() / window_us.len() as u64;
-        assert_close(stats.mean, Duration::from_micros(exact_mean_us));
-    }
-
-    #[test]
-    fn empty_recorder_snapshots_zeros() {
-        let stats = StatsRecorder::new().snapshot();
-        assert_eq!(stats.completed, 0);
-        assert_eq!(stats.p99, Duration::ZERO);
-        assert_eq!(stats.images_per_sec, 0.0);
+        assert_eq!(hist.mean_duration(), Duration::from_micros(50_500));
     }
 
     #[test]
     fn latency_covers_whole_lifetime() {
-        let recorder = StatsRecorder::new();
-        // The old implementation kept a sliding 8192-sample window; the
-        // histogram covers the entire lifetime, so early traffic still
-        // shows up in the percentiles.
+        let registry = MetricsRegistry::new();
+        let recorder = StatsRecorder::registered(&registry, "serve");
+        // A sliding window of 8192 samples would forget the first half; the
+        // histogram covers the entire lifetime, so early traffic still shows
+        // up in the percentiles.
         for _ in 0..8192 {
             recorder.record_completion(Duration::from_millis(1), false);
         }
         for _ in 0..8192 {
             recorder.record_completion(Duration::from_millis(2), false);
         }
-        let stats = recorder.snapshot();
-        assert_eq!(stats.completed, 2 * 8192);
-        assert_close(stats.p50, Duration::from_millis(1));
-        assert_close(stats.p99, Duration::from_millis(2));
-        assert_close(stats.mean, Duration::from_micros(1_500));
+        let hist = latency(&registry);
+        assert_eq!(hist.count, 2 * 8192);
+        assert_close(hist.quantile(0.50), Duration::from_millis(1));
+        assert_close(hist.quantile(0.99), Duration::from_millis(2));
+        assert_close(hist.mean() as u64, Duration::from_micros(1_500));
     }
 
-    /// Regression test for the poisoned-stats cascade: the old recorder
-    /// held a `Mutex<Inner>` and called `expect("stats mutex poisoned")`,
-    /// so one panicking thread mid-record turned every later stats call
-    /// into a panic. The recorder is now lock-free; a thread that panics
-    /// while recording must leave the recorder fully usable.
+    /// The recorder is lock-free: a thread that panics while recording must
+    /// leave it fully usable for every other thread.
     #[test]
     fn panicking_recorder_thread_does_not_cascade() {
-        let recorder = std::sync::Arc::new(StatsRecorder::new());
-        let poisoner = std::sync::Arc::clone(&recorder);
+        let registry = MetricsRegistry::new();
+        let recorder = Arc::new(StatsRecorder::registered(&registry, "serve"));
+        let poisoner = Arc::clone(&recorder);
         let result = std::thread::spawn(move || {
             poisoner.record_completion(Duration::from_millis(1), false);
             poisoner.record_batch(4);
@@ -418,14 +177,15 @@ mod tests {
         })
         .join();
         assert!(result.is_err(), "the thread must actually have panicked");
-        // Every recording and snapshot path still works.
         recorder.record_completion(Duration::from_millis(2), true);
         recorder.record_rejection();
-        let stats = recorder.snapshot();
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.largest_batch, 4);
+        assert_eq!(counter(&registry, "serve.completed"), 2);
+        assert_eq!(counter(&registry, "serve.cache_hits"), 1);
+        assert_eq!(counter(&registry, "serve.rejected"), 1);
+        assert!(registry
+            .collect()
+            .gauges
+            .contains(&("serve.largest_batch".to_string(), 4)));
     }
 
     #[test]
@@ -435,42 +195,21 @@ mod tests {
         let b = StatsRecorder::registered(&registry, "gateway");
         a.record_completion(Duration::from_millis(5), false);
         b.record_rejection();
-        // Both recorders write the same underlying metrics…
-        assert_eq!(a.snapshot().rejected, 1);
-        assert_eq!(b.snapshot().completed, 1);
-        // …and the registry exposes them under scoped names.
-        let dump = registry.collect();
-        assert!(dump
-            .counters
-            .contains(&("gateway.completed".to_string(), 1)));
-        assert!(dump.counters.contains(&("gateway.rejected".to_string(), 1)));
-        assert!(dump
+        // Both recorders write the same underlying metrics, under scoped
+        // names.
+        assert_eq!(counter(&registry, "gateway.completed"), 1);
+        assert_eq!(counter(&registry, "gateway.rejected"), 1);
+        assert!(registry
+            .collect()
             .histograms
             .iter()
             .any(|(name, h)| name == "gateway.latency_ns" && h.count == 1));
     }
 
     #[test]
-    fn gateway_stats_index_and_render_per_route() {
-        use sesr_models::SrModelKind;
-        let recorder = StatsRecorder::new();
-        recorder.record_completion(Duration::from_millis(3), false);
-        let route = RouteKey::paper(SrModelKind::SesrM2, 2);
-        let other = RouteKey::paper(SrModelKind::Fsrcnn, 2);
-        let stats = GatewayStats {
-            global: recorder.snapshot(),
-            per_route: vec![(route, recorder.snapshot())],
-        };
-        assert_eq!(stats.route(&route).unwrap().completed, 1);
-        assert!(stats.route(&other).is_none());
-        let text = stats.to_string();
-        assert!(text.contains("gateway:"));
-        assert!(text.contains("sesr-m2:x2:jpeg75+wavelet2"));
-    }
-
-    #[test]
     fn counters_accumulate() {
-        let recorder = StatsRecorder::new();
+        let registry = MetricsRegistry::new();
+        let recorder = StatsRecorder::registered(&registry, "serve");
         recorder.record_rejection();
         recorder.record_error();
         recorder.record_expired();
@@ -479,25 +218,22 @@ mod tests {
         recorder.record_computed(8);
         recorder.record_cache_miss();
         recorder.record_completion(Duration::from_millis(1), true);
-        let stats = recorder.snapshot();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.mean_batch, 4.0);
-        assert_eq!(stats.largest_batch, 5);
-        assert_eq!(stats.computed_images, 8);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cache_hit_rate(), 0.5);
-        assert!(!stats.to_string().is_empty());
-    }
-
-    #[test]
-    fn cache_hit_rate_handles_no_lookups() {
-        let stats = StatsRecorder::new().snapshot();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.cache_hit_rate(), 0.0);
+        for (name, want) in [
+            ("serve.rejected", 1),
+            ("serve.errors", 1),
+            ("serve.expired", 1),
+            ("serve.batches", 2),
+            ("serve.batched_images", 8),
+            ("serve.computed_images", 8),
+            ("serve.cache_hits", 1),
+            ("serve.cache_misses", 1),
+            ("serve.completed", 1),
+        ] {
+            assert_eq!(counter(&registry, name), want, "{name}");
+        }
+        assert!(registry
+            .collect()
+            .gauges
+            .contains(&("serve.largest_batch".to_string(), 5)));
     }
 }

@@ -141,21 +141,6 @@ impl<L: Layer> NetworkUpscaler<L> {
         }
     }
 
-    /// Run a closure over the wrapped network (e.g. to count parameters).
-    pub fn with_network<T>(&self, f: impl FnOnce(&L) -> T) -> T {
-        f(&self
-            .network
-            .lock()
-            .expect("network upscaler mutex poisoned"))
-    }
-
-    /// Mutably borrow the wrapped network (e.g. to train it).
-    pub fn network_mut(&mut self) -> &mut L {
-        self.network
-            .get_mut()
-            .expect("network upscaler mutex poisoned")
-    }
-
     /// Unwrap into the inner network.
     pub fn into_inner(self) -> L {
         self.network

@@ -111,13 +111,6 @@ pub struct HealthTransition {
     pub to: HealthState,
 }
 
-impl HealthTransition {
-    /// True when the transition moved away from [`HealthState::Healthy`].
-    pub fn is_demotion(&self) -> bool {
-        self.to > self.from
-    }
-}
-
 /// The hysteresis state machine for one route.
 #[derive(Debug, Clone)]
 pub struct HealthMachine {

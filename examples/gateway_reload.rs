@@ -171,14 +171,21 @@ fn main() -> Result<(), ServeError> {
 
     // -------------------------------------------------- watcher reload
     // The store watcher notices the next retrain on its own.
+    let reload_total = || {
+        client
+            .telemetry_snapshot()
+            .counter("gateway.reloads")
+            .unwrap_or(0)
+    };
+    let manual_reloads = reload_total();
     let watcher = client.watch_store(Duration::from_millis(20))?;
     train_version(&store, next_generation(&store)?)?;
     let mut waited = Duration::ZERO;
-    while watcher.reload_count() == 0 && waited < Duration::from_secs(10) {
+    while reload_total() == manual_reloads && waited < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_millis(20));
         waited += Duration::from_millis(20);
     }
-    let reloads = watcher.reload_count();
+    let reloads = reload_total() - manual_reloads;
     watcher.stop();
     assert!(reloads > 0, "the watcher must reload on a new artifact");
     let watched = client.defend_blocking(DefenseRequest::new(image.clone()).skip_cache())?;
@@ -188,7 +195,21 @@ fn main() -> Result<(), ServeError> {
     );
     println!("watcher picked up the new artifact ({reloads} automatic reload(s))");
 
-    println!("\nper-route stats:\n{}", gateway.stats());
+    let snapshot = gateway.telemetry_snapshot();
+    println!("\nper-route stats:");
+    for route in client.routes() {
+        let scope = format!("route.{}", route.label());
+        let p50 = snapshot
+            .histogram(&format!("{scope}.latency_ns"))
+            .map_or(Duration::ZERO, |h| h.quantile_duration(0.5));
+        println!(
+            "  {route}: {} jobs, p50 {p50:?}, {} cache hits",
+            snapshot.counter(&format!("{scope}.completed")).unwrap_or(0),
+            snapshot
+                .counter(&format!("{scope}.cache_hits"))
+                .unwrap_or(0),
+        );
+    }
     drop(client);
     gateway.shutdown();
     println!("gateway reload loop complete: ≥3 routes served, 2 hot reloads, zero drops");

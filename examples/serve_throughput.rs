@@ -1,7 +1,7 @@
 //! Demonstrates the `sesr-serve` subsystem (4 workers, dynamic batches of up
 //! to 8 images) sustaining strictly higher images/sec than the sequential
-//! single-image baseline, with p50/p95/p99 latency reported by the built-in
-//! stats recorder.
+//! single-image baseline, with p50/p95/p99 latency read from the gateway's
+//! telemetry snapshot.
 //!
 //! Run with:
 //!
@@ -21,8 +21,8 @@
 //!    repeats without recomputing, and the serve path is strictly faster on
 //!    any hardware, single-core included. This is the asserted headline.
 //! 3. **multi-model gateway** — the same traffic round-robined across three
-//!    defense routes of one `DefenseGateway`, printing the per-route stats
-//!    breakdown (jobs, latency percentiles, cache hit rate per route).
+//!    defense routes of one `DefenseGateway`, printing the per-route
+//!    breakdown (jobs, latency percentiles, cache hits per route).
 //! 4. **telemetry** — the gateway run re-read through the telemetry
 //!    registry: a deterministic text dump of every counter, gauge and
 //!    per-route stage histogram, plus the stable machine-readable snapshot
@@ -51,7 +51,9 @@ use sesr_serve::{
     DefenseGateway, DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError, SloPolicy,
     SloRuntime, WorkerAssets,
 };
-use sesr_telemetry::{AlertSeverity, BurnRateRule, HealthPolicy, HealthState, SloTransition};
+use sesr_telemetry::{
+    AlertSeverity, BurnRateRule, HealthPolicy, HealthState, SloTransition, TelemetrySnapshot,
+};
 use sesr_tensor::{init, Shape, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -149,7 +151,7 @@ fn main() -> Result<(), ServeError> {
     let (seq_rate, seq_out) = run_sequential(&distinct)?;
     let server = start_server(0)?; // distinct traffic: cache cannot help
     let (cold_rate, cold_out) = run_served(&server, &distinct)?;
-    let cold_stats = server.stats().global;
+    let cold = server.telemetry_snapshot();
     server.shutdown();
     for (a, b) in seq_out.iter().zip(&cold_out) {
         assert_eq!(a, b, "served output diverged from the sequential defense");
@@ -160,7 +162,7 @@ fn main() -> Result<(), ServeError> {
         "  serve (4 workers, batch<=8): {cold_rate:>8.1} images/sec  ({:.2}x)",
         cold_rate / seq_rate
     );
-    println!("  stats: {cold_stats}");
+    println!("  stats: {}", summary(&cold, "gateway"));
     if cores > 1 {
         assert!(
             cold_rate > seq_rate,
@@ -188,7 +190,7 @@ fn main() -> Result<(), ServeError> {
     let server = start_server(256)?;
     run_served(&server, &uniques)?; // warm the cache
     let (served_rate, served_out) = run_served(&server, &requests)?;
-    let stats = server.stats().global;
+    let steady = server.telemetry_snapshot();
     server.shutdown();
     for (a, b) in seq_out.iter().zip(&served_out) {
         assert_eq!(a, b, "cached output diverged from the sequential defense");
@@ -202,31 +204,20 @@ fn main() -> Result<(), ServeError> {
         "  serve (4 workers, batch<=8): {served_rate:>8.1} images/sec  ({:.2}x)",
         served_rate / seq_rate
     );
-    println!("  stats: {stats}");
-    println!(
-        "  latency: p50 {:?}  p95 {:?}  p99 {:?}  mean {:?}",
-        stats.p50, stats.p95, stats.p99, stats.mean
-    );
-    println!(
-        "  cache: {} hits / {} misses over {} lookups ({:.0}% hit rate)",
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_hits + stats.cache_misses,
-        stats.cache_hit_rate() * 100.0
-    );
+    println!("  stats: {}", summary(&steady, "gateway"));
     assert!(
         served_rate > seq_rate,
         "the serving engine ({served_rate:.1} images/sec) must beat the sequential \
          baseline ({seq_rate:.1} images/sec) on steady-state traffic"
     );
     assert!(
-        stats.cache_hits > 0,
+        steady.counter("gateway.cache_hits").unwrap_or(0) > 0,
         "repeated traffic must produce cache hits"
     );
 
     // ------------------------------------------------------ multi-model
     // The gateway serves several defense variants at once, each with its own
-    // shard; mixed traffic is routed per request and the stats snapshot
+    // shard; mixed traffic is routed per request and the telemetry snapshot
     // breaks the traffic down per route.
     let nearest = RouteKey::paper(SrModelKind::NearestNeighbor, 2);
     let bicubic = RouteKey::new(SrModelKind::Bicubic, 2, PreprocessConfig::none());
@@ -256,7 +247,6 @@ fn main() -> Result<(), ServeError> {
         p.wait()?;
     }
     let gateway_rate = NUM_REQUESTS as f64 / start.elapsed().as_secs_f64();
-    let gateway_stats = gateway.stats();
     let telemetry = gateway.telemetry_snapshot();
     drop(client);
     gateway.shutdown();
@@ -266,13 +256,16 @@ fn main() -> Result<(), ServeError> {
         routes.len()
     );
     println!("  gateway                    : {gateway_rate:>8.1} images/sec");
-    print!("  per-route breakdown:\n{gateway_stats}");
+    println!("  per-route breakdown:");
     for route in &routes {
-        let per_route = gateway_stats.route(route).expect("declared route");
+        let scope = format!("route.{}", route.label());
+        println!("    {route}: {}", summary(&telemetry, &scope));
         assert_eq!(
-            per_route.completed,
-            (NUM_REQUESTS / 3) as u64
-                + u64::from(routes.iter().position(|r| r == route).unwrap() < NUM_REQUESTS % 3),
+            telemetry.counter(&format!("{scope}.completed")),
+            Some(
+                (NUM_REQUESTS / 3) as u64
+                    + u64::from(routes.iter().position(|r| r == route).unwrap() < NUM_REQUESTS % 3)
+            ),
             "every route must have served exactly its share"
         );
     }
@@ -301,19 +294,6 @@ fn main() -> Result<(), ServeError> {
         ServeError::InvalidRequest(format!("cannot write {}: {err}", telemetry_path.display()))
     })?;
     println!("  snapshot written to {}", telemetry_path.display());
-    for route in &routes {
-        let completed = telemetry
-            .counter(&format!("route.{}.completed", route.label()))
-            .unwrap_or(0);
-        assert_eq!(
-            completed,
-            gateway_stats
-                .route(route)
-                .expect("declared route")
-                .completed,
-            "the registry and the stats view must agree per route"
-        );
-    }
 
     // ------------------------------------------------- arena hot path
     // Before/after comparison of the worker inner loop: the same SESR-M2
@@ -543,6 +523,30 @@ impl Upscaler for ThrottledUpscaler {
         }
         self.inner.upscale(input)
     }
+}
+
+/// One line of serving numbers for a metric scope (`gateway` or
+/// `route.<label>`) in a telemetry snapshot.
+fn summary(snapshot: &TelemetrySnapshot, scope: &str) -> String {
+    let count = |metric: &str| snapshot.counter(&format!("{scope}.{metric}")).unwrap_or(0);
+    let latency = |q: f64| {
+        snapshot
+            .histogram(&format!("{scope}.latency_ns"))
+            .map_or(Duration::ZERO, |h| h.quantile_duration(q))
+    };
+    format!(
+        "served {} (cache {} hits / {} misses, rejected {}) | {} batches of {} images | \
+         latency p50 {:?} p95 {:?} p99 {:?}",
+        count("completed"),
+        count("cache_hits"),
+        count("cache_misses"),
+        count("rejected"),
+        count("batches"),
+        count("batched_images"),
+        latency(0.50),
+        latency(0.95),
+        latency(0.99),
+    )
 }
 
 /// The `pct`-th percentile of a latency sample (sorts in place).

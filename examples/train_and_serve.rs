@@ -135,7 +135,12 @@ fn main() -> Result<(), ServeError> {
          identical",
         1 + 3 * NUM_WORKERS
     );
-    println!("stats: {}", gateway.stats().global);
+    let snapshot = gateway.telemetry_snapshot();
+    println!(
+        "stats: {} served, {} computed",
+        snapshot.counter("gateway.completed").unwrap_or(0),
+        snapshot.counter("gateway.computed_images").unwrap_or(0),
+    );
     drop(client);
     gateway.shutdown();
     println!("train-and-serve loop complete: artifact stored, pool hydrated, outputs identical");

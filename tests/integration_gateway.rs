@@ -18,6 +18,7 @@ use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{SrModelKind, Upscaler};
 use sesr_serve::{DefenseRequest, GatewayBuilder, RouteConfig, RouteKey, ServeError, WorkerAssets};
 use sesr_store::{Checkpoint, ModelStore};
+use sesr_telemetry::TelemetrySnapshot;
 use sesr_tensor::{init, Shape, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -30,6 +31,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         TEST_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// One of `route`'s counters (`route.<label>.<metric>`) in `snapshot`.
+fn route_counter(snapshot: &TelemetrySnapshot, route: &RouteKey, metric: &str) -> u64 {
+    snapshot
+        .counter(&format!("route.{}.{metric}", route.label()))
+        .unwrap_or(0)
 }
 
 fn images(count: usize, size: usize) -> Vec<Tensor> {
@@ -91,10 +99,10 @@ fn one_gateway_serves_three_routes_bitwise_identically() {
         );
     }
 
-    let stats = gateway.stats();
-    assert_eq!(stats.global.completed, 12);
+    let snapshot = gateway.telemetry_snapshot();
+    assert_eq!(snapshot.counter("gateway.completed"), Some(12));
     for route in &routes {
-        assert_eq!(stats.route(route).unwrap().completed, 4);
+        assert_eq!(route_counter(&snapshot, route, "completed"), 4);
     }
     drop(client);
     gateway.shutdown();
@@ -175,14 +183,17 @@ fn saturating_one_route_leaves_the_other_at_full_capacity() {
     for pending in accepted {
         pending.wait().unwrap();
     }
-    let stats = gateway.stats();
-    let slow_stats = stats.route(&slow).unwrap();
-    let fast_stats = stats.route(&fast).unwrap();
-    assert_eq!(slow_stats.rejected, rejected as u64);
-    assert_eq!(slow_stats.completed + slow_stats.rejected, 40);
-    assert_eq!(fast_stats.completed, 10);
+    let snapshot = gateway.telemetry_snapshot();
+    let slow_rejected = route_counter(&snapshot, &slow, "rejected");
+    assert_eq!(slow_rejected, rejected as u64);
     assert_eq!(
-        fast_stats.rejected, 0,
+        route_counter(&snapshot, &slow, "completed") + slow_rejected,
+        40
+    );
+    assert_eq!(route_counter(&snapshot, &fast, "completed"), 10);
+    assert_eq!(
+        route_counter(&snapshot, &fast, "rejected"),
+        0,
         "route B must be untouched by route A's overload"
     );
     drop(client);
@@ -316,9 +327,11 @@ fn hot_reload_under_load_answers_every_in_flight_request() {
     .unwrap();
     assert_eq!(after.defended, direct);
 
-    let stats = gateway.stats();
     assert_eq!(
-        stats.global.completed,
+        gateway
+            .telemetry_snapshot()
+            .counter("gateway.completed")
+            .unwrap_or(0),
         2 + total_answered as u64 + 1,
         "every accepted request across the reloads is accounted for"
     );
@@ -374,9 +387,9 @@ fn cache_is_keyed_per_route_no_poisoning() {
     assert!(other_again.cache_hit);
     assert_eq!(other_again.defended, other.defended);
 
-    let stats = gateway.stats();
-    assert_eq!(stats.route(&nearest).unwrap().cache_hits, 1);
-    assert_eq!(stats.route(&bicubic).unwrap().cache_hits, 1);
+    let snapshot = gateway.telemetry_snapshot();
+    assert_eq!(route_counter(&snapshot, &nearest, "cache_hits"), 1);
+    assert_eq!(route_counter(&snapshot, &bicubic, "cache_hits"), 1);
     drop(client);
     gateway.shutdown();
 }

@@ -57,12 +57,12 @@ fn batched_parallel_serving_is_bitwise_equivalent_to_sequential() {
             );
         }
 
-        let stats = gateway.stats().global;
-        assert_eq!(stats.completed, 24);
+        let snapshot = gateway.telemetry_snapshot();
+        assert_eq!(snapshot.counter("gateway.completed"), Some(24));
+        let largest_batch = snapshot.gauge("gateway.largest_batch").unwrap_or(0);
         assert!(
-            stats.largest_batch > 1,
-            "a 24-image burst should produce at least one multi-image batch, got {}",
-            stats.largest_batch
+            largest_batch > 1,
+            "a 24-image burst should produce at least one multi-image batch, got {largest_batch}"
         );
         drop(client);
         gateway.shutdown();
@@ -131,9 +131,13 @@ fn bounded_queue_rejects_with_overloaded_instead_of_blocking() {
     for pending in accepted {
         pending.wait().unwrap();
     }
-    let stats = gateway.stats().global;
-    assert_eq!(stats.rejected, rejected as u64);
-    assert_eq!(stats.completed + stats.rejected, 40);
+    let snapshot = gateway.telemetry_snapshot();
+    let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+    assert_eq!(counter("gateway.rejected"), rejected as u64);
+    assert_eq!(
+        counter("gateway.completed") + counter("gateway.rejected"),
+        40
+    );
     drop(client);
     gateway.shutdown();
 }
@@ -153,7 +157,13 @@ fn cache_hits_skip_recomputation() {
             .unwrap();
         assert!(!response.cache_hit);
     }
-    let computed_after_first_pass = gateway.stats().global.computed_images;
+    let computed = || {
+        gateway
+            .telemetry_snapshot()
+            .counter("gateway.computed_images")
+            .unwrap_or(0)
+    };
+    let computed_after_first_pass = computed();
     assert_eq!(computed_after_first_pass, 6);
 
     // Replaying the same traffic is answered from cache: no new computation.
@@ -166,10 +176,10 @@ fn cache_hits_skip_recomputation() {
             "identical resubmission must hit the cache"
         );
     }
-    let stats = gateway.stats().global;
-    assert_eq!(stats.computed_images, computed_after_first_pass);
-    assert_eq!(stats.cache_hits, 6);
-    assert_eq!(stats.completed, 12);
+    assert_eq!(computed(), computed_after_first_pass);
+    let snapshot = gateway.telemetry_snapshot();
+    assert_eq!(snapshot.counter("gateway.cache_hits"), Some(6));
+    assert_eq!(snapshot.counter("gateway.completed"), Some(12));
     drop(client);
     gateway.shutdown();
 }

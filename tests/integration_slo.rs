@@ -9,7 +9,9 @@
 //! (c) a pending store promotion is refused by the `ReloadWatcher` while the
 //!     route is not Healthy, and applied once it recovers,
 //! (d) a promotion that tanks the route inside its probation window is
-//!     demoted back to the pinned prior artifact,
+//!     demoted back to the pinned prior artifact — and when that prior
+//!     artifact is gone, the failed rollback is counted and journaled like
+//!     a failed reload,
 //! (e) the whole story is visible as typed alerts + health in the exported
 //!     v2 snapshot; the same document in v1 form (status keys stripped) is
 //!     refused.
@@ -23,11 +25,13 @@ use rand::SeedableRng;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::SrModelKind;
 use sesr_serve::{
-    DefenseRequest, GatewayBuilder, GatewayClient, RouteConfig, RouteKey, ServeError, SloPolicy,
-    SloRuntime,
+    DefenseGateway, DefenseRequest, GatewayBuilder, GatewayClient, RouteConfig, RouteKey,
+    ServeError, SloPolicy, SloRuntime,
 };
-use sesr_store::{Checkpoint, ModelStore};
-use sesr_telemetry::{AlertSeverity, BurnRateRule, HealthPolicy, HealthState, TelemetrySnapshot};
+use sesr_store::{Checkpoint, ModelStore, StoredArtifact};
+use sesr_telemetry::{
+    AlertSeverity, BurnRateRule, HealthPolicy, HealthState, Level, TelemetrySnapshot,
+};
 use sesr_tensor::{init, Shape, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -47,7 +51,7 @@ fn image() -> Tensor {
     init::uniform(Shape::new(&[1, 3, 8, 8]), 0.0, 1.0, &mut rng)
 }
 
-fn save_generation(store: &ModelStore, seed: u64) {
+fn save_generation(store: &ModelStore, seed: u64) -> StoredArtifact {
     let mut rng = StdRng::seed_from_u64(seed);
     let network = SrModelKind::SesrM2.build_local_network(&mut rng).unwrap();
     store
@@ -57,7 +61,12 @@ fn save_generation(store: &ModelStore, seed: u64) {
             seed,
             network.as_ref(),
         ))
-        .unwrap();
+        .unwrap()
+}
+
+/// A gateway-wide counter from a fresh telemetry snapshot (0 if absent).
+fn counter(gateway: &DefenseGateway, name: &str) -> u64 {
+    gateway.telemetry_snapshot().counter(name).unwrap_or(0)
 }
 
 /// A policy under which *every* request breaches (1ns latency objective) so
@@ -149,8 +158,8 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
         Some(1)
     );
     assert_eq!(
-        gateway.stats().route(&route).unwrap().rejected,
-        0,
+        peak.counter(&format!("route.{}.rejected", route.label())),
+        Some(0),
         "a shed is not a queue rejection"
     );
 
@@ -177,9 +186,11 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
         .watch_store_with_probation(Duration::from_millis(10), Duration::from_secs(60))
         .unwrap();
     save_generation(&store, 200);
-    wait_for("a refused promotion", || watcher.refused_count() >= 1);
+    wait_for("a refused promotion", || {
+        counter(&gateway, "gateway.reload_refused") >= 1
+    });
     assert_eq!(
-        watcher.reload_count(),
+        counter(&gateway, "gateway.reloads"),
         0,
         "no promotion may land on an Unhealthy route"
     );
@@ -192,7 +203,9 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
     assert_eq!(client.route_health(&route).unwrap(), HealthState::Healthy);
 
     // ... and the pending promotion is applied on the next poll.
-    wait_for("the deferred promotion", || watcher.reload_count() >= 1);
+    wait_for("the deferred promotion", || {
+        counter(&gateway, "gateway.reloads") >= 1
+    });
     let served = client
         .defend_blocking(DefenseRequest::new(image()).on(route))
         .unwrap();
@@ -262,9 +275,23 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
 
 #[test]
 fn promotion_that_tanks_the_route_is_demoted_within_probation() {
-    let dir = temp_dir("demote");
+    probation_collapse("demote", false);
+}
+
+#[test]
+fn failed_rollback_is_counted_and_journaled_as_a_reload_failure() {
+    probation_collapse("rollback_fails", true);
+}
+
+/// v1 serves, v2 is promoted, then the route collapses inside probation.
+/// With v1 still stored the watcher demotes back to it. With v1 deleted
+/// (`prior_removed`) the rollback fails, the route keeps serving v2, and
+/// the failure shows as `gateway.reload_failures` plus a Warn
+/// `gateway.reload_failed` event.
+fn probation_collapse(tag: &str, prior_removed: bool) {
+    let dir = temp_dir(tag);
     let store = ModelStore::open(&dir).unwrap();
-    save_generation(&store, 100);
+    let v1 = save_generation(&store, 100);
 
     let route = RouteKey::new(SrModelKind::SesrM2, 2, PreprocessConfig::none());
     let gateway = GatewayBuilder::new()
@@ -297,7 +324,9 @@ fn promotion_that_tanks_the_route_is_demoted_within_probation() {
         .watch_store_with_probation(Duration::from_millis(10), Duration::from_secs(60))
         .unwrap();
     save_generation(&store, 200);
-    wait_for("the initial promotion", || watcher.reload_count() == 1);
+    wait_for("the initial promotion", || {
+        counter(&gateway, "gateway.reloads") == 1
+    });
     let v2_output = client
         .defend_blocking(DefenseRequest::new(image()).on(route))
         .unwrap()
@@ -306,6 +335,9 @@ fn promotion_that_tanks_the_route_is_demoted_within_probation() {
         v1_output, v2_output,
         "the new generation must actually serve"
     );
+    if prior_removed {
+        std::fs::remove_file(&v1.path).unwrap();
+    }
 
     // The "regression": inside the probation window the route collapses to
     // Unhealthy (every request breaches the 1ns objective).
@@ -315,24 +347,31 @@ fn promotion_that_tanks_the_route_is_demoted_within_probation() {
     slo.tick_at(400);
     assert_eq!(client.route_health(&route).unwrap(), HealthState::Unhealthy);
 
-    // The watcher demotes back to the pinned prior artifact...
-    wait_for("the probation demotion", || watcher.demotion_count() == 1);
+    // The watcher tries to demote back to the pinned prior artifact...
+    let (outcome, event) = if prior_removed {
+        ("gateway.reload_failures", "gateway.reload_failed")
+    } else {
+        ("gateway.reload_demoted", "gateway.reload_demoted")
+    };
+    wait_for(outcome, || counter(&gateway, outcome) == 1);
     let snapshot = gateway.telemetry_snapshot();
-    assert!(snapshot.counter("gateway.reload_demoted").unwrap_or(0) >= 1);
-    assert!(snapshot
-        .events
-        .iter()
-        .any(|event| event.name == "gateway.reload_demoted"));
+    assert!(
+        snapshot
+            .events
+            .iter()
+            .any(|e| e.name == event && e.level == Level::Warn),
+        "journal must record {event} at Warn"
+    );
 
-    // ... and once the route recovers, it serves the v1 weights again and
-    // the bad newest version is NOT re-promoted.
+    // ... and once the route recovers, the bad newest version is NOT
+    // re-promoted.
     for now_ms in [600, 800, 1000, 1200] {
         slo.tick_at(now_ms);
     }
     assert_eq!(client.route_health(&route).unwrap(), HealthState::Healthy);
     std::thread::sleep(Duration::from_millis(50)); // several watcher polls
     assert_eq!(
-        watcher.reload_count(),
+        counter(&gateway, "gateway.reloads"),
         1,
         "the demoted version must not be promoted again"
     );
@@ -340,10 +379,18 @@ fn promotion_that_tanks_the_route_is_demoted_within_probation() {
         .defend_blocking(DefenseRequest::new(image()).on(route))
         .unwrap()
         .defended;
-    assert_eq!(
-        restored, v1_output,
-        "demotion must restore the pinned prior weights"
-    );
+    if prior_removed {
+        assert_eq!(counter(&gateway, "gateway.reload_demoted"), 0);
+        assert_eq!(
+            restored, v2_output,
+            "a failed rollback leaves the promoted weights serving"
+        );
+    } else {
+        assert_eq!(
+            restored, v1_output,
+            "demotion must restore the pinned prior weights"
+        );
+    }
 
     watcher.stop();
     drop(slo);

@@ -107,9 +107,15 @@ fn full_train_save_restart_serve_loop() {
         assert!(!response.cache_hit);
         assert_eq!(response.defended, reference);
     }
-    let stats = gateway.stats().global;
-    assert_eq!(stats.completed, 3 * NUM_WORKERS as u64);
-    assert_eq!(stats.computed_images, 3 * NUM_WORKERS as u64);
+    let snapshot = gateway.telemetry_snapshot();
+    assert_eq!(
+        snapshot.counter("gateway.completed"),
+        Some(3 * NUM_WORKERS as u64)
+    );
+    assert_eq!(
+        snapshot.counter("gateway.computed_images"),
+        Some(3 * NUM_WORKERS as u64)
+    );
     drop(client);
     gateway.shutdown();
 

@@ -7,8 +7,7 @@
 //! (b) the snapshot carries a per-route histogram for every stage,
 //! (c) the JSON export round-trips exactly under the stable
 //!     `sesr-telemetry/v2` schema,
-//! (d) the snapshot-file exporter produces the same schema on disk, and
-//!     `GatewayStats` counters agree with the registry view.
+//! (d) the snapshot-file exporter produces the same schema on disk.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,15 +102,6 @@ fn one_request_produces_a_full_stage_trace() {
         "all five stages must belong to the one submitted request, got {request_ids:?}"
     );
     assert!(request_ids[0] > 0, "request ids start at 1");
-
-    // The stats view and the registry view are the same numbers.
-    let stats = gateway.stats();
-    assert_eq!(stats.global.completed, 1);
-    assert_eq!(snapshot.counter("gateway.completed"), Some(1));
-    assert_eq!(
-        snapshot.counter(&format!("route.{label}.completed")),
-        Some(1)
-    );
 
     // (c) the stable schema round-trips exactly.
     let json = snapshot.to_json();
