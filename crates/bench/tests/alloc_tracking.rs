@@ -78,6 +78,15 @@ fn sr_forward_path_allocates_zero_after_warmup() {
         "steady-state traffic must be pool hits (hit rate {:.2})",
         stats.hit_rate()
     );
+    // The SR working set, before the classifier adds its own: no
+    // convolution pools a column matrix, so the arena holds little more
+    // than the activations themselves.
+    let sr_high_water_kib = stats.high_water_bytes / 1024;
+    assert!(
+        sr_high_water_kib <= 256,
+        "the SR forward on a 16x16 image must fit a 256 KiB arena \
+         (high water {sr_high_water_kib} KiB)"
+    );
 
     // The classifier a worker runs behind the defense: MobileNet-V2 (stem,
     // inverted residuals with depthwise convs and batch norm, pooling head)
@@ -112,7 +121,8 @@ fn sr_forward_path_allocates_zero_after_warmup() {
     println!(
         "allocating defend: {allocating} allocations/request | arena defend_scratch: \
          {steady} allocations over {REQUESTS} requests | MobileNet-V2 forward_scratch: \
-         {classify} allocations over {REQUESTS} frames | arena high water {} KiB, \
+         {classify} allocations over {REQUESTS} frames | SR arena high water \
+         {sr_high_water_kib} KiB | arena high water {} KiB, \
          hit rate {:.0}%",
         scratch.stats().high_water_bytes / 1024,
         scratch.stats().hit_rate() * 100.0

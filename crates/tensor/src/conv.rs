@@ -89,19 +89,6 @@ pub fn im2col(input: &Tensor, cfg: Conv2dConfig) -> Result<Tensor> {
     let rows = c * k * k;
     let cols = n * oh * ow;
     let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input, cfg, oh, ow, &mut out);
-    Tensor::from_vec(Shape::new(&[rows, cols]), out)
-}
-
-/// Core of [`im2col`]: lower `input` into `out`, which must hold exactly
-/// `C*K*K * N*OH*OW` elements. Every element of `out` is written.
-fn im2col_into(input: &Tensor, cfg: Conv2dConfig, oh: usize, ow: usize, out: &mut [f32]) {
-    let (n, c, h, w) = input
-        .shape()
-        .as_nchw()
-        .expect("im2col_into callers validated rank");
-    let k = cfg.kernel;
-    let cols = n * oh * ow;
     let in_data = input.data();
     for b in 0..n {
         for ci in 0..c {
@@ -129,6 +116,7 @@ fn im2col_into(input: &Tensor, cfg: Conv2dConfig, oh: usize, ow: usize, out: &mu
             }
         }
     }
+    Tensor::from_vec(Shape::new(&[rows, cols]), out)
 }
 
 /// Scatter a column-form gradient back onto an NCHW input gradient
@@ -190,7 +178,8 @@ pub fn col2im(cols: &Tensor, input_shape: &Shape, cfg: Conv2dConfig) -> Result<T
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, or a bias whose length
+/// is not `C_out`.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -200,22 +189,36 @@ pub fn conv2d(
     conv2d_arena(input, weight, bias, cfg, &mut TensorArena::exact())
 }
 
-/// Arena-backed [`conv2d`]: the im2col and matmul scratch buffers are drawn
-/// from (and recycled back into) `arena`, and the returned output tensor's
-/// buffer comes from the arena too, so the caller may recycle it after use.
-/// With a warmed-up arena this performs zero heap allocations.
+/// Arena-backed [`conv2d`]: every scratch buffer is drawn from (and
+/// recycled back into) `arena`, and the returned output tensor's buffer
+/// comes from the arena too, so the caller may recycle it after use. With a
+/// warmed-up arena this performs zero heap allocations.
 ///
-/// A 1×1 convolution at stride 1 without padding skips im2col: each
-/// `[C_in, H·W]` image already is its column matrix, so it goes to the GEMM
-/// as it is, which writes straight into the image's slice of the output
-/// (no column buffer, no product buffer, no reordering copy). Either way each output
-/// element is the bias added to `Σ_p w[co, p] · col[p]`, summed in
-/// ascending `p` by the same GEMM kernel, so both paths give bitwise the
-/// same result.
+/// There are two paths, and neither builds an im2col matrix:
+///
+/// * A 1×1 convolution at stride 1 without padding: each `[C_in, H·W]`
+///   image already is its column matrix, so it goes to the GEMM as it is,
+///   which writes straight into the image's slice of the output.
+/// * Every other convolution runs a register-tiled direct kernel. Each image
+///   is copied once into a pooled buffer with a zero border of `padding`
+///   pixels, its rows split by column phase at stride > 1 so that every
+///   tap reads contiguous inputs. Each tile of 4 output channels × 8 output
+///   columns is summed in `[f32; 8]` lane arrays over the taps, then stored
+///   with its bias.
+///
+/// Both compute what im2col followed by the GEMM computes, bit for bit.
+/// Each output element starts at `+0.0`, adds `w[co, p] · x[p]` for
+/// `p = (ci, ky, kx)` in ascending order, skipping the taps whose weight is
+/// zero as the GEMM does, and adds the bias last. A padding tap reads a
+/// materialised `0.0` just as im2col's column does, so it still adds
+/// `w · 0.0` (which matters for an infinite or NaN weight). There is no
+/// fused multiply-add and no split of the sum.
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, and
+/// [`TensorError::LengthMismatch`] if `bias` does not hold one value per
+/// output channel.
 pub fn conv2d_arena(
     input: &Tensor,
     weight: &Tensor,
@@ -239,45 +242,203 @@ pub fn conv2d_arena(
         )));
     }
     let (oh, ow) = cfg.output_size(h, w)?;
+    let bias = bias_values(bias, c_out)?;
+    let spatial = oh * ow;
+    let mut out = arena.alloc(n * c_out * spatial);
     if cfg.kernel == 1 && cfg.stride == 1 && cfg.padding == 0 {
-        let spatial = h * w;
-        let mut out = arena.alloc(n * c_out * spatial);
         for b in 0..n {
             let image = &input.data()[b * c_in * spatial..(b + 1) * c_in * spatial];
             let out_image = &mut out[b * c_out * spatial..(b + 1) * c_out * spatial];
             matmul_slices(weight.data(), c_out, c_in, image, spatial, out_image);
             for co in 0..c_out {
-                let b_val = bias.map(|b| b.data()[co]).unwrap_or(0.0);
+                let b_val = bias.map_or(0.0, |b| b[co]);
                 for v in &mut out_image[co * spatial..(co + 1) * spatial] {
                     *v += b_val;
                 }
             }
         }
-        return Tensor::from_vec(Shape::new(&[n, c_out, h, w]), out);
+    } else {
+        conv2d_direct(input, weight, bias, cfg, (oh, ow), &mut out, arena);
     }
-    let rows = c_in * kh * kw;
-    let ncols = n * oh * ow;
-    let mut cols = arena.alloc(rows * ncols);
-    im2col_into(input, cfg, oh, ow, &mut cols);
-    // [C_out, C_in*K*K] x [C_in*K*K, N*OH*OW] -> [C_out, N*OH*OW]; the weight
-    // tensor is already contiguous in exactly the matrix layout needed, so no
-    // reshape (and no copy) is required.
-    let mut prod = arena.alloc(c_out * ncols);
-    matmul_slices(weight.data(), c_out, rows, &cols, ncols, &mut prod);
-    arena.recycle_vec(cols);
-    let mut out = arena.alloc(n * c_out * oh * ow);
+    Tensor::from_vec(Shape::new(&[n, c_out, oh, ow]), out)
+}
+
+/// A convolution's bias values, checked to hold one per output channel.
+fn bias_values(bias: Option<&Tensor>, c_out: usize) -> Result<Option<&[f32]>> {
+    match bias {
+        Some(b) if b.len() != c_out => Err(TensorError::LengthMismatch {
+            expected: c_out,
+            actual: b.len(),
+        }),
+        _ => Ok(bias.map(Tensor::data)),
+    }
+}
+
+/// Output channels per register tile of the direct convolution.
+const TILE_CO: usize = 4;
+/// Output columns per register tile: one `[f32; TILE_W]` lane array per
+/// channel.
+const TILE_W: usize = 8;
+
+/// Layout of the direct convolution's zero-bordered image copy and of its
+/// output planes.
+///
+/// Each padded row is split by column phase: padded column `x` sits at
+/// `(x % stride) * phase_len + x / stride` of its row. Output column `ox`
+/// reads padded column `ox * stride + kx`, so the inputs a tap `kx` needs
+/// for consecutive output columns are contiguous at every stride.
+#[derive(Clone, Copy)]
+struct Geometry {
+    c_in: usize,
+    k: usize,
+    stride: usize,
+    /// Floats per column phase of a padded row.
+    phase_len: usize,
+    /// Floats per padded row (`stride` phases).
+    row_len: usize,
+    /// Floats per padded channel plane.
+    plane: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// The direct path of [`conv2d_arena`]: writes every element of `out`, the
+/// `[N, C_out, OH, OW]` result.
+fn conv2d_direct(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    cfg: Conv2dConfig,
+    (oh, ow): (usize, usize),
+    out: &mut [f32],
+    arena: &mut TensorArena,
+) {
+    let (n, c_in, h, w) = input
+        .shape()
+        .as_nchw()
+        .expect("conv2d_arena validated the input rank");
+    let (k, stride, pad) = (cfg.kernel, cfg.stride, cfg.padding);
+    let c_out = weight.shape().dims()[0];
+    let taps = c_in * k * k;
     let spatial = oh * ow;
+    let ph = h + 2 * pad;
+    // Each phase holds its share of the padded columns and is long enough
+    // for the last tile's lanes. Those extra columns are zero like the
+    // border, and the lanes that read them are never stored.
+    let phase_len = (w + 2 * pad)
+        .div_ceil(stride)
+        .max(ow.div_ceil(TILE_W) * TILE_W + (k - 1) / stride);
+    let g = Geometry {
+        c_in,
+        k,
+        stride,
+        phase_len,
+        row_len: stride * phase_len,
+        plane: ph * stride * phase_len,
+        oh,
+        ow,
+    };
+    // One scratch buffer: the padded image, then every block's weights
+    // packed tap-major, `TILE_CO` per tap. The spare lanes of a short last
+    // block keep their zeros; they are summed but never stored.
+    let blocks = c_out.div_ceil(TILE_CO);
+    let mut scratch = arena.alloc(c_in * g.plane + blocks * taps * TILE_CO);
+    let (padded, packed) = scratch.split_at_mut(c_in * g.plane);
     for co in 0..c_out {
-        let b_val = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-        for b in 0..n {
-            for s in 0..spatial {
-                out[(b * c_out + co) * spatial + s] =
-                    prod[co * (n * spatial) + b * spatial + s] + b_val;
+        let (block, lane) = (co / TILE_CO, co % TILE_CO);
+        let dst = &mut packed[block * TILE_CO * taps..][..TILE_CO * taps];
+        let src = &weight.data()[co * taps..][..taps];
+        for (d, &v) in dst.iter_mut().skip(lane).step_by(TILE_CO).zip(src) {
+            *d = v;
+        }
+    }
+    for b in 0..n {
+        let image = &input.data()[b * c_in * h * w..][..c_in * h * w];
+        let out_image = &mut out[b * c_out * spatial..][..c_out * spatial];
+        // Only the interior is written, so the border stays zero for every
+        // image of the batch.
+        for r in 0..c_in * h {
+            let src = &image[r * w..][..w];
+            let row = &mut padded[((r / h) * ph + r % h + pad) * g.row_len..][..g.row_len];
+            for (q, dst) in row.chunks_exact_mut(phase_len).enumerate() {
+                // Padded column `q + j * stride` holds input column
+                // `q + j * stride - pad`, for the `j` that land inside.
+                let j0 = pad.saturating_sub(q).div_ceil(stride);
+                let first = q + j0 * stride - pad;
+                if first < w {
+                    for (d, &v) in dst[j0..]
+                        .iter_mut()
+                        .zip(src[first..].iter().step_by(stride))
+                    {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        for co0 in (0..c_out).step_by(TILE_CO) {
+            let rows = TILE_CO.min(c_out - co0);
+            let lanes = &packed[co0 * taps..][..TILE_CO * taps];
+            let out_block = &mut out_image[co0 * spatial..][..rows * spatial];
+            let bias = bias.map(|all| &all[co0..co0 + rows]);
+            conv_block(padded, g, lanes, bias, out_block);
+        }
+    }
+    arena.recycle_vec(scratch);
+}
+
+/// Sums and stores one block of output channels (`out` holds their
+/// `oh × ow` planes, `lanes` their packed weights) over every row and tile
+/// of the output.
+fn conv_block(padded: &[f32], g: Geometry, lanes: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
+    let spatial = g.oh * g.ow;
+    for oy in 0..g.oh {
+        for x0 in (0..g.ow).step_by(TILE_W) {
+            let acc = tile_sum(padded, g, lanes, oy * g.stride * g.row_len + x0);
+            let width = TILE_W.min(g.ow - x0);
+            for (r, (acc_r, out_plane)) in acc.iter().zip(out.chunks_exact_mut(spatial)).enumerate()
+            {
+                let b_val = bias.map_or(0.0, |b| b[r]);
+                let dst = &mut out_plane[oy * g.ow + x0..][..width];
+                for (o, &a) in dst.iter_mut().zip(acc_r) {
+                    *o = a + b_val;
+                }
             }
         }
     }
-    arena.recycle_vec(prod);
-    Tensor::from_vec(Shape::new(&[n, c_out, oh, ow]), out)
+}
+
+/// One register tile: `TILE_CO` channels × `TILE_W` output columns, the
+/// first of which reads padded row `origin` (plus `ky` rows) at phase 0,
+/// summed from `+0.0` over every tap in `(ci, ky, kx)` order. A tap whose
+/// weight is zero is skipped, as the GEMM skips it.
+#[inline(always)]
+fn tile_sum(padded: &[f32], g: Geometry, lanes: &[f32], origin: usize) -> [[f32; TILE_W]; TILE_CO] {
+    let mut acc = [[0.0f32; TILE_W]; TILE_CO];
+    let mut taps = lanes.chunks_exact(TILE_CO);
+    for ci in 0..g.c_in {
+        for ky in 0..g.k {
+            let row = &padded[origin + ci * g.plane + ky * g.row_len..];
+            let (mut phase, mut shift) = (0, 0);
+            for tap in taps.by_ref().take(g.k) {
+                let at = phase * g.phase_len + shift;
+                let x = &row[at..at + TILE_W];
+                for (acc_r, &wv) in acc.iter_mut().zip(tap) {
+                    if wv == 0.0 {
+                        continue;
+                    }
+                    for (a, &xv) in acc_r.iter_mut().zip(x) {
+                        *a += wv * xv;
+                    }
+                }
+                phase += 1;
+                if phase == g.stride {
+                    phase = 0;
+                    shift += 1;
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// Gradients of a dense 2-D convolution.
@@ -357,7 +518,8 @@ pub fn conv2d_backward(
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, or a bias whose length
+/// is not `C`.
 pub fn depthwise_conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -380,7 +542,9 @@ pub fn depthwise_conv2d(
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, and
+/// [`TensorError::LengthMismatch`] if `bias` does not hold one value per
+/// channel.
 pub fn depthwise_conv2d_arena(
     input: &Tensor,
     weight: &Tensor,
@@ -397,6 +561,7 @@ pub fn depthwise_conv2d_arena(
         )));
     }
     let (oh, ow) = cfg.output_size(h, w)?;
+    let bias = bias_values(bias, c)?;
     let (k, stride, pad) = (cfg.kernel, cfg.stride, cfg.padding);
     // Output columns `lo..hi` of tap column `kx`: those whose input column
     // `ox * stride + kx - pad` lies in `0..w`.
@@ -416,7 +581,7 @@ pub fn depthwise_conv2d_arena(
         let ci = plane % c;
         let in_plane = &input.data()[plane * h * w..(plane + 1) * h * w];
         let taps = &weight.data()[ci * k * k..(ci + 1) * k * k];
-        let b_val = bias.map(|bt| bt.data()[ci]).unwrap_or(0.0);
+        let b_val = bias.map_or(0.0, |b| b[ci]);
         for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
             out_row.fill(b_val);
             for ky in 0..k {
@@ -749,10 +914,14 @@ mod tests {
             arena.recycle(out);
             if round > 0 {
                 // After warm-up every buffer comes from the pool.
-                assert_eq!(arena.stats().misses, 3, "cols, prod and out classes");
+                assert_eq!(arena.stats().misses, 2, "padded input and out buffers");
             }
         }
-        assert!(arena.stats().hits >= 6);
+        assert_eq!(
+            arena.stats().hits,
+            4,
+            "both buffers hit in both warm rounds"
+        );
     }
 
     #[test]
@@ -885,30 +1054,200 @@ mod tests {
             weight.data_mut()[1] = 0.0;
             let bias = wavy(&[c_out], 2.0);
             for bias in [None, Some(&bias)] {
-                // The general path: im2col, one GEMM over the whole batch,
-                // then the bias.
-                let cols = im2col(&input, cfg).unwrap();
-                let w_mat = weight.reshape(Shape::new(&[c_out, c_in])).unwrap();
-                let prod = w_mat.matmul(&cols).unwrap();
-                let mut expected = vec![0.0f32; n * c_out * h * w];
-                for b in 0..n {
-                    for co in 0..c_out {
-                        let b_val = bias.map(|bt| bt.data()[co]).unwrap_or(0.0);
-                        for s in 0..h * w {
-                            expected[(b * c_out + co) * h * w + s] =
-                                prod.data()[co * n * h * w + b * h * w + s] + b_val;
+                let expected = conv_reference(&input, &weight, bias, cfg);
+                let got = conv2d(&input, &weight, bias, cfg).unwrap();
+                assert!(
+                    same_bits(&got, &expected),
+                    "{n}x{c_in}->{c_out} {h}x{w} bias {}",
+                    bias.is_some()
+                );
+            }
+        }
+    }
+
+    /// The im2col + GEMM forward the direct kernel replaced: one GEMM over
+    /// the columns of the whole batch, then the bias. Kept as the
+    /// bit-identity oracle.
+    fn conv_reference(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        cfg: Conv2dConfig,
+    ) -> Tensor {
+        let (n, _, h, w) = input.shape().as_nchw().unwrap();
+        let (oh, ow) = cfg.output_size(h, w).unwrap();
+        let c_out = weight.shape().dims()[0];
+        let cols = im2col(input, cfg).unwrap();
+        let (rows, ncols) = cols.shape().as_matrix().unwrap();
+        let mut prod = vec![0.0f32; c_out * ncols];
+        matmul_slices(weight.data(), c_out, rows, cols.data(), ncols, &mut prod);
+        let spatial = oh * ow;
+        let mut out = vec![0.0f32; n * c_out * spatial];
+        for co in 0..c_out {
+            let b_val = bias.map(|bt| bt.data()[co]).unwrap_or(0.0);
+            for b in 0..n {
+                for s in 0..spatial {
+                    out[(b * c_out + co) * spatial + s] =
+                        prod[co * ncols + b * spatial + s] + b_val;
+                }
+            }
+        }
+        t(&[n, c_out, oh, ow], &out)
+    }
+
+    /// Bitwise equality, except that any NaN equals any NaN.
+    fn same_bits(got: &Tensor, expected: &Tensor) -> bool {
+        got.shape() == expected.shape()
+            && got
+                .data()
+                .iter()
+                .zip(expected.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    #[test]
+    fn direct_conv_is_bitwise_im2col_and_matmul() {
+        let mut configs = 0;
+        for k in [1usize, 2, 3, 5] {
+            for stride in 1..=3 {
+                // A 1×1 kernel takes the direct path only when padded.
+                for padding in usize::from(k == 1)..=k {
+                    for &(h, w) in &[(1usize, 1usize), (5, 7), (9, 4), (4, 17), (2, 19)] {
+                        let cfg = Conv2dConfig::new(k, stride, padding);
+                        if cfg.output_size(h, w).is_err() {
+                            continue;
+                        }
+                        for c_out in [1usize, 3, 4, 5, 12] {
+                            // Each case runs twice (without and with bias).
+                            let case = configs / 2;
+                            let variant = case % 4;
+                            let n = 1 + (case / 4) % 3;
+                            let c_in = 1 + case % 3;
+                            let mut input = wavy(&[n, c_in, h, w], 0.4 + k as f32);
+                            let mut weight =
+                                wavy(&[c_out, c_in, k, k], 0.2 + stride as f32 + c_out as f32);
+                            let taps = c_in * k * k;
+                            match variant {
+                                // No zero weight.
+                                0 => {}
+                                // Scattered zeros, and an infinite input the
+                                // skipped taps must not turn into NaN.
+                                1 => {
+                                    for v in weight.data_mut().iter_mut().step_by(5) {
+                                        *v = 0.0;
+                                    }
+                                    input.data_mut()[0] = f32::INFINITY;
+                                }
+                                // One output channel's whole weight row is zero.
+                                2 => weight.data_mut()[(c_out / 2) * taps..][..taps].fill(0.0),
+                                // NaN and ±inf in the input and the weights.
+                                _ => {
+                                    let len = input.len();
+                                    input.data_mut()[len / 2] = f32::NAN;
+                                    input.data_mut()[len - 1] = f32::NEG_INFINITY;
+                                    let wl = weight.len();
+                                    weight.data_mut()[wl / 3] = f32::NAN;
+                                    weight.data_mut()[wl - 1] = f32::INFINITY;
+                                    weight.data_mut()[0] = f32::NEG_INFINITY;
+                                }
+                            }
+                            let bias = wavy(&[c_out], 1.3);
+                            for bias in [None, Some(&bias)] {
+                                let expected = conv_reference(&input, &weight, bias, cfg);
+                                let got = conv2d(&input, &weight, bias, cfg).unwrap();
+                                assert!(
+                                    same_bits(&got, &expected),
+                                    "{cfg:?} {n}x{c_in}x{h}x{w} -> {c_out} (variant {variant}, bias {})",
+                                    bias.is_some()
+                                );
+                                configs += 1;
+                            }
                         }
                     }
                 }
-                let got = conv2d(&input, &weight, bias, cfg).unwrap();
-                assert_eq!(got.shape().dims(), &[n, c_out, h, w]);
-                let same = got
-                    .data()
-                    .iter()
-                    .zip(&expected)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{n}x{c_in}->{c_out} {h}x{w} bias {}", bias.is_some());
             }
+        }
+        assert!(configs > 300, "grid shrank to {configs} configurations");
+    }
+
+    #[test]
+    fn empty_dimensions_match_the_reference() {
+        // An empty batch, no input or no output channels on both paths, and
+        // an input with no rows that only its padding makes convolvable.
+        let padded3 = Conv2dConfig::new(3, 1, 2);
+        let pointwise = Conv2dConfig::new(1, 1, 0);
+        for &(n, c_in, c_out, h, w, cfg) in &[
+            (0, 2, 3, 4, 4, padded3),
+            (1, 0, 3, 4, 4, padded3),
+            (2, 2, 0, 4, 4, padded3),
+            (1, 2, 3, 0, 4, padded3),
+            (1, 0, 3, 4, 4, pointwise),
+            (2, 2, 0, 4, 4, pointwise),
+        ] {
+            let input = wavy(&[n, c_in, h, w], 0.5);
+            let weight = wavy(&[c_out, c_in, cfg.kernel, cfg.kernel], 1.5);
+            let bias = wavy(&[c_out], 2.5);
+            let expected = conv_reference(&input, &weight, Some(&bias), cfg);
+            let got = conv2d(&input, &weight, Some(&bias), cfg).unwrap();
+            assert!(
+                same_bits(&got, &expected),
+                "{n}x{c_in}x{h}x{w} -> {c_out} {cfg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_reject_a_bias_of_the_wrong_length() {
+        let input = wavy(&[1, 3, 5, 5], 0.5);
+        let dense = wavy(&[4, 3, 3, 3], 1.5);
+        let pointwise = wavy(&[4, 3, 1, 1], 2.5);
+        let depthwise = wavy(&[3, 1, 3, 3], 3.5);
+        for len in [2usize, 6] {
+            let bias = wavy(&[len], 0.0);
+            let mut arena = TensorArena::new();
+            let cases = [
+                (
+                    conv2d_arena(
+                        &input,
+                        &pointwise,
+                        Some(&bias),
+                        Conv2dConfig::new(1, 1, 0),
+                        &mut arena,
+                    ),
+                    4,
+                ),
+                (
+                    conv2d_arena(
+                        &input,
+                        &dense,
+                        Some(&bias),
+                        Conv2dConfig::same(3),
+                        &mut arena,
+                    ),
+                    4,
+                ),
+                (
+                    depthwise_conv2d_arena(
+                        &input,
+                        &depthwise,
+                        Some(&bias),
+                        Conv2dConfig::same(3),
+                        &mut arena,
+                    ),
+                    3,
+                ),
+            ];
+            for (got, expected) in cases {
+                assert_eq!(
+                    got.unwrap_err(),
+                    TensorError::LengthMismatch {
+                        expected,
+                        actual: len,
+                    }
+                );
+            }
+            // The check comes before any work: nothing was drawn from the arena.
+            assert_eq!(arena.stats().misses, 0, "bias of length {len}");
         }
     }
 

@@ -2,10 +2,11 @@
 //!
 //! This crate provides the numerical foundation used by every other crate in the
 //! workspace: an owned, contiguous, row-major [`Tensor`] with an NCHW-oriented
-//! convolution toolkit (im2col/col2im, direct depthwise convolution), pooling,
-//! resampling, padding, and the shape bookkeeping needed to implement both the
-//! super-resolution networks and the classifiers of the paper *Super-Efficient
-//! Super Resolution for Fast Adversarial Defense at the Edge* (DATE 2022).
+//! convolution toolkit (direct dense and depthwise convolution, im2col/col2im
+//! for the backward pass), pooling, resampling, padding, and the shape
+//! bookkeeping needed to implement both the super-resolution networks and the
+//! classifiers of the paper *Super-Efficient Super Resolution for Fast
+//! Adversarial Defense at the Edge* (DATE 2022).
 //!
 //! The design goal is correctness and clarity rather than peak throughput: all
 //! kernels are straightforward loops over contiguous buffers, which is fast

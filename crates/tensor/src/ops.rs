@@ -7,8 +7,10 @@ use crate::{Result, Shape, Tensor, TensorArena, TensorError};
 /// contiguous row-major slices. `out` must be zero-initialised by the caller.
 ///
 /// Loop order (i, p, j) keeps the innermost accesses contiguous in both the
-/// output row and the B row, which matters for the im2col-based convolutions
-/// built on top of this.
+/// output row and the B row, which matters for the 1×1 convolutions built on
+/// top of this. A zero in `a` skips its whole row of `b`; the direct
+/// convolution skips the same terms so that it matches this kernel bit for
+/// bit.
 pub(crate) fn matmul_slices(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
