@@ -459,6 +459,13 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Ceiling on the supervisor's per-member health probe (stats fetch +
+/// parse) at the median, checked by the `--cluster` gate. On a 2-vCPU box
+/// the loopback smoke reads 2–3.5 ms; a parse that rescans the rest of the
+/// document per character reads 10–31 ms there, and ~160 ms per probe at
+/// `perf`'s traffic rates.
+const PROBE_P50_MAX_MS: f64 = 10.0;
+
 /// One member's forwarding-latency row in the cluster table.
 struct MemberRow {
     member: String,
@@ -490,6 +497,19 @@ fn cluster_table(snapshot: &TelemetrySnapshot) -> Result<ClusterSection, String>
     if members_up <= 0 {
         return Err("--cluster: no members up (cluster.members_up=0)".to_string());
     }
+    // The supervisor's health probe runs on the loop that reaps and
+    // restarts members; one that takes tens of ms per member eats the
+    // front's CPU and slows recovery.
+    let probe = snapshot
+        .histogram("cluster.supervisor.probe_ns")
+        .filter(|hist| hist.count > 0)
+        .ok_or("--cluster: no cluster.supervisor.probe_ns samples")?;
+    let probe_p50_ms = probe.quantile(0.50) as f64 / 1e6;
+    if probe_p50_ms > PROBE_P50_MAX_MS {
+        return Err(format!(
+            "--cluster: health probe p50 {probe_p50_ms:.1} ms exceeds {PROBE_P50_MAX_MS} ms"
+        ));
+    }
     let mut rows: Vec<MemberRow> = snapshot
         .histograms
         .iter()
@@ -515,7 +535,9 @@ fn cluster_table(snapshot: &TelemetrySnapshot) -> Result<ClusterSection, String>
         member: "fleet".to_string(),
         hist: fleet,
     });
-    println!("  cluster: {members_up} members up, {forwarded} forwarded");
+    println!(
+        "  cluster: {members_up} members up, {forwarded} forwarded, probe p50 {probe_p50_ms:.2} ms"
+    );
     println!(
         "    {:<8} {:>8} {:>12} {:>12} {:>12}",
         "member", "count", "p50_ms", "p99_ms", "max_ms"

@@ -3,13 +3,16 @@
 //!
 //! [`ClusterBackend`] plugs into the same reactor loop `sesr-netd` runs, so
 //! the front tier inherits every admission control the single-process
-//! server has (token buckets, hash integrity, connection caps) and adds one
-//! responsibility: *placement*. On submit it hashes
-//! `(route, content_hash)` onto the ring and appends the request frame to
-//! the owning member's link buffer; the reactor's per-sweep
-//! [`pump`](sesr_net::Backend::pump) call flushes writes, reads replies and
-//! reconciles them back to tickets — all non-blocking, so a dead member can
-//! never stall the front.
+//! server has (frame structure, token buckets, connection caps) and adds
+//! one responsibility: *placement*. On submit it hashes
+//! `(route, content_hash)` onto the ring and appends the request to the
+//! owning member's link buffer — a fresh header and wire id in front of
+//! the image bytes, copied untouched. The reactor's per-sweep
+//! [`pump`](sesr_net::Backend::pump) call flushes writes, reads reply
+//! frames and hands them back to their tickets still encoded — all
+//! non-blocking, so a dead member can never stall the front. The front
+//! never converts a tensor: the member decodes the image and verifies its
+//! content hash, once.
 //!
 //! Degradation is *arc-local by construction*: a `Down` member keeps its
 //! ring identity (no remap), and requests hashing onto its arcs are
@@ -20,8 +23,8 @@
 use crate::ring::HashRing;
 use crate::supervisor::{probe_policy, Command, Control};
 use crate::MemberId;
-use sesr_net::{Backend, BackendRequest, ResponseBody, RetryReason, Submit};
-use sesr_net::{Frame, FrameDecode, WireRequest};
+use sesr_net::wire::{self, FrameDecode, FrameRef};
+use sesr_net::{Backend, BackendRequest, ResponseBody, ResponseFrame, RetryReason, Submit};
 use sesr_telemetry::{merge_snapshots, prefix_snapshot, Telemetry, TelemetrySnapshot};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -88,7 +91,7 @@ pub struct ClusterBackend {
     control: Receiver<Control>,
     commands: Sender<Command>,
     /// Replies ready for [`Backend::poll`], keyed by ticket.
-    done: HashMap<u64, ResponseBody>,
+    done: HashMap<u64, ResponseFrame>,
     next_ticket: u64,
     retry_after: Duration,
     snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>>,
@@ -187,8 +190,8 @@ impl ClusterBackend {
         link.read_buf.clear();
         link.write_buf.clear();
         for orphan in orphans {
-            let body = self.member_down_body();
-            self.done.insert(orphan.ticket, body);
+            let frame = ResponseFrame::encode(orphan.ticket, &self.member_down_body());
+            self.done.insert(orphan.ticket, frame);
         }
     }
 
@@ -213,7 +216,7 @@ impl ClusterBackend {
         let mut progress = false;
         let mut lost: Vec<MemberId> = Vec::new();
         let ids: Vec<MemberId> = self.links.keys().copied().collect();
-        let mut finished: Vec<(u64, ResponseBody, MemberId, Duration)> = Vec::new();
+        let mut finished: Vec<(u64, ResponseFrame, MemberId, Duration)> = Vec::new();
         for id in ids {
             let Some(link) = self.links.get_mut(&id) else {
                 continue;
@@ -266,17 +269,19 @@ impl ClusterBackend {
             if lost.contains(&id) {
                 continue;
             }
-            // Reassemble complete frames.
+            // Take every whole reply frame through a read offset; the
+            // consumed prefix is dropped once, after the burst.
+            let mut at = 0;
             loop {
-                match sesr_net::wire::decode(&link.read_buf, sesr_net::wire::DEFAULT_MAX_PAYLOAD) {
+                match wire::decode_ref(&link.read_buf[at..], wire::DEFAULT_MAX_PAYLOAD) {
                     Ok(FrameDecode::Complete { frame, consumed }) => {
-                        link.read_buf.drain(..consumed);
+                        at += consumed;
                         progress = true;
-                        if let Frame::Response(response) = frame {
+                        if let FrameRef::Response(response) = frame {
                             if let Some(forward) = link.inflight.remove(&response.id) {
                                 finished.push((
                                     forward.ticket,
-                                    response.body,
+                                    response.to_frame(),
                                     id,
                                     forward.started.elapsed(),
                                 ));
@@ -293,13 +298,14 @@ impl ClusterBackend {
                     }
                 }
             }
+            link.read_buf.drain(..at);
         }
-        for (ticket, body, member, elapsed) in finished {
+        for (ticket, frame, member, elapsed) in finished {
             self.telemetry
                 .metrics()
                 .histogram(&format!("cluster.member.{member}.forward_ns"))
                 .record_duration(elapsed);
-            self.done.insert(ticket, body);
+            self.done.insert(ticket, frame);
         }
         for id in lost {
             self.member_lost(id);
@@ -358,15 +364,7 @@ impl Backend for ClusterBackend {
         if let Some(link) = self.links.get_mut(&owner) {
             let wire_id = link.next_wire_id;
             link.next_wire_id += 1;
-            link.write_buf
-                .extend_from_slice(&sesr_net::wire::encode(&Frame::Request(WireRequest {
-                    id: wire_id,
-                    route: request.route,
-                    deadline_ms: request.deadline_ms,
-                    skip_cache: request.skip_cache,
-                    content_hash: request.content_hash,
-                    image: request.image,
-                })));
+            request.encode_into(wire_id, &mut link.write_buf);
             link.inflight.insert(
                 wire_id,
                 Forward {
@@ -379,7 +377,7 @@ impl Backend for ClusterBackend {
         Submit::Ticket(ticket)
     }
 
-    fn poll(&mut self, ticket: u64) -> Option<ResponseBody> {
+    fn poll(&mut self, ticket: u64) -> Option<ResponseFrame> {
         self.done.remove(&ticket)
     }
 

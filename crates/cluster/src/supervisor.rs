@@ -508,11 +508,20 @@ impl Supervisor {
             if member.probe.is_none() {
                 member.probe = NetClient::connect(addr).ok();
             }
+            // The probe runs on this loop's thread, so its cost (stats
+            // fetch + parse) is how long reaping, restarts and reload
+            // fan-out wait: `cluster.supervisor.probe_ns`.
+            let started = Instant::now();
             let json = member
                 .probe
                 .as_mut()
                 .and_then(|probe| probe.stats(timeout).ok());
-            match json.and_then(|json| TelemetrySnapshot::from_json(&json).ok()) {
+            let parsed = json.and_then(|json| TelemetrySnapshot::from_json(&json).ok());
+            self.telemetry
+                .metrics()
+                .histogram("cluster.supervisor.probe_ns")
+                .record_duration(started.elapsed());
+            match parsed {
                 Some(snapshot) => {
                     member.health_failures = 0;
                     lock(&self.snapshots).insert(id, snapshot);

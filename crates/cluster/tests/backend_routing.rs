@@ -7,7 +7,9 @@
 use sesr_cluster::{ClusterBackend, Control, HashRing};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
-use sesr_net::{Backend, BackendRequest, NetConfig, NetServer, ResponseBody, Submit};
+use sesr_net::{
+    Backend, BackendRequest, EncodedTensor, NetConfig, NetServer, ResponseBody, Submit,
+};
 use sesr_serve::{content_hash, GatewayBuilder, RouteKey};
 use sesr_telemetry::{Telemetry, TelemetrySnapshot};
 use std::collections::HashMap;
@@ -33,17 +35,18 @@ fn request_for(route: &str, tag: u32, skip_cache: bool) -> BackendRequest {
         deadline_ms: 0,
         skip_cache,
         content_hash: content_hash(&image, ""),
-        image,
+        image: EncodedTensor::encode(&image),
     }
 }
 
-/// Pump the backend until `ticket` answers (or the deadline passes).
+/// Pump the backend until `ticket` answers (or the deadline passes), and
+/// decode the relayed reply frame.
 fn poll_until(backend: &mut ClusterBackend, ticket: u64, timeout: Duration) -> ResponseBody {
     let deadline = Instant::now() + timeout;
     loop {
         backend.pump();
-        if let Some(body) = backend.poll(ticket) {
-            return body;
+        if let Some(frame) = backend.poll(ticket) {
+            return frame.decode().expect("relayed reply decodes").body;
         }
         assert!(
             Instant::now() < deadline,

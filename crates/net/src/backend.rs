@@ -11,6 +11,14 @@
 //! - `ClusterBackend` (in `sesr-cluster`): consistent-hashes each request to
 //!   an owning worker process and forwards it over this same wire protocol.
 //!
+//! Images cross this boundary still in their wire encoding
+//! ([`EncodedTensor`]) and replies leave it as encoded frames
+//! ([`ResponseFrame`]), so a tier that only relays never converts a tensor.
+//! The content hash is verified once, by the tier that decodes the image:
+//! [`LocalBackend`] checks it before queueing and counts failures in
+//! `net.hash_mismatch`; a cluster front forwards the claim untouched and
+//! its member checks it.
+//!
 //! The contract is poll-driven to match the reactor's non-blocking sweep:
 //! [`Backend::submit`] never blocks (it returns a ticket or an immediate
 //! shed reply), [`Backend::poll`] is called every sweep per in-flight
@@ -18,15 +26,14 @@
 //! drive its own I/O (a local gateway needs none; a cluster router flushes
 //! and reads member connections there).
 
-use crate::wire::{ResponseBody, RetryReason};
+use crate::wire::{self, EncodedTensor, ResponseBody, ResponseFrame, RetryReason};
 use sesr_serve::{content_hash, DefenseRequest, GatewayClient, PendingResponse, RouteKey};
-use sesr_telemetry::{HealthState, Telemetry};
-use sesr_tensor::Tensor;
+use sesr_telemetry::{Counter, HealthState, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One admitted request, after the reactor's integrity and rate-limit
+/// One admitted request, after the reactor's structural and rate-limit
 /// checks, before route resolution.
 #[derive(Debug, Clone)]
 pub struct BackendRequest {
@@ -36,12 +43,30 @@ pub struct BackendRequest {
     pub deadline_ms: u32,
     /// Bypass output caches.
     pub skip_cache: bool,
-    /// FNV-1a64 content hash of `image`, already verified by the reactor.
-    /// A cluster router hashes `(route, content_hash)` onto its ring so
-    /// cache affinity survives scale-out.
+    /// FNV-1a64 content hash the client claims for `image`. It is verified
+    /// once, by the backend that decodes the image ([`LocalBackend`]); a
+    /// cluster router forwards it unchecked and hashes `(route,
+    /// content_hash)` onto its ring so cache affinity survives scale-out.
     pub content_hash: u64,
-    /// The image to defend.
-    pub image: Tensor,
+    /// The image to defend, still in its wire encoding.
+    pub image: EncodedTensor,
+}
+
+impl BackendRequest {
+    /// Append this request to `out` as a wire request frame with
+    /// correlation id `id`: a fresh header and head fields in front of the
+    /// image bytes, copied untouched.
+    pub fn encode_into(&self, id: u64, out: &mut Vec<u8>) {
+        wire::push_encoded_request(
+            out,
+            id,
+            &self.route,
+            self.deadline_ms,
+            self.skip_cache,
+            self.content_hash,
+            &self.image,
+        );
+    }
 }
 
 /// What [`Backend::submit`] did with a request.
@@ -71,8 +96,9 @@ pub trait Backend: Send + 'static {
     fn submit(&mut self, request: BackendRequest) -> Submit;
 
     /// Poll one in-flight ticket; `Some` exactly once, when the reply is
-    /// ready. The ticket is dead afterwards.
-    fn poll(&mut self, ticket: u64) -> Option<ResponseBody>;
+    /// ready. The ticket is dead afterwards. The frame's id is the
+    /// backend's own; the reactor rewrites it to the client's.
+    fn poll(&mut self, ticket: u64) -> Option<ResponseFrame>;
 
     /// Drop an in-flight ticket whose connection died; the eventual result
     /// is discarded.
@@ -110,6 +136,7 @@ pub struct LocalBackend {
     inflight: HashMap<u64, LocalInflight>,
     next_ticket: u64,
     overload_retry_after: Duration,
+    hash_mismatch: Arc<Counter>,
 }
 
 impl LocalBackend {
@@ -122,12 +149,14 @@ impl LocalBackend {
             .into_iter()
             .map(|key| (key.label(), key))
             .collect();
+        let hash_mismatch = client.telemetry().metrics().counter("net.hash_mismatch");
         LocalBackend {
             client,
             routes,
             inflight: HashMap::new(),
             next_ticket: 1,
             overload_retry_after,
+            hash_mismatch,
         }
     }
 
@@ -177,8 +206,20 @@ impl Backend for LocalBackend {
                 None => return Submit::Reply(ResponseBody::UnknownRoute(request.route)),
             }
         };
-        debug_assert_eq!(content_hash(&request.image, ""), request.content_hash);
-        let mut defense = DefenseRequest::new(request.image);
+        // Integrity: the claimed hash must match the payload. This catches
+        // corruption *and* keeps the cache keys (and a cluster front's
+        // ring placement, made from the claim) honest.
+        let image = match request.image.decode() {
+            Ok(image) => image,
+            Err(err) => return Submit::Reply(ResponseBody::InvalidRequest(err.to_string())),
+        };
+        if content_hash(&image, "") != request.content_hash {
+            self.hash_mismatch.incr();
+            return Submit::Reply(ResponseBody::InvalidRequest(
+                "content hash does not match the image payload".to_string(),
+            ));
+        }
+        let mut defense = DefenseRequest::new(image);
         if let Some(key) = route_key {
             defense = defense.on(key);
         }
@@ -205,19 +246,20 @@ impl Backend for LocalBackend {
         }
     }
 
-    fn poll(&mut self, ticket: u64) -> Option<ResponseBody> {
+    fn poll(&mut self, ticket: u64) -> Option<ResponseFrame> {
         let entry = self.inflight.get_mut(&ticket)?;
         let result = entry.pending.try_wait()?;
         let route = entry.route;
         self.inflight.remove(&ticket);
-        Some(match result {
+        let body = match result {
             Ok(response) => ResponseBody::Ok {
                 cache_hit: response.cache_hit,
                 label: response.label.map(|l| l as u64),
                 defended: response.defended,
             },
             Err(err) => self.shed_body(route, err),
-        })
+        };
+        Some(ResponseFrame::encode(ticket, &body))
     }
 
     fn forget(&mut self, ticket: u64) {
@@ -274,13 +316,13 @@ mod tests {
         assert!(backend.has_route(&default_label));
         assert!(!backend.has_route("nope:x2:raw"));
 
-        let image = Tensor::full(sesr_tensor::Shape::new(&[1, 3, 6, 6]), 0.25);
+        let image = sesr_tensor::Tensor::full(sesr_tensor::Shape::new(&[1, 3, 6, 6]), 0.25);
         let request = BackendRequest {
             route: String::new(),
             deadline_ms: 0,
             skip_cache: false,
             content_hash: content_hash(&image, ""),
-            image,
+            image: EncodedTensor::encode(&image),
         };
         let ticket = match backend.submit(request) {
             Submit::Ticket(ticket) => ticket,
@@ -288,8 +330,8 @@ mod tests {
         };
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         let body = loop {
-            if let Some(body) = backend.poll(ticket) {
-                break body;
+            if let Some(frame) = backend.poll(ticket) {
+                break frame.decode().expect("a backend encodes valid frames").body;
             }
             assert!(std::time::Instant::now() < deadline, "reply never arrived");
             std::thread::sleep(Duration::from_millis(1));

@@ -13,14 +13,16 @@
 //! - [`admission`] — token buckets with exact integer accounting, used
 //!   per-connection (client fairness) and optionally listener-wide.
 //! - [`reactor`] — the non-blocking polling loop: accept, read round-robin
-//!   under a fairness budget, admit (hash check → token bucket → route
-//!   resolution), submit to the backend, poll in-flight replies, flush.
+//!   under a fairness budget, check each frame's structure in place, admit
+//!   (token bucket → route resolution), submit to the backend, poll
+//!   in-flight replies, flush.
 //!   Overload and rate-limit sheds become structured retry-after replies;
 //!   wire deadlines propagate into the shard queue.
 //! - [`backend`] — where admitted requests go: the reactor is generic over
-//!   a [`Backend`], with [`LocalBackend`] submitting to an in-process
-//!   gateway and `sesr-cluster` providing a consistent-hash router that
-//!   forwards to worker processes.
+//!   a [`Backend`], with [`LocalBackend`] verifying the content hash and
+//!   submitting to an in-process gateway, and `sesr-cluster` providing a
+//!   consistent-hash router that forwards encoded requests and replies
+//!   between clients and worker processes.
 //! - [`client`] — a small blocking client used by the traffic generator,
 //!   the cluster supervisor's health probes, the tests and examples; it
 //!   types connection loss and reconnects with backoff.
@@ -43,5 +45,6 @@ pub use client::{NetClient, NetError, ReconnectPolicy, RequestOptions};
 pub use metrics::NetMetrics;
 pub use reactor::{NetConfig, NetServer};
 pub use wire::{
-    Frame, FrameDecode, ResponseBody, RetryReason, WireError, WireRequest, WireResponse,
+    EncodedTensor, Frame, FrameDecode, ResponseBody, ResponseFrame, RetryReason, WireError,
+    WireRequest, WireResponse,
 };

@@ -41,9 +41,6 @@ pub struct NetMetrics {
     /// Protocol violations that unsynchronized a connection
     /// (`net.decode_errors`).
     pub decode_errors: Arc<Counter>,
-    /// Requests whose wire content hash did not match the payload
-    /// (`net.hash_mismatch`).
-    pub hash_mismatch: Arc<Counter>,
     /// Journal probe per accepted connection (`net.accept`).
     pub accept_probe: Probe,
     /// Journal probe per shed request (`net.shed`), value = wire id.
@@ -75,7 +72,6 @@ impl NetMetrics {
             shed_overload: metrics.counter("net.shed.overload"),
             deadline_exceeded: metrics.counter("net.deadline_exceeded"),
             decode_errors: metrics.counter("net.decode_errors"),
-            hash_mismatch: metrics.counter("net.hash_mismatch"),
             accept_probe: telemetry.probe("net.accept", Level::Info, None),
             shed_probe: telemetry.probe("net.shed", Level::Warn, None),
             decode_probe: telemetry.probe("net.decode_error", Level::Warn, None),

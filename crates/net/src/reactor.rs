@@ -8,18 +8,22 @@
 //!    `max_connections`),
 //! 2. reads from every connection round-robin under a per-sweep byte budget
 //!    (per-client fairness: one firehose client cannot monopolize a sweep),
-//! 3. parses complete frames, runs **admission control** — wire content-hash
-//!    verification, per-client and global token buckets, route existence —
-//!    and submits admitted requests to the backend without blocking,
+//! 3. parses complete frames in place — every structural check
+//!    [`wire::decode`] makes, without converting the image — runs
+//!    **admission control** (per-client and global token buckets, route
+//!    existence) and submits admitted requests to the backend without
+//!    blocking,
 //! 4. polls every in-flight ticket (the backend answers when ready),
 //!    pumps the backend's own I/O once,
 //! 5. flushes response bytes, again without blocking.
 //!
 //! The backend decides what "executing a request" means:
-//! [`LocalBackend`] submits to an in-process gateway's bounded shard queues
-//! (this is [`NetServer::bind`]); the `sesr-cluster` router backend forwards
-//! frames to the worker process owning the request's hash arc
-//! ([`NetServer::bind_with_backend`]). Either way, nothing in the loop ever
+//! [`LocalBackend`] decodes the image, verifies its content hash and submits
+//! it to an in-process gateway's bounded shard queues (this is
+//! [`NetServer::bind`]); the `sesr-cluster` router backend forwards the
+//! encoded image to the worker process owning the request's hash arc
+//! ([`NetServer::bind_with_backend`]) and relays the member's reply frame
+//! with only its id rewritten. Either way, nothing in the loop ever
 //! parks on a peer: a stalled client, a half-written frame or a dead
 //! cluster member can delay only its own connection's buffers, never the
 //! reactor.
@@ -38,8 +42,11 @@
 use crate::admission::TokenBucket;
 use crate::backend::{Backend, BackendRequest, LocalBackend, Submit};
 use crate::metrics::NetMetrics;
-use crate::wire::{self, Frame, FrameDecode, ResponseBody, RetryReason, WireRequest, WireResponse};
-use sesr_serve::{content_hash, GatewayClient};
+use crate::wire::{
+    self, Frame, FrameDecode, FrameRef, RequestRef, ResponseBody, ResponseFrame, RetryReason,
+    WireResponse,
+};
+use sesr_serve::GatewayClient;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
@@ -359,15 +366,17 @@ impl<B: Backend> Reactor<B> {
         read_total > 0
     }
 
+    /// Parse and handle whole frames from the front of the read buffer,
+    /// then drop the consumed bytes in one move.
     fn parse_frames(&mut self, conn: &mut Conn) -> bool {
-        let mut progressed = false;
+        let buf = std::mem::take(&mut conn.read_buf);
+        let mut at = 0;
         while !conn.broken && conn.inflight.len() < self.config.max_inflight_per_conn {
-            match wire::decode(&conn.read_buf, self.config.max_frame_payload) {
+            match wire::decode_ref(&buf[at..], self.config.max_frame_payload) {
                 Ok(FrameDecode::Incomplete { .. }) => break,
                 Ok(FrameDecode::Complete { frame, consumed }) => {
-                    conn.read_buf.drain(..consumed);
+                    at += consumed;
                     self.metrics.frames_rx.incr();
-                    progressed = true;
                     self.handle_frame(conn, frame);
                 }
                 Err(err) => {
@@ -385,24 +394,25 @@ impl<B: Backend> Reactor<B> {
                         },
                     );
                     conn.broken = true;
-                    conn.read_buf.clear();
-                    progressed = true;
+                    at = buf.len();
                 }
             }
         }
-        progressed
+        conn.read_buf = buf;
+        conn.read_buf.drain(..at);
+        at > 0
     }
 
-    fn handle_frame(&mut self, conn: &mut Conn, frame: Frame) {
+    fn handle_frame(&mut self, conn: &mut Conn, frame: FrameRef<'_>) {
         match frame {
-            Frame::Request(request) => self.handle_request(conn, request),
-            Frame::Stats { id } => {
+            FrameRef::Request(request) => self.handle_request(conn, request),
+            FrameRef::Control(Frame::Stats { id }) => {
                 let json = self.backend.stats_json();
                 conn.write_buf
                     .extend_from_slice(&wire::encode(&Frame::StatsReply { id, json }));
                 self.metrics.frames_tx.incr();
             }
-            Frame::Reload { id, route } => {
+            FrameRef::Control(Frame::Reload { id, route }) => {
                 let (ok, message) = match self.backend.reload(&route) {
                     Ok(message) => (true, message),
                     Err(message) => (false, message),
@@ -411,7 +421,7 @@ impl<B: Backend> Reactor<B> {
                     .extend_from_slice(&wire::encode(&Frame::ReloadReply { id, ok, message }));
                 self.metrics.frames_tx.incr();
             }
-            Frame::Response(_) | Frame::StatsReply { .. } | Frame::ReloadReply { .. } => {
+            FrameRef::Response(_) | FrameRef::Control(_) => {
                 // Server-to-client frames arriving at the server are a
                 // protocol violation.
                 self.metrics.decode_errors.incr();
@@ -429,32 +439,8 @@ impl<B: Backend> Reactor<B> {
         }
     }
 
-    fn handle_request(&mut self, conn: &mut Conn, request: WireRequest) {
-        let WireRequest {
-            id,
-            route,
-            deadline_ms,
-            skip_cache,
-            content_hash: claimed_hash,
-            image,
-        } = request;
-
-        // Integrity: the wire hash must match the payload. This catches
-        // corruption *and* keeps downstream cache keys (and the cluster's
-        // hash-ring placement) honest.
-        if content_hash(&image, "") != claimed_hash {
-            self.metrics.hash_mismatch.incr();
-            self.queue_response(
-                conn,
-                WireResponse {
-                    id,
-                    body: ResponseBody::InvalidRequest(
-                        "content hash does not match the image payload".to_string(),
-                    ),
-                },
-            );
-            return;
-        }
+    fn handle_request(&mut self, conn: &mut Conn, request: RequestRef<'_>) {
+        let id = request.id;
 
         // Rate limiting: the client's own bucket first, then the listener's
         // global one. (A request that passes the per-client check but loses
@@ -487,23 +473,25 @@ impl<B: Backend> Reactor<B> {
         }
 
         // Route existence: empty label = the backend's default.
-        if !route.is_empty() && !self.backend.has_route(&route) {
+        if !request.route.is_empty() && !self.backend.has_route(request.route) {
             self.queue_response(
                 conn,
                 WireResponse {
                     id,
-                    body: ResponseBody::UnknownRoute(route),
+                    body: ResponseBody::UnknownRoute(request.route.to_string()),
                 },
             );
             return;
         }
 
+        // The image goes on encoded; the backend that decodes it verifies
+        // the content hash.
         match self.backend.submit(BackendRequest {
-            route,
-            deadline_ms,
-            skip_cache,
-            content_hash: claimed_hash,
-            image,
+            route: request.route.to_string(),
+            deadline_ms: request.deadline_ms,
+            skip_cache: request.skip_cache,
+            content_hash: request.content_hash,
+            image: request.image(),
         }) {
             Submit::Ticket(ticket) => {
                 self.metrics.admitted.incr();
@@ -514,28 +502,27 @@ impl<B: Backend> Reactor<B> {
                     started: now,
                 });
             }
-            Submit::Reply(body) => {
-                self.note_reply(id, &body);
-                self.queue_response(conn, WireResponse { id, body });
-            }
+            Submit::Reply(body) => self.relay(conn, id, ResponseFrame::encode(id, &body)),
         }
     }
 
-    /// Account for a backend-produced shed reply: overload sheds (whatever
-    /// their origin — full queue, Unhealthy route, degraded cluster arc)
-    /// and relayed deadline misses keep the same `net.*` counters the
-    /// gateway-backed reactor always had.
-    fn note_reply(&self, id: u64, body: &ResponseBody) {
-        match body {
-            ResponseBody::RetryAfter { retry_after_ms, .. } => {
-                self.metrics.shed_overload.incr();
-                self.metrics
-                    .shed_probe
-                    .observe(id, Duration::from_millis(u64::from(*retry_after_ms)));
-            }
-            ResponseBody::DeadlineExceeded => self.metrics.deadline_exceeded.incr(),
-            _ => {}
+    /// Queue a backend's reply under the client's id. Overload sheds
+    /// (whatever their origin — full queue, Unhealthy route, degraded
+    /// cluster arc) and relayed deadline misses keep the same `net.*`
+    /// counters the gateway-backed reactor always had; they are read off
+    /// the status byte, so a relayed frame is never decoded.
+    fn relay(&mut self, conn: &mut Conn, id: u64, mut frame: ResponseFrame) {
+        if let Some(retry_after_ms) = frame.retry_after_ms() {
+            self.metrics.shed_overload.incr();
+            self.metrics
+                .shed_probe
+                .observe(id, Duration::from_millis(u64::from(retry_after_ms)));
+        } else if frame.is_deadline_exceeded() {
+            self.metrics.deadline_exceeded.incr();
         }
+        frame.set_id(id);
+        conn.write_buf.extend_from_slice(frame.as_bytes());
+        self.metrics.frames_tx.incr();
     }
 
     fn poll_inflight(&mut self, conn: &mut Conn) -> bool {
@@ -543,20 +530,13 @@ impl<B: Backend> Reactor<B> {
         let mut i = 0;
         while i < conn.inflight.len() {
             match self.backend.poll(conn.inflight[i].ticket) {
-                Some(body) => {
+                Some(frame) => {
                     let inflight = conn.inflight.swap_remove(i);
                     self.metrics
                         .request_probe
                         .observe(inflight.id, inflight.started.elapsed());
                     self.metrics.inflight.add(-1);
-                    self.note_reply(inflight.id, &body);
-                    self.queue_response(
-                        conn,
-                        WireResponse {
-                            id: inflight.id,
-                            body,
-                        },
-                    );
+                    self.relay(conn, inflight.id, frame);
                     progressed = true;
                 }
                 None => i += 1,

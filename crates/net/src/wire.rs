@@ -21,6 +21,11 @@
 //! never panic or read past the buffer. A frame split across TCP segments
 //! reports [`FrameDecode::Incomplete`] so a streaming caller knows to wait
 //! for more bytes rather than treat the prefix as an error.
+//!
+//! [`decode`] is [`decode_ref`] plus tensor conversion: `decode_ref` makes
+//! every check and leaves a request's image ([`EncodedTensor`]) or a whole
+//! response ([`ResponseFrame`]) in its wire encoding, so a tier that only
+//! relays them forwards the checked bytes without converting anything.
 
 use sesr_tensor::{Shape, Tensor};
 
@@ -245,9 +250,10 @@ pub enum Frame {
     },
 }
 
-/// Outcome of a streaming decode attempt.
+/// Outcome of a streaming decode attempt: [`decode`] yields owned
+/// [`Frame`]s, [`decode_ref`] yields [`FrameRef`]s borrowing the buffer.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FrameDecode {
+pub enum FrameDecode<F = Frame> {
     /// Not enough bytes for a whole frame yet; `needed` is the total buffer
     /// length at which another attempt can make progress.
     Incomplete {
@@ -257,10 +263,156 @@ pub enum FrameDecode {
     /// One whole frame, and how many buffer bytes it consumed.
     Complete {
         /// The decoded frame.
-        frame: Frame,
+        frame: F,
         /// Bytes consumed from the front of the buffer.
         consumed: usize,
     },
+}
+
+/// A tensor in its wire encoding (`rank:u8, dims:u32×rank,
+/// data:f32×∏dims`) whose rank, dims and byte length have been checked.
+/// A tier that only relays an image forwards these bytes untouched; the
+/// tier that runs it converts them once with [`EncodedTensor::decode`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedTensor {
+    bytes: Vec<u8>,
+}
+
+impl EncodedTensor {
+    /// Encode `tensor`.
+    pub fn encode(tensor: &Tensor) -> EncodedTensor {
+        let mut bytes = Vec::with_capacity(tensor_len(tensor));
+        push_tensor(&mut bytes, tensor);
+        EncodedTensor { bytes }
+    }
+
+    /// Convert to a tensor.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Malformed`] if the tensor library refuses the shape.
+    pub fn decode(&self) -> Result<Tensor, WireError> {
+        tensor_from_checked(&self.bytes)
+    }
+}
+
+/// A request frame decoded in place: every check [`decode`] makes, with the
+/// route borrowed and the image left in its wire encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestRef<'a> {
+    /// See [`WireRequest::id`].
+    pub id: u64,
+    /// See [`WireRequest::route`].
+    pub route: &'a str,
+    /// See [`WireRequest::deadline_ms`].
+    pub deadline_ms: u32,
+    /// See [`WireRequest::skip_cache`].
+    pub skip_cache: bool,
+    /// The claimed hash, not yet checked against the image: see
+    /// [`WireRequest::content_hash`].
+    pub content_hash: u64,
+    /// The checked tensor encoding.
+    image: &'a [u8],
+}
+
+impl RequestRef<'_> {
+    /// Copy the image out of the buffer, still encoded.
+    pub fn image(&self) -> EncodedTensor {
+        EncodedTensor {
+            bytes: self.image.to_vec(),
+        }
+    }
+}
+
+/// A response frame decoded in place: every check [`decode`] makes, with
+/// the whole frame borrowed so it can be relayed byte for byte.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResponseRef<'a> {
+    /// See [`WireResponse::id`].
+    pub id: u64,
+    body: BodyRef<'a>,
+    frame: &'a [u8],
+}
+
+impl ResponseRef<'_> {
+    /// Copy the whole frame out of the buffer, still encoded.
+    pub fn to_frame(&self) -> ResponseFrame {
+        ResponseFrame {
+            bytes: self.frame.to_vec(),
+        }
+    }
+}
+
+/// A frame decoded by [`decode_ref`]: requests and responses borrow the
+/// buffer and keep their tensors encoded; the small control frames are
+/// decoded as [`decode`] decodes them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameRef<'a> {
+    /// A request frame.
+    Request(RequestRef<'a>),
+    /// A response frame.
+    Response(ResponseRef<'a>),
+    /// A stats, stats-reply, reload or reload-reply frame.
+    Control(Frame),
+}
+
+/// One whole Response frame in its wire encoding. A relaying tier receives
+/// it from the member that ran the request and forwards it as is, with only
+/// the correlation id rewritten ([`ResponseFrame::set_id`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResponseFrame {
+    bytes: Vec<u8>,
+}
+
+impl ResponseFrame {
+    /// Encode `body` as the response to request `id`.
+    pub fn encode(id: u64, body: &ResponseBody) -> ResponseFrame {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + response_payload_len(body));
+        push_response(&mut bytes, id, body);
+        ResponseFrame { bytes }
+    }
+
+    /// Rewrite the correlation id; no other byte changes.
+    pub fn set_id(&mut self, id: u64) {
+        self.bytes[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&id.to_le_bytes());
+    }
+
+    /// The frame as it goes on the wire.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The backoff hint, when this is a [`ResponseBody::RetryAfter`].
+    pub fn retry_after_ms(&self) -> Option<u32> {
+        let at = HEADER_LEN + 8;
+        (self.bytes[at] == STATUS_RETRY_AFTER).then(|| {
+            u32::from_le_bytes([
+                self.bytes[at + 1],
+                self.bytes[at + 2],
+                self.bytes[at + 3],
+                self.bytes[at + 4],
+            ])
+        })
+    }
+
+    /// Whether this is a [`ResponseBody::DeadlineExceeded`].
+    pub fn is_deadline_exceeded(&self) -> bool {
+        self.bytes[HEADER_LEN + 8] == STATUS_DEADLINE
+    }
+
+    /// Decode the whole frame.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Malformed`] if the tensor library refuses the shape.
+    pub fn decode(&self) -> Result<WireResponse, WireError> {
+        let mut cursor = Cursor::new(&self.bytes[HEADER_LEN..]);
+        let (id, body) = response_ref(&mut cursor)?;
+        Ok(WireResponse {
+            id,
+            body: body.into_body()?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,15 +434,30 @@ fn patch_len(out: &mut [u8], len_at: usize) {
     out[len_at..len_at + 4].copy_from_slice(&payload.to_le_bytes());
 }
 
+/// Encoded size of a tensor: rank byte, dims, f32 data.
+fn tensor_len(tensor: &Tensor) -> usize {
+    1 + 4 * tensor.shape().dims().len() + 4 * tensor.data().len()
+}
+
 fn push_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
     let dims = tensor.shape().dims();
     out.push(dims.len() as u8);
     for dim in dims {
         out.extend_from_slice(&(*dim as u32).to_le_bytes());
     }
-    for value in tensor.data() {
-        out.extend_from_slice(&value.to_le_bytes());
+    // Size the data once and fill it in place: a per-value
+    // `extend_from_slice` re-checks capacity for every f32 and is several
+    // times slower on a 48 KiB reply.
+    let start = out.len();
+    out.resize(start + 4 * tensor.data().len(), 0);
+    for (bytes, value) in out[start..].chunks_exact_mut(4).zip(tensor.data()) {
+        bytes.copy_from_slice(&value.to_le_bytes());
     }
+}
+
+/// Encoded size of a label: u16 length plus at most `u16::MAX` bytes.
+fn str_len(text: &str) -> usize {
+    2 + text.len().min(u16::MAX as usize)
 }
 
 fn push_str(out: &mut Vec<u8>, text: &str) {
@@ -298,60 +465,131 @@ fn push_str(out: &mut Vec<u8>, text: &str) {
     out.extend_from_slice(&text.as_bytes()[..text.len().min(u16::MAX as usize)]);
 }
 
-/// Encode one frame into a fresh byte vector.
+/// Request payload size for a route and an image of `image_len` encoded
+/// bytes.
+fn request_payload_len(route: &str, image_len: usize) -> usize {
+    8 + 4 + 1 + str_len(route) + 8 + image_len
+}
+
+/// Append a request frame's header and head fields — everything but the
+/// image — returning where the payload length goes.
+fn push_request_head(
+    out: &mut Vec<u8>,
+    id: u64,
+    route: &str,
+    deadline_ms: u32,
+    skip_cache: bool,
+    content_hash: u64,
+) -> usize {
+    let len_at = push_header(out, KIND_REQUEST);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&deadline_ms.to_le_bytes());
+    out.push(u8::from(skip_cache));
+    push_str(out, route);
+    out.extend_from_slice(&content_hash.to_le_bytes());
+    len_at
+}
+
+/// Append a request frame whose image is already encoded — how a relaying
+/// tier forwards an image without converting it.
+pub(crate) fn push_encoded_request(
+    out: &mut Vec<u8>,
+    id: u64,
+    route: &str,
+    deadline_ms: u32,
+    skip_cache: bool,
+    content_hash: u64,
+    image: &EncodedTensor,
+) {
+    out.reserve(HEADER_LEN + request_payload_len(route, image.bytes.len()));
+    let len_at = push_request_head(out, id, route, deadline_ms, skip_cache, content_hash);
+    out.extend_from_slice(&image.bytes);
+    patch_len(out, len_at);
+}
+
+fn response_payload_len(body: &ResponseBody) -> usize {
+    8 + 1
+        + match body {
+            ResponseBody::Ok { defended, .. } => 1 + 1 + 8 + tensor_len(defended),
+            ResponseBody::RetryAfter { .. } => 4 + 1,
+            ResponseBody::DeadlineExceeded | ResponseBody::Closed => 0,
+            ResponseBody::UnknownRoute(msg)
+            | ResponseBody::InvalidRequest(msg)
+            | ResponseBody::PipelineError(msg) => str_len(msg),
+        }
+}
+
+fn push_response(out: &mut Vec<u8>, id: u64, body: &ResponseBody) {
+    let len_at = push_header(out, KIND_RESPONSE);
+    out.extend_from_slice(&id.to_le_bytes());
+    match body {
+        ResponseBody::Ok {
+            cache_hit,
+            label,
+            defended,
+        } => {
+            out.push(STATUS_OK);
+            out.push(u8::from(*cache_hit));
+            out.push(u8::from(label.is_some()));
+            out.extend_from_slice(&label.unwrap_or(0).to_le_bytes());
+            push_tensor(out, defended);
+        }
+        ResponseBody::RetryAfter {
+            retry_after_ms,
+            reason,
+        } => {
+            out.push(STATUS_RETRY_AFTER);
+            out.extend_from_slice(&retry_after_ms.to_le_bytes());
+            out.push(reason.as_u8());
+        }
+        ResponseBody::DeadlineExceeded => out.push(STATUS_DEADLINE),
+        ResponseBody::UnknownRoute(msg) => {
+            out.push(STATUS_UNKNOWN_ROUTE);
+            push_str(out, msg);
+        }
+        ResponseBody::InvalidRequest(msg) => {
+            out.push(STATUS_INVALID);
+            push_str(out, msg);
+        }
+        ResponseBody::PipelineError(msg) => {
+            out.push(STATUS_PIPELINE);
+            push_str(out, msg);
+        }
+        ResponseBody::Closed => out.push(STATUS_CLOSED),
+    }
+    patch_len(out, len_at);
+}
+
+/// Payload size of `frame`, so [`encode`] allocates once.
+fn payload_len(frame: &Frame) -> usize {
+    match frame {
+        Frame::Request(request) => request_payload_len(&request.route, tensor_len(&request.image)),
+        Frame::Response(response) => response_payload_len(&response.body),
+        Frame::Stats { .. } => 8,
+        Frame::StatsReply { json, .. } => 8 + 4 + json.len(),
+        Frame::Reload { route, .. } => 8 + str_len(route),
+        Frame::ReloadReply { message, .. } => 8 + 1 + str_len(message),
+    }
+}
+
+/// Encode one frame into a fresh byte vector, allocated once at its exact
+/// length.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 64);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len(frame));
     match frame {
         Frame::Request(request) => {
-            let len_at = push_header(&mut out, KIND_REQUEST);
-            out.extend_from_slice(&request.id.to_le_bytes());
-            out.extend_from_slice(&request.deadline_ms.to_le_bytes());
-            out.push(u8::from(request.skip_cache));
-            push_str(&mut out, &request.route);
-            out.extend_from_slice(&request.content_hash.to_le_bytes());
+            let len_at = push_request_head(
+                &mut out,
+                request.id,
+                &request.route,
+                request.deadline_ms,
+                request.skip_cache,
+                request.content_hash,
+            );
             push_tensor(&mut out, &request.image);
             patch_len(&mut out, len_at);
         }
-        Frame::Response(response) => {
-            let len_at = push_header(&mut out, KIND_RESPONSE);
-            out.extend_from_slice(&response.id.to_le_bytes());
-            match &response.body {
-                ResponseBody::Ok {
-                    cache_hit,
-                    label,
-                    defended,
-                } => {
-                    out.push(STATUS_OK);
-                    out.push(u8::from(*cache_hit));
-                    out.push(u8::from(label.is_some()));
-                    out.extend_from_slice(&label.unwrap_or(0).to_le_bytes());
-                    push_tensor(&mut out, defended);
-                }
-                ResponseBody::RetryAfter {
-                    retry_after_ms,
-                    reason,
-                } => {
-                    out.push(STATUS_RETRY_AFTER);
-                    out.extend_from_slice(&retry_after_ms.to_le_bytes());
-                    out.push(reason.as_u8());
-                }
-                ResponseBody::DeadlineExceeded => out.push(STATUS_DEADLINE),
-                ResponseBody::UnknownRoute(msg) => {
-                    out.push(STATUS_UNKNOWN_ROUTE);
-                    push_str(&mut out, msg);
-                }
-                ResponseBody::InvalidRequest(msg) => {
-                    out.push(STATUS_INVALID);
-                    push_str(&mut out, msg);
-                }
-                ResponseBody::PipelineError(msg) => {
-                    out.push(STATUS_PIPELINE);
-                    push_str(&mut out, msg);
-                }
-                ResponseBody::Closed => out.push(STATUS_CLOSED),
-            }
-            patch_len(&mut out, len_at);
-        }
+        Frame::Response(response) => push_response(&mut out, response.id, &response.body),
         Frame::Stats { id } => {
             let len_at = push_header(&mut out, KIND_STATS);
             out.extend_from_slice(&id.to_le_bytes());
@@ -378,6 +616,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             patch_len(&mut out, len_at);
         }
     }
+    debug_assert_eq!(out.len(), out.capacity(), "encode sized the frame exactly");
     out
 }
 
@@ -431,25 +670,32 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    fn string(&mut self, context: &'static str) -> Result<String, WireError> {
+    fn str(&mut self, context: &'static str) -> Result<&'a str, WireError> {
         let len = self.u16(context)? as usize;
         let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadLabel)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadLabel)
     }
 
-    fn tensor(&mut self) -> Result<Tensor, WireError> {
+    fn string(&mut self, context: &'static str) -> Result<String, WireError> {
+        self.str(context).map(str::to_string)
+    }
+
+    /// The one structural check every tensor on the wire passes, whether
+    /// it is converted or relayed: rank 1..=6, non-zero dims whose product
+    /// does not overflow, and exactly that many f32s. Returns the checked
+    /// encoding, rank byte included.
+    fn tensor_bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let start = self.at;
         let rank = self.u8("tensor rank")? as usize;
         if rank == 0 || rank > 6 {
             return Err(WireError::Malformed("tensor rank must be 1..=6"));
         }
-        let mut dims = [0usize; 6];
         let mut elements: usize = 1;
-        for dim in dims.iter_mut().take(rank) {
+        for _ in 0..rank {
             let d = self.u32("tensor dims")? as usize;
             if d == 0 {
                 return Err(WireError::Malformed("zero tensor dimension"));
             }
-            *dim = d;
             elements = elements
                 .checked_mul(d)
                 .ok_or(WireError::Malformed("tensor element count overflows"))?;
@@ -457,13 +703,8 @@ impl<'a> Cursor<'a> {
         let byte_len = elements
             .checked_mul(4)
             .ok_or(WireError::Malformed("tensor byte length overflows"))?;
-        let bytes = self.take(byte_len, "tensor data")?;
-        let mut data = Vec::with_capacity(elements);
-        for chunk in bytes.chunks_exact(4) {
-            data.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
-        Tensor::from_vec(Shape::new(&dims[..rank]), data)
-            .map_err(|_| WireError::Malformed("tensor shape/data mismatch"))
+        self.take(byte_len, "tensor data")?;
+        Ok(&self.buf[start..self.at])
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -474,7 +715,23 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_request(payload: &[u8]) -> Result<WireRequest, WireError> {
+/// Convert an encoding that [`Cursor::tensor_bytes`] accepted.
+fn tensor_from_checked(bytes: &[u8]) -> Result<Tensor, WireError> {
+    let rank = usize::from(bytes[0]);
+    let (dim_bytes, data_bytes) = bytes[1..].split_at(4 * rank);
+    let mut dims = [0usize; 6];
+    for (dim, chunk) in dims.iter_mut().zip(dim_bytes.chunks_exact(4)) {
+        *dim = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) as usize;
+    }
+    let data: Vec<f32> = data_bytes
+        .chunks_exact(4)
+        .map(|chunk| f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]))
+        .collect();
+    Tensor::from_vec(Shape::new(&dims[..rank]), data)
+        .map_err(|_| WireError::Malformed("tensor shape/data mismatch"))
+}
+
+fn request_ref(payload: &[u8]) -> Result<RequestRef<'_>, WireError> {
     let mut cursor = Cursor::new(payload);
     let id = cursor.u64("request id")?;
     let deadline_ms = cursor.u32("deadline")?;
@@ -482,11 +739,11 @@ fn decode_request(payload: &[u8]) -> Result<WireRequest, WireError> {
     if flags > 1 {
         return Err(WireError::Malformed("unknown request flag bits"));
     }
-    let route = cursor.string("route label")?;
+    let route = cursor.str("route label")?;
     let content_hash = cursor.u64("content hash")?;
-    let image = cursor.tensor()?;
+    let image = cursor.tensor_bytes()?;
     cursor.finish()?;
-    Ok(WireRequest {
+    Ok(RequestRef {
         id,
         route,
         deadline_ms,
@@ -496,8 +753,54 @@ fn decode_request(payload: &[u8]) -> Result<WireRequest, WireError> {
     })
 }
 
-fn decode_response(payload: &[u8]) -> Result<WireResponse, WireError> {
-    let mut cursor = Cursor::new(payload);
+/// A response body with its strings and tensor still in the buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BodyRef<'a> {
+    Ok {
+        cache_hit: bool,
+        label: Option<u64>,
+        defended: &'a [u8],
+    },
+    RetryAfter {
+        retry_after_ms: u32,
+        reason: RetryReason,
+    },
+    DeadlineExceeded,
+    UnknownRoute(&'a str),
+    InvalidRequest(&'a str),
+    PipelineError(&'a str),
+    Closed,
+}
+
+impl BodyRef<'_> {
+    fn into_body(self) -> Result<ResponseBody, WireError> {
+        Ok(match self {
+            BodyRef::Ok {
+                cache_hit,
+                label,
+                defended,
+            } => ResponseBody::Ok {
+                cache_hit,
+                label,
+                defended: tensor_from_checked(defended)?,
+            },
+            BodyRef::RetryAfter {
+                retry_after_ms,
+                reason,
+            } => ResponseBody::RetryAfter {
+                retry_after_ms,
+                reason,
+            },
+            BodyRef::DeadlineExceeded => ResponseBody::DeadlineExceeded,
+            BodyRef::UnknownRoute(msg) => ResponseBody::UnknownRoute(msg.to_string()),
+            BodyRef::InvalidRequest(msg) => ResponseBody::InvalidRequest(msg.to_string()),
+            BodyRef::PipelineError(msg) => ResponseBody::PipelineError(msg.to_string()),
+            BodyRef::Closed => ResponseBody::Closed,
+        })
+    }
+}
+
+fn response_ref<'a>(cursor: &mut Cursor<'a>) -> Result<(u64, BodyRef<'a>), WireError> {
     let id = cursor.u64("response id")?;
     let status = cursor.u8("status")?;
     let body = match status {
@@ -505,8 +808,8 @@ fn decode_response(payload: &[u8]) -> Result<WireResponse, WireError> {
             let cache_hit = cursor.u8("cache-hit flag")? != 0;
             let has_label = cursor.u8("label flag")? != 0;
             let label = cursor.u64("label")?;
-            let defended = cursor.tensor()?;
-            ResponseBody::Ok {
+            let defended = cursor.tensor_bytes()?;
+            BodyRef::Ok {
                 cache_hit,
                 label: has_label.then_some(label),
                 defended,
@@ -516,20 +819,19 @@ fn decode_response(payload: &[u8]) -> Result<WireResponse, WireError> {
             let retry_after_ms = cursor.u32("retry-after")?;
             let reason = RetryReason::from_u8(cursor.u8("retry reason")?)
                 .ok_or(WireError::Malformed("unknown retry reason"))?;
-            ResponseBody::RetryAfter {
+            BodyRef::RetryAfter {
                 retry_after_ms,
                 reason,
             }
         }
-        STATUS_DEADLINE => ResponseBody::DeadlineExceeded,
-        STATUS_UNKNOWN_ROUTE => ResponseBody::UnknownRoute(cursor.string("route message")?),
-        STATUS_INVALID => ResponseBody::InvalidRequest(cursor.string("error message")?),
-        STATUS_PIPELINE => ResponseBody::PipelineError(cursor.string("error message")?),
-        STATUS_CLOSED => ResponseBody::Closed,
+        STATUS_DEADLINE => BodyRef::DeadlineExceeded,
+        STATUS_UNKNOWN_ROUTE => BodyRef::UnknownRoute(cursor.str("route message")?),
+        STATUS_INVALID => BodyRef::InvalidRequest(cursor.str("error message")?),
+        STATUS_PIPELINE => BodyRef::PipelineError(cursor.str("error message")?),
+        STATUS_CLOSED => BodyRef::Closed,
         _ => return Err(WireError::Malformed("unknown response status")),
     };
-    cursor.finish()?;
-    Ok(WireResponse { id, body })
+    Ok((id, body))
 }
 
 fn decode_stats(payload: &[u8]) -> Result<Frame, WireError> {
@@ -583,6 +885,23 @@ fn decode_reload_reply(payload: &[u8]) -> Result<Frame, WireError> {
 /// A typed [`WireError`] for any structurally invalid input; the stream
 /// should be considered unsynchronized after one.
 pub fn decode(buf: &[u8], max_payload: usize) -> Result<FrameDecode, WireError> {
+    Ok(match decode_ref(buf, max_payload)? {
+        FrameDecode::Incomplete { needed } => FrameDecode::Incomplete { needed },
+        FrameDecode::Complete { frame, consumed } => FrameDecode::Complete {
+            frame: frame.into_frame()?,
+            consumed,
+        },
+    })
+}
+
+/// [`decode`] without converting tensors: the same checks, in the same
+/// order, returning a [`FrameRef`] that borrows `buf`. A tier that relays
+/// requests and replies uses this and forwards the checked bytes.
+///
+/// # Errors
+///
+/// Exactly those of [`decode`].
+pub fn decode_ref(buf: &[u8], max_payload: usize) -> Result<FrameDecode<FrameRef<'_>>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(FrameDecode::Incomplete { needed: HEADER_LEN });
     }
@@ -613,17 +932,47 @@ pub fn decode(buf: &[u8], max_payload: usize) -> Result<FrameDecode, WireError> 
     }
     let payload = &buf[HEADER_LEN..total];
     let frame = match kind {
-        KIND_REQUEST => Frame::Request(decode_request(payload)?),
-        KIND_RESPONSE => Frame::Response(decode_response(payload)?),
-        KIND_STATS => decode_stats(payload)?,
-        KIND_STATS_REPLY => decode_stats_reply(payload)?,
-        KIND_RELOAD => decode_reload(payload)?,
-        _ => decode_reload_reply(payload)?,
+        KIND_REQUEST => FrameRef::Request(request_ref(payload)?),
+        KIND_RESPONSE => {
+            let mut cursor = Cursor::new(payload);
+            let (id, body) = response_ref(&mut cursor)?;
+            cursor.finish()?;
+            FrameRef::Response(ResponseRef {
+                id,
+                body,
+                frame: &buf[..total],
+            })
+        }
+        KIND_STATS => FrameRef::Control(decode_stats(payload)?),
+        KIND_STATS_REPLY => FrameRef::Control(decode_stats_reply(payload)?),
+        KIND_RELOAD => FrameRef::Control(decode_reload(payload)?),
+        _ => FrameRef::Control(decode_reload_reply(payload)?),
     };
     Ok(FrameDecode::Complete {
         frame,
         consumed: total,
     })
+}
+
+impl FrameRef<'_> {
+    /// Convert to an owned [`Frame`], decoding any tensor.
+    fn into_frame(self) -> Result<Frame, WireError> {
+        Ok(match self {
+            FrameRef::Request(request) => Frame::Request(WireRequest {
+                id: request.id,
+                route: request.route.to_string(),
+                deadline_ms: request.deadline_ms,
+                skip_cache: request.skip_cache,
+                content_hash: request.content_hash,
+                image: tensor_from_checked(request.image)?,
+            }),
+            FrameRef::Response(response) => Frame::Response(WireResponse {
+                id: response.id,
+                body: response.body.into_body()?,
+            }),
+            FrameRef::Control(frame) => frame,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -704,6 +1053,97 @@ mod tests {
             ok: false,
             message: "no artifact for sesr-m2 x2".to_string(),
         });
+    }
+
+    #[test]
+    fn relayed_request_is_the_frame_encode_writes() {
+        let request = WireRequest {
+            id: 5,
+            route: "sesr-m2:x2:jpeg75+wavelet2".to_string(),
+            deadline_ms: 40,
+            skip_cache: true,
+            content_hash: 0xFEED,
+            image: image(),
+        };
+        let bytes = encode(&Frame::Request(request.clone()));
+        let Ok(FrameDecode::Complete {
+            frame: FrameRef::Request(view),
+            consumed,
+        }) = decode_ref(&bytes, DEFAULT_MAX_PAYLOAD)
+        else {
+            panic!("a request decodes in place");
+        };
+        assert_eq!(consumed, bytes.len());
+        assert_eq!(view.image(), EncodedTensor::encode(&request.image));
+        let mut relayed = Vec::new();
+        push_encoded_request(
+            &mut relayed,
+            request.id,
+            view.route,
+            view.deadline_ms,
+            view.skip_cache,
+            view.content_hash,
+            &view.image(),
+        );
+        assert_eq!(relayed, bytes);
+    }
+
+    #[test]
+    fn relayed_response_changes_only_its_id() {
+        let response = WireResponse {
+            id: 42,
+            body: ResponseBody::Ok {
+                cache_hit: false,
+                label: Some(3),
+                defended: image(),
+            },
+        };
+        let bytes = encode(&Frame::Response(response.clone()));
+        assert_eq!(
+            ResponseFrame::encode(42, &response.body).as_bytes(),
+            &bytes[..]
+        );
+        let Ok(FrameDecode::Complete {
+            frame: FrameRef::Response(view),
+            ..
+        }) = decode_ref(&bytes, DEFAULT_MAX_PAYLOAD)
+        else {
+            panic!("a response decodes in place");
+        };
+        let mut frame = view.to_frame();
+        assert_eq!(frame.as_bytes(), &bytes[..]);
+        frame.set_id(7);
+        assert_eq!(
+            frame.as_bytes()[HEADER_LEN..HEADER_LEN + 8],
+            7u64.to_le_bytes()
+        );
+        assert_eq!(frame.as_bytes()[..HEADER_LEN], bytes[..HEADER_LEN]);
+        assert_eq!(frame.as_bytes()[HEADER_LEN + 8..], bytes[HEADER_LEN + 8..]);
+        assert_eq!(
+            frame.decode(),
+            Ok(WireResponse {
+                id: 7,
+                body: response.body
+            })
+        );
+        assert_eq!(frame.retry_after_ms(), None);
+        assert!(!frame.is_deadline_exceeded());
+    }
+
+    #[test]
+    fn shed_replies_are_read_off_the_status_byte() {
+        let shed = ResponseFrame::encode(
+            1,
+            &ResponseBody::RetryAfter {
+                retry_after_ms: 25,
+                reason: RetryReason::Unhealthy,
+            },
+        );
+        assert_eq!(shed.retry_after_ms(), Some(25));
+        assert!(!shed.is_deadline_exceeded());
+        let late = ResponseFrame::encode(2, &ResponseBody::DeadlineExceeded);
+        assert_eq!(late.retry_after_ms(), None);
+        assert!(late.is_deadline_exceeded());
     }
 
     #[test]

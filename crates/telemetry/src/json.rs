@@ -303,13 +303,26 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one slice.
+            // Both delimiters are ASCII, so the run ends on a char boundary
+            // and validating it costs one pass over its own bytes.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run])
+                .map_err(|_| self.error("invalid UTF-8 in string"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: one escape follows.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -344,18 +357,6 @@ impl Parser<'_> {
                         _ => return Err(self.error("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slices
-                    // at char boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let Some(ch) = text.chars().next() else {
-                        return Err(self.error("unterminated string"));
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -465,6 +466,48 @@ mod tests {
         // Literal UTF-8 and the escaped surrogate-pair form both decode.
         assert_eq!(parse(r#""😀""#).unwrap().as_str(), Some("😀"));
         assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_parse() {
+        // Runs of two-, three- and four-byte characters separated by
+        // escapes: each run is sliced whole, so its ends must land on
+        // char boundaries.
+        let text = r#""né\t€é𝄞\n𝄞\"é""#;
+        assert_eq!(parse(text).unwrap().as_str(), Some("né\t€é𝄞\n𝄞\"é"));
+        let original = "né\t€é𝄞";
+        let rendered = Value::Str(original.to_string()).render();
+        assert_eq!(parse(&rendered).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn parsing_is_linear_in_the_document() {
+        // Each character used to re-validate the rest of the document, so a
+        // 256 KiB string took seconds. The bounds are generous for a debug
+        // build; a quadratic scan misses them by an order of magnitude.
+        let long = "x".repeat(256 * 1024);
+        let document = Value::Str(long.clone()).render();
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&document).unwrap().as_str(), Some(long.as_str()));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "one 256 KiB string took {elapsed:?}"
+        );
+
+        let fields: Vec<(String, Value)> = (0..10_000)
+            .map(|i| (format!("counter.key_{i:05}"), Value::Int(i)))
+            .collect();
+        let document = Value::Object(fields).render();
+        assert!(document.len() > 150 * 1024, "{} bytes", document.len());
+        let started = std::time::Instant::now();
+        let parsed = parse(&document).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_object().unwrap().len(), 10_000);
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "10 000 short keys took {elapsed:?}"
+        );
     }
 
     #[test]
