@@ -49,7 +49,7 @@
 
 use sesr_bench::cli::Cli;
 use sesr_bench::demo_routes;
-use sesr_cluster::{serve_member, Cluster, ClusterConfig, MemberState, WorkerCommand};
+use sesr_cluster::{serve_member, Cluster, ClusterConfig, WorkerCommand};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
 use sesr_serve::{GatewayBuilder, RouteKey};
@@ -218,14 +218,6 @@ fn run_front(args: &Args) -> ! {
     let mut next_export = Instant::now() + Duration::from_secs(1);
     loop {
         if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-            break;
-        }
-        if cluster
-            .members()
-            .iter()
-            .all(|info| matches!(info.state, MemberState::Removed))
-        {
-            eprintln!("every member drained away; shutting down");
             break;
         }
         if let Some(path) = &args.telemetry {

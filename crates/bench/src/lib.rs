@@ -43,7 +43,7 @@ pub fn bench_classifier(kind: ClassifierKind, num_classes: usize) -> Box<dyn Lay
 
 /// The three interpolation routes `sesr-netd` and every `sesr-clusterd`
 /// member serve and `traffic-gen` drives — cheap enough that a loopback
-/// driver measures the front-end, not the SR math. The first is the
+/// driver exercises the front-end, not the SR math. The first is the
 /// default route; the last runs the full paper preprocessing.
 pub fn demo_routes() -> [RouteKey; 3] {
     [

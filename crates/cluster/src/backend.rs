@@ -17,8 +17,8 @@
 //! Degradation is *arc-local by construction*: a `Down` member keeps its
 //! ring identity (no remap), and requests hashing onto its arcs are
 //! answered `RetryAfter` immediately while every other arc keeps serving.
-//! Membership changes arrive as [`Control`] messages from the supervisor;
-//! the only remap events are planned removals.
+//! Membership changes arrive as [`Control`] messages from the supervisor,
+//! and none of them remaps an arc.
 
 use crate::ring::HashRing;
 use crate::supervisor::{probe_policy, Command, Control};
@@ -159,12 +159,6 @@ impl ClusterBackend {
                     link.up = false;
                     link.stream = None;
                 }
-            }
-            Control::MemberRemoved { id } => {
-                self.fail_link_inflight(id);
-                self.ring.remove(id);
-                self.links.remove(&id);
-                lock(&self.snapshots).remove(&id);
             }
         }
     }
@@ -326,7 +320,7 @@ impl Backend for ClusterBackend {
 
     fn submit(&mut self, request: BackendRequest) -> Submit {
         let Some(owner) = self.ring.owner(&request.route, request.content_hash) else {
-            // Every member drained away: nothing owns the arc.
+            // An empty ring (a zero-member fleet): nothing owns the arc.
             return Submit::Reply(self.member_down_body());
         };
         if !self.links.get(&owner).is_some_and(|link| link.up) {

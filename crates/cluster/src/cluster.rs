@@ -11,8 +11,8 @@
 //!                    │ worker 0..n   │◀─wire──│  Supervisor   │
 //!                    │ (gateways)    │ probes │  thread       │
 //!                    └───────────────┘        └───────▲───────┘
-//!                                              Command│ (reload, drain)
-//!                                                 API / wire Reload
+//!                                              Command│ (reload, shutdown)
+//!                                 wire Reload / Cluster::shutdown
 //! ```
 //!
 //! The front and the supervisor share two pieces of state: the member view
@@ -169,16 +169,13 @@ impl Cluster {
         crate::backend::stats_snapshot(&self.telemetry, &self.snapshots)
     }
 
-    /// Block until every non-removed member is `Up` (true), or `timeout`
-    /// elapses (false).
+    /// Block until every member is `Up` (true), or `timeout` elapses
+    /// (false).
     pub fn wait_ready(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
             let view = self.members();
-            let ready = !view.is_empty()
-                && view
-                    .iter()
-                    .all(|info| matches!(info.state, MemberState::Up | MemberState::Removed));
+            let ready = !view.is_empty() && view.iter().all(|info| info.state == MemberState::Up);
             if ready {
                 return true;
             }
@@ -187,20 +184,6 @@ impl Cluster {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-
-    /// Ask the supervisor to broadcast a reload of `route` (empty = every
-    /// reloadable route) to the fleet.
-    pub fn reload(&self, route: &str) {
-        let _ = self.commands.send(Command::Reload {
-            route: route.to_string(),
-        });
-    }
-
-    /// Drain `member` out of the fleet: its arcs remap to the survivors
-    /// first, then the process is allowed to finish and exit.
-    pub fn remove_member(&self, member: MemberId) {
-        let _ = self.commands.send(Command::RemoveMember { id: member });
     }
 
     /// Stop everything: front reactor first (no new forwards), then the

@@ -14,10 +14,9 @@
 //!   other arc keeps serving.
 //! - [`supervisor`] — spawns the worker processes, health-checks them over
 //!   the wire, restarts crashes and wedges under exponential backoff
-//!   (members keep their ring identity, so restart ≠ remap), drains
-//!   planned removals, and fans model-store promotions out to the fleet as
-//!   wire `Reload` broadcasts — one watcher, N workers, exactly one
-//!   broadcast per promotion.
+//!   (members keep their ring identity, so restart ≠ remap), and fans
+//!   model-store promotions out to the fleet as wire `Reload` broadcasts —
+//!   one watcher, N workers, exactly one broadcast per promotion.
 //! - [`cluster`] — [`Cluster::start`], the one-call wiring of all three,
 //!   plus aggregated observability: the front's stats frame carries every
 //!   `cluster.*` router/supervisor metric and a `cluster.fleet.*` rollup

@@ -1,4 +1,4 @@
-//! Worker-process supervision: spawn, health-check, restart, drain.
+//! Worker-process supervision: spawn, health-check, restart.
 //!
 //! The supervisor owns the fleet's lifecycle so the router never has to.
 //! Each member is one OS process (a `sesr-clusterd --worker`, i.e. a full
@@ -65,11 +65,6 @@ pub enum MemberState {
     Up,
     /// Process dead or wedged; its arcs shed until the restart lands.
     Down,
-    /// Planned removal in progress: arcs already remapped, waiting for the
-    /// process to finish in-flight work and exit.
-    Draining,
-    /// Drained and gone; the id will not be reused.
-    Removed,
 }
 
 /// Supervisor-side view of one member, exposed through
@@ -142,27 +137,16 @@ pub enum Control {
         /// The member.
         id: MemberId,
     },
-    /// `id` is leaving for good; remove it from the ring so its arcs remap
-    /// to the survivors.
-    MemberRemoved {
-        /// The member.
-        id: MemberId,
-    },
 }
 
-/// Requests into the supervisor loop, from the [`Cluster`](crate::Cluster)
-/// API and from wire `Reload` frames received by the router.
+/// Requests into the supervisor loop: wire `Reload` frames received by the
+/// router, and [`Cluster`](crate::Cluster) shutdown.
 #[derive(Debug, Clone)]
 pub enum Command {
     /// Broadcast a reload of `route` (empty = all) to every `Up` member.
     Reload {
         /// Route label, or empty for every reloadable route.
         route: String,
-    },
-    /// Drain and remove a member: remap its arcs, let it finish, reap it.
-    RemoveMember {
-        /// The member.
-        id: MemberId,
     },
     /// Drain every member and exit the loop.
     Shutdown,
@@ -177,7 +161,7 @@ enum StdoutEvent {
 /// One supervised worker process.
 struct Member {
     child: Option<Child>,
-    /// Held open for the life of the child: dropping it is the drain/orphan
+    /// Held open for the life of the child: dropping it is the shutdown/orphan
     /// signal (worker exits on stdin EOF).
     stdin: Option<ChildStdin>,
     probe: Option<NetClient>,
@@ -300,7 +284,6 @@ impl Supervisor {
             }
             match self.commands.try_recv() {
                 Ok(Command::Reload { route }) => self.fan_out_reload(&route),
-                Ok(Command::RemoveMember { id }) => self.begin_drain(id),
                 Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => break,
                 Err(TryRecvError::Empty) => {}
             }
@@ -400,14 +383,15 @@ impl Supervisor {
                     }
                 }
                 // Process exit handles the state change; EOF alone is not a
-                // failure (a draining worker closes stdout on the way out).
+                // failure (a worker closes stdout on the way out).
                 Ok(StdoutEvent::Eof) => {}
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
     }
 
-    /// Reap exited children: crashes schedule a restart, drains complete.
+    /// Reap exited children: each exit marks the member down and schedules
+    /// its restart.
     fn reap_exits(&mut self) {
         for id in 0..self.members.len() as u32 {
             let exited = match self.members[id as usize].child.as_mut() {
@@ -419,21 +403,7 @@ impl Supervisor {
             }
             self.members[id as usize].child = None;
             self.members[id as usize].stdin = None;
-            match self.state(id) {
-                MemberState::Draining => {
-                    self.telemetry
-                        .metrics()
-                        .counter("cluster.supervisor.drained")
-                        .incr();
-                    self.set_view(id, |info| {
-                        info.state = MemberState::Removed;
-                        info.addr = None;
-                        info.pid = None;
-                    });
-                }
-                MemberState::Removed => {}
-                _ => self.mark_down(id),
-            }
+            self.mark_down(id);
         }
     }
 
@@ -607,34 +577,6 @@ impl Supervisor {
         }
     }
 
-    /// Planned removal: remap the member's arcs first, then signal the
-    /// worker to finish and exit (stdin EOF), reaped by [`reap_exits`].
-    fn begin_drain(&mut self, id: MemberId) {
-        if (id as usize) >= self.members.len()
-            || matches!(self.state(id), MemberState::Draining | MemberState::Removed)
-        {
-            return;
-        }
-        let _ = self.control.send(Control::MemberRemoved { id });
-        let had_child = self.members[id as usize].child.is_some();
-        self.set_view(id, |info| info.state = MemberState::Draining);
-        let member = &mut self.members[id as usize];
-        member.restart_at = None;
-        member.probe = None;
-        member.stdin = None; // EOF → worker exits after in-flight work
-        if !had_child {
-            self.telemetry
-                .metrics()
-                .counter("cluster.supervisor.drained")
-                .incr();
-            self.set_view(id, |info| {
-                info.state = MemberState::Removed;
-                info.addr = None;
-                info.pid = None;
-            });
-        }
-    }
-
     /// Kill member `id`'s process outright (wedged or shutting down).
     fn kill(&mut self, id: MemberId) {
         let member = &mut self.members[id as usize];
@@ -700,7 +642,7 @@ pub(crate) fn probe_policy() -> ReconnectPolicy {
 /// role of a `--worker` process once it has built its gateway. Serves
 /// `gateway` on an OS-chosen loopback port, prints the one
 /// `listening on ADDR` line the supervisor waits for, blocks until stdin
-/// hits EOF (planned drain, or the front died), then stops the reactor and
+/// hits EOF (the front shut down, or died), then stops the reactor and
 /// shuts the gateway down. Crash restarts are the supervisor's job.
 ///
 /// Any worker main can end in this one call (`sesr-clusterd --worker` does;

@@ -73,15 +73,6 @@ impl Gauge {
         self.value.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Set the value only if it is still zero (its initial state). Returns
-    /// true when this call performed the set.
-    #[inline]
-    pub fn set_if_unset(&self, v: i64) -> bool {
-        self.value
-            .compare_exchange(0, v, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> i64 {
@@ -245,8 +236,7 @@ mod tests {
     #[test]
     fn gauge_operations() {
         let g = Gauge::new();
-        assert!(g.set_if_unset(7));
-        assert!(!g.set_if_unset(9), "second set_if_unset must not overwrite");
+        g.set(7);
         assert_eq!(g.get(), 7);
         g.set_max(3);
         assert_eq!(g.get(), 7);

@@ -92,7 +92,11 @@ impl ArenaStats {
 #[derive(Debug)]
 pub struct TensorArena {
     /// `free[c]` holds idle buffers whose capacity is at least `1 << c`.
-    free: Vec<Vec<Vec<f32>>>,
+    /// An array, so that making an arena allocates nothing: every plain
+    /// allocating tensor API makes a throwaway [`TensorArena::exact`] per
+    /// call, and a small heap block per call fragments the heap enough to
+    /// raise a server's peak RSS by megabytes.
+    free: [Vec<Vec<f32>>; NUM_CLASSES],
     stats: ArenaStats,
     /// Fresh (miss) buffers get exactly the requested capacity instead of
     /// the class-rounded one; see [`TensorArena::exact`].
@@ -105,7 +109,7 @@ impl TensorArena {
     /// the right trade for a long-lived, pooled arena.
     pub fn new() -> Self {
         TensorArena {
-            free: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
+            free: std::array::from_fn(|_| Vec::new()),
             stats: ArenaStats::default(),
             exact: false,
         }

@@ -47,14 +47,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
-        self.check_same_shape(other)?;
-        let data = self
-            .data()
-            .iter()
-            .zip(other.data())
-            .map(|(a, b)| a + b)
-            .collect();
-        Tensor::from_vec(self.shape().clone(), data)
+        self.add_arena(other, &mut TensorArena::exact())
     }
 
     /// Elementwise subtraction (`self - other`).
@@ -117,8 +110,7 @@ impl Tensor {
 
     /// Apply `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let data = self.data().iter().map(|&v| f(v)).collect();
-        Tensor::from_vec(self.shape().clone(), data).expect("map preserves length")
+        self.map_arena(f, &mut TensorArena::exact())
     }
 
     /// Arena-backed [`Tensor::map`]: the output buffer comes from (and can be
