@@ -57,7 +57,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         ),
         "thread-spawn" => Some(
             "thread-spawn: `thread::spawn` is confined to the serving-stack infrastructure\n\
-             (crates/serve shard/gateway/slo/telemetry modules, the crates/net reactor)\n\
+             (crates/serve shard/reload/slo/telemetry modules, the crates/net reactor)\n\
              and the sesr-verify scheduler, plus test code. Ad-hoc threads bypass the\n\
              drain/retire and telemetry machinery; route work through spawn_shard or the\n\
              evaluation plan's scoped workers instead, or annotate with a justification.",
@@ -466,6 +466,7 @@ fn spawn_allowed(path: &Path) -> bool {
         || [
             "crates/serve/src/shard.rs",
             "crates/serve/src/gateway.rs",
+            "crates/serve/src/reload.rs",
             "crates/serve/src/slo.rs",
             "crates/serve/src/telemetry.rs",
             "crates/net/src/reactor.rs",

@@ -20,26 +20,16 @@
 //!   explicit insert/remove calls; nothing here is shared or locked, which
 //!   keeps the lookup on the reactor's per-request path a binary search and
 //!   nothing else.
+//!
+//! Keys and vnode points hash with the store's FNV-1a 64 — the same hash
+//! the wire protocol and the model store use, so the whole stack shares one
+//! well-understood function.
+
+use sesr_store::{fnv1a64, Fnv1a64};
 
 /// Stable identity of a cluster member: assigned at cluster construction
 /// (`0..n`) and preserved across restarts of the member's process.
 pub type MemberId = u32;
-
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `bytes` — the same hash family the wire protocol and the
-/// model store use, so the whole stack shares one well-understood function.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Murmur3-style 64-bit finalizer. Raw FNV-1a has weak high-bit avalanche
 /// on short structured inputs (member ids, vnode indices are mostly-zero
@@ -59,12 +49,10 @@ fn mix64(mut x: u64) -> u64 {
 /// wire integrity check) carries the image identity, preserving per-worker
 /// cache affinity for repeats.
 pub fn key_hash(route: &str, content_hash: u64) -> u64 {
-    let mut hash = fnv1a64(route.as_bytes());
-    for byte in content_hash.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    mix64(hash)
+    let mut hash = Fnv1a64::new();
+    hash.write(route.as_bytes());
+    hash.write(&content_hash.to_le_bytes());
+    mix64(hash.finish())
 }
 
 /// The point a member's `index`-th virtual node projects to.

@@ -39,23 +39,10 @@ impl FieldValue {
     }
 }
 
-/// Escape a string as a JSON string literal.
+/// `s` as a JSON string literal, escaped by `sesr_telemetry::json` (the
+/// one JSON writer in the workspace).
 pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    sesr_telemetry::json::Value::Str(s.to_owned()).render()
 }
 
 /// One result row: an ordered list of named, typed fields.
@@ -190,5 +177,11 @@ mod tests {
         assert!(json.contains(r#""name": "a\"b\\c\nd""#), "{json}");
         assert!(json.contains(r#""bad": null"#));
         assert!(json.contains(r#""good": 1.5"#));
+    }
+
+    #[test]
+    fn json_pins_the_exact_escaped_text() {
+        let record = EvalRecord::new().text("k\"ey", "q\"b\\s\nn\u{1}c");
+        assert_eq!(record.to_json(), r#"{"k\"ey": "q\"b\\s\nn\u0001c"}"#);
     }
 }

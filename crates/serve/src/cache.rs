@@ -9,36 +9,24 @@
 //! collision only ever returns a *previously defended* output of the same
 //! route, never corrupts state.
 
+use sesr_store::Fnv1a64;
 use sesr_tensor::Tensor;
 use std::collections::HashMap;
 use std::hash::Hash;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a content hash of an image tensor's shape and exact f32 bit
 /// patterns, salted with `salt` (empty when the cache key already carries the
 /// route identity).
 pub fn content_hash(image: &Tensor, salt: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    };
-    for byte in salt.as_bytes() {
-        eat(*byte);
-    }
+    let mut hash = Fnv1a64::new();
+    hash.write(salt.as_bytes());
     for dim in image.shape().dims() {
-        for byte in (*dim as u64).to_le_bytes() {
-            eat(byte);
-        }
+        hash.write(&(*dim as u64).to_le_bytes());
     }
     for value in image.data() {
-        for byte in value.to_bits().to_le_bytes() {
-            eat(byte);
-        }
+        hash.write(&value.to_bits().to_le_bytes());
     }
-    hash
+    hash.finish()
 }
 
 const NIL: usize = usize::MAX;

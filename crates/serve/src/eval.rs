@@ -6,7 +6,7 @@
 //! works; this scenario proves the *deployment* works: attacked images are
 //! submitted as routed [`DefenseRequest`]s and travel the full
 //! queue → worker → cache path of a
-//! [`DefenseGateway`](crate::DefenseGateway) before the classifier ever
+//! [`DefenseGateway`] before the classifier ever
 //! sees them. Because serving is bitwise-identical to direct
 //! pipeline calls, the robust accuracies must match the pipeline scenarios —
 //! any divergence is a serving bug, which is exactly what an end-to-end
@@ -14,12 +14,13 @@
 
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::server::WorkerAssets;
-use crate::{GatewayBuilder, ServeError};
+use crate::{DefenseGateway, GatewayBuilder, ServeError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sesr_attacks::AttackKind;
 use sesr_classifiers::ClassifierKind;
 use sesr_defense::eval::{CustomScenario, DefenseSpec, EvalRecord, ModelBank};
+use sesr_defense::pipeline::DefensePipeline;
 use sesr_defense::robustness::RobustnessEvaluator;
 use sesr_tensor::{Tensor, TensorError};
 
@@ -28,7 +29,7 @@ fn serve_err(context: &str, err: ServeError) -> TensorError {
 }
 
 /// Evaluate one classifier's robustness with every defense served through a
-/// multi-route [`DefenseGateway`](crate::DefenseGateway).
+/// multi-route [`DefenseGateway`].
 ///
 /// All trained models come from the plan's [`ModelBank`] (train-once), each
 /// defense spec becomes one gateway route with share-nothing workers, and
@@ -67,6 +68,50 @@ impl GatewayScenario {
     }
 }
 
+impl GatewayScenario {
+    /// One factory-built route per defense spec. Each factory holds the
+    /// bank's hydrated checkpoint and builds its workers through
+    /// [`sesr_models::SrModelKind::build_from_checkpoint`], so the gateway serves the
+    /// exact trained weights the plan evaluates, and a reload rebuilds the
+    /// same weights.
+    fn gateway(
+        &self,
+        bank: &ModelBank,
+    ) -> sesr_tensor::Result<(DefenseGateway, Vec<(RouteKey, DefenseSpec)>)> {
+        let mut builder = GatewayBuilder::new().cache_capacity(self.cache_capacity);
+        let mut routes = Vec::with_capacity(self.defenses.len());
+        for spec in &self.defenses {
+            let Some(model) = spec.model else {
+                return Err(TensorError::invalid_argument(
+                    "gateway routes need a concrete SR model (DefenseSpec::none has no route)",
+                ));
+            };
+            let checkpoint = if model.is_learned() {
+                // Trains on a cold store; afterwards the bank's registry
+                // hands out the memoized checkpoint.
+                bank.sr_network(model)?;
+                Some(bank.registry().hydrate(&bank.sr_model_id(model), 2)?)
+            } else {
+                None
+            };
+            let (scale, preprocess) = (spec.scale, spec.preprocess);
+            let key = RouteKey::new(model, scale, preprocess);
+            builder = builder.route_with_factory(key, self.route_config.clone(), move |_| {
+                let upscaler = match &checkpoint {
+                    Some(checkpoint) => model.build_from_checkpoint(scale, checkpoint, 0)?,
+                    None => model.build_seeded_upscaler(scale, 0)?,
+                };
+                Ok(WorkerAssets::new(DefensePipeline::new(
+                    preprocess, upscaler,
+                )))
+            });
+            routes.push((key, *spec));
+        }
+        let gateway = builder.build().map_err(|e| serve_err("startup", e))?;
+        Ok((gateway, routes))
+    }
+}
+
 impl CustomScenario for GatewayScenario {
     fn kind(&self) -> &'static str {
         "gateway"
@@ -91,30 +136,7 @@ impl CustomScenario for GatewayScenario {
         )?;
         let clean_accuracy = evaluator.clean_accuracy()?;
 
-        // One route per defense spec, workers hydrated through the bank so
-        // the gateway serves the exact trained weights the plan evaluates.
-        let mut builder = GatewayBuilder::new().cache_capacity(self.cache_capacity);
-        let mut routes = Vec::with_capacity(self.defenses.len());
-        for spec in &self.defenses {
-            let Some(model) = spec.model else {
-                return Err(TensorError::invalid_argument(
-                    "gateway routes need a concrete SR model (DefenseSpec::none has no route)",
-                ));
-            };
-            let key = RouteKey::new(model, spec.scale, spec.preprocess);
-            let mut assets = Vec::with_capacity(self.route_config.num_workers);
-            for _ in 0..self.route_config.num_workers {
-                let pipeline = bank.defense(spec)?.ok_or_else(|| {
-                    TensorError::invalid_argument(
-                        "defense spec with a model built no pipeline (bank out of sync)",
-                    )
-                })?;
-                assets.push(WorkerAssets::new(pipeline));
-            }
-            builder = builder.route_with_assets(key, self.route_config.clone(), assets);
-            routes.push((key, *spec));
-        }
-        let gateway = builder.build().map_err(|e| serve_err("startup", e))?;
+        let (gateway, routes) = self.gateway(bank)?;
         let client = gateway.client();
 
         // Craft per attack, then push every adversarial image through every
@@ -238,6 +260,41 @@ mod tests {
                 "gateway-served accuracy must equal the direct pipeline accuracy"
             );
         }
+    }
+
+    #[test]
+    fn gateway_scenario_routes_reload_and_serve_bitwise_the_same() {
+        let bank = ModelBank::ephemeral(tiny_config()).unwrap();
+        let scenario = GatewayScenario::paper(
+            ClassifierKind::MobileNetV2,
+            [SrModelKind::SesrM2],
+            vec![AttackKind::Fgsm],
+        );
+        let (gateway, routes) = scenario.gateway(&bank).unwrap();
+        let client = gateway.client();
+        let (key, spec) = routes[0];
+        let image = Tensor::full(sesr_tensor::Shape::new(&[1, 3, 8, 8]), 0.25);
+        let serve = || {
+            client
+                .defend_blocking(DefenseRequest::new(image.clone()).on(key).skip_cache())
+                .unwrap()
+                .defended
+        };
+        let before = serve();
+        client.reload(&key).unwrap();
+        assert_eq!(serve(), before, "a reload must rebuild the same weights");
+        let direct = bank
+            .defense(&spec)
+            .unwrap()
+            .unwrap()
+            .defend(&image)
+            .unwrap();
+        assert_eq!(
+            before, direct,
+            "the route serves the bank's trained weights"
+        );
+        drop(client);
+        gateway.shutdown();
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The multi-model defense gateway: routed requests, per-model worker
-//! shards, zero-downtime hot reload.
+//! shards, health-gated admission and the builder that declares routes.
 //!
 //! One [`DefenseGateway`] serves the whole model zoo at once. Each declared
 //! [`RouteKey`] — `(SR model, scale, preprocess)` — owns a private shard
@@ -20,30 +20,41 @@
 //!                         │            └──► ... one shard per declared route   │
 //!                         │                                                    │
 //!                         │   shared LRU cache keyed by (RouteKey, hash)       │
-//!                         │   route.* + gateway.* metrics, one registry        │
+//!                         │   route.* metrics; gateway.* derived at snapshot   │
 //!                         └────────────────────────────────────────────────────┘
 //! ```
 //!
+//! A route's workers come from one of two sources. A **store-hydrated**
+//! route ([`GatewayBuilder::route`], [`GatewayBuilder::route_with`],
+//! [`GatewayBuilder::routes_from_store`]) builds every worker from one
+//! resolved artifact of the attached store, or from the builder's seed when
+//! nothing is stored. A **factory-built** route
+//! ([`GatewayBuilder::route_with_factory`]) calls its factory once per
+//! worker; the store never reaches it. Both are hot-reloadable.
+//!
+//! Every serving event is recorded once, on its route
+//! (`route.<label>.*`); [`GatewayClient::telemetry_snapshot`] derives the
+//! gateway-wide `gateway.*` totals from them.
+//!
 //! **Hot reload** ([`GatewayClient::reload`]) rebuilds one route's workers
-//! with freshly hydrated weights (after
-//! [`ModelRegistry::invalidate`](sesr_store::ModelRegistry::invalidate), so a
-//! retrained artifact version is picked up), atomically swaps the new shard
-//! into the route table, then retires the old shard by letting it drain:
-//! every job already accepted is still answered, so a reload under load
-//! drops nothing. [`ReloadWatcher`] automates this by polling the artifact
-//! store and reloading any route whose newest artifact changed.
+//! — a store-hydrated route from exactly one resolved artifact version —
+//! atomically swaps the new shard into the route table, then retires the old
+//! shard by letting it drain: every job already accepted is still answered,
+//! so a reload under load drops nothing. [`ReloadWatcher`] automates this by
+//! polling the artifact store and promoting any store-hydrated route whose
+//! newest artifact changed, with a health gate and a probation rollback.
 
 // lint: allow-file(atomic-ordering): request ids + route health; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
 
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::server::{PendingResponse, ServeError, WorkerAssets};
-use crate::shard::{spawn_shard, CacheKey, Job, SharedCache, StatsPair};
-use crate::stats::StatsRecorder;
+use crate::shard::{spawn_shard, CacheKey, Job, SharedCache};
+use crate::stats::{add_gateway_totals, StatsRecorder};
 use crate::telemetry::{ArenaGauges, StageProbes, TelemetryExporter};
 use crate::{content_hash, LruCache};
 use sesr_defense::pipeline::DefensePipeline;
 use sesr_models::SrModelKind;
-use sesr_store::{ModelRegistry, ModelStore};
+use sesr_store::{Checkpoint, ModelStore};
 use sesr_telemetry::{Counter, Gauge, HealthState, Level, Probe, Telemetry, TelemetrySnapshot};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -57,80 +68,72 @@ use std::time::{Duration, Instant};
 /// reload time.
 pub type WorkerFactory = Box<dyn FnMut(usize) -> sesr_tensor::Result<WorkerAssets> + Send>;
 
-/// One declared route: its immutable configuration, the factory that
+/// One declared route: its immutable configuration, the source that
 /// (re)builds its workers, and the currently active shard.
-struct RouteEntry {
-    config: RouteConfig,
-    /// `None` for routes built from pre-built assets, which cannot be
-    /// reloaded.
-    factory: Mutex<Option<WorkerFactory>>,
-    /// Per-route stats; survives reloads so the breakdown covers the route's
-    /// whole lifetime.
-    stats: Arc<StatsRecorder>,
+pub(crate) struct RouteEntry {
+    pub(crate) config: RouteConfig,
+    /// How the route's workers are (re)built. Held across a whole rebuild,
+    /// so rebuilds of one route run one at a time.
+    pub(crate) source: Mutex<RouteSource>,
+    /// The route's serving stats — the only place its serving events are
+    /// recorded; survives reloads so the figures cover the route's whole
+    /// lifetime.
+    pub(crate) stats: Arc<StatsRecorder>,
     /// Per-route stage probes (`route.<label>.stage.*_ns`); like the stats,
     /// they survive reloads.
-    stages: Arc<StageProbes>,
+    pub(crate) stages: Arc<StageProbes>,
+    /// Per-worker arena gauges (`route.<label>.arena.w<i>.*`), handed to
+    /// every shard the route spawns.
+    pub(crate) arenas: Vec<ArenaGauges>,
     /// The live shard's submission sender; hot reload swaps it under a brief
     /// write lock. The queue closes when the last clone drops, which is what
     /// lets a retired shard drain instead of dropping in-flight jobs.
-    active: RwLock<SyncSender<Job>>,
+    pub(crate) active: RwLock<SyncSender<Job>>,
     /// Worker join handles of the active shard (taken on retire/shutdown).
-    threads: Mutex<Option<Vec<JoinHandle<()>>>>,
+    pub(crate) threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     /// The route's serving health as set by an SLO runtime
     /// ([`crate::slo::SloRuntime`]); stored as a [`HealthState`]
     /// discriminant so admission reads it with one relaxed load.
     health: AtomicU8,
     /// Mirror of `health` in the metrics namespace (`route.<label>.health`).
     health_gauge: Arc<Gauge>,
-    /// Submissions shed because the route was Unhealthy
-    /// (`route.<label>.shed`). Deliberately separate from `rejected`: shed
-    /// load must not feed back into the error budget, or an Unhealthy route
-    /// could never look clean enough to recover.
-    shed: Arc<Counter>,
-    /// True for store-hydrated auto routes, which are the only ones the
-    /// watcher knows how to roll back to a pinned artifact version.
-    auto: bool,
 }
 
 /// Journal probes and counters for gateway lifecycle events (hot reloads,
 /// health-driven sheds and promotion gating).
-struct LifecycleProbes {
+pub(crate) struct LifecycleProbes {
     /// Successful route promotion; duration = whole rebuild-swap-drain cycle,
     /// mirrored into the `gateway.reload_ns` histogram.
-    reload: Probe,
+    pub(crate) reload: Probe,
     /// Failed reload attempt (the old shard keeps serving).
-    reload_failed: Probe,
+    pub(crate) reload_failed: Probe,
     /// Promotion refused because the target route was not Healthy.
-    reload_refused: Probe,
+    pub(crate) reload_refused: Probe,
     /// Post-promotion rollback: health collapsed inside the probation
     /// window, so the watcher re-pinned the prior artifact.
-    reload_demoted: Probe,
+    pub(crate) reload_demoted: Probe,
     /// Submission shed at admission because its route was Unhealthy.
     shed: Probe,
-    reloads: Arc<Counter>,
-    reload_failures: Arc<Counter>,
-    reload_refusals: Arc<Counter>,
-    reload_demotions: Arc<Counter>,
-    sheds: Arc<Counter>,
+    pub(crate) reloads: Arc<Counter>,
+    pub(crate) reload_failures: Arc<Counter>,
+    pub(crate) reload_refusals: Arc<Counter>,
+    pub(crate) reload_demotions: Arc<Counter>,
 }
 
-struct GatewayShared {
-    routes: HashMap<RouteKey, Arc<RouteEntry>>,
+pub(crate) struct GatewayShared {
+    pub(crate) routes: HashMap<RouteKey, Arc<RouteEntry>>,
     /// Declaration order, for stable stats/iteration output.
-    order: Vec<RouteKey>,
+    pub(crate) order: Vec<RouteKey>,
     default_route: RouteKey,
-    cache: SharedCache,
-    cache_enabled: bool,
-    stats: Arc<StatsRecorder>,
-    registry: Option<Arc<ModelRegistry>>,
+    pub(crate) cache: SharedCache,
+    pub(crate) cache_enabled: bool,
+    /// The attached artifact store, reporting into this gateway's hub.
+    pub(crate) store: Option<ModelStore>,
     /// The hub every metric and journal event of this gateway lands in.
     telemetry: Arc<Telemetry>,
     /// Monotonic request-id source; ids tag journal events end to end.
     request_ids: AtomicU64,
-    lifecycle: LifecycleProbes,
-    /// The builder's weight seed, kept so a pinned rollback rebuilds the
-    /// same network shape the original auto factory did.
-    seed: u64,
+    pub(crate) lifecycle: LifecycleProbes,
 }
 
 /// The running multi-model serving engine; owns every route shard.
@@ -142,16 +145,17 @@ pub struct DefenseGateway {
 /// [`DefenseGateway`].
 #[derive(Clone)]
 pub struct GatewayClient {
-    shared: Arc<GatewayShared>,
+    pub(crate) shared: Arc<GatewayShared>,
 }
 
-fn entry_for<'a>(
+pub(crate) fn entry_for<'a>(
     shared: &'a GatewayShared,
     route: &RouteKey,
-) -> Result<&'a Arc<RouteEntry>, ServeError> {
+) -> Result<&'a RouteEntry, ServeError> {
     shared
         .routes
         .get(route)
+        .map(Arc::as_ref)
         .ok_or_else(|| ServeError::UnknownRoute(route.label()))
 }
 
@@ -187,17 +191,10 @@ fn submit_to(
     // which is what lets the route look clean and recover once the SLO
     // engine sees load drop.
     if HealthState::from_u8(entry.health.load(Ordering::Relaxed)) == HealthState::Unhealthy {
-        shared.lifecycle.sheds.incr();
-        entry.shed.incr();
+        entry.stats.record_shed();
         shared.lifecycle.shed.observe(request_id, started.elapsed());
         return Err(ServeError::Overloaded);
     }
-
-    let stats = StatsPair {
-        global: Arc::clone(&shared.stats),
-        route: Arc::clone(&entry.stats),
-        stages: Arc::clone(&entry.stages),
-    };
 
     let cache_key: Option<CacheKey> = if shared.cache_enabled && !skip_cache {
         let key = (route, content_hash(&image, ""));
@@ -210,7 +207,7 @@ fn submit_to(
             .get(&key)
             .map(|(defended, label)| (defended.clone(), *label));
         drop(cache);
-        stats
+        entry
             .stages
             .cache_lookup
             .observe(request_id, lookup_started.elapsed());
@@ -220,7 +217,7 @@ fn submit_to(
                 label,
                 cache_hit: true,
             };
-            stats.record_completion(started.elapsed(), true);
+            entry.stats.record_completion(started.elapsed(), true);
             return Ok(PendingResponse::ready(response));
         }
         Some(key)
@@ -247,199 +244,23 @@ fn submit_to(
             // Counted only once the request is actually on its way to the
             // pipeline; a rejected submission is not a cache miss.
             if cache_key.is_some() {
-                stats.record_cache_miss();
+                entry.stats.record_cache_miss();
             }
             Ok(PendingResponse::waiting(receiver))
         }
         Err(TrySendError::Full(_)) => {
-            stats.record_rejection();
+            entry.stats.record_rejection();
             Err(ServeError::Overloaded)
         }
         Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
     }
 }
 
-/// Build one worker's assets for an auto-declared route: hydrated from the
-/// registry when a store is attached, seeded-random otherwise.
-fn build_auto_assets(
-    registry: Option<&ModelRegistry>,
-    key: &RouteKey,
-    seed: u64,
-) -> sesr_tensor::Result<WorkerAssets> {
-    let upscaler = match registry {
-        Some(registry) => key.model.build_from_store(key.scale, registry, seed)?,
-        None => key.model.build_seeded_upscaler(key.scale, seed)?,
-    };
-    Ok(WorkerAssets::new(DefensePipeline::new(
-        key.preprocess,
-        upscaler,
-    )))
-}
-
-fn reload_route(shared: &GatewayShared, route: &RouteKey) -> Result<(), ServeError> {
-    // Every promotion attempt lands in the journal: successes with the full
-    // rebuild-swap-drain duration (also mirrored into `gateway.reload_ns`),
-    // failures at Warn so `sesr-top` surfaces a route stuck on old weights.
-    let started = Instant::now();
-    let result = reload_route_inner(shared, route);
-    match &result {
-        Ok(()) => {
-            shared.lifecycle.reloads.incr();
-            shared.lifecycle.reload.observe(0, started.elapsed());
-        }
-        Err(_) => {
-            shared.lifecycle.reload_failures.incr();
-            shared.lifecycle.reload_failed.observe(0, started.elapsed());
-        }
-    }
-    result
-}
-
-fn reload_route_inner(shared: &GatewayShared, route: &RouteKey) -> Result<(), ServeError> {
-    let entry = Arc::clone(entry_for(shared, route)?);
-    // One reload at a time per route: the factory lock is held across the
-    // rebuild, but submissions keep flowing to the old shard meanwhile.
-    let mut factory_guard = entry.factory.lock().unwrap_or_else(PoisonError::into_inner);
-    let factory = factory_guard.as_mut().ok_or_else(|| {
-        ServeError::InvalidRequest(format!(
-            "route {route} was built from pre-built worker assets and cannot be reloaded"
-        ))
-    })?;
-
-    // Forget the memoized checkpoint so the factory re-resolves the newest
-    // artifact version from disk.
-    if let Some(registry) = &shared.registry {
-        registry.invalidate(route.model.name(), route.scale);
-    }
-    let mut assets = Vec::with_capacity(entry.config.num_workers);
-    for worker in 0..entry.config.num_workers {
-        assets.push(factory(worker).map_err(|e| ServeError::Pipeline(e.to_string()))?);
-    }
-    swap_in_assets(shared, &entry, route, assets);
-    Ok(())
-}
-
-/// The common tail of every reload: spawn a fresh shard from `assets`, swap
-/// it live, drain and retire the old shard, purge the route's stale cache
-/// entries. Infallible — by this point the new workers are already built.
-fn swap_in_assets(
-    shared: &GatewayShared,
-    entry: &RouteEntry,
-    route: &RouteKey,
-    assets: Vec<WorkerAssets>,
-) {
-    let stats = StatsPair {
-        global: Arc::clone(&shared.stats),
-        route: Arc::clone(&entry.stats),
-        stages: Arc::clone(&entry.stages),
-    };
-    let arenas = arena_gauges(&shared.telemetry, route, entry.config.num_workers);
-    let (sender, threads) = spawn_shard(&entry.config, assets, &shared.cache, &stats, arenas);
-
-    // Swap the live shard; new submissions land on the fresh workers from
-    // here on.
-    let old_sender = {
-        let mut active = entry.active.write().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *active, sender)
-    };
-    let old_threads = entry
-        .threads
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .replace(threads);
-
-    // Retire the old shard: dropping its sender closes the queue (in-flight
-    // submit calls hold transient clones, which drop as soon as their
-    // try_send returns), so the workers drain every accepted job and exit,
-    // and the join below returns only once all in-flight responses are
-    // delivered.
-    drop(old_sender);
-    for worker in old_threads.into_iter().flatten() {
-        let _ = worker.join();
-    }
-
-    // The old weights' outputs are stale now that the drain is complete;
-    // purge this route's cache entries without touching other routes.
-    if shared.cache_enabled {
-        shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|(cached_route, _)| cached_route != route);
-    }
-}
-
-/// Rebuild an auto route's workers from one *specific* stored artifact
-/// version instead of the newest — the watcher's rollback path when a
-/// just-promoted artifact tanks the route's health. Follows the same
-/// swap-drain-purge discipline as a forward reload.
-fn reload_route_pinned(
-    shared: &GatewayShared,
-    route: &RouteKey,
-    pinned: (u32, u64),
-) -> Result<(), ServeError> {
-    let entry = Arc::clone(entry_for(shared, route)?);
-    if !entry.auto {
-        return Err(ServeError::InvalidRequest(format!(
-            "route {route} is not store-hydrated and cannot be pinned to an artifact version"
-        )));
-    }
-    let registry = shared.registry.as_ref().ok_or_else(|| {
-        ServeError::InvalidRequest(
-            "pinned reload requires a gateway built with a store".to_string(),
-        )
-    })?;
-    // Same per-route serialization as a forward reload.
-    let _factory_guard = entry.factory.lock().unwrap_or_else(PoisonError::into_inner);
-
-    let (version, digest) = pinned;
-    let artifact = registry
-        .store()
-        .list_versions(route.model.name(), route.scale)
-        .map_err(|e| ServeError::Pipeline(e.to_string()))?
-        .into_iter()
-        .find(|artifact| artifact.version == version && artifact.digest == digest)
-        .ok_or_else(|| {
-            ServeError::Pipeline(format!(
-                "route {route} has no stored artifact v{version:04} to roll back to"
-            ))
-        })?;
-    let checkpoint = registry
-        .store()
-        .load(&artifact)
-        .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-    let mut assets = Vec::with_capacity(entry.config.num_workers);
-    for _worker in 0..entry.config.num_workers {
-        let upscaler = route
-            .model
-            .build_from_checkpoint(route.scale, &checkpoint, shared.seed)
-            .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        assets.push(WorkerAssets::new(DefensePipeline::new(
-            route.preprocess,
-            upscaler,
-        )));
-    }
-    // The registry's memo still points at the newest artifact; forget it so
-    // a later explicit hydrate re-reads disk rather than reviving it.
-    registry.invalidate(route.model.name(), route.scale);
-    swap_in_assets(shared, &entry, route, assets);
-    Ok(())
-}
-
-/// Register the per-worker arena gauges for `route` (idempotent across
-/// reloads: the same names resolve to the same gauges).
-fn arena_gauges(telemetry: &Telemetry, route: &RouteKey, num_workers: usize) -> Vec<ArenaGauges> {
-    let label = route.label();
-    (0..num_workers)
-        .map(|worker| ArenaGauges::for_worker(telemetry, &label, worker))
-        .collect()
-}
-
-/// Refresh the gateway-level cache gauges, then snapshot the whole hub. The
+/// Refresh the gateway-level cache gauges, snapshot the whole hub, then
+/// derive the gateway-wide serving totals from the routes' figures. The
 /// LRU's eviction count and size live behind the cache mutex, so they are
 /// mirrored into gauges here — at snapshot time, off the hot path — rather
-/// than on every insert. Hits and misses are the `gateway.cache_hits` /
-/// `gateway.cache_misses` counters.
+/// than on every insert.
 fn telemetry_snapshot(shared: &GatewayShared) -> TelemetrySnapshot {
     if shared.cache_enabled {
         let (evictions, entries) = {
@@ -453,7 +274,10 @@ fn telemetry_snapshot(shared: &GatewayShared) -> TelemetrySnapshot {
             .set(clamp(evictions));
         metrics.gauge("gateway.cache.entries").set(clamp(entries));
     }
-    shared.telemetry.snapshot()
+    let mut snapshot = shared.telemetry.snapshot();
+    let labels: Vec<String> = shared.order.iter().map(RouteKey::label).collect();
+    add_gateway_totals(&mut snapshot, &labels);
+    snapshot
 }
 
 impl GatewayClient {
@@ -497,25 +321,24 @@ impl GatewayClient {
 
     /// Hot-reload one route with zero downtime and zero dropped jobs.
     ///
-    /// Rebuilds the route's workers through its factory — for store-backed
-    /// routes the registry entry is invalidated first, so a newly saved
-    /// artifact version is hydrated — swaps the fresh shard in for new
-    /// submissions, then drains and retires the old shard: every job it had
-    /// already accepted still gets its response. The route's now-stale cache
-    /// entries are purged; other routes are untouched throughout.
+    /// Rebuilds the route's workers — a store-hydrated route from the newest
+    /// stored artifact, resolved once; a factory-built route through its
+    /// factory — swaps the fresh shard in for new submissions, then drains
+    /// and retires the old shard: every job it had already accepted still
+    /// gets its response. The route's now-stale cache entries are purged;
+    /// other routes are untouched throughout.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownRoute`] for an unserved route,
+    /// [`ServeError::UnknownRoute`] for an unserved route and
     /// [`ServeError::Pipeline`] when rebuilding the workers fails (e.g. a
-    /// corrupt artifact — the old shard keeps serving in that case), and
-    /// [`ServeError::InvalidRequest`] for routes built from pre-built assets.
+    /// corrupt artifact — the old shard keeps serving in that case).
     pub fn reload(&self, route: &RouteKey) -> Result<(), ServeError> {
-        reload_route(&self.shared, route)
+        reload_route(&self.shared, route, None).map(|_| ())
     }
 
     /// Spawn a [`ReloadWatcher`] polling the attached store every `interval`
-    /// and reloading any route whose newest artifact changed.
+    /// and reloading any store-hydrated route whose newest artifact changed.
     ///
     /// # Errors
     ///
@@ -528,7 +351,7 @@ impl GatewayClient {
     /// Like [`GatewayClient::watch_store`], with an explicit post-promotion
     /// probation window: if a route's health collapses to Unhealthy within
     /// `probation` after a promotion, the watcher rolls the route back to
-    /// the previously served artifact version.
+    /// the artifact it served before.
     ///
     /// # Errors
     ///
@@ -542,18 +365,21 @@ impl GatewayClient {
         ReloadWatcher::spawn(self.clone(), interval, probation)
     }
 
-    /// The gateway's telemetry hub (counters, gauges, per-route stage
-    /// histograms and the event journal).
+    /// The gateway's telemetry hub (per-route counters, gauges and stage
+    /// histograms, and the event journal). Read numbers through
+    /// [`GatewayClient::telemetry_snapshot`], which also carries the derived
+    /// `gateway.*` totals.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.shared.telemetry
     }
 
     /// Snapshot every metric and the journal, including the freshly mirrored
     /// cache gauges (`gateway.cache.*`). This is the one way to read the
-    /// gateway's numbers: gateway-wide counters (`gateway.completed`,
-    /// `gateway.cache_hits`, `gateway.reloads`, …), their per-route twins
-    /// (`route.<label>.*`), latency and stage histograms, and the journal.
-    /// Its JSON form is what `sesr-top` renders.
+    /// gateway's numbers: per-route figures (`route.<label>.*`), the
+    /// gateway-wide serving totals derived from them (`gateway.completed`,
+    /// `gateway.cache_hits`, `gateway.latency_ns`, …), lifecycle counters
+    /// (`gateway.reloads`, …), stage histograms and the journal. Its JSON
+    /// form is what `sesr-top` renders.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         telemetry_snapshot(&self.shared)
     }
@@ -667,21 +493,11 @@ impl DefenseGateway {
     }
 }
 
-/// How one route's workers come to be.
-enum RouteSource {
-    /// Built by the gateway: store-hydrated when a store is attached,
-    /// seeded-random otherwise. Reloadable.
-    Auto,
-    /// Built by a caller-supplied factory. Reloadable.
-    Factory(WorkerFactory),
-    /// Pre-built assets handed over as-is. Not reloadable.
-    Prebuilt(Vec<WorkerAssets>),
-}
-
 struct RouteDecl {
     key: RouteKey,
     config: RouteConfig,
-    source: RouteSource,
+    /// `None` for a store-hydrated route.
+    factory: Option<WorkerFactory>,
 }
 
 /// Declarative constructor for a [`DefenseGateway`]: routes (explicit, or
@@ -694,7 +510,6 @@ pub struct GatewayBuilder {
     cache_capacity: usize,
     seed: u64,
     store: Option<ModelStore>,
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl Default for GatewayBuilder {
@@ -714,16 +529,7 @@ impl GatewayBuilder {
             cache_capacity: 256,
             seed: 0,
             store: None,
-            telemetry: None,
         }
-    }
-
-    /// Share an existing telemetry hub instead of creating a private one —
-    /// e.g. so the gateway, its model store and an evaluation plan all land
-    /// in one [`TelemetrySnapshot`].
-    pub fn telemetry(mut self, hub: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(hub);
-        self
     }
 
     /// Shared LRU capacity in defended images across all routes; 0 disables
@@ -733,8 +539,8 @@ impl GatewayBuilder {
         self
     }
 
-    /// Seed for deterministic worker construction (and the fallback weights
-    /// of store-less learned routes).
+    /// Seed for deterministic worker construction (the fallback weights of
+    /// store-hydrated learned routes with nothing stored).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -746,10 +552,10 @@ impl GatewayBuilder {
         self
     }
 
-    /// Attach a trained-weight store: auto routes hydrate from it (one
-    /// validated read per `(model, scale)`, memoized by a shared
-    /// [`ModelRegistry`]), [`GatewayBuilder::routes_from_store`] enumerates
-    /// it, and hot reload re-resolves artifacts in it.
+    /// Attach a trained-weight store: store-hydrated routes build their
+    /// workers from its artifacts (one validated read per build),
+    /// [`GatewayBuilder::routes_from_store`] enumerates it, and hot reload
+    /// re-resolves artifacts in it.
     pub fn with_store(mut self, store: ModelStore) -> Self {
         self.store = Some(store);
         self
@@ -766,25 +572,27 @@ impl GatewayBuilder {
         Ok(self.with_store(store))
     }
 
-    /// Declare a route with the default [`RouteConfig`].
+    /// Declare a store-hydrated route with the default [`RouteConfig`].
     pub fn route(self, key: RouteKey) -> Self {
         let config = self.default_config.clone();
         self.route_with(key, config)
     }
 
-    /// Declare a route with an explicit per-route configuration.
+    /// Declare a store-hydrated route with an explicit per-route
+    /// configuration.
     pub fn route_with(mut self, key: RouteKey, config: RouteConfig) -> Self {
         self.routes.push(RouteDecl {
             key,
             config,
-            source: RouteSource::Auto,
+            factory: None,
         });
         self
     }
 
     /// Declare a route whose workers come from `factory(worker_index)` —
     /// the escape hatch for custom pipelines (wrapped upscalers, classifier
-    /// stages). The factory is retained, so the route stays reloadable.
+    /// stages, weights from elsewhere). The factory is retained, so the
+    /// route stays reloadable; the store never reaches it.
     pub fn route_with_factory(
         mut self,
         key: RouteKey,
@@ -794,25 +602,7 @@ impl GatewayBuilder {
         self.routes.push(RouteDecl {
             key,
             config,
-            source: RouteSource::Factory(Box::new(factory)),
-        });
-        self
-    }
-
-    /// Declare a route from pre-built worker assets (one per worker), for
-    /// builders that are neither `Send` nor `'static` (the gateway evaluation
-    /// scenario hands over bank-hydrated pipelines this way); such a route
-    /// cannot be hot-reloaded.
-    pub fn route_with_assets(
-        mut self,
-        key: RouteKey,
-        config: RouteConfig,
-        assets: Vec<WorkerAssets>,
-    ) -> Self {
-        self.routes.push(RouteDecl {
-            key,
-            config,
-            source: RouteSource::Prebuilt(assets),
+            factory: Some(Box::new(factory)),
         });
         self
     }
@@ -864,7 +654,7 @@ impl GatewayBuilder {
 
     /// Build every shard and start the gateway.
     ///
-    /// Worker factories run on the calling thread, so a failure (corrupt
+    /// Workers are built on the calling thread, so a failure (corrupt
     /// artifact, unsupported scale) aborts startup with a typed error before
     /// any traffic is accepted.
     ///
@@ -881,7 +671,6 @@ impl GatewayBuilder {
             cache_capacity,
             seed,
             store,
-            telemetry,
         } = self;
         if routes.is_empty() {
             return Err(ServeError::InvalidRequest(
@@ -901,16 +690,11 @@ impl GatewayBuilder {
             return Err(ServeError::UnknownRoute(default_route.label()));
         }
 
-        let telemetry = telemetry.unwrap_or_else(|| Arc::new(Telemetry::new()));
-        let registry = store.map(|store| {
-            // The store shares the gateway's hub, so hydrate/publish timings
-            // land in the same snapshot as the serving metrics.
-            Arc::new(ModelRegistry::new(
-                store.with_telemetry(Arc::clone(&telemetry)),
-            ))
-        });
+        let telemetry = Arc::new(Telemetry::new());
+        // The store shares the gateway's hub, so hydrate/publish timings land
+        // in the same snapshot as the serving metrics.
+        let store = store.map(|store| store.with_telemetry(Arc::clone(&telemetry)));
         let cache: SharedCache = Arc::new(Mutex::new(LruCache::new(cache_capacity)));
-        let global_stats = Arc::new(StatsRecorder::registered(telemetry.metrics(), "gateway"));
         let lifecycle = LifecycleProbes {
             reload: telemetry.probe("gateway.reload", Level::Info, Some("gateway.reload_ns")),
             reload_failed: telemetry.probe("gateway.reload_failed", Level::Warn, None),
@@ -921,7 +705,6 @@ impl GatewayBuilder {
             reload_failures: telemetry.metrics().counter("gateway.reload_failures"),
             reload_refusals: telemetry.metrics().counter("gateway.reload_refused"),
             reload_demotions: telemetry.metrics().counter("gateway.reload_demoted"),
-            sheds: telemetry.metrics().counter("gateway.shed"),
         };
 
         let mut table = HashMap::with_capacity(routes.len());
@@ -930,60 +713,40 @@ impl GatewayBuilder {
             let RouteDecl {
                 key,
                 config,
-                source,
+                factory,
             } = decl;
-            let auto = matches!(source, RouteSource::Auto);
-            let (assets, factory): (Vec<WorkerAssets>, Option<WorkerFactory>) = match source {
-                RouteSource::Auto => {
-                    let registry = registry.clone();
-                    let mut factory: WorkerFactory =
-                        Box::new(move |_worker| build_auto_assets(registry.as_deref(), &key, seed));
-                    let assets = build_with(&mut factory, config.num_workers)?;
-                    (assets, Some(factory))
-                }
-                RouteSource::Factory(mut factory) => {
-                    let assets = build_with(&mut factory, config.num_workers)?;
-                    (assets, Some(factory))
-                }
-                RouteSource::Prebuilt(assets) => {
-                    if assets.len() != config.num_workers {
-                        return Err(ServeError::InvalidRequest(format!(
-                            "route {key} declares {} workers but {} pre-built assets",
-                            config.num_workers,
-                            assets.len()
-                        )));
-                    }
-                    (assets, None)
-                }
+            let mut source = match factory {
+                Some(factory) => RouteSource::Factory(factory),
+                None => RouteSource::Store {
+                    seed,
+                    serving: None,
+                },
             };
+            let (assets, _) = source.build(store.as_ref(), &key, config.num_workers, None)?;
             let label = key.label();
-            let route_recorder = Arc::new(StatsRecorder::registered(
+            let stats = Arc::new(StatsRecorder::registered(
                 telemetry.metrics(),
                 &format!("route.{label}"),
             ));
-            let route_stages = Arc::new(StageProbes::for_route(&telemetry, &label));
-            let stats = StatsPair {
-                global: Arc::clone(&global_stats),
-                route: Arc::clone(&route_recorder),
-                stages: Arc::clone(&route_stages),
-            };
-            let arenas = arena_gauges(&telemetry, &key, config.num_workers);
-            let (sender, threads) = spawn_shard(&config, assets, &cache, &stats, arenas);
+            let stages = Arc::new(StageProbes::for_route(&telemetry, &label));
+            let arenas: Vec<ArenaGauges> = (0..config.num_workers)
+                .map(|worker| ArenaGauges::for_worker(&telemetry, &label, worker))
+                .collect();
+            let (sender, threads) = spawn_shard(&config, assets, &cache, &stats, &stages, &arenas);
             let health_gauge = telemetry.metrics().gauge(&format!("route.{label}.health"));
             health_gauge.set(i64::from(HealthState::Healthy.as_u8()));
             table.insert(
                 key,
                 Arc::new(RouteEntry {
                     config,
-                    factory: Mutex::new(factory),
-                    stats: route_recorder,
-                    stages: route_stages,
+                    source: Mutex::new(source),
+                    stats,
+                    stages,
+                    arenas,
                     active: RwLock::new(sender),
                     threads: Mutex::new(Some(threads)),
                     health: AtomicU8::new(HealthState::Healthy.as_u8()),
                     health_gauge,
-                    shed: telemetry.metrics().counter(&format!("route.{label}.shed")),
-                    auto,
                 }),
             );
         }
@@ -995,38 +758,233 @@ impl GatewayBuilder {
                 default_route,
                 cache,
                 cache_enabled: cache_capacity > 0,
-                stats: global_stats,
-                registry,
+                store,
                 telemetry,
                 request_ids: AtomicU64::new(1),
                 lifecycle,
-                seed,
             }),
         })
     }
 }
 
-fn build_with(
-    factory: &mut WorkerFactory,
-    num_workers: usize,
-) -> Result<Vec<WorkerAssets>, ServeError> {
-    let mut assets = Vec::with_capacity(num_workers);
-    for worker in 0..num_workers {
-        assets.push(factory(worker).map_err(|e| ServeError::Pipeline(e.to_string()))?);
+/// `(version, digest)` of one stored artifact.
+pub(crate) type ArtifactId = (u32, u64);
+
+/// How one route's workers come to be.
+pub(crate) enum RouteSource {
+    /// Hydrated from the gateway's store: every worker from one resolved
+    /// artifact, or from `seed` when no store is attached or nothing is
+    /// stored for the route. `serving` is the artifact the live workers were
+    /// built from.
+    Store {
+        seed: u64,
+        serving: Option<ArtifactId>,
+    },
+    /// Built by a caller-supplied factory; the store never reaches it.
+    Factory(WorkerFactory),
+}
+
+impl RouteSource {
+    /// Build `num_workers` workers for `key`, and return them with the
+    /// artifact the route served until now.
+    ///
+    /// This is the one place a store-hydrated route's workers are built —
+    /// gateway build, reload and probation rollback all come through here.
+    /// The artifact is resolved once (`pin` when given, else the newest
+    /// stored), every worker is built from exactly that checkpoint, and it
+    /// becomes the route's `serving` artifact.
+    pub(crate) fn build(
+        &mut self,
+        store: Option<&ModelStore>,
+        key: &RouteKey,
+        num_workers: usize,
+        pin: Option<ArtifactId>,
+    ) -> Result<(Vec<WorkerAssets>, Option<ArtifactId>), ServeError> {
+        let pipeline = |e: &dyn std::fmt::Display| ServeError::Pipeline(e.to_string());
+        match self {
+            RouteSource::Factory(factory) => {
+                if pin.is_some() {
+                    return Err(ServeError::InvalidRequest(format!(
+                        "route {key} is factory-built and cannot be pinned to an artifact"
+                    )));
+                }
+                let assets = (0..num_workers)
+                    .map(|worker| factory(worker).map_err(|e| pipeline(&e)))
+                    .collect::<Result<_, _>>()?;
+                Ok((assets, None))
+            }
+            RouteSource::Store { seed, serving } => {
+                let hydrated = hydrate(store, key, pin)?;
+                let mut assets = Vec::with_capacity(num_workers);
+                for _ in 0..num_workers {
+                    let upscaler = match &hydrated {
+                        Some((_, checkpoint)) => key
+                            .model
+                            .build_from_checkpoint(key.scale, checkpoint, *seed),
+                        None => key.model.build_seeded_upscaler(key.scale, *seed),
+                    }
+                    .map_err(|e| pipeline(&e))?;
+                    assets.push(WorkerAssets::new(DefensePipeline::new(
+                        key.preprocess,
+                        upscaler,
+                    )));
+                }
+                let replaced = std::mem::replace(serving, hydrated.map(|(artifact, _)| artifact));
+                Ok((assets, replaced))
+            }
+        }
     }
-    Ok(assets)
+}
+
+/// Resolve a store-hydrated route's artifact — `pin` when given, else the
+/// newest stored — and load exactly that one. `None` when no store is
+/// attached or nothing is stored for the route.
+fn hydrate(
+    store: Option<&ModelStore>,
+    key: &RouteKey,
+    pin: Option<ArtifactId>,
+) -> Result<Option<(ArtifactId, Checkpoint)>, ServeError> {
+    let pipeline = |e: sesr_store::StoreError| ServeError::Pipeline(e.to_string());
+    let Some(store) = store else {
+        return match pin {
+            None => Ok(None),
+            Some(_) => Err(ServeError::InvalidRequest(
+                "a pinned reload requires a gateway built with a store".to_string(),
+            )),
+        };
+    };
+    let versions = store
+        .list_versions(key.model.name(), key.scale)
+        .map_err(pipeline)?;
+    let artifact = match pin {
+        None => versions.last(),
+        Some((version, digest)) => Some(
+            versions
+                .iter()
+                .find(|artifact| artifact.version == version && artifact.digest == digest)
+                .ok_or_else(|| {
+                    ServeError::Pipeline(format!(
+                        "route {key} has no stored artifact v{version:04}-{digest:016x}"
+                    ))
+                })?,
+        ),
+    };
+    let Some(artifact) = artifact else {
+        return Ok(None);
+    };
+    let checkpoint = store.load(artifact).map_err(pipeline)?;
+    Ok(Some(((artifact.version, artifact.digest), checkpoint)))
+}
+
+/// Rebuild one route with the lifecycle accounting of a promotion: success
+/// counts `gateway.reloads` and journals `gateway.reload` with the whole
+/// rebuild-swap-drain duration (mirrored into `gateway.reload_ns`); failure
+/// counts `gateway.reload_failures` and journals a Warn
+/// `gateway.reload_failed`, so `sesr-top` surfaces a route stuck on old
+/// weights. Returns the artifact the route served before.
+pub(crate) fn reload_route(
+    shared: &GatewayShared,
+    route: &RouteKey,
+    pin: Option<ArtifactId>,
+) -> Result<Option<ArtifactId>, ServeError> {
+    let started = Instant::now();
+    let result = rebuild(shared, route, pin);
+    match &result {
+        Ok(_) => {
+            shared.lifecycle.reloads.incr();
+            shared.lifecycle.reload.observe(0, started.elapsed());
+        }
+        Err(_) => {
+            shared.lifecycle.reload_failures.incr();
+            shared.lifecycle.reload_failed.observe(0, started.elapsed());
+        }
+    }
+    result
+}
+
+/// The one rebuild behind every reload and rollback: build the route's
+/// workers from its source (a store-hydrated route from exactly the
+/// artifact `pin` names, or the newest), then swap them in live. Returns
+/// the artifact the route served before.
+fn rebuild(
+    shared: &GatewayShared,
+    route: &RouteKey,
+    pin: Option<ArtifactId>,
+) -> Result<Option<ArtifactId>, ServeError> {
+    let entry = entry_for(shared, route)?;
+    // One rebuild at a time per route: the source lock is held across it,
+    // but submissions keep flowing to the old shard meanwhile.
+    let mut source = entry.source.lock().unwrap_or_else(PoisonError::into_inner);
+    let (assets, replaced) =
+        source.build(shared.store.as_ref(), route, entry.config.num_workers, pin)?;
+    swap_in(shared, entry, route, assets);
+    Ok(replaced)
+}
+
+/// The common tail of every rebuild: spawn a fresh shard from `assets`, swap
+/// it live, drain and retire the old shard, purge the route's stale cache
+/// entries. Infallible — by this point the new workers are already built.
+fn swap_in(
+    shared: &GatewayShared,
+    entry: &RouteEntry,
+    route: &RouteKey,
+    assets: Vec<WorkerAssets>,
+) {
+    let (sender, threads) = spawn_shard(
+        &entry.config,
+        assets,
+        &shared.cache,
+        &entry.stats,
+        &entry.stages,
+        &entry.arenas,
+    );
+
+    // Swap the live shard; new submissions land on the fresh workers from
+    // here on.
+    let old_sender = {
+        let mut active = entry.active.write().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *active, sender)
+    };
+    let old_threads = entry
+        .threads
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replace(threads);
+
+    // Retire the old shard: dropping its sender closes the queue (in-flight
+    // submit calls hold transient clones, which drop as soon as their
+    // try_send returns), so the workers drain every accepted job and exit,
+    // and the join below returns only once all in-flight responses are
+    // delivered.
+    drop(old_sender);
+    for worker in old_threads.into_iter().flatten() {
+        let _ = worker.join();
+    }
+
+    // The old weights' outputs are stale now that the drain is complete;
+    // purge this route's cache entries without touching other routes.
+    if shared.cache_enabled {
+        shared
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|(cached_route, _)| cached_route != route);
+    }
 }
 
 /// Background thread that polls the gateway's store and hot-reloads any
-/// route whose newest artifact `(version, digest)` changed — the
-/// "save a retrained model, serving picks it up" loop with no restarts.
+/// store-hydrated route whose newest artifact `(version, digest)` changed —
+/// the "save a retrained model, serving picks it up" loop with no restarts.
+/// Factory-built routes are not watched: their factories ignore the store.
 ///
+/// Each watched route starts from the artifact its workers were built
+/// from, and the watcher records exactly the artifact each promotion built.
 /// Promotion is **health-gated**: a new artifact is only promoted while its
 /// route is [`HealthState::Healthy`]; otherwise the attempt is refused
 /// (journaled as `gateway.reload_refused`) and retried on every poll until
 /// the route recovers. After a promotion the route is on probation: if its
 /// health collapses to Unhealthy inside the probation window, the watcher
-/// rolls back to the previously served artifact version
+/// rolls back to the artifact the route served before
 /// (`gateway.reload_demoted`) — the stepping stone to a full canary gate.
 ///
 /// The watcher keeps no counts of its own. Read them from
@@ -1043,12 +1001,13 @@ pub struct ReloadWatcher {
     thread: JoinHandle<()>,
 }
 
-/// Per-route watcher state: the artifact being served, plus probation
+/// Per-route watcher state: the newest artifact handled, plus probation
 /// bookkeeping for the most recent promotion.
 struct RouteWatch {
-    /// The `(version, digest)` the route currently serves (as far as the
-    /// watcher knows); `None` when nothing is stored yet.
-    known: Option<(u32, u64)>,
+    key: RouteKey,
+    /// The newest `(version, digest)` the watcher has acted on: promoted,
+    /// or demoted away from; `None` when nothing was stored yet.
+    known: Option<ArtifactId>,
     /// Set while the route is on post-promotion probation.
     promoted: Option<Promotion>,
 }
@@ -1056,48 +1015,42 @@ struct RouteWatch {
 struct Promotion {
     at: Instant,
     /// What was serving before the promotion — the rollback target.
-    prior: Option<(u32, u64)>,
+    prior: Option<ArtifactId>,
 }
 
 impl ReloadWatcher {
     /// Default post-promotion probation window.
     pub const DEFAULT_PROBATION: Duration = Duration::from_secs(30);
 
-    fn spawn(
+    pub(crate) fn spawn(
         client: GatewayClient,
         interval: Duration,
         probation: Duration,
     ) -> Result<ReloadWatcher, ServeError> {
-        let registry = client.shared.registry.clone().ok_or_else(|| {
+        let store = client.shared.store.clone().ok_or_else(|| {
             ServeError::InvalidRequest(
                 "watch_store requires a gateway built with a store".to_string(),
             )
         })?;
-        // Only reloadable routes are worth polling: a pre-built-assets route
-        // has no factory, so reloading it can never succeed.
-        let routes: Vec<RouteKey> = client
-            .routes()
-            .into_iter()
-            .filter(|key| {
-                client.shared.routes[key]
-                    .factory
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_some()
-            })
-            .collect();
-        // Baseline before the first poll: the shards were just built from
-        // whatever is newest now, so only *changes* from here on reload.
-        let mut watches: HashMap<RouteKey, RouteWatch> = routes
+        // Only store-hydrated routes follow the store, each from the
+        // artifact its workers were built from.
+        let mut watches: Vec<RouteWatch> = client
+            .shared
+            .order
             .iter()
-            .map(|key| {
-                (
-                    *key,
-                    RouteWatch {
-                        known: current_artifact(&registry, key),
+            .filter_map(|key| {
+                let source = client.shared.routes[key]
+                    .source
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                match &*source {
+                    RouteSource::Store { serving, .. } => Some(RouteWatch {
+                        key: *key,
+                        known: *serving,
                         promoted: None,
-                    },
-                )
+                    }),
+                    RouteSource::Factory(_) => None,
+                }
             })
             .collect();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
@@ -1106,12 +1059,11 @@ impl ReloadWatcher {
                 Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
                 Err(RecvTimeoutError::Timeout) => {}
             }
-            for key in &routes {
+            let lifecycle = &client.shared.lifecycle;
+            for watch in &mut watches {
+                let key = &watch.key;
                 let health = client.route_health(key).unwrap_or(HealthState::Unhealthy);
                 let route_index = client.route_index(key).unwrap_or(u64::MAX);
-                let Some(watch) = watches.get_mut(key) else {
-                    continue; // watcher routes are fixed at startup
-                };
 
                 // Probation first: a just-promoted artifact that tanked the
                 // route gets rolled back before any further promotion.
@@ -1120,10 +1072,9 @@ impl ReloadWatcher {
                         // Survived probation: stays cleared.
                     } else if health == HealthState::Unhealthy {
                         if let Some(prior) = promotion.prior {
-                            let lifecycle = &client.shared.lifecycle;
                             let started = Instant::now();
-                            match reload_route_pinned(&client.shared, key, prior) {
-                                Ok(()) => {
+                            match rebuild(&client.shared, key, Some(prior)) {
+                                Ok(_) => {
                                     lifecycle.reload_demotions.incr();
                                     lifecycle
                                         .reload_demoted
@@ -1151,33 +1102,34 @@ impl ReloadWatcher {
                     }
                 }
 
-                let newest = current_artifact(&registry, key);
-                if newest.is_some() && newest != watch.known {
-                    // The promotion gate: never swap weights under a route
-                    // that is already missing its SLOs — a reload there
-                    // destroys the evidence and risks stacking regressions.
-                    if health != HealthState::Healthy {
-                        let lifecycle = &client.shared.lifecycle;
-                        lifecycle.reload_refusals.incr();
-                        lifecycle
-                            .reload_refused
-                            .observe(route_index, Duration::ZERO);
-                        // `known` is deliberately not updated: the promotion
-                        // is retried on every poll until the route is
-                        // Healthy again.
-                        continue;
-                    }
-                    // Mark the version seen only once it is actually being
-                    // served; a failed reload (e.g. a corrupt artifact or
-                    // transient I/O) is counted by `reload_route` and
-                    // retried on every poll until it succeeds.
-                    if client.reload(key).is_ok() {
-                        watch.promoted = Some(Promotion {
-                            at: Instant::now(),
-                            prior: watch.known,
-                        });
-                        watch.known = newest;
-                    }
+                let Some(newest) = current_artifact(&store, key) else {
+                    continue;
+                };
+                if Some(newest) == watch.known {
+                    continue;
+                }
+                // The promotion gate: never swap weights under a route that
+                // is already missing its SLOs — a reload there destroys the
+                // evidence and risks stacking regressions.
+                if health != HealthState::Healthy {
+                    lifecycle.reload_refusals.incr();
+                    lifecycle
+                        .reload_refused
+                        .observe(route_index, Duration::ZERO);
+                    // `known` is deliberately not updated: the promotion is
+                    // retried on every poll until the route is Healthy again.
+                    continue;
+                }
+                // Build exactly the artifact just resolved, and mark it seen
+                // only once it is actually being served; a failed reload
+                // (e.g. a corrupt artifact or transient I/O) is counted by
+                // `reload_route` and retried on every poll until it succeeds.
+                if let Ok(prior) = reload_route(&client.shared, key, Some(newest)) {
+                    watch.promoted = Some(Promotion {
+                        at: Instant::now(),
+                        prior,
+                    });
+                    watch.known = Some(newest);
                 }
             }
         });
@@ -1191,9 +1143,8 @@ impl ReloadWatcher {
     }
 }
 
-fn current_artifact(registry: &ModelRegistry, key: &RouteKey) -> Option<(u32, u64)> {
-    registry
-        .store()
+fn current_artifact(store: &ModelStore, key: &RouteKey) -> Option<ArtifactId> {
+    store
         .resolve(key.model.name(), key.scale)
         .ok()
         .map(|artifact| (artifact.version, artifact.digest))
@@ -1577,51 +1528,234 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_routes_cannot_reload_but_factory_routes_can() {
-        let assets = vec![
-            WorkerAssets::new(DefensePipeline::new(
-                PreprocessConfig::none(),
-                SrModelKind::NearestNeighbor
-                    .build_seeded_upscaler(2, 0)
-                    .unwrap(),
-            )),
-            WorkerAssets::new(DefensePipeline::new(
-                PreprocessConfig::none(),
-                SrModelKind::NearestNeighbor
-                    .build_seeded_upscaler(2, 0)
-                    .unwrap(),
-            )),
-        ];
+    fn factory_and_store_routes_reload_and_serve_the_rebuilt_workers() {
+        let built = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&built);
         let gateway = GatewayBuilder::new()
-            .route_with_assets(
+            .route_with_factory(
                 nearest_route(),
                 RouteConfig {
                     num_workers: 2,
                     ..RouteConfig::default()
                 },
-                assets,
+                move |_| {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                    Ok(WorkerAssets::new(DefensePipeline::new(
+                        PreprocessConfig::none(),
+                        SrModelKind::NearestNeighbor.build_interpolation(2).unwrap(),
+                    )))
+                },
             )
             .route(bicubic_route())
             .build()
             .unwrap();
         let client = gateway.client();
-        assert!(matches!(
-            client.reload(&nearest_route()),
-            Err(ServeError::InvalidRequest(_))
-        ));
+        client.reload(&nearest_route()).unwrap();
+        assert_eq!(
+            built.load(Ordering::Relaxed),
+            4,
+            "a factory reload rebuilds every worker through the factory"
+        );
         client.reload(&bicubic_route()).unwrap();
-        // The reloaded route still serves correctly.
+        // The reloaded routes still serve correctly.
         let image = test_image(2, 8);
-        let served = client
-            .defend_blocking(DefenseRequest::new(image.clone()).on(bicubic_route()))
+        for (route, kind) in [
+            (nearest_route(), SrModelKind::NearestNeighbor),
+            (bicubic_route(), SrModelKind::Bicubic),
+        ] {
+            let served = client
+                .defend_blocking(DefenseRequest::new(image.clone()).on(route))
+                .unwrap();
+            let direct = DefensePipeline::new(
+                PreprocessConfig::none(),
+                kind.build_interpolation(2).unwrap(),
+            )
+            .defend(&image)
             .unwrap();
-        let direct = DefensePipeline::new(
-            PreprocessConfig::none(),
-            SrModelKind::Bicubic.build_interpolation(2).unwrap(),
-        )
-        .defend(&image)
-        .unwrap();
-        assert_eq!(served.defended, direct);
+            assert_eq!(served.defended, direct, "{route}");
+        }
+        assert_eq!(
+            client.telemetry_snapshot().counter("gateway.reloads"),
+            Some(2)
+        );
+        drop(client);
+        gateway.shutdown();
+    }
+
+    fn save_sesr_m2(store: &ModelStore, seed: u64) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let network = SrModelKind::SesrM2.build_local_network(&mut rng).unwrap();
+        store
+            .save(&Checkpoint::from_layer(
+                "SESR-M2",
+                2,
+                seed,
+                network.as_ref(),
+            ))
+            .unwrap();
+    }
+
+    #[test]
+    fn watcher_leaves_factory_routes_alone_when_their_model_gains_an_artifact() {
+        let dir = temp_dir("watch_factory");
+        let store = ModelStore::open(&dir).unwrap();
+        save_sesr_m2(&store, 1);
+        let route = RouteKey::new(SrModelKind::SesrM2, 2, PreprocessConfig::none());
+        let gateway = GatewayBuilder::new()
+            .with_store(store.clone())
+            .route_with_factory(route, RouteConfig::default(), |_| {
+                Ok(WorkerAssets::new(DefensePipeline::new(
+                    PreprocessConfig::none(),
+                    SrModelKind::SesrM2.build_seeded_upscaler(2, 0)?,
+                )))
+            })
+            .build()
+            .unwrap();
+        let client = gateway.client();
+        let watcher = client.watch_store(Duration::from_millis(5)).unwrap();
+        save_sesr_m2(&store, 2);
+        // Many polls see the new version; none may touch the factory route,
+        // whose factory ignores the store.
+        std::thread::sleep(Duration::from_millis(150));
+        watcher.stop();
+        let snapshot = client.telemetry_snapshot();
+        assert_eq!(snapshot.counter("gateway.reloads"), Some(0));
+        assert_eq!(snapshot.counter("gateway.reload_failures"), Some(0));
+        drop(client);
+        gateway.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gateway_totals_are_derived_from_the_routes() {
+        let slow = RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::paper());
+        let gateway = GatewayBuilder::new()
+            .route(nearest_route())
+            .route_with(
+                bicubic_route(),
+                RouteConfig {
+                    num_workers: 1,
+                    max_batch: 4,
+                    max_linger: Duration::from_millis(50),
+                    queue_capacity: 16,
+                },
+            )
+            .route_with_factory(
+                slow,
+                RouteConfig {
+                    num_workers: 1,
+                    max_batch: 1,
+                    max_linger: Duration::ZERO,
+                    queue_capacity: 1,
+                },
+                slow_factory(Duration::from_millis(30)),
+            )
+            .build()
+            .unwrap();
+        let client = gateway.client();
+        // Nearest: a miss, then a hit.
+        for _ in 0..2 {
+            client
+                .defend_blocking(DefenseRequest::new(test_image(1, 8)))
+                .unwrap();
+        }
+        // Bicubic: a burst the lingering worker batches.
+        let burst: Vec<_> = (10..13)
+            .map(|seed| {
+                client
+                    .submit(DefenseRequest::new(test_image(seed, 8)).on(bicubic_route()))
+                    .unwrap()
+            })
+            .collect();
+        for pending in burst {
+            pending.wait().unwrap();
+        }
+        // Slow: a blocker, then doomed requests until one overflows the
+        // one-slot queue and one waits there, expiring behind the blocker.
+        let blocker = client
+            .submit(DefenseRequest::new(test_image(20, 8)).on(slow))
+            .unwrap();
+        let (mut doomed, mut rejected) = (Vec::new(), 0);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while (doomed.is_empty() || rejected == 0) && Instant::now() < give_up {
+            let request = DefenseRequest::new(test_image(21, 8))
+                .on(slow)
+                .with_deadline(Duration::from_millis(1));
+            match client.submit(request) {
+                Ok(pending) => doomed.push(pending),
+                Err(err) => {
+                    assert_eq!(err, ServeError::Overloaded);
+                    rejected += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        blocker.wait().unwrap();
+        for pending in doomed {
+            assert_eq!(pending.wait().unwrap_err(), ServeError::DeadlineExceeded);
+        }
+
+        let snapshot = client.telemetry_snapshot();
+        let labels: Vec<String> = client.routes().iter().map(RouteKey::label).collect();
+        for counter in [
+            "completed",
+            "computed_images",
+            "cache_hits",
+            "cache_misses",
+            "rejected",
+            "errors",
+            "expired",
+            "batches",
+            "batched_images",
+            "shed",
+        ] {
+            let sum: u64 = labels
+                .iter()
+                .map(|label| {
+                    snapshot
+                        .counter(&format!("route.{label}.{counter}"))
+                        .unwrap()
+                })
+                .sum();
+            assert_eq!(
+                snapshot.counter(&format!("gateway.{counter}")),
+                Some(sum),
+                "gateway.{counter}"
+            );
+        }
+        for counter in ["cache_hits", "cache_misses", "rejected", "expired"] {
+            assert!(
+                snapshot.counter(&format!("gateway.{counter}")).unwrap() > 0,
+                "the traffic must exercise gateway.{counter}"
+            );
+        }
+        let largest = labels
+            .iter()
+            .map(|label| {
+                snapshot
+                    .gauge(&format!("route.{label}.largest_batch"))
+                    .unwrap()
+            })
+            .max();
+        assert_eq!(snapshot.gauge("gateway.largest_batch"), largest);
+        let latency_count: u64 = labels
+            .iter()
+            .map(|label| {
+                snapshot
+                    .histogram(&format!("route.{label}.latency_ns"))
+                    .unwrap()
+                    .count
+            })
+            .sum();
+        assert_eq!(
+            snapshot.histogram("gateway.latency_ns").unwrap().count,
+            latency_count
+        );
+        assert_eq!(
+            latency_count,
+            snapshot.counter("gateway.completed").unwrap()
+        );
         drop(client);
         gateway.shutdown();
     }

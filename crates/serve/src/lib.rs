@@ -22,7 +22,7 @@
 //!       ▼              │   │ by (RouteKey, hash)      │      ▼                    │
 //! PendingResponse ◄────┼── per-request response channels ◄── split batch          │
 //!                      │                                                          │
-//!                      │   one registry: route.* + gateway.* → telemetry_snapshot │
+//!                      │   route.* per route; gateway.* derived at snapshot time  │
 //!                      └──────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -37,20 +37,28 @@
 //!   (`skip_cache`, a soft deadline answered with
 //!   [`ServeError::DeadlineExceeded`]). Unserved routes fail fast with
 //!   [`ServeError::UnknownRoute`].
+//! * **Two route sources.** A store-hydrated route
+//!   ([`GatewayBuilder::route`], [`GatewayBuilder::routes_from_store`])
+//!   builds every worker from one resolved artifact of the attached store;
+//!   a factory-built route ([`GatewayBuilder::route_with_factory`]) calls
+//!   its factory per worker and never sees the store.
 //! * **Zero-downtime hot reload.** [`GatewayClient::reload`] rebuilds one
-//!   route's workers from the newest stored artifact
-//!   ([`ModelRegistry::invalidate`](sesr_store::ModelRegistry::invalidate) +
-//!   rehydrate), swaps the fresh shard in, then drains and retires the old
-//!   one — every accepted job still gets its response. [`ReloadWatcher`]
-//!   automates the loop by polling the store for new artifact versions.
+//!   route's workers — a store-hydrated route from the newest stored
+//!   `(version, digest)`, resolved once — swaps the fresh shard in, then
+//!   drains and retires the old one: every accepted job still gets its
+//!   response. [`ReloadWatcher`] automates the loop for store-hydrated
+//!   routes, with a health gate and a probation rollback that rebuilds the
+//!   previously served artifact.
 //! * **Route-keyed caching.** Defended outputs are cached under
 //!   `(RouteKey, content-hash)`, so two routes serving different models can
 //!   never return each other's outputs; a reload purges only its own
 //!   route's entries.
 //! * **Per-route observability.** [`GatewayClient::telemetry_snapshot`] is
-//!   the one way to read a gateway: gateway-wide counters (`gateway.*`), a
-//!   per-route breakdown (`route.<label>.*`: jobs, latency histogram, cache
-//!   hits, rejections, stage timings) and the event journal.
+//!   the one way to read a gateway. Every serving event is recorded once,
+//!   on its route (`route.<label>.*`: jobs, latency histogram, cache hits,
+//!   rejections, sheds, stage timings); the snapshot derives the
+//!   gateway-wide `gateway.*` totals from them, next to the lifecycle
+//!   counters and the event journal.
 //! * **Dynamic batching** (per shard): each worker forms its batch at
 //!   pickup, grouped by shape, and workers **share nothing**.
 //! * **Cross-request tensor arena reuse.** Every worker owns a

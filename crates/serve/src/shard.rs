@@ -3,7 +3,7 @@
 //!
 //! A [`DefenseGateway`](crate::gateway::DefenseGateway) owns one shard per
 //! [`RouteKey`](crate::route::RouteKey). Shards share nothing but the
-//! gateway-wide output cache and the global stats recorder, so a saturated
+//! gateway-wide output cache, so a saturated
 //! route rejects its own traffic without slowing any other route. Retiring a
 //! shard (shutdown or hot reload) is drain-based: dropping every submission
 //! sender lets the workers finish the queue and exit — in-flight jobs always
@@ -43,63 +43,17 @@ pub(crate) struct Job {
     pub dequeued: Option<Instant>,
 }
 
-/// Events are mirrored to the gateway-wide recorder and the route's own, so
-/// both the global view and the per-route breakdown stay exact. The probe
-/// bundle carries the route's stage-level telemetry alongside.
-#[derive(Clone)]
-pub(crate) struct StatsPair {
-    pub global: Arc<StatsRecorder>,
-    pub route: Arc<StatsRecorder>,
-    pub stages: Arc<StageProbes>,
-}
-
-impl StatsPair {
-    pub fn record_completion(&self, latency: Duration, cache_hit: bool) {
-        self.global.record_completion(latency, cache_hit);
-        self.route.record_completion(latency, cache_hit);
-    }
-
-    pub fn record_computed(&self, images: usize) {
-        self.global.record_computed(images);
-        self.route.record_computed(images);
-    }
-
-    pub fn record_cache_miss(&self) {
-        self.global.record_cache_miss();
-        self.route.record_cache_miss();
-    }
-
-    pub fn record_rejection(&self) {
-        self.global.record_rejection();
-        self.route.record_rejection();
-    }
-
-    pub fn record_error(&self) {
-        self.global.record_error();
-        self.route.record_error();
-    }
-
-    pub fn record_expired(&self) {
-        self.global.record_expired();
-        self.route.record_expired();
-    }
-
-    pub fn record_batch(&self, size: usize) {
-        self.global.record_batch(size);
-        self.route.record_batch(size);
-    }
-}
-
 /// Spawn a shard: one bounded queue drained by one thread per `assets`
-/// entry. The caller keeps the returned sender for submissions and the join
-/// handles for retirement: dropping every sender lets the workers drain the
-/// queue and exit.
+/// entry, recording into the route's `stats` and `stages`. The caller keeps
+/// the returned sender for submissions and the join handles for retirement:
+/// dropping every sender lets the workers drain the queue and exit.
 pub(crate) fn spawn_shard(
     config: &RouteConfig,
     assets: Vec<WorkerAssets>,
     cache: &SharedCache,
-    stats: &StatsPair,
-    arenas: Vec<ArenaGauges>,
+    stats: &Arc<StatsRecorder>,
+    stages: &Arc<StageProbes>,
+    arenas: &[ArenaGauges],
 ) -> (SyncSender<Job>, Vec<JoinHandle<()>>) {
     let (submit_tx, submit_rx) = mpsc::sync_channel::<Job>(config.queue_capacity);
     let queue = Arc::new(Mutex::new(submit_rx));
@@ -110,10 +64,10 @@ pub(crate) fn spawn_shard(
         .map(|(index, mut worker_assets)| {
             let queue = Arc::clone(&queue);
             let cache = Arc::clone(cache);
-            let stats = stats.clone();
+            let (stats, stages) = (Arc::clone(stats), Arc::clone(stages));
             let arena_gauges = arenas.get(index).cloned();
             std::thread::spawn(move || {
-                while let Some(jobs) = next_batch(&queue, max_batch, max_linger, &stats) {
+                while let Some(jobs) = next_batch(&queue, max_batch, max_linger, &stats, &stages) {
                     for group in group_by_shape(jobs) {
                         stats.record_batch(group.len());
                         process_batch(
@@ -121,6 +75,7 @@ pub(crate) fn spawn_shard(
                             group,
                             &cache,
                             &stats,
+                            &stages,
                             arena_gauges.as_ref(),
                         );
                     }
@@ -138,7 +93,8 @@ fn next_batch(
     queue: &Mutex<Receiver<Job>>,
     max_batch: usize,
     max_linger: Duration,
-    stats: &StatsPair,
+    stats: &StatsRecorder,
+    stages: &StageProbes,
 ) -> Option<Vec<Job>> {
     // Each pop ends the job's queue-wait stage: it stamps `dequeued` and
     // reports submission → pop to the route's queue_wait probe. A job whose
@@ -148,8 +104,7 @@ fn next_batch(
     // deadlines that expire during the linger window).
     let pop = |mut job: Job| -> Option<Job> {
         let now = Instant::now();
-        stats
-            .stages
+        stages
             .queue_wait
             .observe(job.request_id, now.duration_since(job.enqueued));
         if job.deadline.is_some_and(|deadline| now >= deadline) {
@@ -203,7 +158,8 @@ fn process_batch(
     assets: &mut WorkerAssets,
     jobs: Vec<Job>,
     cache: &SharedCache,
-    stats: &StatsPair,
+    stats: &StatsRecorder,
+    stages: &StageProbes,
     arena_gauges: Option<&ArenaGauges>,
 ) {
     // Answer expired jobs before paying for the defense: a deadline request
@@ -225,7 +181,7 @@ fn process_batch(
     // request id (a batch of one — the acceptance-test shape — therefore
     // carries every stage under a single id).
     for job in &live {
-        stats.stages.batch_dwell.observe(
+        stages.batch_dwell.observe(
             job.request_id,
             now.duration_since(job.dequeued.unwrap_or(job.enqueued)),
         );
@@ -243,8 +199,8 @@ fn process_batch(
         scratch,
     } = assets;
     let trace = DefendTrace {
-        preprocess: &stats.stages.preprocess,
-        sr_forward: &stats.stages.sr_forward,
+        preprocess: &stages.preprocess,
+        sr_forward: &stages.sr_forward,
         request: lead_request,
     };
     let outcome = Tensor::concat_batch_arena(live.iter().map(|job| &job.image), scratch.arena())
@@ -259,7 +215,7 @@ fn process_batch(
             let outcome = (|| {
                 let labels = match classifier.as_mut() {
                     Some(classifier) => {
-                        let span = stats.stages.classify.span(lead_request);
+                        let span = stages.classify.span(lead_request);
                         let logits = classifier.forward_scratch(&defended, false, scratch)?;
                         let labels = row_argmax(&logits);
                         scratch.recycle(logits);

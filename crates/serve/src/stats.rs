@@ -1,19 +1,38 @@
 //! Recording handles for the serving subsystem's counters.
 //!
-//! A [`StatsRecorder`] writes one stream of serving events into a
-//! [`MetricsRegistry`] under a scoped name (`gateway.completed`,
-//! `route.<label>.completed`, …); latency goes into a log-bucketed
-//! [`Histogram`] covering the gateway's whole lifetime. The gateway keeps one
-//! recorder per route plus a global one and records every event on both.
-//! Recording is a handful of relaxed atomic adds: no lock, no allocation.
-//! The numbers are read only through the gateway's telemetry snapshot.
+//! A [`StatsRecorder`] writes one route's serving events into a
+//! [`MetricsRegistry`] under a scoped name (`route.<label>.completed`, …);
+//! latency goes into a log-bucketed [`Histogram`] covering the gateway's
+//! whole lifetime. Each event is recorded once, on its route: the
+//! gateway-wide `gateway.*` figures are derived from the routes' at
+//! snapshot time by [`add_gateway_totals`]. Recording is a handful of
+//! relaxed atomic adds: no lock, no allocation. The numbers are read only
+//! through the gateway's telemetry snapshot.
 
-use sesr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use sesr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Thread-safe recorder fed by the client (rejections, cache hits) and the
-/// workers (completions, batch sizes).
+/// Every counter a [`StatsRecorder`] registers, as `<scope>.<name>`.
+const COUNTERS: [&str; 10] = [
+    "completed",
+    "computed_images",
+    "cache_hits",
+    "cache_misses",
+    "rejected",
+    "errors",
+    "expired",
+    "batches",
+    "batched_images",
+    "shed",
+];
+/// The recorder's one gauge: the largest batch it has seen.
+const LARGEST_BATCH: &str = "largest_batch";
+/// The recorder's one histogram: end-to-end request latency.
+const LATENCY_NS: &str = "latency_ns";
+
+/// Thread-safe recorder fed by the client (rejections, sheds, cache hits)
+/// and the workers (completions, batch sizes).
 pub(crate) struct StatsRecorder {
     latency_ns: Arc<Histogram>,
     completed: Arc<Counter>,
@@ -25,19 +44,20 @@ pub(crate) struct StatsRecorder {
     expired: Arc<Counter>,
     batches: Arc<Counter>,
     batched_images: Arc<Counter>,
+    shed: Arc<Counter>,
     largest_batch: Arc<Gauge>,
 }
 
 impl StatsRecorder {
     /// A recorder whose metrics live in `registry` under `scope.<metric>`
-    /// names (e.g. `gateway.completed`,
+    /// names (e.g. `route.sesr-m2:x2:jpeg75+wavelet2.completed`,
     /// `route.sesr-m2:x2:jpeg75+wavelet2.latency_ns`). Registration is
     /// idempotent: two recorders built with the same registry and scope
     /// share the same underlying metrics.
     pub(crate) fn registered(registry: &MetricsRegistry, scope: &str) -> Self {
         let counter = |metric: &str| registry.counter(&format!("{scope}.{metric}"));
         StatsRecorder {
-            latency_ns: registry.histogram(&format!("{scope}.latency_ns")),
+            latency_ns: registry.histogram(&format!("{scope}.{LATENCY_NS}")),
             completed: counter("completed"),
             computed_images: counter("computed_images"),
             cache_hits: counter("cache_hits"),
@@ -47,7 +67,8 @@ impl StatsRecorder {
             expired: counter("expired"),
             batches: counter("batches"),
             batched_images: counter("batched_images"),
-            largest_batch: registry.gauge(&format!("{scope}.largest_batch")),
+            shed: counter("shed"),
+            largest_batch: registry.gauge(&format!("{scope}.{LARGEST_BATCH}")),
         }
     }
 
@@ -77,6 +98,13 @@ impl StatsRecorder {
         self.rejected.incr();
     }
 
+    /// Record a submission shed at admission because its route was
+    /// Unhealthy. Kept apart from `rejected`: a shed is the health
+    /// machine's own output, not an error-budget event.
+    pub(crate) fn record_shed(&self) {
+        self.shed.incr();
+    }
+
     /// Record a request that failed inside the pipeline.
     pub(crate) fn record_error(&self) {
         self.errors.incr();
@@ -94,6 +122,57 @@ impl StatsRecorder {
         self.batched_images.add(size as u64);
         self.largest_batch
             .set_max(i64::try_from(size).unwrap_or(i64::MAX));
+    }
+}
+
+/// Add the gateway-wide `gateway.*` serving figures to `snapshot`, derived
+/// from the `route.<label>.*` figures of the routes labelled `labels`: each
+/// counter is the sum over routes, `largest_batch` the maximum, and
+/// `latency_ns` the merge of the route histograms. Reading them out of the
+/// same snapshot keeps every total exactly the sum of its parts.
+pub(crate) fn add_gateway_totals(snapshot: &mut TelemetrySnapshot, labels: &[String]) {
+    let route_names = |metric: &str| -> Vec<String> {
+        labels
+            .iter()
+            .map(|label| format!("route.{label}.{metric}"))
+            .collect()
+    };
+    for metric in COUNTERS {
+        let total = route_names(metric)
+            .iter()
+            .filter_map(|name| snapshot.counter(name))
+            .sum();
+        insert_sorted(&mut snapshot.counters, format!("gateway.{metric}"), total);
+    }
+    let largest = route_names(LARGEST_BATCH)
+        .iter()
+        .filter_map(|name| snapshot.gauge(name))
+        .max()
+        .unwrap_or(0);
+    insert_sorted(
+        &mut snapshot.gauges,
+        format!("gateway.{LARGEST_BATCH}"),
+        largest,
+    );
+    let mut latency = sesr_telemetry::HistogramSnapshot::default();
+    for name in route_names(LATENCY_NS) {
+        if let Some(histogram) = snapshot.histogram(&name) {
+            latency.merge(histogram);
+        }
+    }
+    insert_sorted(
+        &mut snapshot.histograms,
+        format!("gateway.{LATENCY_NS}"),
+        latency,
+    );
+}
+
+/// Insert `(name, value)` into a name-sorted metric list, replacing any
+/// entry of the same name.
+fn insert_sorted<T>(metrics: &mut Vec<(String, T)>, name: String, value: T) {
+    match metrics.binary_search_by(|(existing, _)| existing.cmp(&name)) {
+        Ok(index) => metrics[index].1 = value,
+        Err(index) => metrics.insert(index, (name, value)),
     }
 }
 
@@ -191,19 +270,19 @@ mod tests {
     #[test]
     fn registered_recorders_share_scoped_metrics() {
         let registry = MetricsRegistry::new();
-        let a = StatsRecorder::registered(&registry, "gateway");
-        let b = StatsRecorder::registered(&registry, "gateway");
+        let a = StatsRecorder::registered(&registry, "route.a");
+        let b = StatsRecorder::registered(&registry, "route.a");
         a.record_completion(Duration::from_millis(5), false);
         b.record_rejection();
         // Both recorders write the same underlying metrics, under scoped
         // names.
-        assert_eq!(counter(&registry, "gateway.completed"), 1);
-        assert_eq!(counter(&registry, "gateway.rejected"), 1);
+        assert_eq!(counter(&registry, "route.a.completed"), 1);
+        assert_eq!(counter(&registry, "route.a.rejected"), 1);
         assert!(registry
             .collect()
             .histograms
             .iter()
-            .any(|(name, h)| name == "gateway.latency_ns" && h.count == 1));
+            .any(|(name, h)| name == "route.a.latency_ns" && h.count == 1));
     }
 
     #[test]
@@ -217,6 +296,7 @@ mod tests {
         recorder.record_batch(5);
         recorder.record_computed(8);
         recorder.record_cache_miss();
+        recorder.record_shed();
         recorder.record_completion(Duration::from_millis(1), true);
         for (name, want) in [
             ("serve.rejected", 1),
@@ -228,6 +308,7 @@ mod tests {
             ("serve.cache_hits", 1),
             ("serve.cache_misses", 1),
             ("serve.completed", 1),
+            ("serve.shed", 1),
         ] {
             assert_eq!(counter(&registry, name), want, "{name}");
         }
@@ -235,5 +316,22 @@ mod tests {
             .collect()
             .gauges
             .contains(&("serve.largest_batch".to_string(), 5)));
+    }
+
+    #[test]
+    fn gateway_totals_cover_exactly_what_a_recorder_registers() {
+        let registry = MetricsRegistry::new();
+        StatsRecorder::registered(&registry, "route.a");
+        let dump = registry.collect();
+        let registered: Vec<&str> = dump
+            .counters
+            .iter()
+            .map(|(name, _)| name.strip_prefix("route.a.").unwrap())
+            .collect();
+        let mut listed = COUNTERS.to_vec();
+        listed.sort_unstable();
+        assert_eq!(registered, listed, "COUNTERS must name every counter");
+        assert_eq!(dump.gauges[0].0, format!("route.a.{LARGEST_BATCH}"));
+        assert_eq!(dump.histograms[0].0, format!("route.a.{LATENCY_NS}"));
     }
 }

@@ -256,17 +256,12 @@ impl SrModelKind {
         if let Some(upscaler) = self.build_interpolation(scale) {
             return Ok(upscaler);
         }
-        let mut network = self.build_seeded_network(scale, seed)?;
         match registry.hydrate(self.name(), scale) {
-            Ok(checkpoint) => {
-                checkpoint
-                    .apply_to(network.as_mut())
-                    .map_err(sesr_tensor::TensorError::from)?;
-            }
-            Err(err) if err.is_not_found() => {} // train-free fallback
-            Err(err) => return Err(err.into()),
+            Ok(checkpoint) => self.build_from_checkpoint(scale, &checkpoint, seed),
+            // Train-free fallback.
+            Err(err) if err.is_not_found() => self.build_seeded_upscaler(scale, seed),
+            Err(err) => Err(err.into()),
         }
-        self.wrap_network(scale, network)
     }
 
     /// Build an upscaler hydrated from one specific checkpoint, bypassing

@@ -37,18 +37,52 @@ pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
 /// plausible header.
 const MAX_HEADER_LEN: usize = 64 * 1024;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Streaming 64-bit FNV-1a: the workspace's one FNV-1a. Bytes may arrive
+/// in any number of [`Fnv1a64::write`] calls; the hash equals
+/// [`fnv1a64`] over their concatenation. Store checksums and content
+/// addresses, the serving cache's and the wire's image content hash, and
+/// the cluster ring's placement are all built on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher over no bytes yet (the FNV-1a 64 offset basis).
+    #[inline]
+    pub const fn new() -> Self {
+        Fnv1a64(Self::OFFSET)
+    }
+
+    /// Fold `bytes` into the hash, one byte at a time.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    #[inline]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64::new()
+    }
+}
 
 /// 64-bit FNV-1a over a byte slice; used for payload checksums, content
 /// addresses and config digests throughout the store.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut hash = Fnv1a64::new();
+    hash.write(bytes);
+    hash.finish()
 }
 
 /// The only payload encoding format version 1 carries; the header names it

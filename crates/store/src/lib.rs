@@ -43,7 +43,7 @@ pub mod registry;
 pub mod store;
 
 pub use checkpoint::{
-    fnv1a64, Checkpoint, CheckpointMeta, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC,
+    fnv1a64, Checkpoint, CheckpointMeta, Fnv1a64, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC,
 };
 pub use error::{Result, StoreError};
 pub use registry::ModelRegistry;
