@@ -35,31 +35,24 @@
 //! Every serving event is recorded once, on its route
 //! (`route.<label>.*`); [`GatewayClient::telemetry_snapshot`] derives the
 //! gateway-wide `gateway.*` totals from them.
-//!
-//! **Hot reload** ([`GatewayClient::reload`]) rebuilds one route's workers
-//! — a store-hydrated route from exactly one resolved artifact version —
-//! atomically swaps the new shard into the route table, then retires the old
-//! shard by letting it drain: every job already accepted is still answered,
-//! so a reload under load drops nothing. [`ReloadWatcher`] automates this by
-//! polling the artifact store and promoting any store-hydrated route whose
-//! newest artifact changed, with a health gate and a probation rollback.
 
 // lint: allow-file(atomic-ordering): request ids + route health; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
 
+pub use crate::reload::ReloadWatcher;
+use crate::reload::{reload_route, RouteSource};
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::server::{PendingResponse, ServeError, WorkerAssets};
 use crate::shard::{spawn_shard, CacheKey, Job, SharedCache};
 use crate::stats::{add_gateway_totals, StatsRecorder};
 use crate::telemetry::{ArenaGauges, StageProbes, TelemetryExporter};
 use crate::{content_hash, LruCache};
-use sesr_defense::pipeline::DefensePipeline;
 use sesr_models::SrModelKind;
-use sesr_store::{Checkpoint, ModelStore};
+use sesr_store::ModelStore;
 use sesr_telemetry::{Counter, Gauge, HealthState, Level, Probe, Telemetry, TelemetrySnapshot};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -767,392 +760,10 @@ impl GatewayBuilder {
     }
 }
 
-/// `(version, digest)` of one stored artifact.
-pub(crate) type ArtifactId = (u32, u64);
-
-/// How one route's workers come to be.
-pub(crate) enum RouteSource {
-    /// Hydrated from the gateway's store: every worker from one resolved
-    /// artifact, or from `seed` when no store is attached or nothing is
-    /// stored for the route. `serving` is the artifact the live workers were
-    /// built from.
-    Store {
-        seed: u64,
-        serving: Option<ArtifactId>,
-    },
-    /// Built by a caller-supplied factory; the store never reaches it.
-    Factory(WorkerFactory),
-}
-
-impl RouteSource {
-    /// Build `num_workers` workers for `key`, and return them with the
-    /// artifact the route served until now.
-    ///
-    /// This is the one place a store-hydrated route's workers are built —
-    /// gateway build, reload and probation rollback all come through here.
-    /// The artifact is resolved once (`pin` when given, else the newest
-    /// stored), every worker is built from exactly that checkpoint, and it
-    /// becomes the route's `serving` artifact.
-    pub(crate) fn build(
-        &mut self,
-        store: Option<&ModelStore>,
-        key: &RouteKey,
-        num_workers: usize,
-        pin: Option<ArtifactId>,
-    ) -> Result<(Vec<WorkerAssets>, Option<ArtifactId>), ServeError> {
-        let pipeline = |e: &dyn std::fmt::Display| ServeError::Pipeline(e.to_string());
-        match self {
-            RouteSource::Factory(factory) => {
-                if pin.is_some() {
-                    return Err(ServeError::InvalidRequest(format!(
-                        "route {key} is factory-built and cannot be pinned to an artifact"
-                    )));
-                }
-                let assets = (0..num_workers)
-                    .map(|worker| factory(worker).map_err(|e| pipeline(&e)))
-                    .collect::<Result<_, _>>()?;
-                Ok((assets, None))
-            }
-            RouteSource::Store { seed, serving } => {
-                let hydrated = hydrate(store, key, pin)?;
-                let mut assets = Vec::with_capacity(num_workers);
-                for _ in 0..num_workers {
-                    let upscaler = match &hydrated {
-                        Some((_, checkpoint)) => key
-                            .model
-                            .build_from_checkpoint(key.scale, checkpoint, *seed),
-                        None => key.model.build_seeded_upscaler(key.scale, *seed),
-                    }
-                    .map_err(|e| pipeline(&e))?;
-                    assets.push(WorkerAssets::new(DefensePipeline::new(
-                        key.preprocess,
-                        upscaler,
-                    )));
-                }
-                let replaced = std::mem::replace(serving, hydrated.map(|(artifact, _)| artifact));
-                Ok((assets, replaced))
-            }
-        }
-    }
-}
-
-/// Resolve a store-hydrated route's artifact — `pin` when given, else the
-/// newest stored — and load exactly that one. `None` when no store is
-/// attached or nothing is stored for the route.
-fn hydrate(
-    store: Option<&ModelStore>,
-    key: &RouteKey,
-    pin: Option<ArtifactId>,
-) -> Result<Option<(ArtifactId, Checkpoint)>, ServeError> {
-    let pipeline = |e: sesr_store::StoreError| ServeError::Pipeline(e.to_string());
-    let Some(store) = store else {
-        return match pin {
-            None => Ok(None),
-            Some(_) => Err(ServeError::InvalidRequest(
-                "a pinned reload requires a gateway built with a store".to_string(),
-            )),
-        };
-    };
-    let versions = store
-        .list_versions(key.model.name(), key.scale)
-        .map_err(pipeline)?;
-    let artifact = match pin {
-        None => versions.last(),
-        Some((version, digest)) => Some(
-            versions
-                .iter()
-                .find(|artifact| artifact.version == version && artifact.digest == digest)
-                .ok_or_else(|| {
-                    ServeError::Pipeline(format!(
-                        "route {key} has no stored artifact v{version:04}-{digest:016x}"
-                    ))
-                })?,
-        ),
-    };
-    let Some(artifact) = artifact else {
-        return Ok(None);
-    };
-    let checkpoint = store.load(artifact).map_err(pipeline)?;
-    Ok(Some(((artifact.version, artifact.digest), checkpoint)))
-}
-
-/// Rebuild one route with the lifecycle accounting of a promotion: success
-/// counts `gateway.reloads` and journals `gateway.reload` with the whole
-/// rebuild-swap-drain duration (mirrored into `gateway.reload_ns`); failure
-/// counts `gateway.reload_failures` and journals a Warn
-/// `gateway.reload_failed`, so `sesr-top` surfaces a route stuck on old
-/// weights. Returns the artifact the route served before.
-pub(crate) fn reload_route(
-    shared: &GatewayShared,
-    route: &RouteKey,
-    pin: Option<ArtifactId>,
-) -> Result<Option<ArtifactId>, ServeError> {
-    let started = Instant::now();
-    let result = rebuild(shared, route, pin);
-    match &result {
-        Ok(_) => {
-            shared.lifecycle.reloads.incr();
-            shared.lifecycle.reload.observe(0, started.elapsed());
-        }
-        Err(_) => {
-            shared.lifecycle.reload_failures.incr();
-            shared.lifecycle.reload_failed.observe(0, started.elapsed());
-        }
-    }
-    result
-}
-
-/// The one rebuild behind every reload and rollback: build the route's
-/// workers from its source (a store-hydrated route from exactly the
-/// artifact `pin` names, or the newest), then swap them in live. Returns
-/// the artifact the route served before.
-fn rebuild(
-    shared: &GatewayShared,
-    route: &RouteKey,
-    pin: Option<ArtifactId>,
-) -> Result<Option<ArtifactId>, ServeError> {
-    let entry = entry_for(shared, route)?;
-    // One rebuild at a time per route: the source lock is held across it,
-    // but submissions keep flowing to the old shard meanwhile.
-    let mut source = entry.source.lock().unwrap_or_else(PoisonError::into_inner);
-    let (assets, replaced) =
-        source.build(shared.store.as_ref(), route, entry.config.num_workers, pin)?;
-    swap_in(shared, entry, route, assets);
-    Ok(replaced)
-}
-
-/// The common tail of every rebuild: spawn a fresh shard from `assets`, swap
-/// it live, drain and retire the old shard, purge the route's stale cache
-/// entries. Infallible — by this point the new workers are already built.
-fn swap_in(
-    shared: &GatewayShared,
-    entry: &RouteEntry,
-    route: &RouteKey,
-    assets: Vec<WorkerAssets>,
-) {
-    let (sender, threads) = spawn_shard(
-        &entry.config,
-        assets,
-        &shared.cache,
-        &entry.stats,
-        &entry.stages,
-        &entry.arenas,
-    );
-
-    // Swap the live shard; new submissions land on the fresh workers from
-    // here on.
-    let old_sender = {
-        let mut active = entry.active.write().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *active, sender)
-    };
-    let old_threads = entry
-        .threads
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .replace(threads);
-
-    // Retire the old shard: dropping its sender closes the queue (in-flight
-    // submit calls hold transient clones, which drop as soon as their
-    // try_send returns), so the workers drain every accepted job and exit,
-    // and the join below returns only once all in-flight responses are
-    // delivered.
-    drop(old_sender);
-    for worker in old_threads.into_iter().flatten() {
-        let _ = worker.join();
-    }
-
-    // The old weights' outputs are stale now that the drain is complete;
-    // purge this route's cache entries without touching other routes.
-    if shared.cache_enabled {
-        shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|(cached_route, _)| cached_route != route);
-    }
-}
-
-/// Background thread that polls the gateway's store and hot-reloads any
-/// store-hydrated route whose newest artifact `(version, digest)` changed —
-/// the "save a retrained model, serving picks it up" loop with no restarts.
-/// Factory-built routes are not watched: their factories ignore the store.
-///
-/// Each watched route starts from the artifact its workers were built
-/// from, and the watcher records exactly the artifact each promotion built.
-/// Promotion is **health-gated**: a new artifact is only promoted while its
-/// route is [`HealthState::Healthy`]; otherwise the attempt is refused
-/// (journaled as `gateway.reload_refused`) and retried on every poll until
-/// the route recovers. After a promotion the route is on probation: if its
-/// health collapses to Unhealthy inside the probation window, the watcher
-/// rolls back to the artifact the route served before
-/// (`gateway.reload_demoted`) — the stepping stone to a full canary gate.
-///
-/// The watcher keeps no counts of its own. Read them from
-/// [`GatewayClient::telemetry_snapshot`]: the registry counters
-/// `gateway.reloads` (promotions, and any other successful reload),
-/// `gateway.reload_failures` (failed reloads *and* failed rollbacks, each
-/// also a Warn `gateway.reload_failed` event), `gateway.reload_refused` and
-/// `gateway.reload_demoted`.
-///
-/// The watcher holds a [`GatewayClient`]; call [`ReloadWatcher::stop`]
-/// before [`DefenseGateway::shutdown`] or the shutdown join will wait on it.
-pub struct ReloadWatcher {
-    stop_tx: mpsc::Sender<()>,
-    thread: JoinHandle<()>,
-}
-
-/// Per-route watcher state: the newest artifact handled, plus probation
-/// bookkeeping for the most recent promotion.
-struct RouteWatch {
-    key: RouteKey,
-    /// The newest `(version, digest)` the watcher has acted on: promoted,
-    /// or demoted away from; `None` when nothing was stored yet.
-    known: Option<ArtifactId>,
-    /// Set while the route is on post-promotion probation.
-    promoted: Option<Promotion>,
-}
-
-struct Promotion {
-    at: Instant,
-    /// What was serving before the promotion — the rollback target.
-    prior: Option<ArtifactId>,
-}
-
-impl ReloadWatcher {
-    /// Default post-promotion probation window.
-    pub const DEFAULT_PROBATION: Duration = Duration::from_secs(30);
-
-    pub(crate) fn spawn(
-        client: GatewayClient,
-        interval: Duration,
-        probation: Duration,
-    ) -> Result<ReloadWatcher, ServeError> {
-        let store = client.shared.store.clone().ok_or_else(|| {
-            ServeError::InvalidRequest(
-                "watch_store requires a gateway built with a store".to_string(),
-            )
-        })?;
-        // Only store-hydrated routes follow the store, each from the
-        // artifact its workers were built from.
-        let mut watches: Vec<RouteWatch> = client
-            .shared
-            .order
-            .iter()
-            .filter_map(|key| {
-                let source = client.shared.routes[key]
-                    .source
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                match &*source {
-                    RouteSource::Store { serving, .. } => Some(RouteWatch {
-                        key: *key,
-                        known: *serving,
-                        promoted: None,
-                    }),
-                    RouteSource::Factory(_) => None,
-                }
-            })
-            .collect();
-        let (stop_tx, stop_rx) = mpsc::channel::<()>();
-        let thread = std::thread::spawn(move || loop {
-            match stop_rx.recv_timeout(interval) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            let lifecycle = &client.shared.lifecycle;
-            for watch in &mut watches {
-                let key = &watch.key;
-                let health = client.route_health(key).unwrap_or(HealthState::Unhealthy);
-                let route_index = client.route_index(key).unwrap_or(u64::MAX);
-
-                // Probation first: a just-promoted artifact that tanked the
-                // route gets rolled back before any further promotion.
-                if let Some(promotion) = watch.promoted.take() {
-                    if promotion.at.elapsed() >= probation {
-                        // Survived probation: stays cleared.
-                    } else if health == HealthState::Unhealthy {
-                        if let Some(prior) = promotion.prior {
-                            let started = Instant::now();
-                            match rebuild(&client.shared, key, Some(prior)) {
-                                Ok(_) => {
-                                    lifecycle.reload_demotions.incr();
-                                    lifecycle
-                                        .reload_demoted
-                                        .observe(route_index, promotion.at.elapsed());
-                                    // `known` stays at the newest (bad)
-                                    // version so it is not re-promoted; a
-                                    // future artifact will still differ and
-                                    // go through the gate normally.
-                                    continue;
-                                }
-                                Err(_) => {
-                                    // The route keeps serving the artifact
-                                    // that tanked it: as loud as a failed
-                                    // forward reload.
-                                    lifecycle.reload_failures.incr();
-                                    lifecycle
-                                        .reload_failed
-                                        .observe(route_index, started.elapsed());
-                                }
-                            }
-                        }
-                    } else {
-                        // Healthy and still on probation: keep watching.
-                        watch.promoted = Some(promotion);
-                    }
-                }
-
-                let Some(newest) = current_artifact(&store, key) else {
-                    continue;
-                };
-                if Some(newest) == watch.known {
-                    continue;
-                }
-                // The promotion gate: never swap weights under a route that
-                // is already missing its SLOs — a reload there destroys the
-                // evidence and risks stacking regressions.
-                if health != HealthState::Healthy {
-                    lifecycle.reload_refusals.incr();
-                    lifecycle
-                        .reload_refused
-                        .observe(route_index, Duration::ZERO);
-                    // `known` is deliberately not updated: the promotion is
-                    // retried on every poll until the route is Healthy again.
-                    continue;
-                }
-                // Build exactly the artifact just resolved, and mark it seen
-                // only once it is actually being served; a failed reload
-                // (e.g. a corrupt artifact or transient I/O) is counted by
-                // `reload_route` and retried on every poll until it succeeds.
-                if let Ok(prior) = reload_route(&client.shared, key, Some(newest)) {
-                    watch.promoted = Some(Promotion {
-                        at: Instant::now(),
-                        prior,
-                    });
-                    watch.known = Some(newest);
-                }
-            }
-        });
-        Ok(ReloadWatcher { stop_tx, thread })
-    }
-
-    /// Stop polling and join the watcher thread (releases its client).
-    pub fn stop(self) {
-        let _ = self.stop_tx.send(());
-        let _ = self.thread.join();
-    }
-}
-
-fn current_artifact(store: &ModelStore, key: &RouteKey) -> Option<ArtifactId> {
-    store
-        .resolve(key.model.name(), key.scale)
-        .ok()
-        .map(|artifact| (artifact.version, artifact.digest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sesr_defense::pipeline::DefensePipeline;
     use sesr_defense::pipeline::PreprocessConfig;
     use sesr_models::Upscaler;
     use sesr_store::Checkpoint;

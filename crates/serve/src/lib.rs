@@ -108,6 +108,7 @@
 pub mod cache;
 pub mod eval;
 pub mod gateway;
+mod reload;
 pub mod route;
 pub mod server;
 mod shard;
