@@ -465,7 +465,6 @@ fn spawn_allowed(path: &Path) -> bool {
     p.contains("crates/verify/src/")
         || [
             "crates/serve/src/shard.rs",
-            "crates/serve/src/gateway.rs",
             "crates/serve/src/reload.rs",
             "crates/serve/src/slo.rs",
             "crates/serve/src/telemetry.rs",

@@ -49,7 +49,7 @@ fn mix64(mut x: u64) -> u64 {
 /// wire integrity check) carries the image identity, preserving per-worker
 /// cache affinity for repeats.
 pub fn key_hash(route: &str, content_hash: u64) -> u64 {
-    let mut hash = Fnv1a64::new();
+    let mut hash = Fnv1a64::default();
     hash.write(route.as_bytes());
     hash.write(&content_hash.to_le_bytes());
     mix64(hash.finish())

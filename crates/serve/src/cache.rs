@@ -18,7 +18,7 @@ use std::hash::Hash;
 /// patterns, salted with `salt` (empty when the cache key already carries the
 /// route identity).
 pub fn content_hash(image: &Tensor, salt: &str) -> u64 {
-    let mut hash = Fnv1a64::new();
+    let mut hash = Fnv1a64::default();
     hash.write(salt.as_bytes());
     for dim in image.shape().dims() {
         hash.write(&(*dim as u64).to_le_bytes());

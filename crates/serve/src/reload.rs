@@ -45,7 +45,9 @@ impl RouteSource {
     /// gateway build, reload and probation rollback all come through here.
     /// The artifact is resolved once (`pin` when given, else the newest
     /// stored), every worker is built from exactly that checkpoint, and it
-    /// becomes the route's `serving` artifact.
+    /// becomes the route's `serving` artifact. A factory-built route has no
+    /// artifact; only the watcher pins, and it watches store-hydrated routes
+    /// only.
     pub(crate) fn build(
         &mut self,
         store: Option<&ModelStore>,
@@ -56,11 +58,6 @@ impl RouteSource {
         let pipeline = |e: &dyn std::fmt::Display| ServeError::Pipeline(e.to_string());
         match self {
             RouteSource::Factory(factory) => {
-                if pin.is_some() {
-                    return Err(ServeError::InvalidRequest(format!(
-                        "route {key} is factory-built and cannot be pinned to an artifact"
-                    )));
-                }
                 let assets = (0..num_workers)
                     .map(|worker| factory(worker).map_err(|e| pipeline(&e)))
                     .collect::<Result<_, _>>()?;
@@ -91,7 +88,8 @@ impl RouteSource {
 
 /// Resolve a store-hydrated route's artifact — `pin` when given, else the
 /// newest stored — and load exactly that one. `None` when no store is
-/// attached or nothing is stored for the route.
+/// attached (the watcher, the only caller that pins, needs one) or nothing
+/// is stored for the route.
 fn hydrate(
     store: Option<&ModelStore>,
     key: &RouteKey,
@@ -99,12 +97,7 @@ fn hydrate(
 ) -> Result<Option<(ArtifactId, Checkpoint)>, ServeError> {
     let pipeline = |e: sesr_store::StoreError| ServeError::Pipeline(e.to_string());
     let Some(store) = store else {
-        return match pin {
-            None => Ok(None),
-            Some(_) => Err(ServeError::InvalidRequest(
-                "a pinned reload requires a gateway built with a store".to_string(),
-            )),
-        };
+        return Ok(None);
     };
     let versions = store
         .list_versions(key.model.name(), key.scale)

@@ -12,7 +12,7 @@
 use crate::cache::LruCache;
 use crate::route::{RouteConfig, RouteKey};
 use crate::server::{DefenseResponse, ServeError, WorkerAssets};
-use crate::stats::StatsRecorder;
+use crate::stats::{Stat, StatsRecorder};
 use crate::telemetry::{ArenaGauges, StageProbes};
 use sesr_defense::DefendTrace;
 use sesr_tensor::Tensor;
@@ -108,7 +108,7 @@ fn next_batch(
             .queue_wait
             .observe(job.request_id, now.duration_since(job.enqueued));
         if job.deadline.is_some_and(|deadline| now >= deadline) {
-            stats.record_expired();
+            stats.add(Stat::Expired, 1);
             let _ = job.responder.send(Err(ServeError::DeadlineExceeded));
             return None;
         }
@@ -169,7 +169,7 @@ fn process_batch(
         .into_iter()
         .partition(|job| job.deadline.is_none_or(|deadline| now < deadline));
     for job in expired {
-        stats.record_expired();
+        stats.add(Stat::Expired, 1);
         let _ = job.responder.send(Err(ServeError::DeadlineExceeded));
     }
     if live.is_empty() {
@@ -242,7 +242,7 @@ fn process_batch(
 
     match outcome {
         Ok((parts, labels)) => {
-            stats.record_computed(parts.len());
+            stats.add(Stat::ComputedImages, parts.len());
             for (index, (job, part)) in live.into_iter().zip(parts).enumerate() {
                 let label = labels.as_ref().map(|l| l[index]);
                 if let Some(key) = job.cache_key {
@@ -265,7 +265,7 @@ fn process_batch(
         Err(err) => {
             let message = err.to_string();
             for job in live {
-                stats.record_error();
+                stats.add(Stat::Errors, 1);
                 let _ = job
                     .responder
                     .send(Err(ServeError::Pipeline(message.clone())));

@@ -9,11 +9,41 @@
 //! relaxed atomic adds: no lock, no allocation. The numbers are read only
 //! through the gateway's telemetry snapshot.
 
-use sesr_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot};
+use sesr_telemetry::{
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, TelemetrySnapshot,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Every counter a [`StatsRecorder`] registers, as `<scope>.<name>`.
+/// One serving counter of a route, registered as `<scope>.<name>` with
+/// the name at its index in [`COUNTERS`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stat {
+    /// Requests answered, from the cache or computed.
+    Completed,
+    /// Images that went through the defense pipeline.
+    ComputedImages,
+    /// Requests answered from the cache.
+    CacheHits,
+    /// Cache misses whose request was accepted onto the queue.
+    CacheMisses,
+    /// Submissions rejected with `Overloaded` (queue full).
+    Rejected,
+    /// Requests that failed inside the pipeline.
+    Errors,
+    /// Requests whose deadline passed before a worker reached them.
+    Expired,
+    /// Batches dispatched.
+    Batches,
+    /// Images across all dispatched batches.
+    BatchedImages,
+    /// Submissions shed at admission because the route was Unhealthy — kept
+    /// apart from `rejected`: a shed is the health machine's own output,
+    /// not an error-budget event.
+    Shed,
+}
+
+/// Every counter a [`StatsRecorder`] registers, in [`Stat`] order.
 const COUNTERS: [&str; 10] = [
     "completed",
     "computed_images",
@@ -34,18 +64,9 @@ const LATENCY_NS: &str = "latency_ns";
 /// Thread-safe recorder fed by the client (rejections, sheds, cache hits)
 /// and the workers (completions, batch sizes).
 pub(crate) struct StatsRecorder {
-    latency_ns: Arc<Histogram>,
-    completed: Arc<Counter>,
-    computed_images: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    rejected: Arc<Counter>,
-    errors: Arc<Counter>,
-    expired: Arc<Counter>,
-    batches: Arc<Counter>,
-    batched_images: Arc<Counter>,
-    shed: Arc<Counter>,
+    counters: [Arc<Counter>; COUNTERS.len()],
     largest_batch: Arc<Gauge>,
+    latency_ns: Arc<Histogram>,
 }
 
 impl StatsRecorder {
@@ -55,71 +76,31 @@ impl StatsRecorder {
     /// idempotent: two recorders built with the same registry and scope
     /// share the same underlying metrics.
     pub(crate) fn registered(registry: &MetricsRegistry, scope: &str) -> Self {
-        let counter = |metric: &str| registry.counter(&format!("{scope}.{metric}"));
         StatsRecorder {
-            latency_ns: registry.histogram(&format!("{scope}.{LATENCY_NS}")),
-            completed: counter("completed"),
-            computed_images: counter("computed_images"),
-            cache_hits: counter("cache_hits"),
-            cache_misses: counter("cache_misses"),
-            rejected: counter("rejected"),
-            errors: counter("errors"),
-            expired: counter("expired"),
-            batches: counter("batches"),
-            batched_images: counter("batched_images"),
-            shed: counter("shed"),
+            counters: COUNTERS.map(|metric| registry.counter(&format!("{scope}.{metric}"))),
             largest_batch: registry.gauge(&format!("{scope}.{LARGEST_BATCH}")),
+            latency_ns: registry.histogram(&format!("{scope}.{LATENCY_NS}")),
         }
+    }
+
+    /// Add `n` to one counter.
+    pub(crate) fn add(&self, stat: Stat, n: usize) {
+        self.counters[stat as usize].add(n as u64);
     }
 
     /// Record one finished request with its end-to-end latency.
     pub(crate) fn record_completion(&self, latency: Duration, cache_hit: bool) {
-        self.completed.incr();
+        self.add(Stat::Completed, 1);
         if cache_hit {
-            self.cache_hits.incr();
+            self.add(Stat::CacheHits, 1);
         }
         self.latency_ns.record_duration(latency);
     }
 
-    /// Record images that actually went through the defense pipeline (as
-    /// opposed to being served from cache).
-    pub(crate) fn record_computed(&self, images: usize) {
-        self.computed_images.add(images as u64);
-    }
-
-    /// Record a cache miss whose request was accepted onto a queue (hits
-    /// are counted by [`StatsRecorder::record_completion`]).
-    pub(crate) fn record_cache_miss(&self) {
-        self.cache_misses.incr();
-    }
-
-    /// Record a submission rejected with `Overloaded`.
-    pub(crate) fn record_rejection(&self) {
-        self.rejected.incr();
-    }
-
-    /// Record a submission shed at admission because its route was
-    /// Unhealthy. Kept apart from `rejected`: a shed is the health
-    /// machine's own output, not an error-budget event.
-    pub(crate) fn record_shed(&self) {
-        self.shed.incr();
-    }
-
-    /// Record a request that failed inside the pipeline.
-    pub(crate) fn record_error(&self) {
-        self.errors.incr();
-    }
-
-    /// Record a request whose per-request deadline passed before a worker
-    /// reached it (answered with `DeadlineExceeded`, never defended).
-    pub(crate) fn record_expired(&self) {
-        self.expired.incr();
-    }
-
     /// Record one dispatched batch of `size` images.
     pub(crate) fn record_batch(&self, size: usize) {
-        self.batches.incr();
-        self.batched_images.add(size as u64);
+        self.add(Stat::Batches, 1);
+        self.add(Stat::BatchedImages, size);
         self.largest_batch
             .set_max(i64::try_from(size).unwrap_or(i64::MAX));
     }
@@ -131,49 +112,32 @@ impl StatsRecorder {
 /// `latency_ns` the merge of the route histograms. Reading them out of the
 /// same snapshot keeps every total exactly the sum of its parts.
 pub(crate) fn add_gateway_totals(snapshot: &mut TelemetrySnapshot, labels: &[String]) {
-    let route_names = |metric: &str| -> Vec<String> {
-        labels
-            .iter()
-            .map(|label| format!("route.{label}.{metric}"))
-            .collect()
+    let per_route = |metric: &str| -> Vec<String> {
+        let name = |label: &String| format!("route.{label}.{metric}");
+        labels.iter().map(name).collect()
     };
     for metric in COUNTERS {
-        let total = route_names(metric)
-            .iter()
-            .filter_map(|name| snapshot.counter(name))
-            .sum();
-        insert_sorted(&mut snapshot.counters, format!("gateway.{metric}"), total);
+        let parts = per_route(metric);
+        let total = parts.iter().filter_map(|name| snapshot.counter(name)).sum();
+        snapshot.counters.push((format!("gateway.{metric}"), total));
     }
-    let largest = route_names(LARGEST_BATCH)
-        .iter()
-        .filter_map(|name| snapshot.gauge(name))
-        .max()
-        .unwrap_or(0);
-    insert_sorted(
-        &mut snapshot.gauges,
-        format!("gateway.{LARGEST_BATCH}"),
-        largest,
-    );
-    let mut latency = sesr_telemetry::HistogramSnapshot::default();
-    for name in route_names(LATENCY_NS) {
+    let parts = per_route(LARGEST_BATCH);
+    let largest = parts.iter().filter_map(|name| snapshot.gauge(name)).max();
+    let largest = (format!("gateway.{LARGEST_BATCH}"), largest.unwrap_or(0));
+    snapshot.gauges.push(largest);
+    let mut latency = HistogramSnapshot::default();
+    for name in per_route(LATENCY_NS) {
         if let Some(histogram) = snapshot.histogram(&name) {
             latency.merge(histogram);
         }
     }
-    insert_sorted(
-        &mut snapshot.histograms,
-        format!("gateway.{LATENCY_NS}"),
-        latency,
-    );
-}
-
-/// Insert `(name, value)` into a name-sorted metric list, replacing any
-/// entry of the same name.
-fn insert_sorted<T>(metrics: &mut Vec<(String, T)>, name: String, value: T) {
-    match metrics.binary_search_by(|(existing, _)| existing.cmp(&name)) {
-        Ok(index) => metrics[index].1 = value,
-        Err(index) => metrics.insert(index, (name, value)),
-    }
+    snapshot
+        .histograms
+        .push((format!("gateway.{LATENCY_NS}"), latency));
+    // The snapshot lists every metric kind sorted by name.
+    snapshot.counters.sort_by(|a, b| a.0.cmp(&b.0));
+    snapshot.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+    snapshot.histograms.sort_by(|a, b| a.0.cmp(&b.0));
 }
 
 #[cfg(test)]
@@ -257,7 +221,7 @@ mod tests {
         .join();
         assert!(result.is_err(), "the thread must actually have panicked");
         recorder.record_completion(Duration::from_millis(2), true);
-        recorder.record_rejection();
+        recorder.add(Stat::Rejected, 1);
         assert_eq!(counter(&registry, "serve.completed"), 2);
         assert_eq!(counter(&registry, "serve.cache_hits"), 1);
         assert_eq!(counter(&registry, "serve.rejected"), 1);
@@ -273,7 +237,7 @@ mod tests {
         let a = StatsRecorder::registered(&registry, "route.a");
         let b = StatsRecorder::registered(&registry, "route.a");
         a.record_completion(Duration::from_millis(5), false);
-        b.record_rejection();
+        b.add(Stat::Rejected, 1);
         // Both recorders write the same underlying metrics, under scoped
         // names.
         assert_eq!(counter(&registry, "route.a.completed"), 1);
@@ -289,14 +253,18 @@ mod tests {
     fn counters_accumulate() {
         let registry = MetricsRegistry::new();
         let recorder = StatsRecorder::registered(&registry, "serve");
-        recorder.record_rejection();
-        recorder.record_error();
-        recorder.record_expired();
+        for stat in [
+            Stat::Rejected,
+            Stat::Errors,
+            Stat::Expired,
+            Stat::CacheMisses,
+            Stat::Shed,
+        ] {
+            recorder.add(stat, 1);
+        }
         recorder.record_batch(3);
         recorder.record_batch(5);
-        recorder.record_computed(8);
-        recorder.record_cache_miss();
-        recorder.record_shed();
+        recorder.add(Stat::ComputedImages, 8);
         recorder.record_completion(Duration::from_millis(1), true);
         for (name, want) in [
             ("serve.rejected", 1),
@@ -316,22 +284,5 @@ mod tests {
             .collect()
             .gauges
             .contains(&("serve.largest_batch".to_string(), 5)));
-    }
-
-    #[test]
-    fn gateway_totals_cover_exactly_what_a_recorder_registers() {
-        let registry = MetricsRegistry::new();
-        StatsRecorder::registered(&registry, "route.a");
-        let dump = registry.collect();
-        let registered: Vec<&str> = dump
-            .counters
-            .iter()
-            .map(|(name, _)| name.strip_prefix("route.a.").unwrap())
-            .collect();
-        let mut listed = COUNTERS.to_vec();
-        listed.sort_unstable();
-        assert_eq!(registered, listed, "COUNTERS must name every counter");
-        assert_eq!(dump.gauges[0].0, format!("route.a.{LARGEST_BATCH}"));
-        assert_eq!(dump.histograms[0].0, format!("route.a.{LATENCY_NS}"));
     }
 }

@@ -37,30 +37,28 @@ pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
 /// plausible header.
 const MAX_HEADER_LEN: usize = 64 * 1024;
 
-/// Streaming 64-bit FNV-1a: the workspace's one FNV-1a. Bytes may arrive
-/// in any number of [`Fnv1a64::write`] calls; the hash equals
+/// Streaming 64-bit FNV-1a, the workspace's one FNV-1a: feed bytes in any
+/// number of [`Fnv1a64::write`] runs, and [`Fnv1a64::finish`] equals
 /// [`fnv1a64`] over their concatenation. Store checksums and content
 /// addresses, the serving cache's and the wire's image content hash, and
 /// the cluster ring's placement are all built on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a64(u64);
 
-impl Fnv1a64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
+impl Default for Fnv1a64 {
     /// A hasher over no bytes yet (the FNV-1a 64 offset basis).
     #[inline]
-    pub const fn new() -> Self {
-        Fnv1a64(Self::OFFSET)
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
+}
 
+impl Fnv1a64 {
     /// Fold `bytes` into the hash, one byte at a time.
     #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
@@ -71,16 +69,10 @@ impl Fnv1a64 {
     }
 }
 
-impl Default for Fnv1a64 {
-    fn default() -> Self {
-        Fnv1a64::new()
-    }
-}
-
 /// 64-bit FNV-1a over a byte slice; used for payload checksums, content
 /// addresses and config digests throughout the store.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a64::new();
+    let mut hash = Fnv1a64::default();
     hash.write(bytes);
     hash.finish()
 }

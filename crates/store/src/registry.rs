@@ -49,9 +49,8 @@ impl ModelRegistry {
     /// Load the newest checkpoint for `(model_id, scale)`, memoized.
     ///
     /// The first call per pair reads and validates the artifact; later calls
-    /// clone the cached `Arc`. Note that a memoized entry pins the artifact
-    /// version that was current at first load — call
-    /// [`ModelRegistry::invalidate`] to pick up a retrained artifact.
+    /// clone the cached `Arc`. A memoized entry pins the artifact version
+    /// that was current at first load for the registry's lifetime.
     ///
     /// # Errors
     ///
@@ -122,16 +121,6 @@ impl ModelRegistry {
             }
             Err(err) => Err(err.into()),
         }
-    }
-
-    /// Forget the memoized checkpoint for `(model_id, scale)`, forcing the
-    /// next [`ModelRegistry::hydrate`] to re-resolve the newest artifact.
-    pub fn invalidate(&self, model_id: &str, scale: usize) {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .loaded
-            .remove(&(model_id.to_string(), scale));
     }
 
     /// Number of distinct `(model, scale)` pairs currently memoized.
@@ -226,20 +215,6 @@ mod tests {
         let again = registry.hydrate("SESR-M2", 2).unwrap();
         assert!(Arc::ptr_eq(&warm, &again), "memoized entry survives poison");
         assert_eq!(registry.hit_counts(), (1, 1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn invalidate_picks_up_retrained_weights() {
-        let (dir, registry) = temp_registry();
-        save_checkpoint(&registry, 1);
-        let old = registry.hydrate("SESR-M2", 2).unwrap();
-        save_checkpoint(&registry, 2); // retrain: version 2 appended
-        let pinned = registry.hydrate("SESR-M2", 2).unwrap();
-        assert_eq!(old.tensors, pinned.tensors, "memoized entry stays pinned");
-        registry.invalidate("SESR-M2", 2);
-        let fresh = registry.hydrate("SESR-M2", 2).unwrap();
-        assert_ne!(old.tensors, fresh.tensors, "invalidate must re-resolve");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

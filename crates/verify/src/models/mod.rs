@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | [`seqlock`] | event-ring slot claim/stamp/read | `crates/telemetry/src/journal.rs` |
 //! | [`queue`] | bounded submission queue push / batched worker pickup / close | `crates/serve/src/shard.rs` |
-//! | [`swap`] | hot-reload swap + drain-retire | `crates/serve/src/shard.rs` + gateway reload |
+//! | [`swap`] | hot-reload swap + drain-retire | `crates/serve/src/shard.rs` + `crates/serve/src/reload.rs` (`swap_in`) |
 //! | [`arena`] | arena acquire/recycle in-use accounting | `crates/tensor/src/arena.rs` |
 //!
 //! Every model takes a *variant* enum selecting the correct protocol or a

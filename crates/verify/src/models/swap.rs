@@ -1,5 +1,6 @@
 //! Model of hot-reload swap + drain-retire
-//! (`crates/serve/src/shard.rs` / the gateway reload path): a reloader
+//! (`crates/serve/src/shard.rs` / `swap_in` in `crates/serve/src/reload.rs`,
+//! the one rebuild-and-swap path every reload and rollback takes): a reloader
 //! redirects submitters to a fresh queue, then closes and drains the old
 //! one; the old worker must quiesce without dropping a request. The old
 //! worker drains the old queue directly, as the shard's workers do: there is
