@@ -66,14 +66,12 @@ impl GatewayScenario {
             cache_capacity: 256,
         }
     }
-}
 
-impl GatewayScenario {
     /// One factory-built route per defense spec. Each factory holds the
     /// bank's hydrated checkpoint and builds its workers through
-    /// [`sesr_models::SrModelKind::build_from_checkpoint`], so the gateway serves the
-    /// exact trained weights the plan evaluates, and a reload rebuilds the
-    /// same weights.
+    /// [`sesr_models::SrModelKind::build_from_checkpoint`], so the gateway
+    /// serves the exact trained weights the plan evaluates, and a reload
+    /// rebuilds the same weights.
     fn gateway(
         &self,
         bank: &ModelBank,
