@@ -68,7 +68,7 @@ fn config_for_scale(scale: &str) -> ExperimentConfig {
             // Note on epsilon: the synthetic 24x24 task has a wider decision
             // margin than ImageNet at 299x299, so the attack budget is raised
             // (0.12 instead of 8/255) to obtain attack success rates in the
-            // same regime as the paper's Table II. See EXPERIMENTS.md.
+            // same regime as the paper's Table II.
             let mut config = ExperimentConfig::quick();
             config.num_classes = 6;
             config.train_size = 96;

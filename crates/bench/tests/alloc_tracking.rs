@@ -17,10 +17,17 @@ use sesr_classifiers::ClassifierKind;
 use sesr_defense::pipeline::{DefensePipeline, PreprocessConfig};
 use sesr_models::{ScratchSpace, SrModelKind};
 use sesr_nn::Layer;
+use sesr_tensor::{init, Shape, Tensor};
 use sesr_testkit::{count_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// A deterministic `[1, 3, size, size]` test image with values in `[0, 1]`.
+fn bench_image(size: usize) -> Tensor {
+    let mut rng = StdRng::seed_from_u64(42);
+    init::uniform(Shape::new(&[1, 3, size, size]), 0.0, 1.0, &mut rng)
+}
 
 #[test]
 fn sr_forward_path_allocates_zero_after_warmup() {
@@ -34,7 +41,7 @@ fn sr_forward_path_allocates_zero_after_warmup() {
         PreprocessConfig::none(),
         SrModelKind::SesrM2.build_seeded_upscaler(2, 0).unwrap(),
     );
-    let image = sesr_bench::bench_image(16);
+    let image = bench_image(16);
     let expected = pipeline.defend(&image).unwrap();
 
     // Contrast: the allocating path pays for every intermediate, every call.
@@ -93,7 +100,7 @@ fn sr_forward_path_allocates_zero_after_warmup() {
     // on the same warmed scratch space.
     let mut rng = StdRng::seed_from_u64(3);
     let mut classifier = ClassifierKind::MobileNetV2.build_local(10, &mut rng);
-    let frame = sesr_bench::bench_image(32);
+    let frame = bench_image(32);
     let expected_logits = classifier.forward(&frame, false).unwrap();
     for _ in 0..WARMUP {
         let logits = classifier

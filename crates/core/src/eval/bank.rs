@@ -276,14 +276,14 @@ impl ModelBank {
         ))
     }
 
-    /// A trained SR network for a learned `kind`: hydrated from the store,
-    /// trained first (exactly once bank-wide) when the store is cold.
+    /// The trained ×2 checkpoint of a learned SR `kind`: hydrated from the
+    /// store, trained first (exactly once bank-wide) when the store is cold.
     ///
     /// # Errors
     ///
     /// Returns an error if `kind` is an interpolation baseline, or if
     /// training/hydration fails.
-    pub fn sr_network(&self, kind: SrModelKind) -> Result<Box<dyn Layer>> {
+    pub fn sr_checkpoint(&self, kind: SrModelKind) -> Result<Arc<Checkpoint>> {
         if !kind.is_learned() {
             return Err(TensorError::invalid_argument(format!(
                 "{kind} is an interpolation baseline and has no trained network"
@@ -295,6 +295,18 @@ impl ModelBank {
                 .hydrate_or_insert::<TensorError>(&model_id, 2, || {
                     self.train_sr_checkpoint(kind)
                 })?;
+        Ok(checkpoint)
+    }
+
+    /// A trained SR network for a learned `kind`, built from
+    /// [`ModelBank::sr_checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `kind` is an interpolation baseline, or if
+    /// training/hydration fails.
+    pub fn sr_network(&self, kind: SrModelKind) -> Result<Box<dyn Layer>> {
+        let checkpoint = self.sr_checkpoint(kind)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(2000 + kind as u64));
         let mut network = kind
             .build_local_network(&mut rng)

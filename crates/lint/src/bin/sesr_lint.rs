@@ -1,10 +1,10 @@
 //! `sesr-lint`: workspace source lint enforcing where atomics, threads,
-//! `unsafe`, and panicking accessors may live. See `sesr_bench::lint` for
+//! `unsafe`, and panicking accessors may live. See the `sesr_lint` crate for
 //! the rules and `sesr-lint --explain <rule>` for the rationale behind each.
 
 #![forbid(unsafe_code)]
 
-use sesr_bench::lint::{explain, lint_workspace, RULES};
+use sesr_lint::{explain, lint_workspace, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 

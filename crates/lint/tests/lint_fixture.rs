@@ -127,7 +127,7 @@ fn fixture_violations_produce_nonzero_exit_with_file_line_diagnostics() {
 
 #[test]
 fn explain_documents_every_rule_and_rejects_unknown_ones() {
-    for rule in sesr_bench::lint::RULES {
+    for rule in sesr_lint::RULES {
         let output = Command::new(lint_bin())
             .args(["--explain", rule])
             .output()

@@ -85,10 +85,7 @@ impl GatewayScenario {
                 ));
             };
             let checkpoint = if model.is_learned() {
-                // Trains on a cold store; afterwards the bank's registry
-                // hands out the memoized checkpoint.
-                bank.sr_network(model)?;
-                Some(bank.registry().hydrate(&bank.sr_model_id(model), 2)?)
+                Some(bank.sr_checkpoint(model)?)
             } else {
                 None
             };

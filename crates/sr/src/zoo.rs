@@ -35,7 +35,7 @@ pub enum SrModelKind {
 impl SrModelKind {
     /// Every kind, in the row order used by Table II of the paper (with the
     /// extra bicubic baseline appended). Returns a static slice so hot
-    /// callers (table drivers, benches) never allocate.
+    /// callers (table drivers, the benchmark) never allocate.
     pub fn all() -> &'static [SrModelKind] {
         const ALL: [SrModelKind; 9] = [
             SrModelKind::NearestNeighbor,

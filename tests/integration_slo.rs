@@ -180,8 +180,8 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
 
     // (c) A newer artifact appears while the route is Unhealthy: the watcher
     // must refuse to promote it (and keep retrying, not forget it). The
-    // watcher baselines to the newest artifact at spawn, so it must be
-    // running before the new generation lands.
+    // watcher starts from the artifact each route's workers were built
+    // from, so the new generation is a candidate once it lands.
     let watcher = client
         .watch_store_with_probation(Duration::from_millis(10), Duration::from_secs(60))
         .unwrap();
