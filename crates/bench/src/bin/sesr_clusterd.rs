@@ -7,8 +7,10 @@
 //!                           bound address is printed either way)
 //!   --members N             worker processes to spawn (default 3)
 //!   --store PATH            shared model-store directory; adds the
-//!                           store-backed route below and watches PATH for
-//!                           promotions to fan out to the fleet
+//!                           store-backed route below, and the supervisor's
+//!                           promotion policy (health gate on the fleet,
+//!                           probation rollback) promotes new artifacts in
+//!                           PATH with a reload pinned to each member
 //!   --telemetry PATH        export the front's telemetry snapshot to PATH
 //!                           once a second (readable live with sesr-top)
 //!   --max-runtime-secs N    exit cleanly after N seconds (CI harnesses;
@@ -19,8 +21,8 @@
 //!
 //! The front role binds the public socket, then spawns `--members` copies
 //! of *this same binary* in the worker role and supervises them: health
-//! probes over the wire, crash restarts with backoff, store-promotion
-//! fan-out. Each worker is a full single-process gateway (the same engine
+//! probes over the wire, crash restarts with backoff, gated store
+//! promotion with pinned reloads. Each worker is a full single-process gateway (the same engine
 //! `sesr-netd` runs) bound to an OS-chosen loopback port, announced to the
 //! supervisor with the `listening on ADDR` stdout contract and tethered to
 //! it by stdin — if the front dies, every worker sees EOF and exits rather
@@ -29,8 +31,8 @@
 //! The fleet serves the same three interpolation routes as `sesr-netd`
 //! (cheap enough that a loopback driver measures the federation, not the
 //! SR math), plus `sesr-m2:x2:raw` when `--store` is given — that route
-//! loads its weights from the store, so a promotion saved into PATH
-//! hot-reloads across every member:
+//! loads its weights from the store, so an artifact saved into PATH is
+//! promoted across every member, each building exactly that artifact:
 //!
 //! ```text
 //! nearest-neighbor:x2:raw                 (default route)

@@ -223,6 +223,8 @@ fn render_cluster(snapshot: &TelemetrySnapshot) -> String {
         "cluster.reconnects",
         "cluster.supervisor.restarts",
         "cluster.reload.promotions",
+        "cluster.reload.rollbacks",
+        "cluster.reload.refused",
     ] {
         if let Some(value) = snapshot.counter(counter) {
             let _ = writeln!(out, "  {counter:<40} {value:>12}");

@@ -12,6 +12,9 @@
 //!    serving, and the supervisor restarts the member until its arc
 //!    recovers — with the `cluster.*` counters recording each transition.
 //! 3. A model-store promotion fans out to the fleet exactly once.
+//! 4. A member restarted by `kill -9` after a promotion is pinned to the
+//!    promoted artifact before it serves, and answers bit for bit like a
+//!    gateway built from that artifact.
 //!
 //! No parallel-speedup assertion is made anywhere here on purpose: CI may
 //! run single-core, where a 3-process fleet is slower than one process.
@@ -368,6 +371,128 @@ fn store_promotion_fans_out_to_the_fleet_exactly_once() {
         other => panic!("route must serve after the promotion: {other:?}"),
     }
 
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn member_restarted_after_a_promotion_serves_the_promoted_artifact() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let dir = std::env::temp_dir().join(format!(
+        "sesr_cluster_e2e_restart_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let store = ModelStore::open(&dir).expect("open store");
+    let save = |seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let network = SrModelKind::SesrM2
+            .build_local_network(&mut rng)
+            .expect("build SESR-M2");
+        let artifact = store
+            .save(&Checkpoint::from_layer("SESR-M2", 2, 0, network.as_ref()))
+            .expect("save artifact");
+        (artifact.version, artifact.digest)
+    };
+    save(11);
+
+    let m2_route = RouteKey::new(SrModelKind::SesrM2, 2, PreprocessConfig::none());
+    let mut routes = fleet_routes();
+    routes.push(m2_route);
+    let config = ClusterConfig {
+        routes: routes.clone(),
+        store_dir: Some(dir.clone()),
+        supervisor: SupervisorConfig {
+            health_timeout: Duration::from_secs(10),
+            ..SupervisorConfig::default()
+        },
+        ..ClusterConfig::new(2, worker_command(Some(&dir)))
+    };
+    let cluster = Cluster::start("127.0.0.1:0", config).expect("start cluster");
+    assert!(cluster.wait_ready(Duration::from_secs(60)), "fleet came up");
+
+    // Promote: a retrained generation lands in the shared store.
+    let promoted = save(12);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while counter(&cluster.stats_snapshot(), "cluster.reload.fanout_acked") < 2 {
+        assert!(Instant::now() < deadline, "promotion never fanned out");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // The reference: one in-process gateway built from the promoted artifact.
+    let reference = GatewayBuilder::new()
+        .with_store(store.clone())
+        .route(m2_route)
+        .build()
+        .expect("reference gateway");
+    let ref_client = reference.client();
+    ref_client
+        .reload(&m2_route, Some(promoted))
+        .expect("reference builds the promoted artifact");
+    let label = m2_route.label();
+    let ring = HashRing::with_members(2, HashRing::DEFAULT_VNODES);
+    let victim: u32 = 1;
+    let victim_tags: Vec<u32> = (0..200u32)
+        .filter(|&tag| ring.owner(&label, content_hash(&image(tag), "")) == Some(victim))
+        .take(4)
+        .collect();
+    assert_eq!(victim_tags.len(), 4, "vnodes spread keys onto the victim");
+
+    let pid = cluster.members()[victim as usize]
+        .pid
+        .expect("an Up member has a pid");
+    let killed = std::process::Command::new("kill")
+        .args(["-9", &pid.to_string()])
+        .status()
+        .expect("spawn kill");
+    assert!(killed.success(), "kill -9 {pid} must succeed");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let info = cluster.members()[victim as usize].clone();
+        if info.state == MemberState::Up && info.restarts >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "supervisor never restarted the victim (state {:?})",
+            info.state
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // The restarted member was sent the pinned reload before it went Up.
+    let snapshot = cluster.stats_snapshot();
+    assert_eq!(counter(&snapshot, "cluster.reload.promotions"), 1);
+    assert_eq!(counter(&snapshot, "cluster.reload.fanout_sent"), 3);
+    assert_eq!(counter(&snapshot, "cluster.reload.fanout_acked"), 3);
+    assert_eq!(counter(&snapshot, "cluster.reload.fanout_failed"), 0);
+
+    let mut client = NetClient::connect(cluster.local_addr()).expect("dial front");
+    for &tag in &victim_tags {
+        let expected = ref_client
+            .defend_blocking(sesr_serve::DefenseRequest::new(image(tag)).on(m2_route))
+            .expect("reference serves")
+            .defended;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let got = loop {
+            match defend(&mut client, &label, tag) {
+                ResponseBody::Ok { defended, .. } => break defended,
+                ResponseBody::RetryAfter { .. } if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                other => panic!("restarted member failed on tag {tag}: {other:?}"),
+            }
+        };
+        assert_eq!(
+            pixel_bits(&got),
+            pixel_bits(&expected),
+            "tag {tag}: the restarted member must serve the promoted weights"
+        );
+    }
+
+    drop(ref_client);
+    reference.shutdown();
     cluster.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

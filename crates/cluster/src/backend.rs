@@ -25,6 +25,7 @@ use crate::supervisor::{probe_policy, Command, Control};
 use crate::MemberId;
 use sesr_net::wire::{self, FrameDecode, FrameRef};
 use sesr_net::{Backend, BackendRequest, ResponseBody, ResponseFrame, RetryReason, Submit};
+use sesr_serve::ArtifactId;
 use sesr_telemetry::{merge_snapshots, prefix_snapshot, Telemetry, TelemetrySnapshot};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -396,13 +397,21 @@ impl Backend for ClusterBackend {
         self.apply_pending_control() | self.pump_links()
     }
 
-    fn reload(&mut self, route: &str) -> Result<String, String> {
+    fn reload(&mut self, route: &str, pin: Option<ArtifactId>) -> Result<String, String> {
+        if route.is_empty() && pin.is_some() {
+            return Err("a pinned reload names one route".to_string());
+        }
+        if !route.is_empty() && !self.has_route(route) {
+            return Err(format!("unknown route {route}"));
+        }
         // Reload is a fleet operation: hand it to the supervisor, which
-        // owns the fan-out (and its exactly-once accounting). The wire
-        // reply acknowledges scheduling, not completion.
+        // resolves the artifact once and owns the pinned fan-out (and its
+        // exactly-once accounting). The wire reply acknowledges
+        // scheduling, not completion.
         self.commands
             .send(Command::Reload {
                 route: route.to_string(),
+                pin,
             })
             .map_err(|_| "supervisor is gone".to_string())?;
         Ok("reload scheduled for fleet fan-out".to_string())

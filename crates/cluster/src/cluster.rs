@@ -46,11 +46,11 @@ pub struct ClusterConfig {
     /// Virtual nodes per member on the hash ring.
     pub vnodes: u32,
     /// Routes the fleet serves; the front answers `UnknownRoute` for
-    /// anything else, and the supervisor watches the store for promotions
-    /// of these routes' models.
+    /// anything else, and the supervisor runs one promotion policy per
+    /// route.
     pub routes: Vec<RouteKey>,
-    /// Shared model-store directory to watch for reload fan-out (`None`
-    /// disables the watcher; wire-initiated reloads still fan out).
+    /// Shared model-store directory the promotion policies watch (`None`:
+    /// nothing is promoted; wire-initiated reloads still fan out).
     pub store_dir: Option<PathBuf>,
     /// How to spawn one worker.
     pub worker: WorkerCommand,

@@ -14,9 +14,10 @@
 //!   other arc keeps serving.
 //! - [`supervisor`] — spawns the worker processes, health-checks them over
 //!   the wire, restarts crashes and wedges under exponential backoff
-//!   (members keep their ring identity, so restart ≠ remap), and fans
-//!   model-store promotions out to the fleet as wire `Reload` broadcasts —
-//!   one watcher, N workers, exactly one broadcast per promotion.
+//!   (members keep their ring identity, so restart ≠ remap), and runs the
+//!   shared [`sesr_serve::PromotionPolicy`] per route on fleet health,
+//!   sending each promotion or rollback to every member as one wire
+//!   `Reload` pinned to the chosen artifact.
 //! - [`cluster`] — [`Cluster::start`], the one-call wiring of all three,
 //!   plus aggregated observability: the front's stats frame carries every
 //!   `cluster.*` router/supervisor metric and a `cluster.fleet.*` rollup

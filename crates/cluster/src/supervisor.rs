@@ -25,16 +25,24 @@
 //! `RetryAfter` while the supervisor restarts it under exponential backoff.
 //! The member keeps its id across restarts, so recovery is not a remap.
 //!
-//! The supervisor is also where **reload fan-out** converges: one store
-//! watcher polls the shared [`ModelStore`] for version promotions and
-//! broadcasts a wire `Reload` to every `Up` member — N workers, one
-//! watcher, exactly one broadcast per promotion.
+//! The supervisor is also where **promotion** converges. It runs the same
+//! [`PromotionPolicy`] as the in-process [`ReloadWatcher`], one per route,
+//! fed with the shared [`ModelStore`]'s newest artifact and the route's
+//! fleet health (the worst `route.<label>.health` across the `Up` members'
+//! probe snapshots). Each promotion or probation rollback the policy returns
+//! goes out as one wire `Reload` pinned to the chosen `(version, digest)`,
+//! sent to every `Up` member — N workers, one policy, one broadcast per
+//! action, and every member builds exactly that artifact. A member that
+//! comes `Up` after a promotion or rollback gets the same pinned `Reload`
+//! before the router hears it is up.
 
 use crate::ring::MemberId;
 use sesr_net::{NetClient, NetConfig, NetServer, ReconnectPolicy};
-use sesr_serve::{DefenseGateway, RouteKey};
+use sesr_serve::{
+    Action, ArtifactId, DefenseGateway, Observation, PromotionPolicy, ReloadWatcher, RouteKey,
+};
 use sesr_store::ModelStore;
-use sesr_telemetry::{Telemetry, TelemetrySnapshot};
+use sesr_telemetry::{HealthState, Telemetry, TelemetrySnapshot};
 use std::collections::HashMap;
 use std::io::{BufRead, Read};
 use std::net::SocketAddr;
@@ -103,7 +111,9 @@ pub struct SupervisorConfig {
     /// before being treated as wedged (default 30 s — a worker hydrates
     /// models from the store on startup).
     pub startup_timeout: Duration,
-    /// Store-watch poll period for reload fan-out (default 250 ms).
+    /// How often each route's promotion policy observes the store and the
+    /// fleet's health and steps (default 250 ms). Its probation window is
+    /// [`ReloadWatcher::DEFAULT_PROBATION`].
     pub watch_interval: Duration,
 }
 
@@ -143,10 +153,14 @@ pub enum Control {
 /// router, and [`Cluster`](crate::Cluster) shutdown.
 #[derive(Debug, Clone)]
 pub enum Command {
-    /// Broadcast a reload of `route` (empty = all) to every `Up` member.
+    /// Reload `route` (empty = every route) on every `Up` member, each
+    /// route pinned to `pin` or else to its newest stored artifact,
+    /// resolved once here.
     Reload {
-        /// Route label, or empty for every reloadable route.
+        /// A label the fleet serves, or empty for every route.
         route: String,
+        /// The stored `(version, digest)` to build; needs a route label.
+        pin: Option<ArtifactId>,
     },
     /// Drain every member and exit the loop.
     Shutdown,
@@ -170,6 +184,19 @@ struct Member {
     spawned_at: Instant,
 }
 
+/// One route's [`PromotionPolicy`] plus what executing its actions needs.
+struct RoutePolicy {
+    key: RouteKey,
+    policy: PromotionPolicy,
+    /// When the last promotion reached the fleet: the probation clock.
+    promoted_at: Option<Instant>,
+    /// Whether the last action reached every `Up` member.
+    ok: bool,
+    /// The artifact every member must build, once a promotion, rollback or
+    /// explicit reload chose one; restarted members are pinned to it.
+    pinned: Option<ArtifactId>,
+}
+
 /// Everything the supervisor loop needs, bundled so [`run`] stays readable.
 pub(crate) struct Supervisor {
     worker: WorkerCommand,
@@ -183,7 +210,7 @@ pub(crate) struct Supervisor {
     stdout_rx: Receiver<StdoutEvent>,
     members: Vec<Member>,
     store: Option<ModelStore>,
-    watched: Vec<(String, usize, u32)>,
+    policies: Vec<RoutePolicy>,
     last_probe: Instant,
     last_watch: Instant,
 }
@@ -216,26 +243,18 @@ impl Supervisor {
                 restarts: 0,
             }));
         }
-        // Watch one (model, scale) per distinct pair; the initial resolved
-        // version seeds the baseline so pre-existing artifacts do not count
-        // as promotions.
-        let mut watched: Vec<(String, usize, u32)> = Vec::new();
-        if let Some(store) = &store {
-            for key in routes {
-                let model = key.model.name().to_string();
-                if watched
-                    .iter()
-                    .any(|(m, s, _)| *m == model && *s == key.scale)
-                {
-                    continue;
-                }
-                let version = store
-                    .resolve(&model, key.scale)
-                    .map(|artifact| artifact.version)
-                    .unwrap_or(0);
-                watched.push((model, key.scale, version));
-            }
-        }
+        // Members hydrate the newest artifact at startup, so that is what
+        // each route's policy starts from.
+        let policies = routes
+            .iter()
+            .map(|key| RoutePolicy {
+                key: *key,
+                policy: PromotionPolicy::new(newest_artifact(store.as_ref(), key)),
+                promoted_at: None,
+                ok: true,
+                pinned: None,
+            })
+            .collect();
         Supervisor {
             worker,
             config,
@@ -257,7 +276,7 @@ impl Supervisor {
                 })
                 .collect(),
             store,
-            watched,
+            policies,
             last_probe: Instant::now(),
             last_watch: Instant::now(),
         }
@@ -280,10 +299,10 @@ impl Supervisor {
             }
             if self.last_watch.elapsed() >= self.config.watch_interval {
                 self.last_watch = Instant::now();
-                self.watch_store();
+                self.step_policies();
             }
             match self.commands.try_recv() {
-                Ok(Command::Reload { route }) => self.fan_out_reload(&route),
+                Ok(Command::Reload { route, pin }) => self.reload(&route, pin),
                 Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => break,
                 Err(TryRecvError::Empty) => {}
             }
@@ -371,6 +390,13 @@ impl Supervisor {
                         .and_then(|rest| rest.trim().parse::<SocketAddr>().ok())
                     {
                         if self.state(id) == MemberState::Starting {
+                            // A member that cannot build the artifacts the
+                            // fleet was pinned to must not serve.
+                            if !self.pin_member(addr) {
+                                self.kill(id);
+                                self.mark_down(id);
+                                continue;
+                            }
                             // Announce before publishing: whoever sees `Up`
                             // in the view (`Cluster::wait_ready`) can rely
                             // on the router already holding the message.
@@ -512,69 +538,128 @@ impl Supervisor {
         }
     }
 
-    /// Poll the shared store; a version bump on any watched `(model, scale)`
-    /// is a promotion, broadcast to the fleet exactly once.
-    fn watch_store(&mut self) {
-        let Some(store) = &self.store else { return };
-        let mut promoted = false;
-        for (model, scale, last) in &mut self.watched {
-            if let Ok(artifact) = store.resolve(model, *scale) {
-                if artifact.version > *last {
-                    *last = artifact.version;
-                    promoted = true;
-                    self.telemetry
-                        .metrics()
-                        .counter("cluster.reload.promotions")
-                        .incr();
-                }
-            }
+    /// One poll of every route's [`PromotionPolicy`]: observe the store and
+    /// the fleet's health, step, and send a promotion or rollback to the
+    /// fleet pinned to the artifact the policy chose.
+    fn step_policies(&mut self) {
+        if self.store.is_none() {
+            return;
         }
-        if promoted {
-            self.fan_out_reload("");
+        let healths: Vec<HealthState> = {
+            let members = lock(&self.view);
+            let snapshots = lock(&self.snapshots);
+            self.policies
+                .iter()
+                .map(|route| fleet_health(&route.key.label(), &members, &snapshots))
+                .collect()
+        };
+        let metrics = self.telemetry.metrics();
+        for (index, health) in healths.into_iter().enumerate() {
+            let route = &mut self.policies[index];
+            let label = route.key.label();
+            let action = route.policy.step(Observation {
+                newest: newest_artifact(self.store.as_ref(), &route.key),
+                health,
+                probation_elapsed: route
+                    .promoted_at
+                    .is_none_or(|at| at.elapsed() >= ReloadWatcher::DEFAULT_PROBATION),
+                previous_ok: route.ok,
+            });
+            let ok = match action {
+                Action::Hold => true,
+                Action::Refuse => {
+                    metrics.counter("cluster.reload.refused").incr();
+                    true
+                }
+                Action::Promote(artifact) | Action::Rollback(artifact) => {
+                    self.fan_out_reload(&label, Some(artifact))
+                }
+            };
+            let route = &mut self.policies[index];
+            route.ok = ok;
+            match action {
+                Action::Promote(artifact) if ok => {
+                    metrics.counter("cluster.reload.promotions").incr();
+                    route.promoted_at = Some(Instant::now());
+                    route.pinned = Some(artifact);
+                }
+                Action::Rollback(artifact) if ok => {
+                    metrics.counter("cluster.reload.rollbacks").incr();
+                    route.pinned = Some(artifact);
+                }
+                _ => {}
+            }
         }
     }
 
-    /// Broadcast a wire `Reload` of `route` to every `Up` member, counting
-    /// each send and each acknowledged success.
-    fn fan_out_reload(&mut self, route: &str) {
-        let timeout = self.config.health_timeout;
-        for id in 0..self.members.len() as u32 {
-            if self.state(id) != MemberState::Up {
+    /// An explicit reload of `route` (empty = every route): resolve each
+    /// route's artifact once — `pin`, or the newest stored — and send it to
+    /// the fleet pinned. The policy records what the fleet now serves.
+    fn reload(&mut self, route: &str, pin: Option<ArtifactId>) {
+        for index in 0..self.policies.len() {
+            let key = self.policies[index].key;
+            let label = key.label();
+            if !route.is_empty() && label != route {
                 continue;
             }
-            let addr = lock(&self.view)[id as usize].addr;
-            let Some(addr) = addr else { continue };
-            self.telemetry
-                .metrics()
-                .counter("cluster.reload.fanout_sent")
-                .incr();
-            // A dedicated connection per fan-out keeps the health probe's
-            // frame stream untangled from reload replies.
-            let outcome = NetClient::connect(addr)
-                .map_err(sesr_net::NetError::from)
-                .and_then(|mut client| client.reload(route, timeout));
-            match outcome {
-                Ok((true, _)) => self
-                    .telemetry
-                    .metrics()
-                    .counter("cluster.reload.fanout_acked")
-                    .incr(),
-                Ok((false, message)) => {
-                    eprintln!("cluster: member {id} reload refused: {message}");
-                    self.telemetry
-                        .metrics()
-                        .counter("cluster.reload.fanout_failed")
-                        .incr();
-                }
-                Err(err) => {
-                    eprintln!("cluster: member {id} reload failed: {err}");
-                    self.telemetry
-                        .metrics()
-                        .counter("cluster.reload.fanout_failed")
-                        .incr();
-                }
+            let pin = pin.or_else(|| newest_artifact(self.store.as_ref(), &key));
+            if let (true, Some(artifact)) = (self.fan_out_reload(&label, pin), pin) {
+                let route = &mut self.policies[index];
+                route.policy.served(artifact);
+                route.pinned = Some(artifact);
             }
         }
+    }
+
+    /// Send every route's pinned artifact to the member at `addr` before it
+    /// is announced `Up`. Nothing is sent before the first promotion,
+    /// rollback or explicit reload, so a cluster without a store sends
+    /// nothing. True when the member built every pinned artifact.
+    fn pin_member(&self, addr: SocketAddr) -> bool {
+        self.policies.iter().all(|route| {
+            route
+                .pinned
+                .is_none_or(|artifact| self.send_reload(addr, &route.key.label(), Some(artifact)))
+        })
+    }
+
+    /// Send a wire `Reload` of `route` pinned to `pin` to every `Up`
+    /// member. True when every one of them acknowledged success.
+    fn fan_out_reload(&self, route: &str, pin: Option<ArtifactId>) -> bool {
+        let targets: Vec<SocketAddr> = lock(&self.view)
+            .iter()
+            .filter(|info| info.state == MemberState::Up)
+            .filter_map(|info| info.addr)
+            .collect();
+        // Every member is sent the reload, even after one fails.
+        let acked = targets
+            .iter()
+            .filter(|&&addr| self.send_reload(addr, route, pin))
+            .count();
+        acked == targets.len()
+    }
+
+    /// Send one wire `Reload` to the member at `addr` and wait for its
+    /// reply, counting the send and its outcome.
+    fn send_reload(&self, addr: SocketAddr, route: &str, pin: Option<ArtifactId>) -> bool {
+        let metrics = self.telemetry.metrics();
+        metrics.counter("cluster.reload.fanout_sent").incr();
+        // A dedicated connection per reload keeps the health probe's frame
+        // stream untangled from reload replies.
+        let outcome = NetClient::connect(addr)
+            .map_err(sesr_net::NetError::from)
+            .and_then(|mut client| client.reload(route, pin, self.config.health_timeout));
+        let error = match outcome {
+            Ok((true, _)) => {
+                metrics.counter("cluster.reload.fanout_acked").incr();
+                return true;
+            }
+            Ok((false, message)) => message,
+            Err(err) => err.to_string(),
+        };
+        eprintln!("cluster: member at {addr} failed to reload {route}: {error}");
+        metrics.counter("cluster.reload.fanout_failed").incr();
+        false
     }
 
     /// Kill member `id`'s process outright (wedged or shutting down).
@@ -612,6 +697,37 @@ impl Supervisor {
             member.child = None;
         }
     }
+}
+
+/// The newest stored artifact for `key`'s model, if a store is attached and
+/// holds one.
+fn newest_artifact(store: Option<&ModelStore>, key: &RouteKey) -> Option<ArtifactId> {
+    let artifact = store?.resolve(key.model.name(), key.scale).ok()?;
+    Some((artifact.version, artifact.digest))
+}
+
+/// A route's fleet health: the worst `route.<label>.health` gauge across
+/// the probe snapshots of the `Up` members. A missing snapshot or gauge,
+/// or no `Up` member at all, reads as Unhealthy.
+fn fleet_health(
+    label: &str,
+    members: &[MemberInfo],
+    snapshots: &HashMap<MemberId, TelemetrySnapshot>,
+) -> HealthState {
+    let gauge = format!("route.{label}.health");
+    members
+        .iter()
+        .filter(|info| info.state == MemberState::Up)
+        .map(|info| {
+            snapshots
+                .get(&info.id)
+                .and_then(|snapshot| snapshot.gauge(&gauge))
+                .map_or(HealthState::Unhealthy, |value| {
+                    HealthState::from_u8(u8::try_from(value).unwrap_or(u8::MAX))
+                })
+        })
+        .max()
+        .unwrap_or(HealthState::Unhealthy)
 }
 
 /// Exponential restart backoff: `base * 2^restarts`, capped.
@@ -701,6 +817,71 @@ mod tests {
         assert_eq!(backoff_delay(base, cap, 3), Duration::from_millis(800));
         assert_eq!(backoff_delay(base, cap, 10), cap);
         assert_eq!(backoff_delay(base, cap, u64::MAX), cap);
+    }
+
+    /// Members `0..states.len()` in `states`, each with a probe snapshot
+    /// whose `route.r.health` gauge is `gauges[id]` (`None`: no gauge).
+    fn fleet(
+        states: &[MemberState],
+        gauges: &[Option<HealthState>],
+    ) -> (Vec<MemberInfo>, HashMap<MemberId, TelemetrySnapshot>) {
+        let members = states
+            .iter()
+            .enumerate()
+            .map(|(id, &state)| MemberInfo {
+                id: id as MemberId,
+                state,
+                addr: None,
+                pid: None,
+                restarts: 0,
+            })
+            .collect();
+        let snapshots = gauges
+            .iter()
+            .enumerate()
+            .map(|(id, gauge)| {
+                let snapshot = TelemetrySnapshot {
+                    gauges: gauge
+                        .iter()
+                        .map(|state| ("route.r.health".to_string(), i64::from(state.as_u8())))
+                        .collect(),
+                    ..TelemetrySnapshot::default()
+                };
+                (id as MemberId, snapshot)
+            })
+            .collect();
+        (members, snapshots)
+    }
+
+    #[test]
+    fn fleet_health_is_the_worst_up_member() {
+        use HealthState::{Degraded, Healthy, Unhealthy};
+        use MemberState::{Down, Up};
+        let health = |states: &[MemberState], gauges: &[Option<HealthState>]| {
+            let (members, snapshots) = fleet(states, gauges);
+            fleet_health("r", &members, &snapshots)
+        };
+        assert_eq!(health(&[Up, Up], &[Some(Healthy), Some(Healthy)]), Healthy);
+        assert_eq!(
+            health(&[Up, Up], &[Some(Healthy), Some(Degraded)]),
+            Degraded
+        );
+        assert_eq!(
+            health(&[Up, Up], &[Some(Healthy), None]),
+            Unhealthy,
+            "a snapshot without the gauge reads Unhealthy"
+        );
+        assert_eq!(
+            health(&[Up, Up], &[Some(Healthy)]),
+            Unhealthy,
+            "an Up member with no snapshot reads Unhealthy"
+        );
+        assert_eq!(
+            health(&[Up, Down], &[Some(Healthy), Some(Unhealthy)]),
+            Healthy,
+            "a Down member is ignored"
+        );
+        assert_eq!(health(&[Down], &[Some(Healthy)]), Unhealthy, "no Up member");
     }
 
     #[test]

@@ -61,8 +61,8 @@ struct Fixture {
     control: Sender<Control>,
     members: Vec<(NetServer, sesr_serve::DefenseGateway)>,
     route: RouteKey,
-    // Held so ClusterBackend::reload has a live receiver.
-    _commands: std::sync::mpsc::Receiver<sesr_cluster::supervisor::Command>,
+    // What ClusterBackend::reload hands the supervisor.
+    commands: std::sync::mpsc::Receiver<sesr_cluster::supervisor::Command>,
 }
 
 fn start_fixture(member_count: u32) -> Fixture {
@@ -102,7 +102,7 @@ fn start_fixture(member_count: u32) -> Fixture {
         control: control_tx,
         members,
         route,
-        _commands: command_rx,
+        commands: command_rx,
     }
 }
 
@@ -252,4 +252,32 @@ fn unknown_members_and_empty_rings_shed_instead_of_blocking() {
         started.elapsed() < Duration::from_secs(1),
         "shedding must not block"
     );
+}
+
+#[test]
+fn reload_of_an_unknown_route_is_rejected_at_the_front() {
+    let mut fixture = start_fixture(1);
+    let label = fixture.route.label();
+    assert_eq!(
+        fixture.backend.reload("nope:x2:raw", None),
+        Err("unknown route nope:x2:raw".to_string()),
+        "the front answers an unknown route as a single gateway does"
+    );
+    assert!(
+        fixture.backend.reload("", Some((1, 0xab))).is_err(),
+        "a pin names one route"
+    );
+    assert!(
+        fixture.commands.try_recv().is_err(),
+        "nothing reached the supervisor"
+    );
+
+    assert!(fixture.backend.reload(&label, None).is_ok());
+    match fixture.commands.try_recv() {
+        Ok(sesr_cluster::supervisor::Command::Reload { route, pin }) => {
+            assert_eq!((route, pin), (label, None));
+        }
+        other => panic!("a known route is handed to the supervisor, got {other:?}"),
+    }
+    fixture.shutdown();
 }

@@ -411,10 +411,10 @@ fn path_str(path: &Path) -> String {
     path.to_string_lossy().replace('\\', "/")
 }
 
-/// Whole file is test/bench scaffolding (integration tests, benches).
+/// Whole file is test scaffolding (integration tests).
 fn is_test_path(path: &Path) -> bool {
     let p = path_str(path);
-    p.contains("/tests/") || p.starts_with("tests/") || p.contains("/benches/")
+    p.contains("/tests/") || p.starts_with("tests/")
 }
 
 /// Files allowed to name atomic orderings without annotation: the

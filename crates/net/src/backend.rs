@@ -27,7 +27,9 @@
 //! and reads member connections there).
 
 use crate::wire::{self, EncodedTensor, ResponseBody, ResponseFrame, RetryReason};
-use sesr_serve::{content_hash, DefenseRequest, GatewayClient, PendingResponse, RouteKey};
+use sesr_serve::{
+    content_hash, ArtifactId, DefenseRequest, GatewayClient, PendingResponse, RouteKey,
+};
 use sesr_telemetry::{Counter, HealthState, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -111,12 +113,15 @@ pub trait Backend: Send + 'static {
     }
 
     /// Handle a wire reload frame: hot-reload `route` (empty = every
-    /// reloadable route). Returns a human-readable success message.
+    /// reloadable route) from the stored artifact `pin` names, or from the
+    /// newest when `pin` is `None`. Returns a human-readable success
+    /// message.
     ///
     /// # Errors
     ///
-    /// A human-readable reason when nothing could be reloaded.
-    fn reload(&mut self, route: &str) -> Result<String, String>;
+    /// A human-readable reason when nothing could be reloaded: an unknown
+    /// route, a pin without a route, or a failed rebuild.
+    fn reload(&mut self, route: &str, pin: Option<ArtifactId>) -> Result<String, String>;
 
     /// The stats-frame payload: a telemetry snapshot as JSON.
     fn stats_json(&self) -> String;
@@ -266,8 +271,11 @@ impl Backend for LocalBackend {
         self.inflight.remove(&ticket);
     }
 
-    fn reload(&mut self, route: &str) -> Result<String, String> {
+    fn reload(&mut self, route: &str, pin: Option<ArtifactId>) -> Result<String, String> {
         let targets: Vec<RouteKey> = if route.is_empty() {
+            if pin.is_some() {
+                return Err("a pinned reload names one route".to_string());
+            }
             self.routes.values().copied().collect()
         } else {
             match self.routes.get(route) {
@@ -278,7 +286,7 @@ impl Backend for LocalBackend {
         let mut reloaded = 0usize;
         let mut errors: Vec<String> = Vec::new();
         for key in targets {
-            match self.client.reload(&key) {
+            match self.client.reload(&key, pin) {
                 Ok(()) => reloaded += 1,
                 Err(err) => errors.push(format!("{}: {err}", key.label())),
             }
@@ -340,7 +348,7 @@ mod tests {
         // The ticket is dead after answering.
         assert!(backend.poll(ticket).is_none());
 
-        assert!(backend.reload("nope:x2:raw").is_err());
+        assert!(backend.reload("nope:x2:raw", None).is_err());
         // The backend holds a GatewayClient clone; release it before
         // shutdown or the join below waits forever.
         drop(backend);

@@ -17,7 +17,7 @@
 //! instead of hand-rolling retry loops.
 
 use crate::wire::{self, Frame, FrameDecode, WireError, WireRequest, WireResponse};
-use sesr_serve::content_hash;
+use sesr_serve::{content_hash, ArtifactId};
 use sesr_tensor::Tensor;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -411,18 +411,25 @@ impl NetClient {
     }
 
     /// Ask the server to hot-reload `route` (empty = every reloadable
-    /// route) and block for the outcome: `(ok, message)`. The cluster
-    /// supervisor's reload fan-out is built on this.
+    /// route) from the stored artifact `pin` names, or from the newest when
+    /// `pin` is `None`, and block for the outcome: `(ok, message)`. The
+    /// cluster supervisor's pinned reload fan-out is built on this.
     ///
     /// # Errors
     ///
     /// As [`NetClient::recv`].
-    pub fn reload(&mut self, route: &str, timeout: Duration) -> Result<(bool, String), NetError> {
+    pub fn reload(
+        &mut self,
+        route: &str,
+        pin: Option<ArtifactId>,
+        timeout: Duration,
+    ) -> Result<(bool, String), NetError> {
         let id = self.next_id;
         self.next_id += 1;
         self.stream.write_all(&wire::encode(&Frame::Reload {
             id,
             route: route.to_string(),
+            pin,
         }))?;
         let deadline = Instant::now() + timeout;
         loop {

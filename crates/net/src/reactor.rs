@@ -412,8 +412,8 @@ impl<B: Backend> Reactor<B> {
                     .extend_from_slice(&wire::encode(&Frame::StatsReply { id, json }));
                 self.metrics.frames_tx.incr();
             }
-            FrameRef::Control(Frame::Reload { id, route }) => {
-                let (ok, message) = match self.backend.reload(&route) {
+            FrameRef::Control(Frame::Reload { id, route, pin }) => {
+                let (ok, message) = match self.backend.reload(&route, pin) {
                     Ok(message) => (true, message),
                     Err(message) => (false, message),
                 };

@@ -27,6 +27,7 @@
 //! response ([`ResponseFrame`]) in its wire encoding, so a tier that only
 //! relays them forwards the checked bytes without converting anything.
 
+use sesr_serve::ArtifactId;
 use sesr_tensor::{Shape, Tensor};
 
 /// Frame magic: `"SESR"`.
@@ -231,13 +232,20 @@ pub enum Frame {
         json: String,
     },
     /// Ask the server to hot-reload a route's model weights from its store.
-    /// The cluster supervisor broadcasts this to every member when a new
-    /// artifact version is promoted, so the fleet converges on one watcher.
+    /// The cluster supervisor sends this, pinned, to every member when its
+    /// promotion policy promotes or rolls back an artifact, so every member
+    /// builds exactly the artifact the policy chose.
+    ///
+    /// Payload: `id:u64, route:string, pinned:u8` (0 or 1), then
+    /// `version:u32, digest:u64` when pinned.
     Reload {
         /// Correlation id, echoed in the reply.
         id: u64,
         /// Route label to reload; empty means every reloadable route.
         route: String,
+        /// The stored `(version, digest)` to build; `None` builds the
+        /// newest. A pin names one route's artifact, so it needs a label.
+        pin: Option<ArtifactId>,
     },
     /// The outcome of a [`Frame::Reload`].
     ReloadReply {
@@ -567,7 +575,7 @@ fn payload_len(frame: &Frame) -> usize {
         Frame::Response(response) => response_payload_len(&response.body),
         Frame::Stats { .. } => 8,
         Frame::StatsReply { json, .. } => 8 + 4 + json.len(),
-        Frame::Reload { route, .. } => 8 + str_len(route),
+        Frame::Reload { route, pin, .. } => 8 + str_len(route) + 1 + pin.map_or(0, |_| 4 + 8),
         Frame::ReloadReply { message, .. } => 8 + 1 + str_len(message),
     }
 }
@@ -602,10 +610,15 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             out.extend_from_slice(json.as_bytes());
             patch_len(&mut out, len_at);
         }
-        Frame::Reload { id, route } => {
+        Frame::Reload { id, route, pin } => {
             let len_at = push_header(&mut out, KIND_RELOAD);
             out.extend_from_slice(&id.to_le_bytes());
             push_str(&mut out, route);
+            out.push(u8::from(pin.is_some()));
+            if let Some((version, digest)) = pin {
+                out.extend_from_slice(&version.to_le_bytes());
+                out.extend_from_slice(&digest.to_le_bytes());
+            }
             patch_len(&mut out, len_at);
         }
         Frame::ReloadReply { id, ok, message } => {
@@ -856,8 +869,16 @@ fn decode_reload(payload: &[u8]) -> Result<Frame, WireError> {
     let mut cursor = Cursor::new(payload);
     let id = cursor.u64("reload id")?;
     let route = cursor.string("reload route")?;
+    let pin = match cursor.u8("reload pin flag")? {
+        0 => None,
+        1 => Some((
+            cursor.u32("reload pin version")?,
+            cursor.u64("reload pin digest")?,
+        )),
+        _ => return Err(WireError::Malformed("reload pin flag must be 0 or 1")),
+    };
     cursor.finish()?;
-    Ok(Frame::Reload { id, route })
+    Ok(Frame::Reload { id, route, pin })
 }
 
 fn decode_reload_reply(payload: &[u8]) -> Result<Frame, WireError> {
@@ -1038,10 +1059,17 @@ mod tests {
         round_trip(Frame::Reload {
             id: 11,
             route: "sesr-m2:x2:jpeg75+wavelet2".to_string(),
+            pin: None,
         });
         round_trip(Frame::Reload {
             id: 12,
             route: String::new(),
+            pin: None,
+        });
+        round_trip(Frame::Reload {
+            id: 13,
+            route: "sesr-m2:x2:raw".to_string(),
+            pin: Some((7, 0xDEAD_BEEF_0123_4567)),
         });
         round_trip(Frame::ReloadReply {
             id: 11,
@@ -1157,6 +1185,21 @@ mod tests {
         assert!(matches!(
             decode(&bytes, DEFAULT_MAX_PAYLOAD),
             Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn reload_pin_flag_must_be_boolean() {
+        let route = "sesr-m2:x2:raw";
+        let mut bytes = encode(&Frame::Reload {
+            id: 1,
+            route: route.to_string(),
+            pin: None,
+        });
+        bytes[HEADER_LEN + 8 + str_len(route)] = 2;
+        assert!(matches!(
+            decode(&bytes, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::Malformed("reload pin flag must be 0 or 1"))
         ));
     }
 

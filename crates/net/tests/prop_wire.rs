@@ -110,6 +110,23 @@ proptest! {
         assert_round_trip(&Frame::Response(WireResponse { id, body }));
     }
 
+    /// Reload frames survive the wire, with and without a pinned artifact.
+    #[test]
+    fn reloads_round_trip(
+        id in 0u64..u64::MAX,
+        route_pick in 0usize..3,
+        pinned in 0usize..2,
+        version in 0u32..u32::MAX,
+        digest in 0u64..u64::MAX,
+    ) {
+        let routes = ["", "sesr-m2:x2:raw", "bicubic:x2:raw"];
+        assert_round_trip(&Frame::Reload {
+            id,
+            route: routes[route_pick].to_string(),
+            pin: (pinned == 1).then_some((version, digest)),
+        });
+    }
+
     /// Every strict prefix of a valid frame is `Incomplete` — with a
     /// `needed` hint beyond the prefix — and never an error or a `Complete`.
     #[test]

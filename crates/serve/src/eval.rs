@@ -276,7 +276,7 @@ mod tests {
                 .defended
         };
         let before = serve();
-        client.reload(&key).unwrap();
+        client.reload(&key, None).unwrap();
         assert_eq!(serve(), before, "a reload must rebuild the same weights");
         let direct = bank
             .defense(&spec)

@@ -40,6 +40,7 @@
 
 // lint: allow-file(atomic-ordering): request ids + route health; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
 
+use crate::promotion::ArtifactId;
 pub use crate::reload::ReloadWatcher;
 use crate::reload::{reload_route, RouteSource};
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
@@ -316,20 +317,22 @@ impl GatewayClient {
 
     /// Hot-reload one route with zero downtime and zero dropped jobs.
     ///
-    /// Rebuilds the route's workers — a store-hydrated route from the newest
-    /// stored artifact, resolved once; a factory-built route through its
-    /// factory — swaps the fresh shard in for new submissions, then drains
-    /// and retires the old shard: every job it had already accepted still
-    /// gets its response. The route's now-stale cache entries are purged;
-    /// other routes are untouched throughout.
+    /// Rebuilds the route's workers — a store-hydrated route from exactly
+    /// the stored artifact `pin` names, or from the newest when `pin` is
+    /// `None`, resolved once; a factory-built route through its factory —
+    /// swaps the fresh shard in for new submissions, then drains and
+    /// retires the old shard: every job it had already accepted still gets
+    /// its response. The route's now-stale cache entries are purged; other
+    /// routes are untouched throughout.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownRoute`] for an unserved route and
     /// [`ServeError::Pipeline`] when rebuilding the workers fails (e.g. a
-    /// corrupt artifact — the old shard keeps serving in that case).
-    pub fn reload(&self, route: &RouteKey) -> Result<(), ServeError> {
-        reload_route(&self.shared, route, None).map(|_| ())
+    /// corrupt artifact, or a pin no stored artifact matches — the old
+    /// shard keeps serving in that case).
+    pub fn reload(&self, route: &RouteKey, pin: Option<ArtifactId>) -> Result<(), ServeError> {
+        reload_route(&self.shared, route, pin).map(|_| ())
     }
 
     /// Spawn a [`ReloadWatcher`] polling the attached store every `interval`
@@ -862,7 +865,7 @@ mod tests {
             Ok(_) => panic!("expected UnknownRoute, got a pending response"),
         }
         assert!(matches!(
-            client.reload(&missing),
+            client.reload(&missing, None),
             Err(ServeError::UnknownRoute(_))
         ));
         drop(client);
@@ -1156,10 +1159,10 @@ mod tests {
             .build()
             .unwrap();
         let client = gateway.client();
-        client.reload(&nearest_route()).unwrap();
+        client.reload(&nearest_route(), None).unwrap();
         let rebuilt = built.load(Ordering::Relaxed);
         assert_eq!(rebuilt, 4, "a reload calls the factory once per worker");
-        client.reload(&bicubic_route()).unwrap();
+        client.reload(&bicubic_route(), None).unwrap();
         // The reloaded routes still serve correctly.
         let image = test_image(2, 8);
         for (route, kind) in [

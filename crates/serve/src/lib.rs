@@ -43,12 +43,13 @@
 //!   a factory-built route ([`GatewayBuilder::route_with_factory`]) calls
 //!   its factory per worker and never sees the store.
 //! * **Zero-downtime hot reload.** [`GatewayClient::reload`] rebuilds one
-//!   route's workers — a store-hydrated route from the newest stored
-//!   `(version, digest)`, resolved once — swaps the fresh shard in, then
-//!   drains and retires the old one: every accepted job still gets its
-//!   response. [`ReloadWatcher`] automates the loop for store-hydrated
-//!   routes, with a health gate and a probation rollback that rebuilds the
-//!   previously served artifact.
+//!   route's workers — a store-hydrated route from the pinned or else the
+//!   newest stored `(version, digest)`, resolved once — swaps the fresh
+//!   shard in, then drains and retires the old one: every accepted job
+//!   still gets its response. [`ReloadWatcher`] automates the loop for
+//!   store-hydrated routes by running the pure [`PromotionPolicy`] (health
+//!   gate, probation, rollback to the previously served artifact) — the
+//!   same policy the cluster supervisor runs for a fleet.
 //! * **Route-keyed caching.** Defended outputs are cached under
 //!   `(RouteKey, content-hash)`, so two routes serving different models can
 //!   never return each other's outputs; a reload purges only its own
@@ -108,6 +109,7 @@
 pub mod cache;
 pub mod eval;
 pub mod gateway;
+pub mod promotion;
 mod reload;
 pub mod route;
 pub mod server;
@@ -119,6 +121,7 @@ pub mod telemetry;
 pub use cache::{content_hash, LruCache};
 pub use eval::GatewayScenario;
 pub use gateway::{DefenseGateway, GatewayBuilder, GatewayClient, ReloadWatcher, WorkerFactory};
+pub use promotion::{Action, ArtifactId, Observation, PromotionPolicy};
 pub use route::{DefenseRequest, RouteConfig, RouteKey};
 pub use server::{DefenseResponse, PendingResponse, ServeError, WorkerAssets};
 pub use slo::{SloMonitor, SloPolicy, SloRuntime};

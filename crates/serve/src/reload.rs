@@ -1,14 +1,16 @@
 //! **Hot reload** ([`GatewayClient::reload`]) rebuilds one route's workers
-//! — a store-hydrated route from exactly one resolved artifact version —
+//! — a store-hydrated route from exactly one resolved artifact version, the
+//! pinned one when the caller names it —
 //! atomically swaps the new shard into the route table, then retires the old
 //! shard by letting it drain: every job already accepted is still answered,
-//! so a reload under load drops nothing. [`ReloadWatcher`] automates this by
-//! polling the artifact store and promoting any store-hydrated route whose
-//! newest artifact changed, with a health gate and a probation rollback.
+//! so a reload under load drops nothing. [`ReloadWatcher`] automates this:
+//! it runs the one [`PromotionPolicy`] (health gate, probation, rollback)
+//! for every store-hydrated route and executes each action it returns.
 
 #[cfg(doc)]
 use crate::gateway::DefenseGateway;
 use crate::gateway::{entry_for, GatewayClient, GatewayShared, RouteEntry, WorkerFactory};
+use crate::promotion::{Action, ArtifactId, Observation, PromotionPolicy};
 use crate::route::RouteKey;
 use crate::server::{ServeError, WorkerAssets};
 use crate::shard::spawn_shard;
@@ -19,9 +21,6 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::PoisonError;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// `(version, digest)` of one stored artifact.
-pub(crate) type ArtifactId = (u32, u64);
 
 /// How one route's workers come to be.
 pub(crate) enum RouteSource {
@@ -46,8 +45,7 @@ impl RouteSource {
     /// The artifact is resolved once (`pin` when given, else the newest
     /// stored), every worker is built from exactly that checkpoint, and it
     /// becomes the route's `serving` artifact. A factory-built route has no
-    /// artifact; only the watcher pins, and it watches store-hydrated routes
-    /// only.
+    /// artifact and ignores `pin`.
     pub(crate) fn build(
         &mut self,
         store: Option<&ModelStore>,
@@ -88,8 +86,8 @@ impl RouteSource {
 
 /// Resolve a store-hydrated route's artifact — `pin` when given, else the
 /// newest stored — and load exactly that one. `None` when no store is
-/// attached (the watcher, the only caller that pins, needs one) or nothing
-/// is stored for the route.
+/// attached or nothing is stored for the route; a pin that names no
+/// stored artifact is an error.
 fn hydrate(
     store: Option<&ModelStore>,
     key: &RouteKey,
@@ -218,20 +216,18 @@ fn swap_in(
     }
 }
 
-/// Background thread that polls the gateway's store and hot-reloads any
-/// store-hydrated route whose newest artifact `(version, digest)` changed —
-/// the "save a retrained model, serving picks it up" loop with no restarts.
-/// Factory-built routes are not watched: their factories ignore the store.
+/// Background thread that runs the [`PromotionPolicy`] for every
+/// store-hydrated route: each poll it observes the route (newest stored
+/// artifact, health, probation), steps the route's policy and executes the
+/// action — the "save a retrained model, serving picks it up" loop with no
+/// restarts. Factory-built routes are not watched: their factories ignore
+/// the store.
 ///
-/// Each watched route starts from the artifact its workers were built
-/// from, and the watcher records exactly the artifact each promotion built.
-/// Promotion is **health-gated**: a new artifact is only promoted while its
-/// route is [`HealthState::Healthy`]; otherwise the attempt is refused
-/// (journaled as `gateway.reload_refused`) and retried on every poll until
-/// the route recovers. After a promotion the route is on probation: if its
-/// health collapses to Unhealthy inside the probation window, the watcher
-/// rolls back to the artifact the route served before
-/// (`gateway.reload_demoted`) — the stepping stone to a full canary gate.
+/// Each route's policy starts from the artifact its workers were built
+/// from, and every promotion and rollback builds exactly the artifact the
+/// policy named. Promotion is **health-gated**: a refusal is journaled as
+/// `gateway.reload_refused`. A rollback inside the probation window is
+/// journaled as `gateway.reload_demoted`.
 ///
 /// The watcher keeps no counts of its own. Read them from
 /// [`GatewayClient::telemetry_snapshot`]: the registry counters
@@ -245,23 +241,6 @@ fn swap_in(
 pub struct ReloadWatcher {
     stop_tx: mpsc::Sender<()>,
     thread: JoinHandle<()>,
-}
-
-/// Per-route watcher state: the newest artifact handled, plus probation
-/// bookkeeping for the most recent promotion.
-struct RouteWatch {
-    key: RouteKey,
-    /// The newest `(version, digest)` the watcher has acted on: promoted,
-    /// or demoted away from; `None` when nothing was stored yet.
-    known: Option<ArtifactId>,
-    /// Set while the route is on post-promotion probation.
-    promoted: Option<Promotion>,
-}
-
-struct Promotion {
-    at: Instant,
-    /// What was serving before the promotion — the rollback target.
-    prior: Option<ArtifactId>,
 }
 
 impl ReloadWatcher {
@@ -279,8 +258,9 @@ impl ReloadWatcher {
             )
         })?;
         // Only store-hydrated routes follow the store, each from the
-        // artifact its workers were built from.
-        let mut watches: Vec<RouteWatch> = client
+        // artifact its workers were built from. Per route: the policy, when
+        // its last promotion succeeded, and whether its last action did.
+        let mut watches: Vec<(RouteKey, PromotionPolicy, Option<Instant>, bool)> = client
             .shared
             .order
             .iter()
@@ -290,11 +270,9 @@ impl ReloadWatcher {
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 match &*source {
-                    RouteSource::Store { serving, .. } => Some(RouteWatch {
-                        key: *key,
-                        known: *serving,
-                        promoted: None,
-                    }),
+                    RouteSource::Store { serving, .. } => {
+                        Some((*key, PromotionPolicy::new(*serving), None, true))
+                    }
                     RouteSource::Factory(_) => None,
                 }
             })
@@ -306,77 +284,54 @@ impl ReloadWatcher {
                 Err(RecvTimeoutError::Timeout) => {}
             }
             let lifecycle = &client.shared.lifecycle;
-            for watch in &mut watches {
-                let key = &watch.key;
-                let health = client.route_health(key).unwrap_or(HealthState::Unhealthy);
+            for (key, policy, promoted_at, ok) in &mut watches {
+                let action = policy.step(Observation {
+                    newest: current_artifact(&store, key),
+                    health: client.route_health(key).unwrap_or(HealthState::Unhealthy),
+                    probation_elapsed: promoted_at.is_none_or(|at| at.elapsed() >= probation),
+                    previous_ok: *ok,
+                });
                 let route_index = client.route_index(key).unwrap_or(u64::MAX);
-
-                // Probation first: a just-promoted artifact that tanked the
-                // route gets rolled back before any further promotion.
-                if let Some(promotion) = watch.promoted.take() {
-                    if promotion.at.elapsed() >= probation {
-                        // Survived probation: stays cleared.
-                    } else if health == HealthState::Unhealthy {
-                        if let Some(prior) = promotion.prior {
-                            let started = Instant::now();
-                            match rebuild(&client.shared, key, Some(prior)) {
-                                Ok(_) => {
-                                    lifecycle.reload_demotions.incr();
-                                    lifecycle
-                                        .reload_demoted
-                                        .observe(route_index, promotion.at.elapsed());
-                                    // `known` stays at the newest (bad)
-                                    // version so it is not re-promoted; a
-                                    // future artifact will still differ and
-                                    // go through the gate normally.
-                                    continue;
-                                }
-                                Err(_) => {
-                                    // The route keeps serving the artifact
-                                    // that tanked it: as loud as a failed
-                                    // forward reload.
-                                    lifecycle.reload_failures.incr();
-                                    lifecycle
-                                        .reload_failed
-                                        .observe(route_index, started.elapsed());
-                                }
+                *ok = match action {
+                    Action::Hold => true,
+                    Action::Refuse => {
+                        lifecycle.reload_refusals.incr();
+                        lifecycle
+                            .reload_refused
+                            .observe(route_index, Duration::ZERO);
+                        true
+                    }
+                    // A failed promotion (e.g. a corrupt artifact or
+                    // transient I/O) is counted by `reload_route`.
+                    Action::Promote(artifact) => {
+                        let promoted = reload_route(&client.shared, key, Some(artifact)).is_ok();
+                        if promoted {
+                            *promoted_at = Some(Instant::now());
+                        }
+                        promoted
+                    }
+                    Action::Rollback(artifact) => {
+                        let started = Instant::now();
+                        match rebuild(&client.shared, key, Some(artifact)) {
+                            Ok(_) => {
+                                lifecycle.reload_demotions.incr();
+                                let on_probation =
+                                    promoted_at.map_or(Duration::ZERO, |at| at.elapsed());
+                                lifecycle.reload_demoted.observe(route_index, on_probation);
+                                true
+                            }
+                            Err(_) => {
+                                // The route keeps serving the artifact that
+                                // tanked it: as loud as a failed promotion.
+                                lifecycle.reload_failures.incr();
+                                lifecycle
+                                    .reload_failed
+                                    .observe(route_index, started.elapsed());
+                                false
                             }
                         }
-                    } else {
-                        // Healthy and still on probation: keep watching.
-                        watch.promoted = Some(promotion);
                     }
-                }
-
-                let Some(newest) = current_artifact(&store, key) else {
-                    continue;
                 };
-                if Some(newest) == watch.known {
-                    continue;
-                }
-                // The promotion gate: never swap weights under a route that
-                // is already missing its SLOs — a reload there destroys the
-                // evidence and risks stacking regressions.
-                if health != HealthState::Healthy {
-                    lifecycle.reload_refusals.incr();
-                    lifecycle
-                        .reload_refused
-                        .observe(route_index, Duration::ZERO);
-                    // `known` is deliberately not updated: the promotion is
-                    // retried on every poll until the route is Healthy again.
-                    continue;
-                }
-                // Build exactly the artifact just resolved, and mark it seen
-                // only once it is actually being served; a failed reload
-                // (e.g. a corrupt artifact or transient I/O) is counted by
-                // `reload_route` and retried on every poll until it succeeds.
-                if let Ok(prior) = reload_route(&client.shared, key, Some(newest)) {
-                    watch.promoted = Some(Promotion {
-                        at: Instant::now(),
-                        prior,
-                    });
-                    watch.known = Some(newest);
-                }
             }
         });
         Ok(ReloadWatcher { stop_tx, thread })

@@ -148,7 +148,7 @@ fn main() -> Result<(), ServeError> {
         }
         Ok(answered)
     });
-    client.reload(&stored)?;
+    client.reload(&stored, None)?;
     let answered = in_flight.join().expect("load thread panicked")?;
     println!("reload under load: {answered} in-flight requests answered, 0 dropped");
 

@@ -293,8 +293,8 @@ fn hot_reload_under_load_answers_every_in_flight_request() {
             (answered, shed)
         }));
     }
-    client.reload(&route).unwrap();
-    client.reload(&route).unwrap(); // idempotent: same newest artifact
+    client.reload(&route, None).unwrap();
+    client.reload(&route, None).unwrap(); // idempotent: same newest artifact
     let mut total_answered = 0;
     for hammer in hammers {
         let (answered, shed) = hammer.join().expect("hammer thread panicked");
