@@ -44,6 +44,12 @@
 //! With `--store`, an artifact for SESR-M2 ×2 must already exist in PATH
 //! when the cluster starts (`ModelStore::save` one before launching).
 //!
+//! A worker runs no SLO engine (`SloRuntime`), so every member's
+//! `route.<label>.health` gauge reads Healthy for its whole life: here the
+//! supervisor promotes each new artifact as soon as it is stored, and its
+//! fleet-health gate, probation and rollback never fire. They act for
+//! embedders of `sesr-cluster` whose workers run an `SloRuntime`.
+//!
 //! Every flag may be given at most once; unknown or duplicate flags are a
 //! usage error (exit 2).
 
@@ -55,7 +61,7 @@ use sesr_cluster::{serve_member, Cluster, ClusterConfig, WorkerCommand};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
 use sesr_serve::{GatewayBuilder, RouteKey};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const USAGE: &str = "usage: sesr-clusterd [--addr HOST:PORT] [--members N] [--store PATH] \
      [--telemetry PATH] [--max-runtime-secs N]\n\
@@ -194,16 +200,16 @@ fn run_front(args: &Args) -> ! {
     }
     println!("default route {}", routes[0]);
 
-    // Fail fast on an unwritable telemetry path before any worker is
-    // declared ready; later writes happen on the main loop's tick.
-    if let Some(path) = &args.telemetry {
-        if let Err(err) =
-            sesr_serve::write_snapshot_atomic(std::path::Path::new(path), &cluster.stats_snapshot())
-        {
-            eprintln!("cannot export telemetry to {path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    // An unwritable telemetry path fails before any worker is declared
+    // ready; the exporter's final write leaves a valid file after short runs.
+    let exporter = args.telemetry.as_ref().map(|path| {
+        cluster
+            .export_telemetry(path, Duration::from_secs(1))
+            .unwrap_or_else(|err| {
+                eprintln!("cannot export telemetry to {path}: {err}");
+                std::process::exit(1);
+            })
+    });
 
     if cluster.wait_ready(Duration::from_secs(60)) {
         for info in cluster.members() {
@@ -216,33 +222,14 @@ fn run_front(args: &Args) -> ! {
         eprintln!("cluster not ready after 60s; serving whatever came up");
     }
 
-    let deadline = args.max_runtime.map(|runtime| Instant::now() + runtime);
-    let mut next_export = Instant::now() + Duration::from_secs(1);
-    loop {
-        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-            break;
-        }
-        if let Some(path) = &args.telemetry {
-            if Instant::now() >= next_export {
-                next_export = Instant::now() + Duration::from_secs(1);
-                if let Err(err) = sesr_serve::write_snapshot_atomic(
-                    std::path::Path::new(path),
-                    &cluster.stats_snapshot(),
-                ) {
-                    eprintln!("telemetry export error: {err}");
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(250));
+    match args.max_runtime {
+        Some(runtime) => std::thread::sleep(runtime),
+        None => loop {
+            std::thread::park();
+        },
     }
-
-    // One final snapshot so even short runs leave a valid file behind.
-    if let Some(path) = &args.telemetry {
-        if let Err(err) =
-            sesr_serve::write_snapshot_atomic(std::path::Path::new(path), &cluster.stats_snapshot())
-        {
-            eprintln!("telemetry export error: {err}");
-        }
+    if let Some(Err(err)) = exporter.map(|exporter| exporter.stop()) {
+        eprintln!("telemetry export error: {err}");
     }
     cluster.shutdown();
     println!("clean shutdown");

@@ -2,11 +2,12 @@
 //! processes under the real [`Cluster`] supervisor, driven over the wire
 //! from the outside like any client.
 //!
-//! Three scenarios:
+//! Four scenarios:
 //!
 //! 1. A 3-worker cluster answers bit-for-bit identically to a
 //!    single-process gateway serving the same routes — federation is a
-//!    scaling decision, never a semantic one.
+//!    scaling decision, never a semantic one — and its telemetry export
+//!    parses back with the same counts.
 //! 2. `kill -9` on one member mid-load sheds only that member's arc (with
 //!    structured `RetryAfter`, never a drop), every other arc keeps
 //!    serving, and the supervisor restarts the member until its arc
@@ -143,6 +144,21 @@ fn cluster_is_bit_identical_to_a_single_process_gateway() {
     let snapshot = cluster.stats_snapshot();
     assert_eq!(counter(&snapshot, "cluster.forwarded"), compared);
     assert_eq!(counter(&snapshot, "cluster.shed.member_down"), 0);
+
+    // The exporter writes the same view once at spawn and once on stop.
+    let path = std::env::temp_dir().join(format!(
+        "sesr_cluster_e2e_telemetry_{}.json",
+        std::process::id()
+    ));
+    let exporter = cluster
+        .export_telemetry(&path, Duration::from_secs(3600))
+        .expect("export telemetry");
+    exporter.stop().expect("every export write succeeded");
+    let exported = std::fs::read_to_string(&path).expect("exported file");
+    std::fs::remove_file(&path).ok();
+    let exported = TelemetrySnapshot::from_json(&exported).expect("exported snapshot parses");
+    assert_eq!(counter(&exported, "cluster.forwarded"), compared);
+    assert_eq!(counter(&exported, "telemetry.export.errors"), 0);
 
     drop(ref_client);
     reference.stop();

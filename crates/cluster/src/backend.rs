@@ -17,21 +17,23 @@
 //! Degradation is *arc-local by construction*: a `Down` member keeps its
 //! ring identity (no remap), and requests hashing onto its arcs are
 //! answered `RetryAfter` immediately while every other arc keeps serving.
-//! Membership changes arrive as [`Control`] messages from the supervisor,
-//! and none of them remaps an arc.
+//! Membership comes from the supervisor's [`Members`] table: one atomic
+//! load per submit and pump tells the router whether it changed, and none
+//! of the changes remaps an arc.
 
+use crate::members::{MemberState, Members};
 use crate::ring::HashRing;
-use crate::supervisor::{probe_policy, Command, Control};
+use crate::supervisor::Command;
 use crate::MemberId;
 use sesr_net::wire::{self, FrameDecode, FrameRef};
 use sesr_net::{Backend, BackendRequest, ResponseBody, ResponseFrame, RetryReason, Submit};
 use sesr_serve::ArtifactId;
-use sesr_telemetry::{merge_snapshots, prefix_snapshot, Telemetry, TelemetrySnapshot};
+use sesr_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One forwarded request awaiting its member's reply.
@@ -40,16 +42,15 @@ struct Forward {
     started: Instant,
 }
 
-/// The router's connection to one member: a non-blocking stream plus
-/// buffered bytes in both directions and the wire-id → ticket map.
+/// The router's connection to one `Up` member incarnation: a non-blocking
+/// stream plus buffered bytes in both directions and the wire-id → ticket
+/// map. Only `Up` members have a link, so a link may re-dial — the router
+/// lost its TCP connection but the member process is (as far as the
+/// supervisor knows) alive — and a member without one sheds.
 struct Link {
     addr: SocketAddr,
-    /// The supervisor's verdict: false after `MemberDown`, true after
-    /// `MemberUp`. A link may only re-dial while `up` — when the router
-    /// lost its TCP connection but the member process is (as far as the
-    /// supervisor knows) alive. A member declared down sheds until the
-    /// supervisor announces its restart.
-    up: bool,
+    /// The incarnation dialled: a restarted member has a new pid.
+    pid: Option<u32>,
     stream: Option<TcpStream>,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
@@ -58,16 +59,20 @@ struct Link {
 }
 
 impl Link {
-    fn new(addr: SocketAddr) -> Link {
-        Link {
+    /// A link to the member incarnation at `addr`, dialled at once; a failed
+    /// dial leaves it disconnected for the next submit to re-dial.
+    fn open(addr: SocketAddr, pid: Option<u32>) -> Link {
+        let mut link = Link {
             addr,
-            up: true,
+            pid,
             stream: None,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             inflight: HashMap::new(),
             next_wire_id: 1,
-        }
+        };
+        let _ = link.connect();
+        link
     }
 
     /// Dial the member (blocking connect on loopback, then switched to
@@ -81,6 +86,42 @@ impl Link {
         self.write_buf.clear();
         Ok(())
     }
+
+    /// Move bytes both ways without blocking: flush the write buffer, then
+    /// drain what is readable into the read buffer. True when a byte moved;
+    /// an error means the transport is gone. A link without a stream moves
+    /// nothing.
+    fn transfer(&mut self) -> std::io::Result<bool> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Ok(false);
+        };
+        let mut moved = false;
+        while !self.write_buf.is_empty() {
+            match stream.write(&self.write_buf) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.write_buf.drain(..n);
+                    moved = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    moved = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(moved),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// A consistent-hash router over the fleet, embedded in the front reactor.
@@ -88,41 +129,39 @@ pub struct ClusterBackend {
     telemetry: Arc<Telemetry>,
     ring: HashRing,
     routes: HashSet<String>,
+    members: Arc<Members>,
+    /// The table generation the links were last brought in line with.
+    generation: u64,
     links: HashMap<MemberId, Link>,
-    control: Receiver<Control>,
     commands: Sender<Command>,
     /// Replies ready for [`Backend::poll`], keyed by ticket.
     done: HashMap<u64, ResponseFrame>,
     next_ticket: u64,
     retry_after: Duration,
-    snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>>,
 }
 
 impl ClusterBackend {
-    /// Build a router for `member_count` members (ids `0..n`, all initially
-    /// down until the supervisor announces them) serving `route_labels`.
-    #[allow(clippy::too_many_arguments)]
+    /// Build a router over `members` (ids `0..n`; each routable while the
+    /// table says `Up`) serving `route_labels`.
     pub fn new(
         telemetry: Arc<Telemetry>,
-        member_count: u32,
+        members: Arc<Members>,
         vnodes: u32,
         route_labels: impl IntoIterator<Item = String>,
-        control: Receiver<Control>,
         commands: Sender<Command>,
         retry_after: Duration,
-        snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>>,
     ) -> ClusterBackend {
         ClusterBackend {
             telemetry,
-            ring: HashRing::with_members(member_count, vnodes),
+            ring: HashRing::with_members(members.view().len() as u32, vnodes),
             routes: route_labels.into_iter().collect(),
+            members,
+            generation: 0,
             links: HashMap::new(),
-            control,
             commands,
             done: HashMap::new(),
             next_ticket: 1,
             retry_after,
-            snapshots,
         }
     }
 
@@ -138,41 +177,31 @@ impl ClusterBackend {
         }
     }
 
-    /// Apply one membership change from the supervisor.
-    fn apply_control(&mut self, message: Control) {
-        match message {
-            Control::MemberUp { id, addr } => {
-                let link = self.links.entry(id).or_insert_with(|| Link::new(addr));
-                link.addr = addr;
-                self.fail_link_inflight(id);
-                let link = match self.links.get_mut(&id) {
-                    Some(link) => link,
-                    None => return,
-                };
-                link.up = true;
-                if link.connect().is_err() {
-                    link.stream = None;
-                }
+    /// Bring the links in line with the member table if its generation
+    /// moved (otherwise this is one atomic load). A link whose member is no
+    /// longer `Up`, or is `Up` at another address or as another process,
+    /// fails its in-flight requests and goes; an `Up` member without a link
+    /// is dialled. Returns true when the table had moved.
+    fn sync(&mut self) -> bool {
+        let generation = self.members.generation();
+        if generation == self.generation {
+            return false;
+        }
+        self.generation = generation;
+        for info in self.members.view() {
+            let up = info.state == MemberState::Up;
+            let serving = info.addr.filter(|_| up).map(|addr| (addr, info.pid));
+            let linked = self.links.get(&info.id).map(|link| (link.addr, link.pid));
+            if linked == serving {
+                continue;
             }
-            Control::MemberDown { id } => {
-                self.fail_link_inflight(id);
-                if let Some(link) = self.links.get_mut(&id) {
-                    link.up = false;
-                    link.stream = None;
-                }
+            self.fail_link_inflight(info.id);
+            self.links.remove(&info.id);
+            if let Some((addr, pid)) = serving {
+                self.links.insert(info.id, Link::open(addr, pid));
             }
         }
-    }
-
-    /// Apply every membership change the supervisor has sent so far.
-    /// Returns true when there was one.
-    fn apply_pending_control(&mut self) -> bool {
-        let mut progress = false;
-        while let Ok(message) = self.control.try_recv() {
-            self.apply_control(message);
-            progress = true;
-        }
-        progress
+        true
     }
 
     /// Answer every request in flight on `id`'s link with a retry-after —
@@ -190,21 +219,6 @@ impl ClusterBackend {
         }
     }
 
-    /// The link lost its transport mid-conversation: count it, shed its
-    /// in-flight requests, drop the stream. The supervisor's health probe
-    /// notices a dead *process*; this path also covers a dropped TCP
-    /// connection under a live process, which the next submit re-dials.
-    fn member_lost(&mut self, id: MemberId) {
-        self.telemetry
-            .metrics()
-            .counter("cluster.member_lost")
-            .incr();
-        self.fail_link_inflight(id);
-        if let Some(link) = self.links.get_mut(&id) {
-            link.stream = None;
-        }
-    }
-
     /// Flush buffered writes and drain readable replies on every link.
     /// Returns true when any byte moved or any reply completed.
     fn pump_links(&mut self) -> bool {
@@ -216,53 +230,12 @@ impl ClusterBackend {
             let Some(link) = self.links.get_mut(&id) else {
                 continue;
             };
-            let Some(stream) = link.stream.as_mut() else {
-                continue;
-            };
-            // Write side.
-            while !link.write_buf.is_empty() {
-                match stream.write(&link.write_buf) {
-                    Ok(0) => {
-                        lost.push(id);
-                        break;
-                    }
-                    Ok(n) => {
-                        link.write_buf.drain(..n);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        lost.push(id);
-                        break;
-                    }
+            match link.transfer() {
+                Ok(moved) => progress |= moved,
+                Err(_) => {
+                    lost.push(id);
+                    continue;
                 }
-            }
-            if lost.contains(&id) {
-                continue;
-            }
-            // Read side.
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match stream.read(&mut chunk) {
-                    Ok(0) => {
-                        lost.push(id);
-                        break;
-                    }
-                    Ok(n) => {
-                        link.read_buf.extend_from_slice(&chunk[..n]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        lost.push(id);
-                        break;
-                    }
-                }
-            }
-            if lost.contains(&id) {
-                continue;
             }
             // Take every whole reply frame through a read offset; the
             // consumed prefix is dropped once, after the burst.
@@ -302,8 +275,19 @@ impl ClusterBackend {
                 .record_duration(elapsed);
             self.done.insert(ticket, frame);
         }
+        // A lost transport sheds its in-flight requests and drops the
+        // stream. The supervisor's health probe notices a dead *process*;
+        // this also covers a dropped TCP connection under a live process,
+        // which the next submit re-dials.
         for id in lost {
-            self.member_lost(id);
+            self.telemetry
+                .metrics()
+                .counter("cluster.member_lost")
+                .incr();
+            self.fail_link_inflight(id);
+            if let Some(link) = self.links.get_mut(&id) {
+                link.stream = None;
+            }
             progress = true;
         }
         progress
@@ -320,33 +304,22 @@ impl Backend for ClusterBackend {
     }
 
     fn submit(&mut self, request: BackendRequest) -> Submit {
+        // A member published `Up` is routable on the very next submit.
+        self.sync();
         let Some(owner) = self.ring.owner(&request.route, request.content_hash) else {
             // An empty ring (a zero-member fleet): nothing owns the arc.
             return Submit::Reply(self.member_down_body());
         };
-        if !self.links.get(&owner).is_some_and(|link| link.up) {
-            // The reactor parses frames before it pumps the backend, so the
-            // first request after `Cluster::wait_ready` can get here ahead
-            // of the queued `MemberUp`: apply what the supervisor has
-            // already announced before calling the arc down.
-            self.apply_pending_control();
-        }
-        let disconnected = match self.links.get(&owner) {
-            // Declared down by the supervisor: shed until its restart is
-            // announced — no re-dial, even if something still listens.
-            Some(link) if !link.up => return Submit::Reply(self.member_down_body()),
-            Some(link) => link.stream.is_none(),
-            // The supervisor has not announced this member yet.
-            None => return Submit::Reply(self.member_down_body()),
+        // No link: the supervisor has not published this member `Up` (or
+        // declared it down) — shed until it does, no re-dial even if
+        // something still listens.
+        let Some(link) = self.links.get_mut(&owner) else {
+            return Submit::Reply(self.member_down_body());
         };
-        if disconnected {
+        if link.stream.is_none() {
             // The member may be fine with only our TCP connection dead —
             // one cheap re-dial before shedding the arc.
-            let redialed = self
-                .links
-                .get_mut(&owner)
-                .is_some_and(|link| link.connect().is_ok());
-            if !redialed {
+            if link.connect().is_err() {
                 return Submit::Reply(self.member_down_body());
             }
             self.telemetry
@@ -356,18 +329,16 @@ impl Backend for ClusterBackend {
         }
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        if let Some(link) = self.links.get_mut(&owner) {
-            let wire_id = link.next_wire_id;
-            link.next_wire_id += 1;
-            request.encode_into(wire_id, &mut link.write_buf);
-            link.inflight.insert(
-                wire_id,
-                Forward {
-                    ticket,
-                    started: Instant::now(),
-                },
-            );
-        }
+        let wire_id = link.next_wire_id;
+        link.next_wire_id += 1;
+        request.encode_into(wire_id, &mut link.write_buf);
+        link.inflight.insert(
+            wire_id,
+            Forward {
+                ticket,
+                started: Instant::now(),
+            },
+        );
         self.telemetry.metrics().counter("cluster.forwarded").incr();
         Submit::Ticket(ticket)
     }
@@ -394,7 +365,7 @@ impl Backend for ClusterBackend {
     }
 
     fn pump(&mut self) -> bool {
-        self.apply_pending_control() | self.pump_links()
+        self.sync() | self.pump_links()
     }
 
     fn reload(&mut self, route: &str, pin: Option<ArtifactId>) -> Result<String, String> {
@@ -418,43 +389,6 @@ impl Backend for ClusterBackend {
     }
 
     fn stats_json(&self) -> String {
-        stats_snapshot(&self.telemetry, &self.snapshots).to_json()
+        self.members.stats_snapshot(&self.telemetry).to_json()
     }
-}
-
-/// The front's full stats view: its own hub (admission + `cluster.*`
-/// routing metrics) extended with the health probes' member snapshots
-/// merged into one fleet rollup under `cluster.fleet.*`. Shared by the
-/// wire Stats frame and [`Cluster::stats_snapshot`](crate::Cluster).
-pub(crate) fn stats_snapshot(
-    telemetry: &Telemetry,
-    snapshots: &Mutex<HashMap<MemberId, TelemetrySnapshot>>,
-) -> TelemetrySnapshot {
-    let mut snapshot = telemetry.snapshot();
-    let fleet = {
-        let members = lock(snapshots);
-        let parts: Vec<&TelemetrySnapshot> = members.values().collect();
-        prefix_snapshot(merge_snapshots(parts), "cluster.fleet.")
-    };
-    snapshot.counters.extend(fleet.counters);
-    snapshot.gauges.extend(fleet.gauges);
-    snapshot.histograms.extend(fleet.histograms);
-    snapshot.counters.sort_by(|a, b| a.0.cmp(&b.0));
-    snapshot.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    snapshot.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    snapshot
-}
-
-/// Poison-tolerant lock (same rationale as the supervisor's).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The reconnect policy exposed for cluster-internal clients (re-exported
-/// so the worker bin and tests share one schedule).
-pub fn reconnect_policy() -> sesr_net::ReconnectPolicy {
-    probe_policy()
 }

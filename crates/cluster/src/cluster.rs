@@ -1,12 +1,12 @@
 //! Wiring: one call that stands up the whole federation.
 //!
-//! [`Cluster::start`] builds the three tiers and the channels between them:
+//! [`Cluster::start`] builds the three tiers and what joins them:
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
 //!   clients ──TCP──▶ │ front reactor (sesr-net) + ClusterBackend  │
 //!                    └───────┬────────────────────────▲───────────┘
-//!              forwards over │ wire            Control│ (member up/down)
+//!              forwards over │ wire             reads │ Members table
 //!                    ┌───────▼───────┐        ┌───────┴───────┐
 //!                    │ worker 0..n   │◀─wire──│  Supervisor   │
 //!                    │ (gateways)    │ probes │  thread       │
@@ -15,26 +15,23 @@
 //!                                 wire Reload / Cluster::shutdown
 //! ```
 //!
-//! The front and the supervisor share two pieces of state: the member view
-//! (for [`Cluster::members`] and readiness) and the per-member telemetry
-//! snapshots the health probes collect (for the `cluster.fleet.*` rollup in
-//! the front's stats frame).
+//! The front and the supervisor share one piece of state, the
+//! [`Members`] table: each member's state, address and last probe snapshot.
+//! The supervisor writes it; the router, [`Cluster::members`], readiness
+//! and the `cluster.fleet.*` rollup in the front's stats frame read it.
 
 use crate::backend::ClusterBackend;
+use crate::members::{MemberInfo, MemberState, Members};
 use crate::ring::HashRing;
-use crate::supervisor::{
-    Command, Control, MemberInfo, MemberState, Supervisor, SupervisorConfig, WorkerCommand,
-};
-use crate::MemberId;
+use crate::supervisor::{Command, Supervisor, SupervisorConfig, WorkerCommand};
 use sesr_net::{NetConfig, NetServer};
-use sesr_serve::RouteKey;
+use sesr_serve::{RouteKey, TelemetryExporter};
 use sesr_store::ModelStore;
 use sesr_telemetry::{Telemetry, TelemetrySnapshot};
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,9 +78,8 @@ pub struct Cluster {
     server: Option<NetServer>,
     supervisor: Option<JoinHandle<()>>,
     commands: Sender<Command>,
-    view: Arc<Mutex<Vec<MemberInfo>>>,
+    members: Arc<Members>,
     telemetry: Arc<Telemetry>,
-    snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>>,
 }
 
 impl Cluster {
@@ -98,37 +94,27 @@ impl Cluster {
     /// supervisor thread.
     pub fn start(addr: impl ToSocketAddrs, config: ClusterConfig) -> std::io::Result<Cluster> {
         let telemetry = Arc::new(Telemetry::new());
-        let (control_tx, control_rx) = std::sync::mpsc::channel::<Control>();
         let (command_tx, command_rx) = std::sync::mpsc::channel::<Command>();
-        let view = Arc::new(Mutex::new(Vec::new()));
-        let snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>> =
-            Arc::new(Mutex::new(HashMap::new()));
+        let members = Arc::new(Members::new(config.members));
         let store = match &config.store_dir {
             Some(dir) => Some(ModelStore::open(dir).map_err(std::io::Error::other)?),
             None => None,
         };
         let backend = ClusterBackend::new(
             Arc::clone(&telemetry),
-            config.members,
+            Arc::clone(&members),
             config.vnodes,
             config.routes.iter().map(|key| key.label()),
-            control_rx,
             command_tx.clone(),
             config.net.overload_retry_after,
-            Arc::clone(&snapshots),
         );
         let server = NetServer::bind_with_backend(addr, config.net.clone(), backend)?;
         let supervisor = Supervisor::new(
-            config.members,
-            config.worker.clone(),
-            config.supervisor.clone(),
+            &config,
             Arc::clone(&telemetry),
-            control_tx,
             command_rx,
-            Arc::clone(&view),
-            Arc::clone(&snapshots),
+            Arc::clone(&members),
             store,
-            &config.routes,
         );
         let handle = std::thread::Builder::new()
             .name("sesr-cluster-supervisor".to_string())
@@ -137,9 +123,8 @@ impl Cluster {
             server: Some(server),
             supervisor: Some(handle),
             commands: command_tx,
-            view,
+            members,
             telemetry,
-            snapshots,
         })
     }
 
@@ -159,14 +144,36 @@ impl Cluster {
 
     /// Current member states (id, state, address, pid, restart count).
     pub fn members(&self) -> Vec<MemberInfo> {
-        lock(&self.view).clone()
+        self.members.view()
     }
 
     /// The same snapshot the front answers a wire Stats frame with: the
-    /// front hub plus the `cluster.fleet.*` rollup of every member's
-    /// probed telemetry. This is what `sesr-clusterd --telemetry` exports.
+    /// front hub plus the `cluster.fleet.*` rollup of every `Up` member's
+    /// probed telemetry. This is what [`Cluster::export_telemetry`] writes.
     pub fn stats_snapshot(&self) -> TelemetrySnapshot {
-        crate::backend::stats_snapshot(&self.telemetry, &self.snapshots)
+        self.members.stats_snapshot(&self.telemetry)
+    }
+
+    /// Spawn a background thread writing [`Cluster::stats_snapshot`] as JSON
+    /// to `path` atomically — once immediately, then every `interval`, and
+    /// once more on [`TelemetryExporter::stop`]. A failed periodic write
+    /// counts in the front hub's `telemetry.export.errors`. This is the
+    /// polling surface `sesr-top` watches for a live view of the fleet.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error writing the first snapshot (e.g. an unwritable path).
+    pub fn export_telemetry(
+        &self,
+        path: impl Into<PathBuf>,
+        interval: Duration,
+    ) -> std::io::Result<TelemetryExporter> {
+        let telemetry = Arc::clone(&self.telemetry);
+        let members = Arc::clone(&self.members);
+        let errors = telemetry.metrics().counter("telemetry.export.errors");
+        TelemetryExporter::spawn(path.into(), interval, Some(errors), move || {
+            members.stats_snapshot(&telemetry)
+        })
     }
 
     /// Block until every member is `Up` (true), or `timeout` elapses
@@ -175,8 +182,7 @@ impl Cluster {
         let deadline = Instant::now() + timeout;
         loop {
             let view = self.members();
-            let ready = !view.is_empty() && view.iter().all(|info| info.state == MemberState::Up);
-            if ready {
+            if !view.is_empty() && view.iter().all(|info| info.state == MemberState::Up) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -206,13 +212,5 @@ impl Cluster {
 impl Drop for Cluster {
     fn drop(&mut self) {
         self.stop_inner();
-    }
-}
-
-/// Poison-tolerant lock (same rationale as the supervisor's).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }

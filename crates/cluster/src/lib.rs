@@ -12,6 +12,8 @@
 //!   and forwards it over the existing wire protocol, entirely
 //!   non-blocking. A down member's arc sheds with `RetryAfter`; every
 //!   other arc keeps serving.
+//! - [`members`] — [`Members`], the one member table (state, address, last
+//!   probe snapshot) the supervisor writes and everything else reads.
 //! - [`supervisor`] — spawns the worker processes, health-checks them over
 //!   the wire, restarts crashes and wedges under exponential backoff
 //!   (members keep their ring identity, so restart ≠ remap), and runs the
@@ -28,12 +30,12 @@
 
 pub mod backend;
 pub mod cluster;
+pub mod members;
 pub mod ring;
 pub mod supervisor;
 
-pub use backend::{reconnect_policy, ClusterBackend};
+pub use backend::ClusterBackend;
 pub use cluster::{Cluster, ClusterConfig};
+pub use members::{MemberInfo, MemberState, Members};
 pub use ring::{key_hash, HashRing, MemberId};
-pub use supervisor::{
-    serve_member, Control, MemberInfo, MemberState, SupervisorConfig, WorkerCommand,
-};
+pub use supervisor::{serve_member, SupervisorConfig, WorkerCommand};

@@ -7,8 +7,8 @@
 //! - **stdout** carries the startup contract — exactly one
 //!   `listening on ADDR` line once the worker's socket is bound (the same
 //!   contract `sesr-netd` prints for CI). A reader thread per child streams
-//!   lines into the supervisor loop, which flips the member `Starting → Up`
-//!   and announces the address to the router.
+//!   lines into the supervisor loop, which publishes the member `Up` at
+//!   that address in the [`Members`] table the router reads.
 //! - **stdin** is the orphan tether. The worker exits when its stdin hits
 //!   EOF, so a supervisor that dies — even by `kill -9`, where atexit
 //!   handlers never run — takes its workers with it instead of leaking
@@ -18,8 +18,9 @@
 //!
 //! Health is probed over the wire itself: a stats frame every
 //! [`SupervisorConfig::health_interval`], answered with the member's full
-//! telemetry snapshot. One probe does double duty — liveness signal and the
-//! raw material for the fleet rollup (`cluster.fleet.*`). A member that
+//! telemetry snapshot, kept in the member's seat. One probe does double
+//! duty — liveness signal and the raw material for the fleet rollup
+//! (`cluster.fleet.*`). A member that
 //! misses [`SupervisorConfig::unhealthy_after`] consecutive probes, or
 //! whose process exits, goes `Down`: the router sheds its arc with
 //! `RetryAfter` while the supervisor restarts it under exponential backoff.
@@ -34,22 +35,23 @@
 //! sent to every `Up` member — N workers, one policy, one broadcast per
 //! action, and every member builds exactly that artifact. A member that
 //! comes `Up` after a promotion or rollback gets the same pinned `Reload`
-//! before the router hears it is up.
+//! before it is published `Up`.
 
+use crate::members::{MemberInfo, MemberState, Members};
 use crate::ring::MemberId;
-use sesr_net::{NetClient, NetConfig, NetServer, ReconnectPolicy};
+use crate::ClusterConfig;
+use sesr_net::{NetClient, NetConfig, NetServer};
 use sesr_serve::{
     Action, ArtifactId, DefenseGateway, Observation, PromotionPolicy, ReloadWatcher, RouteKey,
 };
 use sesr_store::ModelStore;
 use sesr_telemetry::{HealthState, Telemetry, TelemetrySnapshot};
-use std::collections::HashMap;
 use std::io::{BufRead, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How to start one worker process. The same command is used for every
@@ -62,34 +64,6 @@ pub struct WorkerCommand {
     pub program: PathBuf,
     /// Arguments passed verbatim.
     pub args: Vec<String>,
-}
-
-/// Lifecycle state of one member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberState {
-    /// Process spawned, waiting for its `listening on` line.
-    Starting,
-    /// Serving; owns its ring arcs.
-    Up,
-    /// Process dead or wedged; its arcs shed until the restart lands.
-    Down,
-}
-
-/// Supervisor-side view of one member, exposed through
-/// [`Cluster::members`](crate::Cluster::members).
-#[derive(Debug, Clone)]
-pub struct MemberInfo {
-    /// Stable member id (also its ring identity).
-    pub id: MemberId,
-    /// Current lifecycle state.
-    pub state: MemberState,
-    /// Wire address, once the worker reported it.
-    pub addr: Option<SocketAddr>,
-    /// OS process id of the current incarnation.
-    pub pid: Option<u32>,
-    /// Times this member has been restarted after a crash or failed health
-    /// check (the initial spawn is not a restart).
-    pub restarts: u64,
 }
 
 /// Tunables for the supervision loop.
@@ -131,24 +105,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Ownership changes the supervisor announces to the router backend.
-#[derive(Debug, Clone)]
-pub enum Control {
-    /// `id` is serving at `addr`; route its arcs there.
-    MemberUp {
-        /// The member.
-        id: MemberId,
-        /// Its freshly-bound wire address.
-        addr: SocketAddr,
-    },
-    /// `id` is dead or wedged; shed its arcs with `RetryAfter` (do not
-    /// remap — it keeps its ring identity for the restart).
-    MemberDown {
-        /// The member.
-        id: MemberId,
-    },
-}
-
 /// Requests into the supervisor loop: wire `Reload` frames received by the
 /// router, and [`Cluster`](crate::Cluster) shutdown.
 #[derive(Debug, Clone)]
@@ -166,13 +122,8 @@ pub enum Command {
     Shutdown,
 }
 
-/// A line (or EOF) from one worker's stdout reader thread.
-enum StdoutEvent {
-    Line(MemberId, String),
-    Eof,
-}
-
 /// One supervised worker process.
+#[derive(Default)]
 struct Member {
     child: Option<Child>,
     /// Held open for the life of the child: dropping it is the shutdown/orphan
@@ -181,7 +132,7 @@ struct Member {
     probe: Option<NetClient>,
     health_failures: u32,
     restart_at: Option<Instant>,
-    spawned_at: Instant,
+    spawned_at: Option<Instant>,
 }
 
 /// One route's [`PromotionPolicy`] plus what executing its actions needs.
@@ -202,12 +153,12 @@ pub(crate) struct Supervisor {
     worker: WorkerCommand,
     config: SupervisorConfig,
     telemetry: Arc<Telemetry>,
-    control: Sender<Control>,
     commands: Receiver<Command>,
-    view: Arc<Mutex<Vec<MemberInfo>>>,
-    snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>>,
-    stdout_tx: Sender<StdoutEvent>,
-    stdout_rx: Receiver<StdoutEvent>,
+    /// The member table, written only here.
+    table: Arc<Members>,
+    /// Lines from the workers' stdout reader threads.
+    stdout_tx: Sender<(MemberId, String)>,
+    stdout_rx: Receiver<(MemberId, String)>,
     members: Vec<Member>,
     store: Option<ModelStore>,
     policies: Vec<RoutePolicy>,
@@ -216,36 +167,20 @@ pub(crate) struct Supervisor {
 }
 
 impl Supervisor {
-    /// Build a supervisor for `count` members, sharing `view` and
-    /// `snapshots` with the cluster front.
-    #[allow(clippy::too_many_arguments)]
+    /// Build a supervisor for `config`'s fleet, writing membership and
+    /// probe snapshots to `table`.
     pub(crate) fn new(
-        count: u32,
-        worker: WorkerCommand,
-        config: SupervisorConfig,
+        config: &ClusterConfig,
         telemetry: Arc<Telemetry>,
-        control: Sender<Control>,
         commands: Receiver<Command>,
-        view: Arc<Mutex<Vec<MemberInfo>>>,
-        snapshots: Arc<Mutex<HashMap<MemberId, TelemetrySnapshot>>>,
+        table: Arc<Members>,
         store: Option<ModelStore>,
-        routes: &[RouteKey],
     ) -> Supervisor {
         let (stdout_tx, stdout_rx) = std::sync::mpsc::channel();
-        {
-            let mut view = lock(&view);
-            view.clear();
-            view.extend((0..count).map(|id| MemberInfo {
-                id,
-                state: MemberState::Starting,
-                addr: None,
-                pid: None,
-                restarts: 0,
-            }));
-        }
         // Members hydrate the newest artifact at startup, so that is what
         // each route's policy starts from.
-        let policies = routes
+        let policies = config
+            .routes
             .iter()
             .map(|key| RoutePolicy {
                 key: *key,
@@ -256,25 +191,14 @@ impl Supervisor {
             })
             .collect();
         Supervisor {
-            worker,
-            config,
+            worker: config.worker.clone(),
+            config: config.supervisor.clone(),
             telemetry,
-            control,
             commands,
-            view,
-            snapshots,
+            table,
             stdout_tx,
             stdout_rx,
-            members: (0..count)
-                .map(|_| Member {
-                    child: None,
-                    stdin: None,
-                    probe: None,
-                    health_failures: 0,
-                    restart_at: None,
-                    spawned_at: Instant::now(),
-                })
-                .collect(),
+            members: (0..config.members).map(|_| Member::default()).collect(),
             store,
             policies,
             last_probe: Instant::now(),
@@ -311,20 +235,10 @@ impl Supervisor {
         self.shutdown_all();
     }
 
-    /// State of `id` in the shared view.
-    fn state(&self, id: MemberId) -> MemberState {
-        lock(&self.view)[id as usize].state
-    }
-
-    /// Update the shared view for `id` and keep the `cluster.members_up`
+    /// Update member `id` in the table and keep the `cluster.members_up`
     /// gauge in step.
-    fn set_view(&self, id: MemberId, update: impl FnOnce(&mut MemberInfo)) {
-        let mut view = lock(&self.view);
-        update(&mut view[id as usize]);
-        let up = view
-            .iter()
-            .filter(|info| info.state == MemberState::Up)
-            .count() as i64;
+    fn set_member(&self, id: MemberId, update: impl FnOnce(&mut MemberInfo)) {
+        let up = self.table.update(id, update) as i64;
         self.telemetry.metrics().gauge("cluster.members_up").set(up);
     }
 
@@ -337,7 +251,7 @@ impl Supervisor {
             .stderr(Stdio::inherit())
             .spawn();
         let member = &mut self.members[id as usize];
-        member.spawned_at = Instant::now();
+        member.spawned_at = Some(Instant::now());
         member.health_failures = 0;
         member.restart_at = None;
         member.probe = None;
@@ -350,24 +264,20 @@ impl Supervisor {
                 member.stdin = child.stdin.take();
                 if let Some(stdout) = child.stdout.take() {
                     let tx = self.stdout_tx.clone();
+                    // EOF alone is not a failure (a worker closes stdout on
+                    // the way out): process exit handles the state change.
                     std::thread::spawn(move || {
-                        let reader = std::io::BufReader::new(stdout);
-                        for line in reader.lines() {
-                            match line {
-                                Ok(line) => {
-                                    if tx.send(StdoutEvent::Line(id, line)).is_err() {
-                                        return;
-                                    }
-                                }
-                                Err(_) => break,
+                        let lines = std::io::BufReader::new(stdout).lines();
+                        for line in lines.map_while(Result::ok) {
+                            if tx.send((id, line)).is_err() {
+                                return;
                             }
                         }
-                        let _ = tx.send(StdoutEvent::Eof);
                     });
                 }
                 let pid = child.id();
                 member.child = Some(child);
-                self.set_view(id, |info| {
+                self.set_member(id, |info| {
                     info.state = MemberState::Starting;
                     info.addr = None;
                     info.pid = Some(pid);
@@ -380,39 +290,30 @@ impl Supervisor {
         }
     }
 
-    /// Handle `listening on ADDR` lines and reader-thread EOFs.
+    /// Handle `listening on ADDR` lines: publish each `Starting` member
+    /// `Up` at its address.
     fn drain_stdout(&mut self) {
-        loop {
-            match self.stdout_rx.try_recv() {
-                Ok(StdoutEvent::Line(id, line)) => {
-                    if let Some(addr) = line
-                        .strip_prefix("listening on ")
-                        .and_then(|rest| rest.trim().parse::<SocketAddr>().ok())
-                    {
-                        if self.state(id) == MemberState::Starting {
-                            // A member that cannot build the artifacts the
-                            // fleet was pinned to must not serve.
-                            if !self.pin_member(addr) {
-                                self.kill(id);
-                                self.mark_down(id);
-                                continue;
-                            }
-                            // Announce before publishing: whoever sees `Up`
-                            // in the view (`Cluster::wait_ready`) can rely
-                            // on the router already holding the message.
-                            let _ = self.control.send(Control::MemberUp { id, addr });
-                            self.set_view(id, |info| {
-                                info.state = MemberState::Up;
-                                info.addr = Some(addr);
-                            });
-                        }
-                    }
-                }
-                // Process exit handles the state change; EOF alone is not a
-                // failure (a worker closes stdout on the way out).
-                Ok(StdoutEvent::Eof) => {}
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+        while let Ok((id, line)) = self.stdout_rx.try_recv() {
+            let Some(addr) = line
+                .strip_prefix("listening on ")
+                .and_then(|rest| rest.trim().parse::<SocketAddr>().ok())
+            else {
+                continue;
+            };
+            if self.table.get(id).state != MemberState::Starting {
+                continue;
             }
+            // A member that cannot build the artifacts the fleet was pinned
+            // to must not serve.
+            if !self.pin_member(addr) {
+                self.kill(id);
+                self.mark_down(id);
+                continue;
+            }
+            self.set_member(id, |info| {
+                info.state = MemberState::Up;
+                info.addr = Some(addr);
+            });
         }
     }
 
@@ -420,16 +321,16 @@ impl Supervisor {
     /// its restart.
     fn reap_exits(&mut self) {
         for id in 0..self.members.len() as u32 {
-            let exited = match self.members[id as usize].child.as_mut() {
-                Some(child) => matches!(child.try_wait(), Ok(Some(_)) | Err(_)),
-                None => false,
-            };
-            if !exited {
-                continue;
+            let member = &mut self.members[id as usize];
+            let exited = member
+                .child
+                .as_mut()
+                .is_some_and(|child| matches!(child.try_wait(), Ok(Some(_)) | Err(_)));
+            if exited {
+                member.child = None;
+                member.stdin = None;
+                self.mark_down(id);
             }
-            self.members[id as usize].child = None;
-            self.members[id as usize].stdin = None;
-            self.mark_down(id);
         }
     }
 
@@ -437,32 +338,31 @@ impl Supervisor {
     /// wedged: kill and reschedule.
     fn check_startup_timeouts(&mut self) {
         for id in 0..self.members.len() as u32 {
-            if self.state(id) == MemberState::Starting
-                && self.members[id as usize].child.is_some()
-                && self.members[id as usize].spawned_at.elapsed() > self.config.startup_timeout
-            {
+            let member = &self.members[id as usize];
+            let late = member
+                .spawned_at
+                .is_some_and(|at| at.elapsed() > self.config.startup_timeout);
+            if late && member.child.is_some() && self.table.get(id).state == MemberState::Starting {
                 self.kill(id);
                 self.mark_down(id);
             }
         }
     }
 
-    /// Transition `id` to `Down`: announce to the router, bump restart
-    /// accounting, schedule the backed-off respawn.
+    /// Transition `id` to `Down` (which drops its probe snapshot from the
+    /// fleet view) and schedule the backed-off respawn.
     fn mark_down(&mut self, id: MemberId) {
-        if matches!(self.state(id), MemberState::Down) {
+        if matches!(self.table.get(id).state, MemberState::Down) {
             return;
         }
-        self.set_view(id, |info| {
+        self.set_member(id, |info| {
             info.state = MemberState::Down;
             info.addr = None;
         });
-        let _ = self.control.send(Control::MemberDown { id });
-        let restarts = lock(&self.view)[id as usize].restarts;
         let backoff = backoff_delay(
             self.config.restart_backoff,
             self.config.max_restart_backoff,
-            restarts,
+            self.table.get(id).restarts,
         );
         let member = &mut self.members[id as usize];
         member.probe = None;
@@ -475,16 +375,13 @@ impl Supervisor {
             let due = self.members[id as usize]
                 .restart_at
                 .is_some_and(|at| Instant::now() >= at);
-            if due && self.state(id) == MemberState::Down {
-                self.telemetry
-                    .metrics()
-                    .counter("cluster.supervisor.restarts")
-                    .incr();
-                self.telemetry
-                    .metrics()
+            if due && self.table.get(id).state == MemberState::Down {
+                let metrics = self.telemetry.metrics();
+                metrics.counter("cluster.supervisor.restarts").incr();
+                metrics
                     .counter(&format!("cluster.member.{id}.restarts"))
                     .incr();
-                self.set_view(id, |info| info.restarts += 1);
+                self.set_member(id, |info| info.restarts += 1);
                 self.spawn(id);
             }
         }
@@ -494,11 +391,10 @@ impl Supervisor {
     /// snapshot, repeated silence restarts it.
     fn probe_health(&mut self) {
         for id in 0..self.members.len() as u32 {
-            if self.state(id) != MemberState::Up {
+            let info = self.table.get(id);
+            let (MemberState::Up, Some(addr)) = (info.state, info.addr) else {
                 continue;
-            }
-            let addr = lock(&self.view)[id as usize].addr;
-            let Some(addr) = addr else { continue };
+            };
             let timeout = self.config.health_timeout;
             let member = &mut self.members[id as usize];
             if member.probe.is_none() {
@@ -520,7 +416,7 @@ impl Supervisor {
             match parsed {
                 Some(snapshot) => {
                     member.health_failures = 0;
-                    lock(&self.snapshots).insert(id, snapshot);
+                    self.table.record_probe(id, snapshot);
                 }
                 None => {
                     member.probe = None;
@@ -545,21 +441,19 @@ impl Supervisor {
         if self.store.is_none() {
             return;
         }
-        let healths: Vec<HealthState> = {
-            let members = lock(&self.view);
-            let snapshots = lock(&self.snapshots);
-            self.policies
-                .iter()
-                .map(|route| fleet_health(&route.key.label(), &members, &snapshots))
-                .collect()
-        };
+        // A member published `Up` since the last probe has no snapshot yet
+        // and would read Unhealthy: probe it first, or a restart inside
+        // probation would roll back a good promotion.
+        if self.table.read_up(|snapshots| snapshots.contains(&None)) {
+            self.probe_health();
+        }
         let metrics = self.telemetry.metrics();
-        for (index, health) in healths.into_iter().enumerate() {
+        for index in 0..self.policies.len() {
             let route = &mut self.policies[index];
             let label = route.key.label();
             let action = route.policy.step(Observation {
                 newest: newest_artifact(self.store.as_ref(), &route.key),
-                health,
+                health: fleet_health(&label, &self.table),
                 probation_elapsed: route
                     .promoted_at
                     .is_none_or(|at| at.elapsed() >= ReloadWatcher::DEFAULT_PROBATION),
@@ -612,7 +506,7 @@ impl Supervisor {
     }
 
     /// Send every route's pinned artifact to the member at `addr` before it
-    /// is announced `Up`. Nothing is sent before the first promotion,
+    /// is published `Up`. Nothing is sent before the first promotion,
     /// rollback or explicit reload, so a cluster without a store sends
     /// nothing. True when the member built every pinned artifact.
     fn pin_member(&self, addr: SocketAddr) -> bool {
@@ -626,7 +520,9 @@ impl Supervisor {
     /// Send a wire `Reload` of `route` pinned to `pin` to every `Up`
     /// member. True when every one of them acknowledged success.
     fn fan_out_reload(&self, route: &str, pin: Option<ArtifactId>) -> bool {
-        let targets: Vec<SocketAddr> = lock(&self.view)
+        let targets: Vec<SocketAddr> = self
+            .table
+            .view()
             .iter()
             .filter(|info| info.state == MemberState::Up)
             .filter_map(|info| info.addr)
@@ -680,21 +576,18 @@ impl Supervisor {
             member.stdin = None;
         }
         let grace = Instant::now() + Duration::from_secs(2);
-        for member in &mut self.members {
-            if let Some(child) = member.child.as_mut() {
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) | Err(_) => break,
-                        Ok(None) if Instant::now() >= grace => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                        Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                }
-            }
-            member.child = None;
+        while Instant::now() < grace
+            && self.members.iter_mut().any(|member| {
+                member
+                    .child
+                    .as_mut()
+                    .is_some_and(|child| matches!(child.try_wait(), Ok(None)))
+            })
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for id in 0..self.members.len() as u32 {
+            self.kill(id);
         }
     }
 }
@@ -709,49 +602,27 @@ fn newest_artifact(store: Option<&ModelStore>, key: &RouteKey) -> Option<Artifac
 /// A route's fleet health: the worst `route.<label>.health` gauge across
 /// the probe snapshots of the `Up` members. A missing snapshot or gauge,
 /// or no `Up` member at all, reads as Unhealthy.
-fn fleet_health(
-    label: &str,
-    members: &[MemberInfo],
-    snapshots: &HashMap<MemberId, TelemetrySnapshot>,
-) -> HealthState {
+fn fleet_health(label: &str, table: &Members) -> HealthState {
     let gauge = format!("route.{label}.health");
-    members
-        .iter()
-        .filter(|info| info.state == MemberState::Up)
-        .map(|info| {
-            snapshots
-                .get(&info.id)
-                .and_then(|snapshot| snapshot.gauge(&gauge))
-                .map_or(HealthState::Unhealthy, |value| {
-                    HealthState::from_u8(u8::try_from(value).unwrap_or(u8::MAX))
-                })
-        })
-        .max()
-        .unwrap_or(HealthState::Unhealthy)
+    table.read_up(|snapshots| {
+        snapshots
+            .iter()
+            .map(|snapshot| {
+                snapshot
+                    .and_then(|snapshot| snapshot.gauge(&gauge))
+                    .map_or(HealthState::Unhealthy, |value| {
+                        HealthState::from_u8(u8::try_from(value).unwrap_or(u8::MAX))
+                    })
+            })
+            .max()
+            .unwrap_or(HealthState::Unhealthy)
+    })
 }
 
 /// Exponential restart backoff: `base * 2^restarts`, capped.
 fn backoff_delay(base: Duration, cap: Duration, restarts: u64) -> Duration {
     let exp = u32::try_from(restarts.min(16)).unwrap_or(16);
     base.saturating_mul(1u32 << exp).min(cap)
-}
-
-/// Lock a mutex, recovering from poisoning — a panicked holder leaves the
-/// view readable, and supervision must keep going.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The reconnect policy the cluster uses for its own wire clients.
-pub(crate) fn probe_policy() -> ReconnectPolicy {
-    ReconnectPolicy {
-        max_attempts: 3,
-        initial_backoff: Duration::from_millis(25),
-        max_backoff: Duration::from_millis(200),
-    }
 }
 
 /// The member side of the contract in the module docs — the whole worker
@@ -819,27 +690,15 @@ mod tests {
         assert_eq!(backoff_delay(base, cap, u64::MAX), cap);
     }
 
-    /// Members `0..states.len()` in `states`, each with a probe snapshot
-    /// whose `route.r.health` gauge is `gauges[id]` (`None`: no gauge).
-    fn fleet(
-        states: &[MemberState],
-        gauges: &[Option<HealthState>],
-    ) -> (Vec<MemberInfo>, HashMap<MemberId, TelemetrySnapshot>) {
-        let members = states
-            .iter()
-            .enumerate()
-            .map(|(id, &state)| MemberInfo {
-                id: id as MemberId,
-                state,
-                addr: None,
-                pid: None,
-                restarts: 0,
-            })
-            .collect();
-        let snapshots = gauges
-            .iter()
-            .enumerate()
-            .map(|(id, gauge)| {
+    /// Members `0..states.len()` in `states`, each probed while `Up` with a
+    /// snapshot whose `route.r.health` gauge is `gauges[id]` (`None`: no
+    /// gauge; no entry: never probed).
+    fn fleet(states: &[MemberState], gauges: &[Option<HealthState>]) -> Members {
+        let table = Members::new(states.len() as u32);
+        for (id, &state) in states.iter().enumerate() {
+            let id = id as MemberId;
+            table.update(id, |info| info.state = MemberState::Up);
+            if let Some(gauge) = gauges.get(id as usize) {
                 let snapshot = TelemetrySnapshot {
                     gauges: gauge
                         .iter()
@@ -847,10 +706,11 @@ mod tests {
                         .collect(),
                     ..TelemetrySnapshot::default()
                 };
-                (id as MemberId, snapshot)
-            })
-            .collect();
-        (members, snapshots)
+                table.record_probe(id, snapshot);
+            }
+            table.update(id, |info| info.state = state);
+        }
+        table
     }
 
     #[test]
@@ -858,8 +718,7 @@ mod tests {
         use HealthState::{Degraded, Healthy, Unhealthy};
         use MemberState::{Down, Up};
         let health = |states: &[MemberState], gauges: &[Option<HealthState>]| {
-            let (members, snapshots) = fleet(states, gauges);
-            fleet_health("r", &members, &snapshots)
+            fleet_health("r", &fleet(states, gauges))
         };
         assert_eq!(health(&[Up, Up], &[Some(Healthy), Some(Healthy)]), Healthy);
         assert_eq!(

@@ -1,20 +1,19 @@
 //! Integration test for the router tier against *real* members — three
 //! in-process `sesr-net` servers, each a full gateway — driven through the
 //! raw [`Backend`] contract the reactor uses (submit / pump / poll). No
-//! supervisor here: membership changes are injected as [`Control`]
-//! messages, which is exactly what the supervisor sends.
+//! supervisor here: membership changes are written to the [`Members`]
+//! table through its one write path, exactly as the supervisor writes them.
 
-use sesr_cluster::{ClusterBackend, Control, HashRing};
+use sesr_cluster::{ClusterBackend, HashRing, MemberState, Members};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
 use sesr_net::{
     Backend, BackendRequest, EncodedTensor, NetConfig, NetServer, ResponseBody, Submit,
 };
 use sesr_serve::{content_hash, GatewayBuilder, RouteKey};
-use sesr_telemetry::{Telemetry, TelemetrySnapshot};
-use std::collections::HashMap;
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use sesr_telemetry::Telemetry;
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const VNODES: u32 = 32;
@@ -56,9 +55,17 @@ fn poll_until(backend: &mut ClusterBackend, ticket: u64, timeout: Duration) -> R
     }
 }
 
+/// Publish member `id` `Up` at `addr`, as the supervisor does.
+fn publish_up(members: &Members, id: u32, addr: SocketAddr) {
+    members.update(id, |info| {
+        info.state = MemberState::Up;
+        info.addr = Some(addr);
+    });
+}
+
 struct Fixture {
     backend: ClusterBackend,
-    control: Sender<Control>,
+    table: Arc<Members>,
     members: Vec<(NetServer, sesr_serve::DefenseGateway)>,
     route: RouteKey,
     // What ClusterBackend::reload hands the supervisor.
@@ -68,19 +75,15 @@ struct Fixture {
 fn start_fixture(member_count: u32) -> Fixture {
     let route = RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none());
     let mut members = Vec::new();
-    let (control_tx, control_rx) = std::sync::mpsc::channel();
+    let table = Arc::new(Members::new(member_count));
     let (command_tx, command_rx) = std::sync::mpsc::channel();
-    let snapshots: Arc<Mutex<HashMap<u32, TelemetrySnapshot>>> =
-        Arc::new(Mutex::new(HashMap::new()));
     let backend = ClusterBackend::new(
         Arc::new(Telemetry::new()),
-        member_count,
+        Arc::clone(&table),
         VNODES,
         [route.label()],
-        control_rx,
         command_tx,
         Duration::from_millis(25),
-        snapshots,
     );
     for id in 0..member_count {
         let gateway = GatewayBuilder::new()
@@ -89,17 +92,12 @@ fn start_fixture(member_count: u32) -> Fixture {
             .expect("member gateway");
         let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), gateway.client())
             .expect("bind member");
-        control_tx
-            .send(Control::MemberUp {
-                id,
-                addr: server.local_addr(),
-            })
-            .expect("announce member");
+        publish_up(&table, id, server.local_addr());
         members.push((server, gateway));
     }
     Fixture {
         backend,
-        control: control_tx,
+        table,
         members,
         route,
         commands: command_rx,
@@ -120,7 +118,7 @@ impl Fixture {
 fn forwards_across_the_fleet_and_keeps_cache_affinity() {
     let mut fixture = start_fixture(3);
     let label = fixture.route.label();
-    fixture.backend.pump(); // apply MemberUp messages
+    fixture.backend.pump(); // dial the published members
 
     // A spread of requests: all must answer Ok through some member.
     let tickets: Vec<u64> = (0..24u32)
@@ -172,10 +170,10 @@ fn down_member_sheds_only_its_arc() {
     let on_victim = owned_by(1).expect("some key lands on member 1");
     let on_survivor = owned_by(0).expect("some key lands on member 0");
 
-    fixture
-        .control
-        .send(Control::MemberDown { id: 1 })
-        .expect("send down");
+    fixture.table.update(1, |info| {
+        info.state = MemberState::Down;
+        info.addr = None;
+    });
     fixture.backend.pump();
 
     // The victim's arc sheds with a structured retry-after...
@@ -204,10 +202,46 @@ fn down_member_sheds_only_its_arc() {
 }
 
 #[test]
+fn restarted_member_is_routable_again_without_a_pump() {
+    let mut fixture = start_fixture(2);
+    let label = fixture.route.label();
+    let ring = HashRing::with_members(2, VNODES);
+    let on_victim = (0..200u32)
+        .find(|&tag| {
+            let request = request_for(&label, tag, true);
+            ring.owner(&request.route, request.content_hash) == Some(1)
+        })
+        .expect("some key lands on member 1");
+    let victim = fixture.members[1].0.local_addr();
+
+    fixture.table.update(1, |info| {
+        info.state = MemberState::Down;
+        info.addr = None;
+    });
+    assert!(matches!(
+        fixture.backend.submit(request_for(&label, on_victim, true)),
+        Submit::Reply(ResponseBody::RetryAfter { .. })
+    ));
+    // The supervisor's restart: a new incarnation published `Up`.
+    fixture.table.update(1, |info| {
+        info.state = MemberState::Up;
+        info.addr = Some(victim);
+        info.pid = Some(2);
+    });
+    let Submit::Ticket(ticket) = fixture.backend.submit(request_for(&label, on_victim, true))
+    else {
+        panic!("a member published Up again must be routable on the next submit");
+    };
+    let body = poll_until(&mut fixture.backend, ticket, Duration::from_secs(30));
+    assert!(matches!(body, ResponseBody::Ok { .. }), "got {body:?}");
+    fixture.shutdown();
+}
+
+#[test]
 fn announced_members_are_routable_before_the_first_pump() {
     // The reactor parses frames (→ submit) before it pumps the backend, so
-    // a request can arrive while `MemberUp` is still queued: it must be
-    // forwarded, not shed as "member down".
+    // a request can arrive before any pump since the members were published
+    // `Up`: it must be forwarded, not shed as "member down".
     let mut fixture = start_fixture(2);
     let label = fixture.route.label();
     for tag in 0..8u32 {
@@ -226,20 +260,17 @@ fn announced_members_are_routable_before_the_first_pump() {
 
 #[test]
 fn unknown_members_and_empty_rings_shed_instead_of_blocking() {
-    // No MemberUp ever arrives: every submit sheds immediately — the front
-    // must never block on a member that is not there.
+    // No member is ever published `Up`: every submit sheds immediately —
+    // the front must never block on a member that is not there.
     let route = RouteKey::new(SrModelKind::NearestNeighbor, 2, PreprocessConfig::none());
-    let (_control_tx, control_rx) = std::sync::mpsc::channel();
     let (command_tx, _command_rx) = std::sync::mpsc::channel();
     let mut backend = ClusterBackend::new(
         Arc::new(Telemetry::new()),
-        2,
+        Arc::new(Members::new(2)),
         VNODES,
         [route.label()],
-        control_rx,
         command_tx,
         Duration::from_millis(25),
-        Arc::new(Mutex::new(HashMap::new())),
     );
     assert!(backend.has_route(&route.label()));
     assert!(!backend.has_route("nope:x2:raw"));

@@ -5,22 +5,21 @@
 //! the front, so malformed input never reaches a member link.
 //!
 //! One in-process member (a full `sesr-net` server over a gateway) behind a
-//! real front reactor running a `ClusterBackend`; membership is injected as
-//! the [`Control`] message the supervisor would send.
+//! real front reactor running a `ClusterBackend`; the member is published
+//! `Up` in the [`Members`] table as the supervisor would publish it.
 
 use sesr_cluster::supervisor::Command;
-use sesr_cluster::{ClusterBackend, Control};
+use sesr_cluster::{ClusterBackend, MemberState, Members};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
 use sesr_net::wire::{self, HEADER_LEN};
 use sesr_net::{Frame, NetClient, NetConfig, NetServer, RequestOptions, ResponseBody, WireRequest};
 use sesr_serve::{content_hash, DefenseGateway, GatewayBuilder, RouteKey};
 use sesr_telemetry::{Telemetry, TelemetrySnapshot};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const RECV: Duration = Duration::from_secs(30);
@@ -52,26 +51,20 @@ fn start() -> Front {
     let member = NetServer::bind("127.0.0.1:0", NetConfig::default(), gateway.client())
         .expect("bind member");
     let telemetry = Arc::new(Telemetry::new());
-    let (control_tx, control_rx) = std::sync::mpsc::channel();
     let (command_tx, command_rx) = std::sync::mpsc::channel();
-    let snapshots: Arc<Mutex<HashMap<u32, TelemetrySnapshot>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let members = Arc::new(Members::new(1));
     let backend = ClusterBackend::new(
         Arc::clone(&telemetry),
-        1,
+        Arc::clone(&members),
         32,
         [route.label()],
-        control_rx,
         command_tx,
         Duration::from_millis(25),
-        snapshots,
     );
-    control_tx
-        .send(Control::MemberUp {
-            id: 0,
-            addr: member.local_addr(),
-        })
-        .expect("announce member");
+    members.update(0, |info| {
+        info.state = MemberState::Up;
+        info.addr = Some(member.local_addr());
+    });
     let server = NetServer::bind_with_backend("127.0.0.1:0", NetConfig::default(), backend)
         .expect("bind front");
     Front {

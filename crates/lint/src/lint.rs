@@ -22,9 +22,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (Counter, Gauge, Histogram, EventRing) over raw atomics.",
         ),
         "thread-spawn" => Some(
-            "thread-spawn: `thread::spawn` is confined to the serving-stack infrastructure\n\
-             (crates/serve shard/reload/slo/telemetry modules, the crates/net reactor)\n\
-             and the sesr-verify scheduler, plus test code. Ad-hoc threads bypass the\n\
+            "thread-spawn: `thread::spawn` and `thread::Builder` are confined to the\n\
+             serving-stack infrastructure (crates/serve shard/reload/slo/telemetry modules,\n\
+             the crates/net reactor, the crates/cluster supervisor and front) and the\n\
+             sesr-verify scheduler, plus test code. Ad-hoc threads bypass the\n\
              drain/retire and telemetry machinery; route work through spawn_shard or the\n\
              evaluation plan's scoped workers instead, or annotate with a justification.",
         ),
@@ -424,8 +425,9 @@ fn ordering_allowed(path: &Path) -> bool {
     p.contains("crates/telemetry/src/") || p.contains("crates/verify/src/")
 }
 
-/// Files allowed to call `thread::spawn` without annotation: the shard
-/// worker pool and its serving-stack siblings, and the virtual scheduler.
+/// Files allowed to start threads (`thread::spawn` or `thread::Builder`)
+/// without annotation: the shard worker pool and its serving-stack
+/// siblings, and the virtual scheduler.
 fn spawn_allowed(path: &Path) -> bool {
     let p = path_str(path);
     p.contains("crates/verify/src/")
@@ -550,11 +552,12 @@ pub fn lint_file(path: &Path, source: &str) -> Vec<Finding> {
         }
 
         // thread-spawn
-        if !test_code && !spawn_allowed(path) && line.contains("thread::spawn") {
+        let starts_thread = line.contains("thread::spawn") || line.contains("thread::Builder");
+        if !test_code && !spawn_allowed(path) && starts_thread {
             flag(
                 "thread-spawn",
                 line_no,
-                "`thread::spawn` outside the serving/verification infrastructure \
+                "a thread started outside the serving/verification infrastructure \
                  (see --explain thread-spawn)"
                     .to_string(),
             );

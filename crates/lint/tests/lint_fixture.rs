@@ -53,7 +53,7 @@ fn write_fixture() -> PathBuf {
 
     // The thread-spawn allowlist is per-file, not per-crate: the net
     // reactor may spawn its event-loop thread, but a sibling module in the
-    // same crate may not.
+    // same crate may not, with `thread::spawn` or a named `thread::Builder`.
     let net = root.join("crates/net/src");
     std::fs::create_dir_all(&net).unwrap();
     std::fs::write(
@@ -63,7 +63,8 @@ fn write_fixture() -> PathBuf {
     .unwrap();
     std::fs::write(
         net.join("sidecar.rs"),
-        "pub fn sneaky() { std::thread::spawn(|| {}); }\n",
+        "pub fn sneaky() { std::thread::spawn(|| {}); }\n\
+         pub fn named() { let _ = std::thread::Builder::new().name(\"n\".into()).spawn(|| {}); }\n",
     )
     .unwrap();
 
@@ -118,6 +119,10 @@ fn fixture_violations_produce_nonzero_exit_with_file_line_diagnostics() {
     assert!(
         stdout.contains("crates/net/src/sidecar.rs:1: [thread-spawn]"),
         "the allowlist must not blanket the net crate:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/net/src/sidecar.rs:2: [thread-spawn]"),
+        "a `thread::Builder` spawn is held to the same rule:\n{stdout}"
     );
     assert!(
         !stdout.contains("crates/cluster/src/supervisor.rs"),

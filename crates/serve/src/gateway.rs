@@ -38,7 +38,7 @@
 //! (`route.<label>.*`); [`GatewayClient::telemetry_snapshot`] derives the
 //! gateway-wide `gateway.*` totals from them.
 
-// lint: allow-file(atomic-ordering): request ids + route health; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
+// lint: allow-file(atomic-ordering): request ids; the swap/drain protocol these back is modeled in sesr-verify (models::swap)
 
 use crate::promotion::ArtifactId;
 pub use crate::reload::ReloadWatcher;
@@ -54,7 +54,7 @@ use sesr_store::ModelStore;
 use sesr_telemetry::{Counter, Gauge, HealthState, Level, Probe, Telemetry, TelemetrySnapshot};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -88,11 +88,17 @@ pub(crate) struct RouteEntry {
     /// Worker join handles of the active shard (taken on retire/shutdown).
     pub(crate) threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     /// The route's serving health as set by an SLO runtime
-    /// ([`crate::slo::SloRuntime`]); stored as a [`HealthState`]
-    /// discriminant so admission reads it with one relaxed load.
-    health: AtomicU8,
-    /// Mirror of `health` in the metrics namespace (`route.<label>.health`).
-    health_gauge: Arc<Gauge>,
+    /// ([`crate::slo::SloRuntime`]): the `route.<label>.health` gauge,
+    /// holding a [`HealthState`] discriminant, so admission reads it with
+    /// one relaxed load.
+    health: Arc<Gauge>,
+}
+
+impl RouteEntry {
+    /// The route's current serving health.
+    fn health(&self) -> HealthState {
+        HealthState::from_u8(u8::try_from(self.health.get()).unwrap_or(u8::MAX))
+    }
 }
 
 /// Journal probes and counters for gateway lifecycle events (hot reloads,
@@ -186,7 +192,7 @@ fn submit_to(
     // rejections — they are a policy decision, not an error-budget event —
     // which is what lets the route look clean and recover once the SLO
     // engine sees load drop.
-    if HealthState::from_u8(entry.health.load(Ordering::Relaxed)) == HealthState::Unhealthy {
+    if entry.health() == HealthState::Unhealthy {
         entry.stats.add(Stat::Shed, 1);
         shared.lifecycle.shed.observe(request_id, started.elapsed());
         return Err(ServeError::Overloaded);
@@ -337,30 +343,16 @@ impl GatewayClient {
 
     /// Spawn a [`ReloadWatcher`] polling the attached store every `interval`
     /// and reloading any store-hydrated route whose newest artifact changed.
+    /// If a route's health collapses to Unhealthy within
+    /// [`ReloadWatcher::DEFAULT_PROBATION`] of a promotion, the watcher rolls
+    /// it back to the artifact it served before.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidRequest`] when the gateway was built without a
     /// store.
     pub fn watch_store(&self, interval: Duration) -> Result<ReloadWatcher, ServeError> {
-        ReloadWatcher::spawn(self.clone(), interval, ReloadWatcher::DEFAULT_PROBATION)
-    }
-
-    /// Like [`GatewayClient::watch_store`], with an explicit post-promotion
-    /// probation window: if a route's health collapses to Unhealthy within
-    /// `probation` after a promotion, the watcher rolls the route back to
-    /// the artifact it served before.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidRequest`] when the gateway was built without a
-    /// store.
-    pub fn watch_store_with_probation(
-        &self,
-        interval: Duration,
-        probation: Duration,
-    ) -> Result<ReloadWatcher, ServeError> {
-        ReloadWatcher::spawn(self.clone(), interval, probation)
+        ReloadWatcher::spawn(self.clone(), interval)
     }
 
     /// The gateway's telemetry hub (per-route counters, gauges and stage
@@ -416,19 +408,18 @@ impl GatewayClient {
     /// [`ServeError::UnknownRoute`] when the gateway does not serve `route`.
     pub fn route_health(&self, route: &RouteKey) -> Result<HealthState, ServeError> {
         let entry = entry_for(&self.shared, route)?;
-        Ok(HealthState::from_u8(entry.health.load(Ordering::Relaxed)))
+        Ok(entry.health())
     }
 
-    /// Set one route's health (SLO runtime only): updates the admission
-    /// atomic and mirrors the state into the `route.<label>.health` gauge.
+    /// Set one route's health (SLO runtime only): the `route.<label>.health`
+    /// gauge admission reads.
     pub(crate) fn set_route_health(
         &self,
         route: &RouteKey,
         state: HealthState,
     ) -> Result<(), ServeError> {
         let entry = entry_for(&self.shared, route)?;
-        entry.health.store(state.as_u8(), Ordering::Relaxed);
-        entry.health_gauge.set(i64::from(state.as_u8()));
+        entry.health.set(i64::from(state.as_u8()));
         Ok(())
     }
 
@@ -726,8 +717,8 @@ impl GatewayBuilder {
                 .map(|worker| ArenaGauges::for_worker(&telemetry, &label, worker))
                 .collect();
             let (sender, threads) = spawn_shard(&config, assets, &cache, &stats, &stages, &arenas);
-            let health_gauge = telemetry.metrics().gauge(&format!("route.{label}.health"));
-            health_gauge.set(i64::from(HealthState::Healthy.as_u8()));
+            let health = telemetry.metrics().gauge(&format!("route.{label}.health"));
+            health.set(i64::from(HealthState::Healthy.as_u8()));
             table.insert(
                 key,
                 Arc::new(RouteEntry {
@@ -738,8 +729,7 @@ impl GatewayBuilder {
                     arenas,
                     active: RwLock::new(sender),
                     threads: Mutex::new(Some(threads)),
-                    health: AtomicU8::new(HealthState::Healthy.as_u8()),
-                    health_gauge,
+                    health,
                 }),
             );
         }

@@ -250,7 +250,6 @@ impl ReloadWatcher {
     pub(crate) fn spawn(
         client: GatewayClient,
         interval: Duration,
-        probation: Duration,
     ) -> Result<ReloadWatcher, ServeError> {
         let store = client.shared.store.clone().ok_or_else(|| {
             ServeError::InvalidRequest(
@@ -288,7 +287,8 @@ impl ReloadWatcher {
                 let action = policy.step(Observation {
                     newest: current_artifact(&store, key),
                     health: client.route_health(key).unwrap_or(HealthState::Unhealthy),
-                    probation_elapsed: promoted_at.is_none_or(|at| at.elapsed() >= probation),
+                    probation_elapsed: promoted_at
+                        .is_none_or(|at| at.elapsed() >= ReloadWatcher::DEFAULT_PROBATION),
                     previous_ok: *ok,
                 });
                 let route_index = client.route_index(key).unwrap_or(u64::MAX);

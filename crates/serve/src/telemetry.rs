@@ -119,10 +119,11 @@ pub fn write_snapshot_atomic(path: &Path, snapshot: &TelemetrySnapshot) -> io::R
     std::fs::rename(&tmp, path)
 }
 
-/// Handle to the background thread that periodically writes a gateway's
+/// Handle to the background thread that periodically writes a
 /// [`TelemetrySnapshot`] to a JSON file (the polling surface `sesr-top`
 /// reads). Returned by
-/// [`GatewayClient::export_telemetry`](crate::gateway::GatewayClient::export_telemetry).
+/// [`GatewayClient::export_telemetry`](crate::gateway::GatewayClient::export_telemetry)
+/// and by the cluster front's `Cluster::export_telemetry`.
 ///
 /// The exporter writes one snapshot immediately on spawn, then one per
 /// interval, and a final one when stopped — so even `interval`s longer than
@@ -141,11 +142,11 @@ impl TelemetryExporter {
     ///
     /// A failed periodic write no longer kills the thread: it is counted in
     /// `errors` (the `telemetry.export.errors` counter when spawned through
-    /// the gateway) and the next tick tries again — a transiently full or
+    /// the gateway or a cluster front) and the next tick tries again — a transiently full or
     /// slow disk must not silently end telemetry for the rest of the
     /// process. The last error, if any, is surfaced by
     /// [`TelemetryExporter::stop`].
-    pub(crate) fn spawn(
+    pub fn spawn(
         path: PathBuf,
         interval: Duration,
         errors: Option<Arc<Counter>>,

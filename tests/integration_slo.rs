@@ -182,9 +182,7 @@ fn slo_breach_gates_serving_and_reload_until_recovery() {
     // must refuse to promote it (and keep retrying, not forget it). The
     // watcher starts from the artifact each route's workers were built
     // from, so the new generation is a candidate once it lands.
-    let watcher = client
-        .watch_store_with_probation(Duration::from_millis(10), Duration::from_secs(60))
-        .unwrap();
+    let watcher = client.watch_store(Duration::from_millis(10)).unwrap();
     save_generation(&store, 200);
     wait_for("a refused promotion", || {
         counter(&gateway, "gateway.reload_refused") >= 1
@@ -320,9 +318,7 @@ fn probation_collapse(tag: &str, prior_removed: bool) {
 
     // A healthy route promotes the new generation immediately (the watcher
     // baselines to the newest artifact at spawn, so it starts first).
-    let watcher = client
-        .watch_store_with_probation(Duration::from_millis(10), Duration::from_secs(60))
-        .unwrap();
+    let watcher = client.watch_store(Duration::from_millis(10)).unwrap();
     save_generation(&store, 200);
     wait_for("the initial promotion", || {
         counter(&gateway, "gateway.reloads") == 1
