@@ -61,6 +61,8 @@ use sesr_cluster::{serve_member, Cluster, ClusterConfig, WorkerCommand};
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
 use sesr_serve::{GatewayBuilder, RouteKey};
+use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::time::Duration;
 
 const USAGE: &str = "usage: sesr-clusterd [--addr HOST:PORT] [--members N] [--store PATH] \
@@ -119,6 +121,17 @@ fn fleet_routes(with_store: bool) -> Vec<RouteKey> {
     routes
 }
 
+/// Print one line to stdout. A reader that has gone away is no failure:
+/// a killed front closes the pipes its workers print to, and their last
+/// line has nobody left to reach (`println!` would panic there instead).
+fn say(line: impl Display) {
+    if let Err(err) = writeln!(std::io::stdout().lock(), "{line}") {
+        if err.kind() != ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {err}");
+        }
+    }
+}
+
 fn main() {
     let args = parse_args();
     if args.worker {
@@ -157,7 +170,7 @@ fn run_worker(args: &Args) -> ! {
         eprintln!("worker failed: {err}");
         std::process::exit(1);
     }
-    println!("clean shutdown");
+    say("clean shutdown");
     std::process::exit(0);
 }
 
@@ -194,11 +207,11 @@ fn run_front(args: &Args) -> ! {
             std::process::exit(1);
         }
     };
-    println!("listening on {}", cluster.local_addr());
+    say(format!("listening on {}", cluster.local_addr()));
     for route in &routes {
-        println!("route {route}");
+        say(format!("route {route}"));
     }
-    println!("default route {}", routes[0]);
+    say(format!("default route {}", routes[0]));
 
     // An unwritable telemetry path fails before any worker is declared
     // ready; the exporter's final write leaves a valid file after short runs.
@@ -214,10 +227,10 @@ fn run_front(args: &Args) -> ! {
     if cluster.wait_ready(Duration::from_secs(60)) {
         for info in cluster.members() {
             if let Some(addr) = info.addr {
-                println!("member {} up at {addr}", info.id);
+                say(format!("member {} up at {addr}", info.id));
             }
         }
-        println!("cluster ready: {} members", args.members);
+        say(format!("cluster ready: {} members", args.members));
     } else {
         eprintln!("cluster not ready after 60s; serving whatever came up");
     }
@@ -232,6 +245,6 @@ fn run_front(args: &Args) -> ! {
         eprintln!("telemetry export error: {err}");
     }
     cluster.shutdown();
-    println!("clean shutdown");
+    say("clean shutdown");
     std::process::exit(0);
 }

@@ -26,15 +26,21 @@ use crate::ring::HashRing;
 use crate::supervisor::Command;
 use crate::MemberId;
 use sesr_net::wire::{self, FrameDecode, FrameRef};
-use sesr_net::{Backend, BackendRequest, ResponseBody, ResponseFrame, RetryReason, Submit};
+use sesr_net::{
+    Backend, BackendRequest, RecvBuf, ResponseBody, ResponseFrame, RetryReason, Submit,
+};
 use sesr_serve::ArtifactId;
-use sesr_telemetry::Telemetry;
+use sesr_telemetry::{Histogram, Telemetry};
 use std::collections::{HashMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Most bytes one read from a member asks for (the reactor's default read
+/// budget).
+const LINK_READ: usize = 64 * 1024;
 
 /// One forwarded request awaiting its member's reply.
 struct Forward {
@@ -52,10 +58,13 @@ struct Link {
     /// The incarnation dialled: a restarted member has a new pid.
     pid: Option<u32>,
     stream: Option<TcpStream>,
-    read_buf: Vec<u8>,
+    read_buf: RecvBuf,
     write_buf: Vec<u8>,
     inflight: HashMap<u64, Forward>,
     next_wire_id: u64,
+    /// `cluster.member.<id>.forward_ns`, resolved at the first reply so a
+    /// histogram exists only for a member that answered.
+    forward_ns: Option<Arc<Histogram>>,
 }
 
 impl Link {
@@ -66,10 +75,11 @@ impl Link {
             addr,
             pid,
             stream: None,
-            read_buf: Vec::new(),
+            read_buf: RecvBuf::new(),
             write_buf: Vec::new(),
             inflight: HashMap::new(),
             next_wire_id: 1,
+            forward_ns: None,
         };
         let _ = link.connect();
         link
@@ -87,34 +97,36 @@ impl Link {
         Ok(())
     }
 
-    /// Move bytes both ways without blocking: flush the write buffer, then
-    /// drain what is readable into the read buffer. True when a byte moved;
-    /// an error means the transport is gone. A link without a stream moves
-    /// nothing.
+    /// Move bytes both ways without blocking: flush the write buffer
+    /// through an offset (the sent prefix is dropped once, after the
+    /// writes), then drain what is readable into the read buffer. True when
+    /// a byte moved; an error means the transport is gone. A link without a
+    /// stream moves nothing.
     fn transfer(&mut self) -> std::io::Result<bool> {
         let Some(stream) = self.stream.as_mut() else {
             return Ok(false);
         };
-        let mut moved = false;
-        while !self.write_buf.is_empty() {
-            match stream.write(&self.write_buf) {
+        let mut sent = 0;
+        while sent < self.write_buf.len() {
+            match stream.write(&self.write_buf[sent..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.write_buf.drain(..n);
-                    moved = true;
-                }
+                Ok(n) => sent += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        let mut chunk = [0u8; 16 * 1024];
+        self.write_buf.drain(..sent);
+        let mut moved = sent > 0;
         loop {
-            match stream.read(&mut chunk) {
+            match self.read_buf.read_from(stream, LINK_READ) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
                     moved = true;
+                    // A short read emptied the socket.
+                    if n < LINK_READ {
+                        return Ok(moved);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(moved),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -224,12 +236,7 @@ impl ClusterBackend {
     fn pump_links(&mut self) -> bool {
         let mut progress = false;
         let mut lost: Vec<MemberId> = Vec::new();
-        let ids: Vec<MemberId> = self.links.keys().copied().collect();
-        let mut finished: Vec<(u64, ResponseFrame, MemberId, Duration)> = Vec::new();
-        for id in ids {
-            let Some(link) = self.links.get_mut(&id) else {
-                continue;
-            };
+        for (&id, link) in self.links.iter_mut() {
             match link.transfer() {
                 Ok(moved) => progress |= moved,
                 Err(_) => {
@@ -241,18 +248,20 @@ impl ClusterBackend {
             // consumed prefix is dropped once, after the burst.
             let mut at = 0;
             loop {
-                match wire::decode_ref(&link.read_buf[at..], wire::DEFAULT_MAX_PAYLOAD) {
+                match wire::decode_ref(&link.read_buf.bytes()[at..], wire::DEFAULT_MAX_PAYLOAD) {
                     Ok(FrameDecode::Complete { frame, consumed }) => {
                         at += consumed;
                         progress = true;
                         if let FrameRef::Response(response) = frame {
                             if let Some(forward) = link.inflight.remove(&response.id) {
-                                finished.push((
-                                    forward.ticket,
-                                    response.to_frame(),
-                                    id,
-                                    forward.started.elapsed(),
-                                ));
+                                link.forward_ns
+                                    .get_or_insert_with(|| {
+                                        self.telemetry
+                                            .metrics()
+                                            .histogram(&format!("cluster.member.{id}.forward_ns"))
+                                    })
+                                    .record_duration(forward.started.elapsed());
+                                self.done.insert(forward.ticket, response.to_frame());
                             }
                         }
                         // Anything else on a forward link (stats or reload
@@ -266,14 +275,7 @@ impl ClusterBackend {
                     }
                 }
             }
-            link.read_buf.drain(..at);
-        }
-        for (ticket, frame, member, elapsed) in finished {
-            self.telemetry
-                .metrics()
-                .histogram(&format!("cluster.member.{member}.forward_ns"))
-                .record_duration(elapsed);
-            self.done.insert(ticket, frame);
+            link.read_buf.consume(at);
         }
         // A lost transport sheds its in-flight requests and drops the
         // stream. The supervisor's health probe notices a dead *process*;

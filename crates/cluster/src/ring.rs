@@ -21,28 +21,16 @@
 //!   keeps the lookup on the reactor's per-request path a binary search and
 //!   nothing else.
 //!
-//! Keys and vnode points hash with the store's FNV-1a 64 — the same hash
-//! the wire protocol and the model store use, so the whole stack shares one
-//! well-understood function.
+//! Keys and vnode points hash with the store's FNV-1a 64, finished with
+//! [`mix64`]: raw FNV-1a has weak high-bit avalanche on short structured
+//! inputs (member ids and vnode indices are mostly-zero little-endian
+//! words), which would cluster ring points and wreck balance.
 
-use sesr_store::{fnv1a64, Fnv1a64};
+use sesr_store::{fnv1a64, mix64, Fnv1a64};
 
 /// Stable identity of a cluster member: assigned at cluster construction
 /// (`0..n`) and preserved across restarts of the member's process.
 pub type MemberId = u32;
-
-/// Murmur3-style 64-bit finalizer. Raw FNV-1a has weak high-bit avalanche
-/// on short structured inputs (member ids, vnode indices are mostly-zero
-/// little-endian words), which clusters ring points and wrecks balance;
-/// one round of xor-shift-multiply mixing restores a uniform spread.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
 
 /// Hash a request's routing key. The route label participates so distinct
 /// routes spread independently; the content hash (already computed for the

@@ -15,7 +15,9 @@
 //! ([`EncodedTensor`]) and replies leave it as encoded frames
 //! ([`ResponseFrame`]), so a tier that only relays never converts a tensor.
 //! The content hash is verified once, by the tier that decodes the image:
-//! [`LocalBackend`] checks it before queueing and counts failures in
+//! [`LocalBackend`] hands the claim to the gateway with the request, the
+//! gateway checks it against the hash it computes for the cache key anyway
+//! (one hash per request), and the backend counts failures in
 //! `net.hash_mismatch`; a cluster front forwards the claim untouched and
 //! its member checks it.
 //!
@@ -27,9 +29,7 @@
 //! and reads member connections there).
 
 use crate::wire::{self, EncodedTensor, ResponseBody, ResponseFrame, RetryReason};
-use sesr_serve::{
-    content_hash, ArtifactId, DefenseRequest, GatewayClient, PendingResponse, RouteKey,
-};
+use sesr_serve::{ArtifactId, DefenseRequest, GatewayClient, PendingResponse, RouteKey};
 use sesr_telemetry::{Counter, HealthState, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,10 +45,11 @@ pub struct BackendRequest {
     pub deadline_ms: u32,
     /// Bypass output caches.
     pub skip_cache: bool,
-    /// FNV-1a64 content hash the client claims for `image`. It is verified
-    /// once, by the backend that decodes the image ([`LocalBackend`]); a
-    /// cluster router forwards it unchecked and hashes `(route,
-    /// content_hash)` onto its ring so cache affinity survives scale-out.
+    /// The [`content_hash`](sesr_serve::content_hash) the client claims for
+    /// `image`. It is verified once, where the image is decoded and hashed
+    /// ([`LocalBackend`]'s gateway); a cluster router forwards it unchecked
+    /// and hashes `(route, content_hash)` onto its ring so cache affinity
+    /// survives scale-out.
     pub content_hash: u64,
     /// The image to defend, still in its wire encoding.
     pub image: EncodedTensor,
@@ -168,7 +169,8 @@ impl LocalBackend {
     /// Map a submit- or poll-time [`ServeError`](sesr_serve::ServeError) to
     /// its wire reply. `Overloaded` — whether from a full queue or an SLO
     /// health shed — becomes a structured retry-after instead of a dropped
-    /// connection.
+    /// connection; a wrong content-hash claim is counted in
+    /// `net.hash_mismatch` and answered `InvalidRequest`.
     fn shed_body(&self, route: Option<RouteKey>, err: sesr_serve::ServeError) -> ResponseBody {
         use sesr_serve::ServeError;
         match err {
@@ -187,6 +189,10 @@ impl LocalBackend {
             ServeError::DeadlineExceeded => ResponseBody::DeadlineExceeded,
             ServeError::UnknownRoute(label) => ResponseBody::UnknownRoute(label),
             ServeError::InvalidRequest(msg) => ResponseBody::InvalidRequest(msg),
+            ServeError::HashMismatch => {
+                self.hash_mismatch.incr();
+                ResponseBody::InvalidRequest(ServeError::HashMismatch.to_string())
+            }
             ServeError::Pipeline(msg) => ResponseBody::PipelineError(msg),
             ServeError::Closed => ResponseBody::Closed,
         }
@@ -211,20 +217,14 @@ impl Backend for LocalBackend {
                 None => return Submit::Reply(ResponseBody::UnknownRoute(request.route)),
             }
         };
-        // Integrity: the claimed hash must match the payload. This catches
-        // corruption *and* keeps the cache keys (and a cluster front's
-        // ring placement, made from the claim) honest.
         let image = match request.image.decode() {
             Ok(image) => image,
             Err(err) => return Submit::Reply(ResponseBody::InvalidRequest(err.to_string())),
         };
-        if content_hash(&image, "") != request.content_hash {
-            self.hash_mismatch.incr();
-            return Submit::Reply(ResponseBody::InvalidRequest(
-                "content hash does not match the image payload".to_string(),
-            ));
-        }
-        let mut defense = DefenseRequest::new(image);
+        // Integrity: the gateway refuses a claim that does not match the
+        // payload. This catches corruption *and* keeps the cache keys (and
+        // a cluster front's ring placement, made from the claim) honest.
+        let mut defense = DefenseRequest::new(image).claiming_hash(request.content_hash);
         if let Some(key) = route_key {
             defense = defense.on(key);
         }
@@ -329,7 +329,7 @@ mod tests {
             route: String::new(),
             deadline_ms: 0,
             skip_cache: false,
-            content_hash: content_hash(&image, ""),
+            content_hash: sesr_serve::content_hash(&image, ""),
             image: EncodedTensor::encode(&image),
         };
         let ticket = match backend.submit(request) {

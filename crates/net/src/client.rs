@@ -16,11 +16,12 @@
 //! The cluster supervisor's health probes and the examples use these
 //! instead of hand-rolling retry loops.
 
+use crate::recv_buf::RecvBuf;
 use crate::wire::{self, Frame, FrameDecode, WireError, WireRequest, WireResponse};
 use sesr_serve::{content_hash, ArtifactId};
 use sesr_tensor::Tensor;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -132,11 +133,16 @@ pub struct RequestOptions {
     pub skip_cache: bool,
 }
 
+/// Most bytes one socket read asks for: a whole 48 KiB reply (a 2× upscale
+/// of a 3×64×64 image) and more in one syscall, the reactor's default read
+/// budget.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// One blocking connection to a network front-end.
 pub struct NetClient {
     stream: TcpStream,
     peer: SocketAddr,
-    read_buf: Vec<u8>,
+    read_buf: RecvBuf,
     pending: VecDeque<Frame>,
     max_payload: usize,
     next_id: u64,
@@ -155,7 +161,7 @@ impl NetClient {
         Ok(NetClient {
             stream,
             peer,
-            read_buf: Vec::new(),
+            read_buf: RecvBuf::new(),
             pending: VecDeque::new(),
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
             next_id: 1,
@@ -265,12 +271,15 @@ impl NetClient {
     /// [`NetClient::stats`]) must use this: pulling from the reorder buffer
     /// while also pushing non-matching frames back into it would cycle the
     /// buffer forever without ever reading the wire.
+    ///
+    /// The socket's read timeout is set only when the buffered bytes hold
+    /// no whole frame, once per read: full-size reads make that about once
+    /// per reply, and none for replies that arrived with an earlier one.
     fn recv_from_socket(&mut self, deadline: Instant) -> Result<Frame, NetError> {
-        let mut chunk = [0u8; 4096];
         loop {
-            match wire::decode(&self.read_buf, self.max_payload)? {
+            match wire::decode(self.read_buf.bytes(), self.max_payload)? {
                 FrameDecode::Complete { frame, consumed } => {
-                    self.read_buf.drain(..consumed);
+                    self.read_buf.consume(consumed);
                     return Ok(frame);
                 }
                 FrameDecode::Incomplete { .. } => {}
@@ -280,9 +289,9 @@ impl NetClient {
                 return Err(NetError::TimedOut);
             }
             self.stream.set_read_timeout(Some(deadline - now))?;
-            match self.stream.read(&mut chunk) {
+            match self.read_buf.read_from(&mut self.stream, READ_CHUNK) {
                 Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>

@@ -19,8 +19,8 @@
 //!   Overload and rate-limit sheds become structured retry-after replies;
 //!   wire deadlines propagate into the shard queue.
 //! - [`backend`] — where admitted requests go: the reactor is generic over
-//!   a [`Backend`], with [`LocalBackend`] verifying the content hash and
-//!   submitting to an in-process gateway, and `sesr-cluster` providing a
+//!   a [`Backend`], with [`LocalBackend`] submitting to an in-process
+//!   gateway that verifies the content hash, and `sesr-cluster` providing a
 //!   consistent-hash router that forwards encoded requests and replies
 //!   between clients and worker processes.
 //! - [`client`] — a small blocking client used by the traffic generator,
@@ -28,6 +28,8 @@
 //!   types connection loss and reconnects with backoff.
 //! - [`metrics`] — the `net.*` metric namespace registered into the same
 //!   telemetry hub the gateway snapshots.
+//! - [`recv_buf`] — the read buffer every socket reader here uses: one
+//!   syscall per read, straight into the buffer, up to the caller's limit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +39,7 @@ pub mod backend;
 pub mod client;
 pub mod metrics;
 pub mod reactor;
+pub mod recv_buf;
 pub mod wire;
 
 pub use admission::{RateLimit, TokenBucket};
@@ -44,6 +47,7 @@ pub use backend::{Backend, BackendRequest, LocalBackend, Submit};
 pub use client::{NetClient, NetError, ReconnectPolicy, RequestOptions};
 pub use metrics::NetMetrics;
 pub use reactor::{NetConfig, NetServer};
+pub use recv_buf::RecvBuf;
 pub use wire::{
     EncodedTensor, Frame, FrameDecode, ResponseBody, ResponseFrame, RetryReason, WireError,
     WireRequest, WireResponse,

@@ -18,8 +18,9 @@
 //! 5. flushes response bytes, again without blocking.
 //!
 //! The backend decides what "executing a request" means:
-//! [`LocalBackend`] decodes the image, verifies its content hash and submits
-//! it to an in-process gateway's bounded shard queues (this is
+//! [`LocalBackend`] decodes the image and submits it with its content-hash
+//! claim to an in-process gateway, which checks the claim while keying its
+//! cache and queues the image on a bounded shard (this is
 //! [`NetServer::bind`]); the `sesr-cluster` router backend forwards the
 //! encoded image to the worker process owning the request's hash arc
 //! ([`NetServer::bind_with_backend`]) and relays the member's reply frame
@@ -42,12 +43,13 @@
 use crate::admission::TokenBucket;
 use crate::backend::{Backend, BackendRequest, LocalBackend, Submit};
 use crate::metrics::NetMetrics;
+use crate::recv_buf::RecvBuf;
 use crate::wire::{
     self, Frame, FrameDecode, FrameRef, RequestRef, ResponseBody, ResponseFrame, RetryReason,
     WireResponse,
 };
 use sesr_serve::GatewayClient;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -106,7 +108,7 @@ struct Inflight {
 /// Per-connection state owned by the reactor.
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    read_buf: RecvBuf,
     write_buf: Vec<u8>,
     write_pos: usize,
     inflight: Vec<Inflight>,
@@ -314,7 +316,7 @@ impl<B: Backend> Reactor<B> {
         self.metrics.accept_probe.observe(0, Duration::ZERO);
         conns.push(Conn {
             stream,
-            read_buf: Vec::new(),
+            read_buf: RecvBuf::new(),
             write_buf: Vec::new(),
             write_pos: 0,
             inflight: Vec::new(),
@@ -327,15 +329,14 @@ impl<B: Backend> Reactor<B> {
         });
     }
 
-    /// Read under the fairness budget; backpressure a connection that is at
-    /// its in-flight cap *and* already has a frame's worth of bytes queued
-    /// by leaving further bytes in the kernel buffer (TCP flow control does
-    /// the rest).
+    /// Read under the fairness budget, each syscall asking for all of what
+    /// is left of it; backpressure a connection that is at its in-flight
+    /// cap *and* already has a frame's worth of bytes queued by leaving
+    /// further bytes in the kernel buffer (TCP flow control does the rest).
     fn service_read(&mut self, conn: &mut Conn) -> bool {
         if conn.dead || conn.broken {
             return false;
         }
-        let mut chunk = [0u8; 4096];
         let mut read_total = 0usize;
         while read_total < self.config.read_budget {
             if conn.inflight.len() >= self.config.max_inflight_per_conn
@@ -343,14 +344,19 @@ impl<B: Backend> Reactor<B> {
             {
                 break;
             }
-            match conn.stream.read(&mut chunk) {
+            let want = self.config.read_budget - read_total;
+            match conn.read_buf.read_from(&mut conn.stream, want) {
                 Ok(0) => {
                     conn.dead = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
                     read_total += n;
+                    // A short read emptied the socket: asking again would
+                    // only return WouldBlock.
+                    if n < want {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -369,10 +375,10 @@ impl<B: Backend> Reactor<B> {
     /// Parse and handle whole frames from the front of the read buffer,
     /// then drop the consumed bytes in one move.
     fn parse_frames(&mut self, conn: &mut Conn) -> bool {
-        let buf = std::mem::take(&mut conn.read_buf);
+        let mut buf = std::mem::take(&mut conn.read_buf);
         let mut at = 0;
         while !conn.broken && conn.inflight.len() < self.config.max_inflight_per_conn {
-            match wire::decode_ref(&buf[at..], self.config.max_frame_payload) {
+            match wire::decode_ref(&buf.bytes()[at..], self.config.max_frame_payload) {
                 Ok(FrameDecode::Incomplete { .. }) => break,
                 Ok(FrameDecode::Complete { frame, consumed }) => {
                     at += consumed;
@@ -398,8 +404,8 @@ impl<B: Backend> Reactor<B> {
                 }
             }
         }
+        buf.consume(at);
         conn.read_buf = buf;
-        conn.read_buf.drain(..at);
         at > 0
     }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "SESR" (0x53 0x45 0x53 0x52)
-//! 4       1     version (currently 1)
+//! 4       1     version (currently 2)
 //! 5       1     frame kind (1=request, 2=response, 3=stats, 4=stats reply,
 //!               5=reload, 6=reload reply)
 //! 6       2     reserved, must be zero
@@ -32,8 +32,12 @@ use sesr_tensor::{Shape, Tensor};
 
 /// Frame magic: `"SESR"`.
 pub const MAGIC: [u8; 4] = *b"SESR";
-/// Current protocol version; the only one this build speaks.
-pub const VERSION: u8 = 1;
+/// Current protocol version; the only one this build speaks. Version 2
+/// changed no frame layout, only the function behind a request's
+/// [`content_hash`](WireRequest::content_hash) claim (version 1 claimed a
+/// byte-wise FNV-1a 64), so a peer of the other version is refused by name
+/// instead of failing every integrity check.
+pub const VERSION: u8 = 2;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 12;
 /// Default upper bound on a frame payload (16 MiB) — frames claiming more
@@ -163,9 +167,11 @@ pub struct WireRequest {
     pub deadline_ms: u32,
     /// Bypass the server's output cache for this request.
     pub skip_cache: bool,
-    /// FNV-1a64 content hash of the image (shape + data, as
-    /// [`sesr_serve::content_hash`] computes it). The server recomputes and
-    /// rejects mismatches, so it doubles as a payload integrity check.
+    /// 64-bit content hash of the image (shape + data, as
+    /// [`sesr_serve::content_hash`] computes it, word at a time). The server
+    /// recomputes it once — the same value keys its output cache — and
+    /// rejects mismatches, so it doubles as a payload integrity check
+    /// against corruption (not against a sender crafting collisions).
     pub content_hash: u64,
     /// The `[1, C, H, W]` image to defend.
     pub image: Tensor,
@@ -1243,5 +1249,31 @@ mod tests {
             decode(&bytes, DEFAULT_MAX_PAYLOAD),
             Err(WireError::Oversized { .. })
         ));
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_naming_both_versions() {
+        let image = Tensor::full(Shape::new(&[1, 3, 4, 4]), 0.5);
+        let mut bytes = encode(&Frame::Request(WireRequest {
+            id: 5,
+            route: String::new(),
+            deadline_ms: 0,
+            skip_cache: false,
+            content_hash: sesr_serve::content_hash(&image, ""),
+            image,
+        }));
+        bytes[4] = 1;
+        assert_eq!(
+            decode(&bytes, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnsupportedVersion(1))
+        );
+        assert!(matches!(
+            decode_ref(&bytes, DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnsupportedVersion(1))
+        ));
+        assert_eq!(
+            WireError::UnsupportedVersion(1).to_string(),
+            "unsupported protocol version 1 (this build speaks 2)"
+        );
     }
 }

@@ -210,11 +210,11 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
     ));
 
     let mut wrong_version = valid.clone();
-    wrong_version[4] = 2;
-    assert!(matches!(
+    wrong_version[4] = wire::VERSION + 1;
+    assert_eq!(
         wire::decode(&wrong_version, wire::DEFAULT_MAX_PAYLOAD),
-        Err(WireError::UnsupportedVersion(2))
-    ));
+        Err(WireError::UnsupportedVersion(wire::VERSION + 1))
+    );
 
     let mut unknown_kind = valid.clone();
     unknown_kind[5] = 0;

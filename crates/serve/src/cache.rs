@@ -1,32 +1,80 @@
 //! Keyed LRU cache of defended outputs.
 //!
 //! The gateway keys the cache by `(RouteKey, content-hash)` — the route
-//! identifies *which* defense produced the output, the 64-bit FNV-1a content
-//! hash identifies the input image — so two routes serving different models
-//! can never return each other's defended outputs. A 64-bit digest is not
-//! collision-proof in the cryptographic sense, but for a bounded cache of
-//! image tensors the collision probability is negligible (~n²/2⁶⁵) and a
-//! collision only ever returns a *previously defended* output of the same
-//! route, never corrupts state.
+//! identifies *which* defense produced the output, the 64-bit
+//! [`content_hash`] identifies the input image — so two routes serving
+//! different models can never return each other's defended outputs. The
+//! same hash is the wire protocol's integrity claim, and the gateway
+//! computes it once per request for both jobs.
+//!
+//! The hash is unkeyed and not cryptographic. Against corruption and
+//! accidental repeats it is enough: for a bounded cache of image tensors
+//! the collision probability is negligible (~n²/2⁶⁵), and a collision only
+//! ever returns a *previously defended* output of the same route, never
+//! corrupts state. It does **not** resist a chosen collision, and neither
+//! did the byte-wise FNV-1a of wire protocol version 1: anyone who can send
+//! images can craft two that share a hash. It is an integrity check against
+//! corruption, not an authenticator.
 
-use sesr_store::Fnv1a64;
+use sesr_store::mix64;
 use sesr_tensor::Tensor;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// 64-bit FNV-1a content hash of an image tensor's shape and exact f32 bit
+/// Starting state of [`content_hash`] (the first 64 fractional bits of π).
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+/// Odd multiplier of [`content_hash`]'s per-word step (2⁶⁴ / φ).
+const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of [`content_hash`]: xor the word in, multiply, fold the high
+/// half down. For a fixed state the step is a bijection of the word, and for
+/// a fixed word a bijection of the state, so two word sequences of the same
+/// length that differ in exactly one word always hash apart.
+#[inline]
+fn fold(state: u64, word: u64) -> u64 {
+    let state = (state ^ word).wrapping_mul(MULTIPLIER);
+    state ^ (state >> 32)
+}
+
+/// 64-bit content hash of an image tensor's shape and exact f32 bit
 /// patterns, salted with `salt` (empty when the cache key already carries the
 /// route identity).
+///
+/// One 64-bit word at a time: the salt's length and its bytes in 8-byte
+/// words, the rank, each dim, then the f32 bit patterns two to a word
+/// (element `2i` in the low half, `2i + 1` in the high half, an odd last
+/// element alone) pass through a multiply and a shift-xor, and Murmur3's
+/// finalizer ([`mix64`]) ends it. Two values per word halve the serial
+/// multiply chain that bounds the hash's speed. Every length is folded
+/// before what it counts, so distinct inputs are distinct word sequences;
+/// and as each step is a bijection of its word, two sequences of one length
+/// that differ in a single word (one flipped bit of the salt or of a value,
+/// say) never collide. The value is part of the wire protocol (a request's
+/// claim), so changing this function changes the protocol version.
 pub fn content_hash(image: &Tensor, salt: &str) -> u64 {
-    let mut hash = Fnv1a64::default();
-    hash.write(salt.as_bytes());
-    for dim in image.shape().dims() {
-        hash.write(&(*dim as u64).to_le_bytes());
+    hash_parts(salt.as_bytes(), image.shape().dims(), image.data())
+}
+
+fn hash_parts(salt: &[u8], dims: &[usize], data: &[f32]) -> u64 {
+    let mut state = fold(SEED, salt.len() as u64);
+    for chunk in salt.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        state = fold(state, u64::from_le_bytes(word));
     }
-    for value in image.data() {
-        hash.write(&value.to_bits().to_le_bytes());
+    state = fold(state, dims.len() as u64);
+    for &dim in dims {
+        state = fold(state, dim as u64);
     }
-    hash.finish()
+    let mut pairs = data.chunks_exact(2);
+    for pair in &mut pairs {
+        let word = u64::from(pair[0].to_bits()) | (u64::from(pair[1].to_bits()) << 32);
+        state = fold(state, word);
+    }
+    for value in pairs.remainder() {
+        state = fold(state, u64::from(value.to_bits()));
+    }
+    mix64(state)
 }
 
 const NIL: usize = usize::MAX;
@@ -204,6 +252,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sesr_tensor::Shape;
 
     #[test]
@@ -331,5 +380,80 @@ mod tests {
         assert_ne!(content_hash(&a, "s"), content_hash(&b, "s"));
         assert_ne!(content_hash(&a, "s"), content_hash(&c, "s"));
         assert_ne!(content_hash(&a, "nearest"), content_hash(&a, "bicubic"));
+    }
+
+    /// The hash is part of the wire protocol: this pins its value. A change
+    /// here is a protocol change and needs a new wire version.
+    #[test]
+    fn content_hash_matches_its_reference_vector() {
+        let data: Vec<f32> = (0..48).map(|i| i as f32 * 0.125 - 1.0).collect();
+        let image = Tensor::from_vec(Shape::new(&[1, 3, 4, 4]), data).expect("48 values");
+        assert_eq!(content_hash(&image, "sesr-m2:x2:raw"), REFERENCE);
+        assert_eq!(content_hash(&image, ""), REFERENCE_UNSALTED);
+    }
+
+    const REFERENCE: u64 = 0x7a0b_ba4e_716f_f1d2;
+    const REFERENCE_UNSALTED: u64 = 0xe8be_fcaa_fd86_2de8;
+
+    /// splitmix64: a cheap, seedable stream of test words.
+    fn next_word(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        mix64(*state)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Flipping any one bit of any value, any dim or the salt changes
+        /// the hash.
+        #[test]
+        fn any_single_bit_flip_changes_the_hash(
+            seed in 0u64..u64::MAX,
+            part in 0usize..3,
+            index in 0usize..48,
+            bit in 0u32..64,
+            salt_len in 0usize..20,
+        ) {
+            let mut state = seed;
+            let dims = [1usize, 3, 4, 4];
+            let data: Vec<f32> = (0..48)
+                .map(|_| f32::from_bits(next_word(&mut state) as u32))
+                .collect();
+            let salt: Vec<u8> = (0..salt_len).map(|_| next_word(&mut state) as u8).collect();
+            let original = hash_parts(&salt, &dims, &data);
+            let (mut salt2, mut dims2, mut data2) = (salt.clone(), dims, data.clone());
+            match part {
+                0 => data2[index] = f32::from_bits(data[index].to_bits() ^ (1 << (bit % 32))),
+                1 => dims2[index % 4] ^= 1 << (bit % usize::BITS),
+                _ if salt_len > 0 => salt2[index % salt_len] ^= 1 << (bit % 8),
+                _ => salt2.push(0),
+            }
+            prop_assert!(hash_parts(&salt2, &dims2, &data2) != original);
+        }
+    }
+
+    /// No two of 100 000 random `[1, 3, 32, 32]` images share a hash, and
+    /// neither does any image and its neighbour one ulp away in one element.
+    #[test]
+    fn random_images_and_their_one_ulp_neighbours_never_collide() {
+        let dims = [1usize, 3, 32, 32];
+        let mut data = vec![0f32; 3 * 32 * 32];
+        let mut seen = std::collections::HashSet::new();
+        let mut state = 42u64;
+        for image in 0..100_000 {
+            for value in data.iter_mut() {
+                *value = (next_word(&mut state) >> 40) as f32 / (1u64 << 24) as f32;
+            }
+            assert!(
+                seen.insert(hash_parts(b"", &dims, &data)),
+                "image {image} collided"
+            );
+            if image % 100 == 0 {
+                let at = (next_word(&mut state) % data.len() as u64) as usize;
+                data[at] = f32::from_bits(data[at].to_bits() + 1);
+                let neighbour = hash_parts(b"", &dims, &data);
+                assert!(seen.insert(neighbour), "image {image}'s neighbour collided");
+            }
+        }
     }
 }

@@ -171,7 +171,14 @@ fn submit_to(
         route,
         skip_cache,
         deadline,
+        claimed_hash,
     } = request;
+    // One hash per request serves both the claim check and the cache key.
+    let use_cache = shared.cache_enabled && !skip_cache;
+    let hash = (use_cache || claimed_hash.is_some()).then(|| content_hash(&image, ""));
+    if claimed_hash.is_some() && claimed_hash != hash {
+        return Err(ServeError::HashMismatch);
+    }
     let (n, _, _, _) = image
         .shape()
         .as_nchw()
@@ -198,8 +205,8 @@ fn submit_to(
         return Err(ServeError::Overloaded);
     }
 
-    let cache_key: Option<CacheKey> = if shared.cache_enabled && !skip_cache {
-        let key = (route, content_hash(&image, ""));
+    let cache_key: Option<CacheKey> = if let Some(hash) = hash.filter(|_| use_cache) {
+        let key = (route, hash);
         // The cache-lookup stage covers hashing's sibling cost: the lock plus
         // the LRU probe. A poisoned guard means some other holder panicked;
         // recover it rather than cascade the panic into every submitter.
@@ -293,7 +300,9 @@ impl GatewayClient {
     /// [`ServeError::UnknownRoute`] when the request names a route the
     /// gateway does not serve, [`ServeError::Overloaded`] when that route's
     /// queue is full, [`ServeError::InvalidRequest`] for non-`[1, C, H, W]`
-    /// inputs, [`ServeError::Closed`] when the gateway is gone.
+    /// inputs, [`ServeError::HashMismatch`] when a
+    /// [claimed hash](DefenseRequest::claiming_hash) is wrong,
+    /// [`ServeError::Closed`] when the gateway is gone.
     pub fn submit(&self, request: DefenseRequest) -> Result<PendingResponse, ServeError> {
         submit_to(&self.shared, request)
     }
@@ -896,6 +905,38 @@ mod tests {
                 .unwrap()
                 .cache_hit
         );
+        drop(client);
+        gateway.shutdown();
+    }
+
+    #[test]
+    fn a_claimed_hash_is_checked_with_or_without_the_cache() {
+        let gateway = GatewayBuilder::new()
+            .route(nearest_route())
+            .build()
+            .unwrap();
+        let client = gateway.client();
+        let image = test_image(4, 8);
+        let hash = content_hash(&image, "");
+        for skip in [false, true] {
+            let request = |claim| {
+                let request = DefenseRequest::new(image.clone()).claiming_hash(claim);
+                if skip {
+                    request.skip_cache()
+                } else {
+                    request
+                }
+            };
+            assert!(matches!(
+                client.submit(request(hash ^ 1)),
+                Err(ServeError::HashMismatch)
+            ));
+            assert!(client.defend_blocking(request(hash)).is_ok());
+        }
+        // The refused claims queued nothing: only the two good ones ran.
+        let snapshot = client.telemetry_snapshot();
+        assert_eq!(snapshot.counter("gateway.cache_hits"), Some(0));
+        assert_eq!(snapshot.counter("gateway.computed_images"), Some(2));
         drop(client);
         gateway.shutdown();
     }

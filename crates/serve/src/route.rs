@@ -159,6 +159,7 @@ pub struct DefenseRequest {
     pub(crate) route: Option<RouteKey>,
     pub(crate) skip_cache: bool,
     pub(crate) deadline: Option<Duration>,
+    pub(crate) claimed_hash: Option<u64>,
 }
 
 impl DefenseRequest {
@@ -169,6 +170,7 @@ impl DefenseRequest {
             route: None,
             skip_cache: false,
             deadline: None,
+            claimed_hash: None,
         }
     }
 
@@ -192,6 +194,16 @@ impl DefenseRequest {
     /// deadline too far away to represent as an `Instant` means no deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
+        self
+    }
+
+    /// Attach the [`content_hash`](crate::content_hash) the sender claims
+    /// for the image (a wire request carries one). Submission checks the
+    /// claim against the hash it computes anyway for the cache key, so the
+    /// image is hashed once, and refuses a mismatch with
+    /// `ServeError::HashMismatch` before anything is queued.
+    pub fn claiming_hash(mut self, content_hash: u64) -> Self {
+        self.claimed_hash = Some(content_hash);
         self
     }
 

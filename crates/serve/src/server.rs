@@ -25,6 +25,8 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The request was malformed (wrong rank or batch dimension).
     InvalidRequest(String),
+    /// The content hash the request claimed does not match its image.
+    HashMismatch,
     /// A pipeline stage failed while processing the request.
     Pipeline(String),
 }
@@ -39,6 +41,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "request deadline passed before a worker reached it")
             }
             ServeError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
+            ServeError::HashMismatch => {
+                write!(f, "content hash does not match the image payload")
+            }
             ServeError::Pipeline(msg) => write!(f, "defense pipeline failed: {msg}"),
         }
     }

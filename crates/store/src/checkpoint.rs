@@ -40,8 +40,9 @@ const MAX_HEADER_LEN: usize = 64 * 1024;
 /// Streaming 64-bit FNV-1a, the workspace's one FNV-1a: feed bytes in any
 /// number of [`Fnv1a64::write`] runs, and [`Fnv1a64::finish`] equals
 /// [`fnv1a64`] over their concatenation. Store checksums and content
-/// addresses, the serving cache's and the wire's image content hash, and
-/// the cluster ring's placement are all built on it.
+/// addresses and the cluster ring's placement are built on it; the image
+/// content hash the serving cache and the wire use is not (it folds whole
+/// words, see `sesr_serve::content_hash`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a64(u64);
 
@@ -75,6 +76,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = Fnv1a64::default();
     hash.write(bytes);
     hash.finish()
+}
+
+/// Murmur3's 64-bit finalizer (`fmix64`): a bijection whose every output
+/// bit depends on every input bit. A hash that folds its input cheaply
+/// (FNV-1a, a word-at-a-time multiply) ends with it so structured inputs
+/// still spread across all 64 bits.
+pub const fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^= x >> 33;
+    x
 }
 
 /// The only payload encoding format version 1 carries; the header names it
