@@ -26,8 +26,8 @@
 //! cargo run --release -p sesr-bench --bin tables -- all quick
 //! cargo run --release -p sesr-bench --bin tables -- table2 full --store eval-store
 //! cargo run --release -p sesr-bench --bin tables -- all smoke \
-//!     --filter transfer/mobilenet-v2-to-resnet-50,gateway/mobilenet-v2 \
-//!     --json BENCH_eval_smoke.json
+//!     --filter transfer/mobilenet-v2-to-resnet-50,gateway/mobilenet-v2,table2/mobilenet-v2 \
+//!     --attacks fgsm,pgd --json BENCH_eval_smoke.json
 //! ```
 //!
 //! The process exits non-zero when any selected scenario fails, so CI can
@@ -98,7 +98,8 @@ fn config_for_scale(scale: &str) -> ExperimentConfig {
 }
 
 fn table3_config(base: &ExperimentConfig, attacks_overridden: bool) -> ExperimentConfig {
-    // Table III uses the larger classifiers, PGD/APGD and a defense subset.
+    // Table III uses the larger classifiers and PGD/APGD; `EvalPlan::table3`
+    // keeps the learned SR models.
     let mut config = base.clone();
     config.classifiers = base
         .classifiers
@@ -123,12 +124,6 @@ fn table3_config(base: &ExperimentConfig, attacks_overridden: bool) -> Experimen
             config.attacks = vec![AttackKind::Pgd];
         }
     }
-    config.sr_kinds = base
-        .sr_kinds
-        .iter()
-        .copied()
-        .filter(|k| k.is_learned())
-        .collect();
     config
 }
 

@@ -51,5 +51,5 @@ mod sink;
 pub use bank::{ModelBank, TrainCounts};
 pub use plan::{EvalPlan, PlanReport, ScenarioMeta, ScenarioReport, ScenarioStatus};
 pub use record::{EvalRecord, FieldValue};
-pub use scenario::{CustomScenario, DefenseSpec, Scenario, ScenarioSpec};
+pub use scenario::{adversarial_sets, CustomScenario, DefenseSpec, Scenario, ScenarioSpec};
 pub use sink::{CsvSink, EvalSink, JsonSink, TextTableSink};

@@ -6,6 +6,7 @@ use crate::eval::record::EvalRecord;
 use crate::eval::scenario::{execute, CustomScenario, DefenseSpec, Scenario, ScenarioSpec};
 use crate::eval::sink::EvalSink;
 use crate::experiments::ExperimentConfig;
+use crate::pipeline::PreprocessConfig;
 use crate::Result;
 use sesr_npu::NpuConfig;
 use sesr_telemetry::{Counter, Level, Probe, Telemetry};
@@ -240,42 +241,26 @@ impl EvalPlan {
     pub fn table2(config: &ExperimentConfig) -> EvalPlan {
         let mut defenses = vec![DefenseSpec::none()];
         defenses.extend(config.sr_kinds.iter().map(|k| DefenseSpec::paper(*k)));
-        let mut plan = EvalPlan::new("table2");
-        for classifier in &config.classifiers {
-            plan = plan.scenario(
-                format!("table2/{}", classifier.slug()),
-                ScenarioSpec::Robustness {
-                    classifier: *classifier,
-                    defenses: defenses.clone(),
-                    attacks: config.attacks.clone(),
-                    epsilons: vec![config.attack.epsilon],
-                },
-            );
-        }
-        plan
+        robustness_grid("table2", config, defenses)
     }
 
-    /// The Table III plan: one [`ScenarioSpec::JpegAblation`] scenario per
-    /// classifier over the learned SR models.
+    /// The Table III plan: one [`ScenarioSpec::Robustness`] section per
+    /// classifier with two rows per learned SR model — the paper
+    /// configuration and the same model without the JPEG stage. The JPEG
+    /// row is the Table II row of the same classifier, attack and model.
     pub fn table3(config: &ExperimentConfig) -> EvalPlan {
-        let defenses: Vec<_> = config
+        let defenses = config
             .sr_kinds
             .iter()
-            .copied()
             .filter(|k| k.is_learned())
+            .flat_map(|k| {
+                [
+                    DefenseSpec::paper(*k),
+                    DefenseSpec::new(*k, 2, PreprocessConfig::without_jpeg()),
+                ]
+            })
             .collect();
-        let mut plan = EvalPlan::new("table3");
-        for classifier in &config.classifiers {
-            plan = plan.scenario(
-                format!("table3/{}", classifier.slug()),
-                ScenarioSpec::JpegAblation {
-                    classifier: *classifier,
-                    defenses: defenses.clone(),
-                    attacks: config.attacks.clone(),
-                },
-            );
-        }
-        plan
+        robustness_grid("table3", config, defenses)
     }
 
     /// The Table IV plan: one [`ScenarioSpec::NpuLatency`] scenario per SR
@@ -294,25 +279,23 @@ impl EvalPlan {
         plan
     }
 
-    /// The transfer-attack plan: one [`ScenarioSpec::TransferAttack`]
-    /// scenario per ordered pair of distinct configured classifiers, over
-    /// "No Defense" plus the configured SR models.
+    /// The transfer-attack plan: one [`ScenarioSpec::Robustness`] scenario
+    /// with a `surrogate` per ordered pair of distinct configured
+    /// classifiers, over "No Defense" plus the configured SR models.
     pub fn transfer(config: &ExperimentConfig) -> EvalPlan {
         let mut defenses = vec![DefenseSpec::none()];
         defenses.extend(config.sr_kinds.iter().map(|k| DefenseSpec::paper(*k)));
         let mut plan = EvalPlan::new("transfer");
         for source in &config.classifiers {
-            for target in &config.classifiers {
-                if source == target {
-                    continue;
-                }
+            for target in config.classifiers.iter().filter(|t| *t != source) {
                 plan = plan.scenario(
                     format!("transfer/{}-to-{}", source.slug(), target.slug()),
-                    ScenarioSpec::TransferAttack {
-                        source: *source,
-                        target: *target,
+                    ScenarioSpec::Robustness {
+                        classifier: *target,
+                        surrogate: Some(*source),
                         defenses: defenses.clone(),
                         attacks: config.attacks.clone(),
+                        epsilons: vec![config.attack.epsilon],
                     },
                 );
             }
@@ -471,6 +454,26 @@ impl EvalPlan {
         report.sink_errors = sink_errors;
         Ok(report)
     }
+}
+
+/// One gray-box [`ScenarioSpec::Robustness`] section per configured
+/// classifier, named `<plan>/<classifier>`, over `defenses` × the config's
+/// attacks at its ε.
+fn robustness_grid(plan: &str, config: &ExperimentConfig, defenses: Vec<DefenseSpec>) -> EvalPlan {
+    let mut grid = EvalPlan::new(plan);
+    for classifier in &config.classifiers {
+        grid = grid.scenario(
+            format!("{plan}/{}", classifier.slug()),
+            ScenarioSpec::Robustness {
+                classifier: *classifier,
+                surrogate: None,
+                defenses: defenses.clone(),
+                attacks: config.attacks.clone(),
+                epsilons: vec![config.attack.epsilon],
+            },
+        );
+    }
+    grid
 }
 
 /// The error a scenario that panicked is reported with.

@@ -12,6 +12,7 @@ use sesr_classifiers::ClassifierKind;
 use sesr_models::cost::{paper_cost, paper_reported, paper_reported_psnr};
 use sesr_models::trainer::evaluate_network_psnr;
 use sesr_models::SrModelKind;
+use sesr_nn::Layer;
 use sesr_npu::{estimate_pipeline, NpuConfig, PipelineLatency};
 use sesr_tensor::{Tensor, TensorError};
 use std::sync::Arc;
@@ -55,11 +56,21 @@ impl DefenseSpec {
         DefenseSpec::new(model, 2, PreprocessConfig::paper())
     }
 
-    /// Display name used in result rows (`"No Defense"` or the model name).
+    /// Display name used in result rows: `"No Defense"`, the model name for
+    /// the paper configuration, and otherwise the model name with its
+    /// preprocess and any scale other than ×2, e.g. `"SESR-M2 (wavelet2)"`
+    /// or `"Bicubic (x4, raw)"`, so every point of a grid is distinct.
     pub fn name(&self) -> String {
         match self.model {
-            Some(kind) => kind.name().to_string(),
             None => "No Defense".to_string(),
+            Some(kind) if *self == DefenseSpec::paper(kind) => kind.name().to_string(),
+            Some(kind) => {
+                let scale = match self.scale {
+                    2 => String::new(),
+                    scale => format!("x{scale}, "),
+                };
+                format!("{} ({scale}{})", kind.name(), self.preprocess.label())
+            }
         }
     }
 
@@ -105,28 +116,25 @@ pub enum ScenarioSpec {
         /// The learned SR model.
         sr: SrModelKind,
     },
-    /// Table II section generalised: one classifier against a defense grid
-    /// × attack grid × ε grid (the legacy driver could only express a single
-    /// ε).
+    /// Robust accuracy of one classifier over a defense grid × attack grid
+    /// × ε grid: a Table II section, Table III's JPEG ablation (two
+    /// preprocess rows per model) or, with a `surrogate`, the transfer
+    /// grid. Every defense row of an (attack, ε) cell is measured on the
+    /// same adversarial set (see [`adversarial_sets`]).
     Robustness {
-        /// The classifier under attack.
+        /// The classifier under attack: it picks the clean-correct subset
+        /// and judges every defended image.
         classifier: ClassifierKind,
+        /// The classifier the attacker has gradients for: `None` crafts
+        /// against `classifier` itself (gray-box), `Some` crafts against
+        /// this surrogate (the black-box transfer protocol).
+        surrogate: Option<ClassifierKind>,
         /// Defense grid (row order).
         defenses: Vec<DefenseSpec>,
         /// Attack grid (column order).
         attacks: Vec<AttackKind>,
         /// Perturbation budgets; each produces one row set.
         epsilons: Vec<f32>,
-    },
-    /// Table III rows for one classifier: robustness with and without the
-    /// JPEG stage, per learned defense and attack.
-    JpegAblation {
-        /// The classifier under attack.
-        classifier: ClassifierKind,
-        /// Learned SR models to ablate.
-        defenses: Vec<SrModelKind>,
-        /// Attacks to evaluate.
-        attacks: Vec<AttackKind>,
     },
     /// Table IV row: analytic end-to-end latency of the enlarged
     /// MobileNet-V2 plus one SR model on a micro-NPU.
@@ -135,19 +143,6 @@ pub enum ScenarioSpec {
         sr: SrModelKind,
         /// The NPU configuration to estimate on.
         npu: NpuConfig,
-    },
-    /// Cross-model transfer attack: adversarial examples crafted against
-    /// `source` are defended and evaluated on `target` — the black-box
-    /// transferability protocol the legacy API could not express.
-    TransferAttack {
-        /// The surrogate classifier the attacker has gradients for.
-        source: ClassifierKind,
-        /// The deployed classifier actually being evaluated.
-        target: ClassifierKind,
-        /// Defense grid.
-        defenses: Vec<DefenseSpec>,
-        /// Attacks to evaluate.
-        attacks: Vec<AttackKind>,
     },
     /// An externally implemented scenario.
     Custom(Arc<dyn CustomScenario>),
@@ -159,9 +154,7 @@ impl ScenarioSpec {
         match self {
             ScenarioSpec::SrQuality { .. } => "sr-quality",
             ScenarioSpec::Robustness { .. } => "robustness",
-            ScenarioSpec::JpegAblation { .. } => "jpeg-ablation",
             ScenarioSpec::NpuLatency { .. } => "npu-latency",
-            ScenarioSpec::TransferAttack { .. } => "transfer-attack",
             ScenarioSpec::Custom(custom) => custom.kind(),
         }
     }
@@ -189,22 +182,12 @@ pub(crate) fn execute(scenario: &Scenario, bank: &ModelBank) -> Result<Vec<EvalR
         ScenarioSpec::SrQuality { sr } => run_sr_quality(*sr, bank),
         ScenarioSpec::Robustness {
             classifier,
+            surrogate,
             defenses,
             attacks,
             epsilons,
-        } => run_robustness(*classifier, defenses, attacks, epsilons, bank),
-        ScenarioSpec::JpegAblation {
-            classifier,
-            defenses,
-            attacks,
-        } => run_jpeg_ablation(*classifier, defenses, attacks, bank),
+        } => run_robustness(*classifier, *surrogate, defenses, attacks, epsilons, bank),
         ScenarioSpec::NpuLatency { sr, npu } => run_npu_latency(*sr, npu),
-        ScenarioSpec::TransferAttack {
-            source,
-            target,
-            defenses,
-            attacks,
-        } => run_transfer(*source, *target, defenses, attacks, bank),
         ScenarioSpec::Custom(custom) => custom.run(bank),
     }
 }
@@ -226,105 +209,91 @@ fn run_sr_quality(kind: SrModelKind, bank: &ModelBank) -> Result<Vec<EvalRecord>
         .maybe_int("paper_macs", reported.map(|r| r.macs))])
 }
 
-fn evaluator_for(
-    classifier: ClassifierKind,
+/// One (attack, ε) cell's adversarial images, as [`adversarial_sets`]
+/// crafts them.
+type AdversarialSet = (AttackKind, f32, Vec<Tensor>);
+
+/// The clean-correct evaluator for `classifier` and one adversarial set per
+/// (attack, ε) cell, attack-major, crafted against `surrogate` when given
+/// and against `classifier` otherwise.
+///
+/// This is the one place a crafting seed is derived (`seed + 4000 +
+/// 17·attack + attacker`), so every row of a (classifier, attack, ε) cell —
+/// each defense of Tables II and III, each gateway route — is measured on
+/// the same images.
+///
+/// # Errors
+///
+/// Returns an error if `eval_images` exceeds `val_size`, or if training,
+/// selection or an attack fails.
+pub fn adversarial_sets(
     bank: &ModelBank,
-) -> Result<(RobustnessEvaluator, f32)> {
+    classifier: ClassifierKind,
+    surrogate: Option<ClassifierKind>,
+    attacks: &[AttackKind],
+    epsilons: &[f32],
+) -> Result<(RobustnessEvaluator, Vec<AdversarialSet>)> {
+    let config = bank.config();
+    if config.eval_images > config.val_size {
+        return Err(TensorError::invalid_argument(format!(
+            "eval_images = {} exceeds val_size = {}, the pool it is drawn from",
+            config.eval_images, config.val_size
+        )));
+    }
     let dataset = bank.classification_dataset()?;
-    let network = bank.classifier(classifier)?;
     let mut evaluator = RobustnessEvaluator::new(
-        network,
+        bank.classifier(classifier)?,
         dataset.val_images(),
         dataset.val_labels(),
-        bank.config().eval_images,
+        config.eval_images,
     )?;
-    let clean_accuracy = evaluator.clean_accuracy()?;
-    Ok((evaluator, clean_accuracy))
+    let mut surrogate_network = surrogate.map(|kind| bank.classifier(kind)).transpose()?;
+    let attacker = surrogate.unwrap_or(classifier);
+    let mut sets = Vec::with_capacity(attacks.len() * epsilons.len());
+    for attack_kind in attacks {
+        for &epsilon in epsilons {
+            let attack = attack_kind.build(config.attack.with_epsilon(epsilon));
+            let seed = config
+                .seed
+                .wrapping_add(4000 + *attack_kind as u64 * 17 + attacker as u64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let surrogate = surrogate_network
+                .as_deref_mut()
+                .map(|s| s as &mut dyn Layer);
+            let set = evaluator.craft(attack.as_ref(), surrogate, &mut rng)?;
+            sets.push((*attack_kind, epsilon, set));
+        }
+    }
+    Ok((evaluator, sets))
 }
 
 fn run_robustness(
     classifier: ClassifierKind,
+    surrogate: Option<ClassifierKind>,
     defenses: &[DefenseSpec],
     attacks: &[AttackKind],
     epsilons: &[f32],
     bank: &ModelBank,
 ) -> Result<Vec<EvalRecord>> {
-    let (mut evaluator, clean_accuracy) = evaluator_for(classifier, bank)?;
-
-    // Crafting is deterministic per (classifier, attack, ε) — the RNG is
-    // re-seeded per cell with the legacy seed derivation — so each
-    // adversarial set is computed once and shared across the defense grid
-    // (the legacy driver re-crafted it per defense row).
-    let mut crafted: Vec<Vec<Tensor>> = Vec::with_capacity(attacks.len() * epsilons.len());
-    for attack_kind in attacks {
-        for &epsilon in epsilons {
-            let attack = attack_kind.build(bank.config().attack.with_epsilon(epsilon));
-            let mut rng = StdRng::seed_from_u64(
-                bank.config()
-                    .seed
-                    .wrapping_add(4000 + *attack_kind as u64 * 17 + classifier as u64),
-            );
-            crafted.push(evaluator.craft_adversarial(attack.as_ref(), &mut rng)?);
-        }
-    }
-
+    let (mut evaluator, sets) = adversarial_sets(bank, classifier, surrogate, attacks, epsilons)?;
+    let clean_accuracy = evaluator.clean_accuracy()?;
     let mut records = Vec::new();
     for spec in defenses {
         let pipeline = bank.defense(spec)?;
-        for (attack_index, attack_kind) in attacks.iter().enumerate() {
-            for (epsilon_index, &epsilon) in epsilons.iter().enumerate() {
-                let adversarial = &crafted[attack_index * epsilons.len() + epsilon_index];
-                let robust_accuracy =
-                    evaluator.defended_accuracy(adversarial, pipeline.as_ref())?;
-                records.push(
-                    EvalRecord::new()
-                        .text("classifier", classifier.name())
-                        .text("defense", spec.name())
-                        .text("attack", attack_kind.name())
-                        .float("epsilon", f64::from(epsilon))
-                        .float("clean_accuracy", f64::from(clean_accuracy))
-                        .float("robust_accuracy", f64::from(robust_accuracy))
-                        .int("num_images", adversarial.len() as u64),
-                );
+        for (attack_kind, epsilon, adversarial) in &sets {
+            let robust_accuracy = evaluator.defended_accuracy(adversarial, pipeline.as_ref())?;
+            let mut record = EvalRecord::new().text("classifier", classifier.name());
+            if let Some(surrogate) = surrogate {
+                record = record.text("surrogate", surrogate.name());
             }
-        }
-    }
-    Ok(records)
-}
-
-fn run_jpeg_ablation(
-    classifier: ClassifierKind,
-    defenses: &[SrModelKind],
-    attacks: &[AttackKind],
-    bank: &ModelBank,
-) -> Result<Vec<EvalRecord>> {
-    let (mut evaluator, _clean) = evaluator_for(classifier, bank)?;
-    let mut records = Vec::new();
-    for attack_kind in attacks {
-        let attack = attack_kind.build(bank.config().attack);
-        let mut rng = StdRng::seed_from_u64(
-            bank.config()
-                .seed
-                .wrapping_add(5000 + *attack_kind as u64 * 13 + classifier as u64),
-        );
-        let adversarial = evaluator.craft_adversarial(attack.as_ref(), &mut rng)?;
-        for kind in defenses.iter().filter(|k| k.is_learned()) {
-            let with_jpeg = bank.defense(&DefenseSpec::paper(*kind))?;
-            let without_jpeg = bank.defense(&DefenseSpec::new(
-                *kind,
-                2,
-                PreprocessConfig::without_jpeg(),
-            ))?;
-            let jpeg_accuracy = evaluator.defended_accuracy(&adversarial, with_jpeg.as_ref())?;
-            let no_jpeg_accuracy =
-                evaluator.defended_accuracy(&adversarial, without_jpeg.as_ref())?;
             records.push(
-                EvalRecord::new()
-                    .text("classifier", classifier.name())
-                    .text("defense", kind.name())
+                record
+                    .text("defense", spec.name())
                     .text("attack", attack_kind.name())
-                    .float("no_jpeg_accuracy", f64::from(no_jpeg_accuracy))
-                    .float("jpeg_accuracy", f64::from(jpeg_accuracy)),
+                    .float("epsilon", f64::from(*epsilon))
+                    .float("clean_accuracy", f64::from(clean_accuracy))
+                    .float("robust_accuracy", f64::from(robust_accuracy))
+                    .int("num_images", adversarial.len() as u64),
             );
         }
     }
@@ -351,44 +320,6 @@ fn run_npu_latency(kind: SrModelKind, npu: &NpuConfig) -> Result<Vec<EvalRecord>
         .float("fps", fps)])
 }
 
-fn run_transfer(
-    source: ClassifierKind,
-    target: ClassifierKind,
-    defenses: &[DefenseSpec],
-    attacks: &[AttackKind],
-    bank: &ModelBank,
-) -> Result<Vec<EvalRecord>> {
-    let mut surrogate = bank.classifier(source)?;
-    let (mut evaluator, clean_accuracy) = evaluator_for(target, bank)?;
-
-    let mut records = Vec::new();
-    for attack_kind in attacks {
-        let attack = attack_kind.build(bank.config().attack);
-        let mut rng = StdRng::seed_from_u64(bank.config().seed.wrapping_add(
-            6000 + *attack_kind as u64 * 19 + source as u64 * 31 + target as u64 * 7,
-        ));
-        // Gradients come from the surrogate; the evaluation subset (and the
-        // final verdict) belong to the target.
-        let adversarial =
-            evaluator.craft_adversarial_against(attack.as_ref(), surrogate.as_mut(), &mut rng)?;
-        for spec in defenses {
-            let pipeline = bank.defense(spec)?;
-            let robust_accuracy = evaluator.defended_accuracy(&adversarial, pipeline.as_ref())?;
-            records.push(
-                EvalRecord::new()
-                    .text("source", source.name())
-                    .text("target", target.name())
-                    .text("defense", spec.name())
-                    .text("attack", attack_kind.name())
-                    .float("clean_accuracy", f64::from(clean_accuracy))
-                    .float("robust_accuracy", f64::from(robust_accuracy))
-                    .int("num_images", adversarial.len() as u64),
-            );
-        }
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,6 +333,26 @@ mod tests {
         assert_eq!(spec.label(), "sesr-m2:x2:jpeg75+wavelet2");
         let raw = DefenseSpec::new(SrModelKind::Bicubic, 4, PreprocessConfig::none());
         assert_eq!(raw.label(), "bicubic:x4:raw");
+        // Off the paper configuration the name carries what differs, so the
+        // two Table III rows of one model are distinct.
+        assert_eq!(raw.name(), "Bicubic (x4, raw)");
+        let no_jpeg = DefenseSpec::new(SrModelKind::SesrM2, 2, PreprocessConfig::without_jpeg());
+        assert_eq!(no_jpeg.name(), "SESR-M2 (wavelet2)");
+    }
+
+    #[test]
+    fn an_eval_set_larger_than_the_validation_pool_is_rejected() {
+        let mut config = crate::experiments::ExperimentConfig::quick();
+        config.val_size = 48;
+        config.eval_images = 384;
+        let bank = ModelBank::ephemeral(config).unwrap();
+        let classifier = ClassifierKind::MobileNetV2;
+        let error = adversarial_sets(&bank, classifier, None, &[AttackKind::Fgsm], &[0.1])
+            .err()
+            .expect("384 evaluation images cannot come from a pool of 48")
+            .to_string();
+        assert!(error.contains("384") && error.contains("48"), "{error}");
+        assert_eq!(bank.train_counts().total(), 0, "rejected before training");
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub struct ExperimentConfig {
     pub classifier_epochs: usize,
     /// SR training epochs.
     pub sr_epochs: usize,
-    /// Maximum number of evaluation images per classifier.
+    /// Maximum number of evaluation images per classifier; may not exceed
+    /// `val_size`, the pool they are drawn from.
     pub eval_images: usize,
     /// Attack configuration (ε, steps).
     pub attack: AttackConfig,

@@ -14,15 +14,17 @@
 //!
 //! * [`pipeline`] — the [`DefensePipeline`] (JPEG → wavelet → SR), generic
 //!   over any [`Upscaler`](sesr_models::Upscaler).
-//! * [`robustness`] — the gray-box evaluation harness: select a clean-correct
-//!   evaluation subset, craft attacks against the bare classifier, measure
-//!   robust accuracy with and without each defense (Tables II and III).
+//! * [`robustness`] — the evaluation harness: select a clean-correct
+//!   evaluation subset, craft attacks against the bare classifier (gray-box)
+//!   or a surrogate (transfer), measure robust accuracy with and without
+//!   each defense.
 //! * [`eval`] — the composable evaluation-plan API: declarative
 //!   [`EvalPlan`](eval::EvalPlan)s over model × scale × preprocess × attack
 //!   × ε × classifier grids, executed on a share-nothing worker pool with
 //!   store-backed train-once model provisioning
 //!   ([`ModelBank`](eval::ModelBank)) and streaming result sinks. This is
 //!   the one way to train models for an experiment and evaluate them.
+//!   Tables II and III and the transfer grid are all `Robustness` grids.
 //! * [`experiments`] — the shared [`ExperimentConfig`](experiments::ExperimentConfig)
 //!   every plan and bank is sized by.
 //!

@@ -10,6 +10,11 @@
 //!    to gradients) but not the preprocessing defense (gray-box overall);
 //! 3. pass the adversarial images through a defense pipeline (or no defense)
 //!    and measure the classifier's accuracy on the result.
+//!
+//! The transfer threat model differs only in step 2: the gradients come from
+//! a *surrogate* classifier. Plans craft through
+//! [`adversarial_sets`](crate::eval::adversarial_sets): one set per (attack,
+//! ε) cell, shared by every defense row of that cell.
 
 use crate::pipeline::DefensePipeline;
 use crate::Result;
@@ -26,43 +31,10 @@ pub struct RobustnessEvaluator {
     eval_labels: Vec<usize>,
 }
 
-/// Select up to `max_images` images that `classifier` classifies correctly,
-/// mirroring the paper's "choose 5000 images with 100 % top-1 accuracy".
-///
-/// # Errors
-///
-/// Returns an error if the image and label counts differ or inference fails.
-pub fn select_correct_subset(
-    classifier: &mut dyn Layer,
-    images: &[Tensor],
-    labels: &[usize],
-    max_images: usize,
-) -> Result<(Vec<Tensor>, Vec<usize>)> {
-    if images.len() != labels.len() {
-        return Err(TensorError::invalid_argument(format!(
-            "{} images but {} labels",
-            images.len(),
-            labels.len()
-        )));
-    }
-    let mut subset_images = Vec::new();
-    let mut subset_labels = Vec::new();
-    for (image, &label) in images.iter().zip(labels) {
-        if subset_images.len() >= max_images {
-            break;
-        }
-        let logits = classifier.forward(image, false)?;
-        if logits.argmax()? == label {
-            subset_images.push(image.clone());
-            subset_labels.push(label);
-        }
-    }
-    Ok((subset_images, subset_labels))
-}
-
 impl RobustnessEvaluator {
     /// Build an evaluator from a trained classifier and a candidate pool of
-    /// images, keeping only a clean-correct subset of at most `max_images`.
+    /// images, keeping the first `max_images` that the classifier gets right
+    /// — the paper's "choose 5000 images with 100 % top-1 accuracy".
     ///
     /// # Errors
     ///
@@ -74,8 +46,23 @@ impl RobustnessEvaluator {
         labels: &[usize],
         max_images: usize,
     ) -> Result<Self> {
-        let (eval_images, eval_labels) =
-            select_correct_subset(classifier.as_mut(), images, labels, max_images)?;
+        if images.len() != labels.len() {
+            return Err(TensorError::invalid_argument(format!(
+                "{} images but {} labels",
+                images.len(),
+                labels.len()
+            )));
+        }
+        let (mut eval_images, mut eval_labels) = (Vec::new(), Vec::new());
+        for (image, &label) in images.iter().zip(labels) {
+            if eval_images.len() >= max_images {
+                break;
+            }
+            if classifier.forward(image, false)?.argmax()? == label {
+                eval_images.push(image.clone());
+                eval_labels.push(label);
+            }
+        }
         if eval_images.is_empty() {
             return Err(TensorError::invalid_argument(
                 "the classifier does not classify any candidate image correctly",
@@ -115,31 +102,27 @@ impl RobustnessEvaluator {
         attack: &dyn Attack,
         rng: &mut StdRng,
     ) -> Result<Vec<Tensor>> {
-        let mut adversarial = Vec::with_capacity(self.eval_images.len());
-        for (image, &label) in self.eval_images.iter().zip(&self.eval_labels) {
-            adversarial.push(attack.perturb(self.classifier.as_mut(), image, &[label], rng)?);
-        }
-        Ok(adversarial)
+        self.craft(attack, None, rng)
     }
 
-    /// Craft adversarial versions of the evaluation subset against an
-    /// arbitrary *surrogate* classifier instead of the evaluator's own — the
-    /// transfer-attack (black-box) threat model: the attacker has gradients
-    /// for `surrogate`, while this evaluator's classifier is the deployment
-    /// target that later judges the perturbed images.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the attack fails on any image.
-    pub fn craft_adversarial_against(
-        &self,
+    /// Craft adversarial versions of the evaluation subset with `attack`,
+    /// taking gradients from `surrogate` when given (the transfer threat
+    /// model: the attacker knows another classifier, and this evaluator's
+    /// classifier judges the result) and from the evaluator's own
+    /// classifier otherwise.
+    pub(crate) fn craft(
+        &mut self,
         attack: &dyn Attack,
-        surrogate: &mut dyn Layer,
+        surrogate: Option<&mut dyn Layer>,
         rng: &mut StdRng,
     ) -> Result<Vec<Tensor>> {
+        let attacker = match surrogate {
+            Some(surrogate) => surrogate,
+            None => self.classifier.as_mut(),
+        };
         let mut adversarial = Vec::with_capacity(self.eval_images.len());
         for (image, &label) in self.eval_images.iter().zip(&self.eval_labels) {
-            adversarial.push(attack.perturb(surrogate, image, &[label], rng)?);
+            adversarial.push(attack.perturb(attacker, image, &[label], rng)?);
         }
         Ok(adversarial)
     }
@@ -211,21 +194,15 @@ mod tests {
 
     #[test]
     fn subset_selection_keeps_only_correct_images() {
-        let (mut classifier, dataset) = trained_setup();
-        let (images, labels) = select_correct_subset(
-            classifier.as_mut(),
-            dataset.val_images(),
-            dataset.val_labels(),
-            10,
-        )
-        .unwrap();
-        assert_eq!(images.len(), labels.len());
-        assert!(images.len() <= 10);
-        for (image, &label) in images.iter().zip(&labels) {
-            assert_eq!(
-                classifier.forward(image, false).unwrap().argmax().unwrap(),
-                label
-            );
+        let (classifier, dataset) = trained_setup();
+        let mut evaluator =
+            RobustnessEvaluator::new(classifier, dataset.val_images(), dataset.val_labels(), 10)
+                .unwrap();
+        assert_eq!(evaluator.eval_images.len(), evaluator.eval_labels.len());
+        assert!(evaluator.eval_images.len() <= 10);
+        for (image, &label) in evaluator.eval_images.iter().zip(&evaluator.eval_labels) {
+            let logits = evaluator.classifier.forward(image, false).unwrap();
+            assert_eq!(logits.argmax().unwrap(), label);
         }
     }
 

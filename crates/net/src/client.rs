@@ -235,7 +235,8 @@ impl NetClient {
     /// Socket-level write failure ([`NetError::ConnectionLost`] when the
     /// transport dropped).
     pub fn send_request(&mut self, request: &WireRequest) -> Result<(), NetError> {
-        let bytes = wire::encode(&Frame::Request(request.clone()));
+        let mut bytes = Vec::new();
+        wire::push_request(&mut bytes, request);
         self.stream.write_all(&bytes)?;
         Ok(())
     }

@@ -504,6 +504,23 @@ fn push_request_head(
     len_at
 }
 
+/// Append a request frame — [`encode`]'s request branch, for a sender that
+/// holds the request by reference and must not copy its image into a
+/// [`Frame`].
+pub(crate) fn push_request(out: &mut Vec<u8>, request: &WireRequest) {
+    out.reserve(HEADER_LEN + request_payload_len(&request.route, tensor_len(&request.image)));
+    let len_at = push_request_head(
+        out,
+        request.id,
+        &request.route,
+        request.deadline_ms,
+        request.skip_cache,
+        request.content_hash,
+    );
+    push_tensor(out, &request.image);
+    patch_len(out, len_at);
+}
+
 /// Append a request frame whose image is already encoded — how a relaying
 /// tier forwards an image without converting it.
 pub(crate) fn push_encoded_request(
@@ -591,18 +608,7 @@ fn payload_len(frame: &Frame) -> usize {
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload_len(frame));
     match frame {
-        Frame::Request(request) => {
-            let len_at = push_request_head(
-                &mut out,
-                request.id,
-                &request.route,
-                request.deadline_ms,
-                request.skip_cache,
-                request.content_hash,
-            );
-            push_tensor(&mut out, &request.image);
-            patch_len(&mut out, len_at);
-        }
+        Frame::Request(request) => push_request(&mut out, request),
         Frame::Response(response) => push_response(&mut out, response.id, &response.body),
         Frame::Stats { id } => {
             let len_at = push_header(&mut out, KIND_STATS);
@@ -1016,6 +1022,11 @@ mod tests {
 
     fn round_trip(frame: Frame) {
         let bytes = encode(&frame);
+        if let Frame::Request(request) = &frame {
+            let mut borrowed = Vec::new();
+            push_request(&mut borrowed, request);
+            assert_eq!(borrowed, bytes, "a borrowed request encodes as its frame");
+        }
         match decode(&bytes, DEFAULT_MAX_PAYLOAD).expect("decode") {
             FrameDecode::Complete {
                 frame: got,

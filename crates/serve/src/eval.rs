@@ -7,21 +7,19 @@
 //! submitted as routed [`DefenseRequest`]s and travel the full
 //! queue → worker → cache path of a
 //! [`DefenseGateway`] before the classifier ever
-//! sees them. Because serving is bitwise-identical to direct
-//! pipeline calls, the robust accuracies must match the pipeline scenarios —
-//! any divergence is a serving bug, which is exactly what an end-to-end
-//! evaluation is for.
+//! sees them. The adversarial sets are Table II's ([`adversarial_sets`]) and
+//! serving is bitwise-identical to direct pipeline calls, so every robust
+//! accuracy must equal the Table II row of the same classifier, attack and
+//! defense. Any divergence is a serving bug, which is exactly what an
+//! end-to-end evaluation is for.
 
 use crate::route::{DefenseRequest, RouteConfig, RouteKey};
 use crate::server::WorkerAssets;
 use crate::{DefenseGateway, GatewayBuilder, ServeError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sesr_attacks::AttackKind;
 use sesr_classifiers::ClassifierKind;
-use sesr_defense::eval::{CustomScenario, DefenseSpec, EvalRecord, ModelBank};
+use sesr_defense::eval::{adversarial_sets, CustomScenario, DefenseSpec, EvalRecord, ModelBank};
 use sesr_defense::pipeline::DefensePipeline;
-use sesr_defense::robustness::RobustnessEvaluator;
 use sesr_tensor::{Tensor, TensorError};
 
 fn serve_err(context: &str, err: ServeError) -> TensorError {
@@ -119,40 +117,27 @@ impl CustomScenario for GatewayScenario {
             ));
         }
 
-        // Classifier + clean-correct evaluation subset, exactly like the
-        // pipeline-level scenarios.
-        let dataset = bank.classification_dataset()?;
-        let classifier = bank.classifier(self.classifier)?;
-        let mut evaluator = RobustnessEvaluator::new(
-            classifier,
-            dataset.val_images(),
-            dataset.val_labels(),
-            bank.config().eval_images,
-        )?;
+        // Exactly the sets this classifier's Table II section is measured on.
+        let epsilon = bank.config().attack.epsilon;
+        let (mut evaluator, sets) =
+            adversarial_sets(bank, self.classifier, None, &self.attacks, &[epsilon])?;
         let clean_accuracy = evaluator.clean_accuracy()?;
 
         let (gateway, routes) = self.gateway(bank)?;
         let client = gateway.client();
 
-        // Craft per attack, then push every adversarial image through every
-        // route. Serving counters become part of each record — as the
-        // *delta* accrued by that (attack, route) pass, so the JSON artifact
-        // shows exactly which requests travelled the serving stack and sums
-        // correctly across records.
+        // Push every adversarial image through every route. Serving counters
+        // become part of each record — as the *delta* accrued by that
+        // (attack, route) pass, so the JSON artifact shows exactly which
+        // requests travelled the serving stack and sums correctly across
+        // records.
         let mut records = Vec::with_capacity(self.attacks.len() * routes.len());
         let mut seen: std::collections::HashMap<RouteKey, (u64, u64)> =
             std::collections::HashMap::new();
-        for attack_kind in &self.attacks {
-            let attack = attack_kind.build(bank.config().attack);
-            let mut rng = StdRng::seed_from_u64(
-                bank.config()
-                    .seed
-                    .wrapping_add(7000 + *attack_kind as u64 * 23 + self.classifier as u64),
-            );
-            let adversarial = evaluator.craft_adversarial(attack.as_ref(), &mut rng)?;
+        for (attack_kind, _, adversarial) in &sets {
             for (key, spec) in &routes {
                 let mut defended: Vec<Tensor> = Vec::with_capacity(adversarial.len());
-                for image in &adversarial {
+                for image in adversarial {
                     let response = client
                         .defend_blocking(DefenseRequest::new(image.clone()).on(*key))
                         .map_err(|e| serve_err("submit", e))?;
@@ -195,6 +180,7 @@ impl CustomScenario for GatewayScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sesr_defense::eval::EvalPlan;
     use sesr_defense::experiments::ExperimentConfig;
     use sesr_models::SrModelKind;
 
@@ -209,50 +195,39 @@ mod tests {
 
     #[test]
     fn gateway_scenario_matches_direct_pipeline_accuracy() {
-        let bank = ModelBank::ephemeral(tiny_config()).unwrap();
+        // FGSM is deterministic; PGD draws its random start from the RNG, so
+        // it only matches if both paths craft from the same seed.
+        let mut config = tiny_config();
+        config.attacks = vec![AttackKind::Fgsm, AttackKind::Pgd];
+        let bank = ModelBank::ephemeral(config.clone()).unwrap();
         let scenario = GatewayScenario::paper(
             ClassifierKind::MobileNetV2,
-            [SrModelKind::NearestNeighbor, SrModelKind::SesrM2],
-            vec![AttackKind::Fgsm],
+            config.sr_kinds.iter().copied(),
+            config.attacks.clone(),
         );
         let records = scenario.run(&bank).unwrap();
-        assert_eq!(records.len(), 2, "one record per (attack, route)");
+        assert_eq!(records.len(), 4, "one record per (attack, route)");
+        // The direct pipeline path: the Table II section of the same
+        // classifier, from the same bank.
+        let table2 = EvalPlan::table2(&config).run(&bank).unwrap();
+        assert!(table2.ok(), "{:?}", table2.failures());
         for record in &records {
-            let served = record.get_int("served").unwrap();
-            assert!(served > 0, "requests must travel the serving stack");
-            let accuracy = record.get_float("robust_accuracy").unwrap();
-            assert!((0.0..=1.0).contains(&accuracy));
-
-            // Cross-check against the direct pipeline path: serving must not
-            // change the verdict.
-            let spec = DefenseSpec::paper(
-                SrModelKind::parse(record.get_text("defense").unwrap()).unwrap(),
+            assert!(
+                record.get_int("served").unwrap() > 0,
+                "requests must travel the serving stack"
             );
-            let pipeline = bank.defense(&spec).unwrap().unwrap();
-            let classifier = bank.classifier(ClassifierKind::MobileNetV2).unwrap();
-            let dataset = bank.classification_dataset().unwrap();
-            let mut evaluator = RobustnessEvaluator::new(
-                classifier,
-                dataset.val_images(),
-                dataset.val_labels(),
-                bank.config().eval_images,
-            )
-            .unwrap();
-            let attack = AttackKind::Fgsm.build(bank.config().attack);
-            let mut rng = StdRng::seed_from_u64(
-                bank.config()
-                    .seed
-                    .wrapping_add(7000 + AttackKind::Fgsm as u64 * 23),
-            );
-            let adversarial = evaluator
-                .craft_adversarial(attack.as_ref(), &mut rng)
-                .unwrap();
-            let direct = evaluator
-                .defended_accuracy(&adversarial, Some(&pipeline))
-                .unwrap();
+            let direct = table2
+                .records()
+                .find(|row| {
+                    ["classifier", "attack", "defense"]
+                        .iter()
+                        .all(|key| row.get_text(key) == record.get_text(key))
+                })
+                .expect("Table II has the same (classifier, attack, defense) cell");
             assert_eq!(
-                accuracy as f32, direct,
-                "gateway-served accuracy must equal the direct pipeline accuracy"
+                record.get_float("robust_accuracy"),
+                direct.get_float("robust_accuracy"),
+                "gateway-served accuracy must equal the Table II row: {record:?}"
             );
         }
     }

@@ -40,6 +40,7 @@ fn main() -> sesr_tensor::Result<()> {
             "epsilon-sweep/mobilenet-v2",
             ScenarioSpec::Robustness {
                 classifier: sesr_classifiers::ClassifierKind::MobileNetV2,
+                surrogate: None,
                 defenses: vec![
                     DefenseSpec::none(),
                     DefenseSpec::paper(SrModelKind::SesrM2),

@@ -30,6 +30,7 @@ fn main() -> sesr_tensor::Result<()> {
             "robustness/mobilenet-v2",
             ScenarioSpec::Robustness {
                 classifier: ClassifierKind::MobileNetV2,
+                surrogate: None,
                 defenses: vec![
                     DefenseSpec::none(),
                     DefenseSpec::paper(SrModelKind::NearestNeighbor),

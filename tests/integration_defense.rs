@@ -75,10 +75,35 @@ fn table2_pipeline_produces_structured_sections() {
 fn table3_pipeline_reports_both_jpeg_settings() {
     let mut config = quick_config();
     config.sr_kinds = vec![SrModelKind::SesrM2];
-    let rows = run(EvalPlan::table3(&config), &config);
-    assert_eq!(rows.len(), 1);
-    let row = &rows[0];
-    assert_eq!(row.get_text("defense"), Some("SESR-M2"));
-    assert!((0.0..=1.0).contains(&row.get_float("jpeg_accuracy").unwrap()));
-    assert!((0.0..=1.0).contains(&row.get_float("no_jpeg_accuracy").unwrap()));
+    config.attacks = vec![AttackKind::Fgsm, AttackKind::Pgd];
+    let bank = ModelBank::ephemeral(config.clone()).expect("ephemeral bank");
+    let records = |plan: EvalPlan| {
+        let report = plan.run(&bank).expect("plan run");
+        assert!(report.ok(), "failed scenarios: {:?}", report.failures());
+        report.records().cloned().collect::<Vec<_>>()
+    };
+    let rows = records(EvalPlan::table3(&config));
+    let table2 = records(EvalPlan::table2(&config));
+    // Two rows per (model, attack): with and without the JPEG stage.
+    assert_eq!(rows.len(), 2 * config.attacks.len());
+    let defense = |row: &EvalRecord| row.get_text("defense").map(str::to_string);
+    let mut defenses: Vec<_> = rows.iter().filter_map(defense).collect();
+    defenses.dedup();
+    assert_eq!(defenses, ["SESR-M2", "SESR-M2 (wavelet2)"]);
+    for row in &rows {
+        assert!((0.0..=1.0).contains(&row.get_float("robust_accuracy").unwrap()));
+    }
+    // The JPEG row is measured on the same adversarial set as Table II, so
+    // it is the Table II row, bit for bit, for FGSM and for PGD.
+    for row in rows
+        .iter()
+        .filter(|r| r.get_text("defense") == Some("SESR-M2"))
+    {
+        let same_cell = |other: &&EvalRecord| {
+            ["classifier", "attack", "defense"]
+                .iter()
+                .all(|key| other.get_text(key) == row.get_text(key))
+        };
+        assert_eq!(table2.iter().find(same_cell), Some(row));
+    }
 }

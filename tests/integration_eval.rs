@@ -126,8 +126,8 @@ fn transfer_scenario_produces_cross_model_rows() {
     // One row per (attack, defense): 1 attack x (No Defense + 2 SR kinds).
     assert_eq!(scenario.records.len(), 3);
     for record in &scenario.records {
-        assert_eq!(record.get_text("source"), Some("MobileNet-V2"));
-        assert_eq!(record.get_text("target"), Some("ResNet-50"));
+        assert_eq!(record.get_text("surrogate"), Some("MobileNet-V2"));
+        assert_eq!(record.get_text("classifier"), Some("ResNet-50"));
         let accuracy = record.get_float("robust_accuracy").unwrap();
         assert!((0.0..=1.0).contains(&accuracy));
         assert!(record.get_int("num_images").unwrap() > 0);
