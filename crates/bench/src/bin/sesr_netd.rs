@@ -5,13 +5,8 @@
 //!
 //!   --addr HOST:PORT        bind address (default 127.0.0.1:0 = OS-chosen
 //!                           port; the bound address is printed either way)
-//!   --workers N             worker threads per route (default 2)
-//!   --queue-capacity N      bounded submission queue per route (default 64)
-//!   --cache-capacity N      LRU output-cache entries (default 256)
-//!   --max-connections N     connection-table bound (default 64)
 //!   --per-client B:R        per-connection token bucket, burst B refilled
 //!                           at R tokens/s (default 256:512; 0:0 disables)
-//!   --global B:R            listener-wide bucket (default disabled)
 //!   --telemetry PATH        export the telemetry snapshot to PATH once a
 //!                           second (readable live with sesr-top)
 //!   --max-runtime-secs N    exit cleanly after N seconds (CI harnesses;
@@ -19,7 +14,10 @@
 //! ```
 //!
 //! The gateway serves three interpolation routes — cheap enough that the
-//! front-end, not the SR math, is what a loopback driver measures:
+//! front-end, not the SR math, is what loopback load measures — each
+//! with the default [`RouteConfig`](sesr_serve::RouteConfig) (2 workers, a
+//! 64-deep queue) behind a 256-entry output cache; the front admits at most
+//! [`MAX_CONNECTIONS`](sesr_net::MAX_CONNECTIONS) connections:
 //!
 //! ```text
 //! nearest-neighbor:x2:raw                 (default route)
@@ -35,21 +33,15 @@
 use sesr_bench::cli::Cli;
 use sesr_bench::demo_routes;
 use sesr_net::{NetConfig, NetServer, RateLimit};
-use sesr_serve::{GatewayBuilder, RouteConfig};
+use sesr_serve::GatewayBuilder;
 use std::time::Duration;
 
-const USAGE: &str = "usage: sesr-netd [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-     [--cache-capacity N] [--max-connections N] [--per-client B:R] [--global B:R] \
-     [--telemetry PATH] [--max-runtime-secs N]";
+const USAGE: &str = "usage: sesr-netd [--addr HOST:PORT] [--per-client B:R] [--telemetry PATH] \
+     [--max-runtime-secs N]";
 
 struct Args {
     addr: String,
-    workers: usize,
-    queue_capacity: usize,
-    cache_capacity: usize,
-    max_connections: usize,
     per_client: Option<RateLimit>,
-    global: Option<RateLimit>,
     telemetry: Option<String>,
     max_runtime: Option<Duration>,
 }
@@ -73,12 +65,7 @@ fn parse_limit(cli: &mut Cli, flag: &str) -> Option<RateLimit> {
 fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 64,
-        cache_capacity: 256,
-        max_connections: 64,
         per_client: Some(RateLimit::new(256, 512)),
-        global: None,
         telemetry: None,
         max_runtime: None,
     };
@@ -86,12 +73,7 @@ fn parse_args() -> Args {
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--addr" => args.addr = cli.value(&arg),
-            "--workers" => args.workers = cli.positive(&arg),
-            "--queue-capacity" => args.queue_capacity = cli.positive(&arg),
-            "--cache-capacity" => args.cache_capacity = cli.positive(&arg),
-            "--max-connections" => args.max_connections = cli.positive(&arg),
             "--per-client" => args.per_client = parse_limit(&mut cli, &arg),
-            "--global" => args.global = parse_limit(&mut cli, &arg),
             "--telemetry" => args.telemetry = Some(cli.value(&arg)),
             "--max-runtime-secs" => {
                 args.max_runtime = Some(Duration::from_secs(cli.positive(&arg)));
@@ -106,13 +88,7 @@ fn main() {
     let args = parse_args();
 
     let routes = demo_routes();
-    let mut builder = GatewayBuilder::new()
-        .default_route_config(RouteConfig {
-            num_workers: args.workers,
-            queue_capacity: args.queue_capacity,
-            ..RouteConfig::default()
-        })
-        .cache_capacity(args.cache_capacity);
+    let mut builder = GatewayBuilder::new();
     for route in routes {
         builder = builder.route(route);
     }
@@ -136,9 +112,7 @@ fn main() {
     });
 
     let config = NetConfig {
-        max_connections: args.max_connections,
         per_client_limit: args.per_client,
-        global_limit: args.global,
         ..NetConfig::default()
     };
     let server = match NetServer::bind(&args.addr, config, client) {

@@ -3,9 +3,6 @@
 //! ```text
 //! traffic-gen --addr HOST:PORT [flags]
 //!
-//!   --rates R1,R2,...     offered load steps in requests/sec, lowest first
-//!                         (default 100,300,800)
-//!   --step-ms N           duration of each rate step (default 1000)
 //!   --out PATH            where to write the server's telemetry snapshot
 //!                         (default BENCH_net_frontend.json)
 //!   --cluster             the target is a `sesr-clusterd` front: also gate
@@ -13,7 +10,8 @@
 //! ```
 //!
 //! This is a pass/fail smoke test, not a benchmark: `perf` is where latency
-//! and throughput are measured. Two connections send open-loop Poisson
+//! and throughput are measured. It offers [`RATES`] requests/s, one
+//! [`STEP`] each, lowest first. Two connections send open-loop Poisson
 //! arrivals — each on schedule whether or not earlier replies have come
 //! back — cycling round-robin through a pool of small images and the three
 //! routes `sesr-netd` serves. At the end it fetches the server's telemetry
@@ -46,8 +44,12 @@ use sesr_tensor::{Shape, Tensor};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: traffic-gen --addr HOST:PORT [--rates R1,R2,...] [--step-ms N] \
-     [--out PATH] [--cluster]";
+const USAGE: &str = "usage: traffic-gen --addr HOST:PORT [--out PATH] [--cluster]";
+
+/// Offered load steps in requests/s, lowest first.
+const RATES: [f64; 2] = [100.0, 300.0];
+/// Duration of each rate step.
+const STEP: Duration = Duration::from_secs(1);
 
 /// Client connections, each driven by its own thread.
 const CONNECTIONS: usize = 2;
@@ -59,8 +61,8 @@ const DEADLINE_MS: u32 = 250;
 const SEED: u64 = 42;
 
 /// How much faster than the first step some later step must complete OK
-/// replies. At CI's `--rates 100,300` an uncapped server completes ~2.9×
-/// more (the seeded schedule sends 102 then 299 requests). A server capped
+/// replies. At [`RATES`] an uncapped server completes ~2.9× more (the
+/// seeded schedule sends 102 then 299 requests). A server capped
 /// by a per-connection token bucket still rises: with a burst of 1 the
 /// bucket sits full and wastes refill at low load, so `--per-client 1:40`
 /// completes 43/s then 59/s, 1.37×. The margin sits between the two.
@@ -75,8 +77,6 @@ const PROBE_P50_MAX_MS: f64 = 10.0;
 
 struct Args {
     addr: String,
-    rates: Vec<f64>,
-    step: Duration,
     out: String,
     cluster: bool,
 }
@@ -85,8 +85,6 @@ fn parse_args() -> Args {
     let mut addr = None;
     let mut args = Args {
         addr: String::new(),
-        rates: vec![100.0, 300.0, 800.0],
-        step: Duration::from_millis(1000),
         out: "BENCH_net_frontend.json".to_string(),
         cluster: false,
     };
@@ -94,17 +92,6 @@ fn parse_args() -> Args {
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--addr" => addr = Some(cli.value(&arg)),
-            "--rates" => {
-                args.rates = cli
-                    .value(&arg)
-                    .split(',')
-                    .map(|r| match r.trim().parse::<f64>() {
-                        Ok(rate) if rate > 0.0 => rate,
-                        _ => cli.fail("--rates needs positive numbers"),
-                    })
-                    .collect();
-            }
-            "--step-ms" => args.step = Duration::from_millis(cli.positive(&arg)),
             "--out" => args.out = cli.value(&arg),
             "--cluster" => args.cluster = true,
             _ => cli.unknown(&arg),
@@ -189,14 +176,13 @@ fn run_step(
     images: &[Tensor],
     first: usize,
     rate: f64,
-    step: Duration,
     rng: &mut StdRng,
 ) -> Result<Tally, String> {
     let routes = demo_routes();
     let mut tally = Tally::default();
     let mut outstanding = HashSet::new();
     let start = Instant::now();
-    let end = start + step;
+    let end = start + STEP;
     // First arrival is a full exponential gap in, like every later one.
     let mut next_send = start + exp_gap(rng, rate);
     let mut turn = first;
@@ -392,7 +378,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     let mut steps: Vec<Step> = Vec::new();
-    for (step_idx, &rate) in args.rates.iter().enumerate() {
+    for (step_idx, &rate) in RATES.iter().enumerate() {
         let started = Instant::now();
         let results: Vec<Result<Tally, String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = clients
@@ -405,9 +391,7 @@ fn run(args: &Args) -> Result<(), String> {
                             ^ (conn_idx as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9),
                     );
                     let per_conn = rate / CONNECTIONS as f64;
-                    scope.spawn(move || {
-                        run_step(client, images, conn_idx, per_conn, args.step, &mut rng)
-                    })
+                    scope.spawn(move || run_step(client, images, conn_idx, per_conn, &mut rng))
                 })
                 .collect();
             handles

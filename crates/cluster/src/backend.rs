@@ -28,6 +28,7 @@ use crate::MemberId;
 use sesr_net::wire::{self, FrameDecode, FrameRef};
 use sesr_net::{
     Backend, BackendRequest, RecvBuf, ResponseBody, ResponseFrame, RetryReason, Submit,
+    OVERLOAD_RETRY_AFTER_MS, READ_CHUNK,
 };
 use sesr_serve::ArtifactId;
 use sesr_telemetry::{Histogram, Telemetry};
@@ -36,11 +37,7 @@ use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Most bytes one read from a member asks for (the reactor's default read
-/// budget).
-const LINK_READ: usize = 64 * 1024;
+use std::time::Instant;
 
 /// One forwarded request awaiting its member's reply.
 struct Forward {
@@ -119,12 +116,12 @@ impl Link {
         self.write_buf.drain(..sent);
         let mut moved = sent > 0;
         loop {
-            match self.read_buf.read_from(stream, LINK_READ) {
+            match self.read_buf.read_from(stream, READ_CHUNK) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
                     moved = true;
                     // A short read emptied the socket.
-                    if n < LINK_READ {
+                    if n < READ_CHUNK {
                         return Ok(moved);
                     }
                 }
@@ -149,23 +146,21 @@ pub struct ClusterBackend {
     /// Replies ready for [`Backend::poll`], keyed by ticket.
     done: HashMap<u64, ResponseFrame>,
     next_ticket: u64,
-    retry_after: Duration,
 }
 
 impl ClusterBackend {
-    /// Build a router over `members` (ids `0..n`; each routable while the
+    /// Build a router over `members` (ids `0..n`, placed with
+    /// [`HashRing::DEFAULT_VNODES`] each; a member is routable while the
     /// table says `Up`) serving `route_labels`.
     pub fn new(
         telemetry: Arc<Telemetry>,
         members: Arc<Members>,
-        vnodes: u32,
         route_labels: impl IntoIterator<Item = String>,
         commands: Sender<Command>,
-        retry_after: Duration,
     ) -> ClusterBackend {
         ClusterBackend {
             telemetry,
-            ring: HashRing::with_members(members.view().len() as u32, vnodes),
+            ring: HashRing::with_members(members.view().len() as u32, HashRing::DEFAULT_VNODES),
             routes: route_labels.into_iter().collect(),
             members,
             generation: 0,
@@ -173,7 +168,6 @@ impl ClusterBackend {
             commands,
             done: HashMap::new(),
             next_ticket: 1,
-            retry_after,
         }
     }
 
@@ -184,7 +178,7 @@ impl ClusterBackend {
             .counter("cluster.shed.member_down")
             .incr();
         ResponseBody::RetryAfter {
-            retry_after_ms: u32::try_from(self.retry_after.as_millis().max(1)).unwrap_or(u32::MAX),
+            retry_after_ms: OVERLOAD_RETRY_AFTER_MS,
             reason: RetryReason::Unhealthy,
         }
     }

@@ -22,7 +22,6 @@
 
 use crate::backend::ClusterBackend;
 use crate::members::{MemberInfo, MemberState, Members};
-use crate::ring::HashRing;
 use crate::supervisor::{Command, Supervisor, SupervisorConfig, WorkerCommand};
 use sesr_net::{NetConfig, NetServer};
 use sesr_serve::{RouteKey, TelemetryExporter};
@@ -38,10 +37,9 @@ use std::time::{Duration, Instant};
 /// Everything needed to stand up a federation.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Worker-process count (member ids `0..members`).
+    /// Worker-process count (member ids `0..members`), each placed on the
+    /// hash ring with [`HashRing::DEFAULT_VNODES`](crate::HashRing::DEFAULT_VNODES).
     pub members: u32,
-    /// Virtual nodes per member on the hash ring.
-    pub vnodes: u32,
     /// Routes the fleet serves; the front answers `UnknownRoute` for
     /// anything else, and the supervisor runs one promotion policy per
     /// route.
@@ -51,7 +49,7 @@ pub struct ClusterConfig {
     pub store_dir: Option<PathBuf>,
     /// How to spawn one worker.
     pub worker: WorkerCommand,
-    /// Front-reactor tunables (connection caps, token buckets, …).
+    /// Front-reactor admission (per-client token bucket, in-flight cap).
     pub net: NetConfig,
     /// Supervision tunables.
     pub supervisor: SupervisorConfig,
@@ -63,7 +61,6 @@ impl ClusterConfig {
     pub fn new(members: u32, worker: WorkerCommand) -> ClusterConfig {
         ClusterConfig {
             members,
-            vnodes: HashRing::DEFAULT_VNODES,
             routes: Vec::new(),
             store_dir: None,
             worker,
@@ -103,10 +100,8 @@ impl Cluster {
         let backend = ClusterBackend::new(
             Arc::clone(&telemetry),
             Arc::clone(&members),
-            config.vnodes,
             config.routes.iter().map(|key| key.label()),
             command_tx.clone(),
-            config.net.overload_retry_after,
         );
         let server = NetServer::bind_with_backend(addr, config.net.clone(), backend)?;
         let supervisor = Supervisor::new(

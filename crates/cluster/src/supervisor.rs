@@ -17,18 +17,20 @@
 //! [`serve_member`] is the worker's half of both.
 //!
 //! Health is probed over the wire itself: a stats frame every
-//! [`SupervisorConfig::health_interval`], answered with the member's full
-//! telemetry snapshot, kept in the member's seat. One probe does double
-//! duty — liveness signal and the raw material for the fleet rollup
-//! (`cluster.fleet.*`). A member that
-//! misses [`SupervisorConfig::unhealthy_after`] consecutive probes, or
-//! whose process exits, goes `Down`: the router sheds its arc with
-//! `RetryAfter` while the supervisor restarts it under exponential backoff.
-//! The member keeps its id across restarts, so recovery is not a remap.
+//! `HEALTH_INTERVAL` (150 ms), answered with the member's full telemetry
+//! snapshot, kept in the member's seat. One probe does double duty —
+//! liveness signal and the raw material for the fleet rollup
+//! (`cluster.fleet.*`). A member that misses `UNHEALTHY_AFTER` (3)
+//! consecutive probes, or whose process exits, goes `Down`: the router sheds
+//! its arc with `RetryAfter` while the supervisor restarts it under
+//! exponential backoff, from [`SupervisorConfig::restart_backoff`] up to
+//! `MAX_RESTART_BACKOFF` (2 s). The member keeps its id across restarts, so
+//! recovery is not a remap.
 //!
-//! The supervisor is also where **promotion** converges. It runs the same
-//! [`PromotionPolicy`] as the in-process [`ReloadWatcher`], one per route,
-//! fed with the shared [`ModelStore`]'s newest artifact and the route's
+//! The supervisor is also where **promotion** converges. Every
+//! `WATCH_INTERVAL` (250 ms) it steps the same [`PromotionPolicy`] as the
+//! in-process [`ReloadWatcher`], one per route, fed with the shared
+//! [`ModelStore`]'s newest artifact and the route's
 //! fleet health (the worst `route.<label>.health` across the `Up` members'
 //! probe snapshots). Each promotion or probation rollback the policy returns
 //! goes out as one wire `Reload` pinned to the chosen `(version, digest)`,
@@ -40,9 +42,10 @@
 use crate::members::{MemberInfo, MemberState, Members};
 use crate::ring::MemberId;
 use crate::ClusterConfig;
-use sesr_net::{NetClient, NetConfig, NetServer};
+use sesr_net::{NetClient, NetConfig, NetServer, ReconnectPolicy};
 use sesr_serve::{
-    Action, ArtifactId, DefenseGateway, Observation, PromotionPolicy, ReloadWatcher, RouteKey,
+    newest_artifact, Action, ArtifactId, DefenseGateway, Observation, PromotionPolicy,
+    ReloadWatcher, RouteKey,
 };
 use sesr_store::ModelStore;
 use sesr_telemetry::{HealthState, Telemetry, TelemetrySnapshot};
@@ -66,41 +69,38 @@ pub struct WorkerCommand {
     pub args: Vec<String>,
 }
 
+/// Wire health-probe period.
+const HEALTH_INTERVAL: Duration = Duration::from_millis(150);
+/// Consecutive probe failures before a member is declared wedged and
+/// restarted.
+const UNHEALTHY_AFTER: u32 = 3;
+/// Restart-delay ceiling.
+const MAX_RESTART_BACKOFF: Duration = Duration::from_secs(2);
+/// How long a spawned worker may take to print its `listening on` line
+/// before being treated as wedged (a worker hydrates models from the store
+/// on startup).
+const STARTUP_TIMEOUT: Duration = Duration::from_secs(30);
+/// How often each route's promotion policy observes the store and the
+/// fleet's health and steps. Its probation window is
+/// [`ReloadWatcher::DEFAULT_PROBATION`].
+const WATCH_INTERVAL: Duration = Duration::from_millis(250);
+
 /// Tunables for the supervision loop.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Wire health-probe period (default 150 ms).
-    pub health_interval: Duration,
-    /// Per-probe timeout (default 1 s).
+    /// Per-probe timeout, also the wait for each member's reload reply
+    /// (default 1 s).
     pub health_timeout: Duration,
-    /// Consecutive probe failures before a member is declared wedged and
-    /// restarted (default 3).
-    pub unhealthy_after: u32,
     /// First restart delay (default 100 ms); doubles per consecutive
-    /// restart of the same member.
+    /// restart of the same member, up to 2 s.
     pub restart_backoff: Duration,
-    /// Restart-delay ceiling (default 2 s).
-    pub max_restart_backoff: Duration,
-    /// How long a spawned worker may take to print its `listening on` line
-    /// before being treated as wedged (default 30 s — a worker hydrates
-    /// models from the store on startup).
-    pub startup_timeout: Duration,
-    /// How often each route's promotion policy observes the store and the
-    /// fleet's health and steps (default 250 ms). Its probation window is
-    /// [`ReloadWatcher::DEFAULT_PROBATION`].
-    pub watch_interval: Duration,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            health_interval: Duration::from_millis(150),
             health_timeout: Duration::from_secs(1),
-            unhealthy_after: 3,
             restart_backoff: Duration::from_millis(100),
-            max_restart_backoff: Duration::from_secs(2),
-            startup_timeout: Duration::from_secs(30),
-            watch_interval: Duration::from_millis(250),
         }
     }
 }
@@ -184,7 +184,9 @@ impl Supervisor {
             .iter()
             .map(|key| RoutePolicy {
                 key: *key,
-                policy: PromotionPolicy::new(newest_artifact(store.as_ref(), key)),
+                policy: PromotionPolicy::new(
+                    store.as_ref().and_then(|store| newest_artifact(store, key)),
+                ),
                 promoted_at: None,
                 ok: true,
                 pinned: None,
@@ -217,11 +219,11 @@ impl Supervisor {
             self.reap_exits();
             self.check_startup_timeouts();
             self.restart_due();
-            if self.last_probe.elapsed() >= self.config.health_interval {
+            if self.last_probe.elapsed() >= HEALTH_INTERVAL {
                 self.last_probe = Instant::now();
                 self.probe_health();
             }
-            if self.last_watch.elapsed() >= self.config.watch_interval {
+            if self.last_watch.elapsed() >= WATCH_INTERVAL {
                 self.last_watch = Instant::now();
                 self.step_policies();
             }
@@ -341,7 +343,7 @@ impl Supervisor {
             let member = &self.members[id as usize];
             let late = member
                 .spawned_at
-                .is_some_and(|at| at.elapsed() > self.config.startup_timeout);
+                .is_some_and(|at| at.elapsed() > STARTUP_TIMEOUT);
             if late && member.child.is_some() && self.table.get(id).state == MemberState::Starting {
                 self.kill(id);
                 self.mark_down(id);
@@ -359,11 +361,14 @@ impl Supervisor {
             info.state = MemberState::Down;
             info.addr = None;
         });
-        let backoff = backoff_delay(
-            self.config.restart_backoff,
-            self.config.max_restart_backoff,
-            self.table.get(id).restarts,
-        );
+        // The n-th restart waits as long as a client's (n + 1)-th redial.
+        let restarts = u32::try_from(self.table.get(id).restarts).unwrap_or(u32::MAX);
+        let backoff = ReconnectPolicy {
+            initial_backoff: self.config.restart_backoff,
+            max_backoff: MAX_RESTART_BACKOFF,
+            ..ReconnectPolicy::default()
+        }
+        .backoff(restarts.saturating_add(1));
         let member = &mut self.members[id as usize];
         member.probe = None;
         member.restart_at = Some(Instant::now() + backoff);
@@ -425,7 +430,7 @@ impl Supervisor {
                         .metrics()
                         .counter("cluster.supervisor.health_failures")
                         .incr();
-                    if member.health_failures >= self.config.unhealthy_after {
+                    if member.health_failures >= UNHEALTHY_AFTER {
                         self.kill(id);
                         self.mark_down(id);
                     }
@@ -452,7 +457,10 @@ impl Supervisor {
             let route = &mut self.policies[index];
             let label = route.key.label();
             let action = route.policy.step(Observation {
-                newest: newest_artifact(self.store.as_ref(), &route.key),
+                newest: self
+                    .store
+                    .as_ref()
+                    .and_then(|store| newest_artifact(store, &route.key)),
                 health: fleet_health(&label, &self.table),
                 probation_elapsed: route
                     .promoted_at
@@ -496,7 +504,11 @@ impl Supervisor {
             if !route.is_empty() && label != route {
                 continue;
             }
-            let pin = pin.or_else(|| newest_artifact(self.store.as_ref(), &key));
+            let pin = pin.or_else(|| {
+                self.store
+                    .as_ref()
+                    .and_then(|store| newest_artifact(store, &key))
+            });
             if let (true, Some(artifact)) = (self.fan_out_reload(&label, pin), pin) {
                 let route = &mut self.policies[index];
                 route.policy.served(artifact);
@@ -592,13 +604,6 @@ impl Supervisor {
     }
 }
 
-/// The newest stored artifact for `key`'s model, if a store is attached and
-/// holds one.
-fn newest_artifact(store: Option<&ModelStore>, key: &RouteKey) -> Option<ArtifactId> {
-    let artifact = store?.resolve(key.model.name(), key.scale).ok()?;
-    Some((artifact.version, artifact.digest))
-}
-
 /// A route's fleet health: the worst `route.<label>.health` gauge across
 /// the probe snapshots of the `Up` members. A missing snapshot or gauge,
 /// or no `Up` member at all, reads as Unhealthy.
@@ -617,12 +622,6 @@ fn fleet_health(label: &str, table: &Members) -> HealthState {
             .max()
             .unwrap_or(HealthState::Unhealthy)
     })
-}
-
-/// Exponential restart backoff: `base * 2^restarts`, capped.
-fn backoff_delay(base: Duration, cap: Duration, restarts: u64) -> Duration {
-    let exp = u32::try_from(restarts.min(16)).unwrap_or(16);
-    base.saturating_mul(1u32 << exp).min(cap)
 }
 
 /// The member side of the contract in the module docs — the whole worker
@@ -646,9 +645,7 @@ pub fn serve_member(gateway: DefenseGateway) -> std::io::Result<()> {
     // internal link, so admission control stays at the front tier.
     let config = NetConfig {
         per_client_limit: None,
-        global_limit: None,
         max_inflight_per_conn: 256,
-        ..NetConfig::default()
     };
     let server = NetServer::bind("127.0.0.1:0", config, gateway.client())?;
     // Exactly one line, flushed before any traffic can arrive.
@@ -678,17 +675,6 @@ pub fn serve_member(gateway: DefenseGateway) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_per_restart_and_caps() {
-        let base = Duration::from_millis(100);
-        let cap = Duration::from_secs(2);
-        assert_eq!(backoff_delay(base, cap, 0), Duration::from_millis(100));
-        assert_eq!(backoff_delay(base, cap, 1), Duration::from_millis(200));
-        assert_eq!(backoff_delay(base, cap, 3), Duration::from_millis(800));
-        assert_eq!(backoff_delay(base, cap, 10), cap);
-        assert_eq!(backoff_delay(base, cap, u64::MAX), cap);
-    }
 
     /// Members `0..states.len()` in `states`, each probed while `Up` with a
     /// snapshot whose `route.r.health` gauge is `gauges[id]` (`None`: no
@@ -746,8 +732,8 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let config = SupervisorConfig::default();
-        assert!(config.health_interval < config.health_timeout);
-        assert!(config.restart_backoff < config.max_restart_backoff);
-        assert!(config.unhealthy_after >= 1);
+        assert!(HEALTH_INTERVAL < config.health_timeout);
+        assert!(config.restart_backoff < MAX_RESTART_BACKOFF);
+        assert_ne!(UNHEALTHY_AFTER, 0);
     }
 }

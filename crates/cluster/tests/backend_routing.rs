@@ -16,7 +16,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const VNODES: u32 = 32;
+/// The router's vnodes per member, to reconstruct its placement.
+const VNODES: u32 = HashRing::DEFAULT_VNODES;
 
 fn image(tag: u32) -> sesr_tensor::Tensor {
     let side = 8usize;
@@ -80,10 +81,8 @@ fn start_fixture(member_count: u32) -> Fixture {
     let backend = ClusterBackend::new(
         Arc::new(Telemetry::new()),
         Arc::clone(&table),
-        VNODES,
         [route.label()],
         command_tx,
-        Duration::from_millis(25),
     );
     for id in 0..member_count {
         let gateway = GatewayBuilder::new()
@@ -267,10 +266,8 @@ fn unknown_members_and_empty_rings_shed_instead_of_blocking() {
     let mut backend = ClusterBackend::new(
         Arc::new(Telemetry::new()),
         Arc::new(Members::new(2)),
-        VNODES,
         [route.label()],
         command_tx,
-        Duration::from_millis(25),
     );
     assert!(backend.has_route(&route.label()));
     assert!(!backend.has_route("nope:x2:raw"));

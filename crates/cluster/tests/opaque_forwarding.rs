@@ -56,10 +56,8 @@ fn start() -> Front {
     let backend = ClusterBackend::new(
         Arc::clone(&telemetry),
         Arc::clone(&members),
-        32,
         [route.label()],
         command_tx,
-        Duration::from_millis(25),
     );
     members.update(0, |info| {
         info.state = MemberState::Up;

@@ -10,8 +10,7 @@
 //! accounting property test drives a fabricated clock from many threads.
 //!
 //! The reactor gives every connection its own bucket (per-client fairness:
-//! one greedy client exhausts its own tokens, not the listener's) plus an
-//! optional global bucket guarding aggregate decode/defense work.
+//! one greedy client exhausts its own tokens, not the listener's).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -35,6 +35,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The backoff hint, in ms, of every overload retry-after reply: a full
+/// queue or an Unhealthy route here, a down member's arc at a cluster front,
+/// a full connection table at the reactor. Rate-limit sheds hint the exact
+/// token wait instead.
+pub const OVERLOAD_RETRY_AFTER_MS: u32 = 25;
+
 /// One admitted request, after the reactor's structural and rate-limit
 /// checks, before route resolution.
 #[derive(Debug, Clone)]
@@ -141,15 +147,12 @@ pub struct LocalBackend {
     routes: HashMap<String, RouteKey>,
     inflight: HashMap<u64, LocalInflight>,
     next_ticket: u64,
-    overload_retry_after: Duration,
     hash_mismatch: Arc<Counter>,
 }
 
 impl LocalBackend {
-    /// Wrap `client`; `overload_retry_after` is the backoff hint attached
-    /// to overload sheds (mirrors
-    /// [`NetConfig::overload_retry_after`](crate::NetConfig)).
-    pub fn new(client: GatewayClient, overload_retry_after: Duration) -> LocalBackend {
+    /// Wrap `client`; its overload sheds hint [`OVERLOAD_RETRY_AFTER_MS`].
+    pub fn new(client: GatewayClient) -> LocalBackend {
         let routes = client
             .routes()
             .into_iter()
@@ -161,7 +164,6 @@ impl LocalBackend {
             routes,
             inflight: HashMap::new(),
             next_ticket: 1,
-            overload_retry_after,
             hash_mismatch,
         }
     }
@@ -181,8 +183,7 @@ impl LocalBackend {
                     _ => RetryReason::Overloaded,
                 };
                 ResponseBody::RetryAfter {
-                    retry_after_ms: u32::try_from(self.overload_retry_after.as_millis().max(1))
-                        .unwrap_or(u32::MAX),
+                    retry_after_ms: OVERLOAD_RETRY_AFTER_MS,
                     reason,
                 }
             }
@@ -320,7 +321,7 @@ mod tests {
             .expect("interpolation gateway");
         let client = gateway.client();
         let default_label = client.routes()[0].label();
-        let mut backend = LocalBackend::new(client, Duration::from_millis(25));
+        let mut backend = LocalBackend::new(client);
         assert!(backend.has_route(&default_label));
         assert!(!backend.has_route("nope:x2:raw"));
 

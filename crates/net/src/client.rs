@@ -16,7 +16,7 @@
 //! The cluster supervisor's health probes and the examples use these
 //! instead of hand-rolling retry loops.
 
-use crate::recv_buf::RecvBuf;
+use crate::recv_buf::{RecvBuf, READ_CHUNK};
 use crate::wire::{self, Frame, FrameDecode, WireError, WireRequest, WireResponse};
 use sesr_serve::{content_hash, ArtifactId};
 use sesr_tensor::Tensor;
@@ -132,11 +132,6 @@ pub struct RequestOptions {
     /// Bypass the server's output cache.
     pub skip_cache: bool,
 }
-
-/// Most bytes one socket read asks for: a whole 48 KiB reply (a 2× upscale
-/// of a 3×64×64 image) and more in one syscall, the reactor's default read
-/// budget.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// One blocking connection to a network front-end.
 pub struct NetClient {

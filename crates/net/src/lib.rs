@@ -10,8 +10,8 @@
 //!   carry a route label, content hash, soft deadline and the image tensor.
 //!   Decoding is a pure bounds-checked function that returns typed errors
 //!   and never panics or over-reads.
-//! - [`admission`] — token buckets with exact integer accounting, used
-//!   per-connection (client fairness) and optionally listener-wide.
+//! - [`admission`] — token buckets with exact integer accounting, one per
+//!   connection (client fairness).
 //! - [`reactor`] — the non-blocking polling loop: accept, read round-robin
 //!   under a fairness budget, check each frame's structure in place, admit
 //!   (token bucket → route resolution), submit to the backend, poll
@@ -43,11 +43,11 @@ pub mod recv_buf;
 pub mod wire;
 
 pub use admission::{RateLimit, TokenBucket};
-pub use backend::{Backend, BackendRequest, LocalBackend, Submit};
+pub use backend::{Backend, BackendRequest, LocalBackend, Submit, OVERLOAD_RETRY_AFTER_MS};
 pub use client::{NetClient, NetError, ReconnectPolicy, RequestOptions};
 pub use metrics::NetMetrics;
-pub use reactor::{NetConfig, NetServer};
-pub use recv_buf::RecvBuf;
+pub use reactor::{NetConfig, NetServer, MAX_CONNECTIONS};
+pub use recv_buf::{RecvBuf, READ_CHUNK};
 pub use wire::{
     EncodedTensor, Frame, FrameDecode, ResponseBody, ResponseFrame, RetryReason, WireError,
     WireRequest, WireResponse,

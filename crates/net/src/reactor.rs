@@ -5,17 +5,25 @@
 //! are in non-blocking mode; each sweep the reactor
 //!
 //! 1. accepts new connections (refusing with a retry-after frame past
-//!    `max_connections`),
-//! 2. reads from every connection round-robin under a per-sweep byte budget
-//!    (per-client fairness: one firehose client cannot monopolize a sweep),
+//!    [`MAX_CONNECTIONS`]),
+//! 2. reads from every connection round-robin, at most [`READ_CHUNK`] bytes
+//!    per sweep (per-client fairness: one firehose client cannot monopolize
+//!    a sweep),
 //! 3. parses complete frames in place — every structural check
 //!    [`wire::decode`] makes, without converting the image — runs
-//!    **admission control** (per-client and global token buckets, route
+//!    **admission control** (the connection's token bucket, route
 //!    existence) and submits admitted requests to the backend without
 //!    blocking,
 //! 4. polls every in-flight ticket (the backend answers when ready),
 //!    pumps the backend's own I/O once,
 //! 5. flushes response bytes, again without blocking.
+//!
+//! A connection stops being parsed while it has
+//! [`NetConfig::max_inflight_per_conn`] requests in flight or
+//! [`wire::DEFAULT_MAX_PAYLOAD`] reply bytes unsent, and stops being read
+//! once a whole frame waits behind that: a client that pipelines without
+//! reading its replies is held back by TCP flow control, not buffered
+//! without bound.
 //!
 //! The backend decides what "executing a request" means:
 //! [`LocalBackend`] decodes the image and submits it with its content-hash
@@ -41,9 +49,9 @@
 //! worker.
 
 use crate::admission::TokenBucket;
-use crate::backend::{Backend, BackendRequest, LocalBackend, Submit};
+use crate::backend::{Backend, BackendRequest, LocalBackend, Submit, OVERLOAD_RETRY_AFTER_MS};
 use crate::metrics::NetMetrics;
-use crate::recv_buf::RecvBuf;
+use crate::recv_buf::{RecvBuf, READ_CHUNK};
 use crate::wire::{
     self, Frame, FrameDecode, FrameRef, RequestRef, ResponseBody, ResponseFrame, RetryReason,
     WireResponse,
@@ -55,45 +63,30 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for a [`NetServer`].
+/// Connection-table bound; a connection past it is answered with one
+/// retry-after frame (id 0, [`RetryReason::Overloaded`]) and closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Sleep when a sweep made no progress at all.
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
+/// Admission settings for a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Connection-table bound; further connections are answered with one
-    /// retry-after frame and closed (default 64).
-    pub max_connections: usize,
-    /// Largest accepted frame payload in bytes (default 16 MiB).
-    pub max_frame_payload: usize,
     /// Per-connection token bucket; `None` disables per-client limiting
     /// (default 256-token burst, 512/s sustained).
     pub per_client_limit: Option<crate::admission::RateLimit>,
-    /// Listener-wide token bucket across all connections; `None` disables
-    /// (default none).
-    pub global_limit: Option<crate::admission::RateLimit>,
     /// In-flight requests per connection before the reactor stops parsing
     /// (and, buffers permitting, reading) that connection — admission-side
     /// backpressure (default 32).
     pub max_inflight_per_conn: usize,
-    /// Bytes read per connection per sweep — the fairness quantum
-    /// (default 64 KiB).
-    pub read_budget: usize,
-    /// Backoff hint in retry-after replies for queue-full/Unhealthy sheds;
-    /// rate-limit sheds hint the exact token wait instead (default 25 ms).
-    pub overload_retry_after: Duration,
-    /// Sleep when a sweep made no progress at all (default 200 µs).
-    pub idle_sleep: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            max_connections: 64,
-            max_frame_payload: wire::DEFAULT_MAX_PAYLOAD,
             per_client_limit: Some(crate::admission::RateLimit::new(256, 512)),
-            global_limit: None,
             max_inflight_per_conn: 32,
-            read_budget: 64 * 1024,
-            overload_retry_after: Duration::from_millis(25),
-            idle_sleep: Duration::from_micros(200),
         }
     }
 }
@@ -109,8 +102,8 @@ struct Inflight {
 struct Conn {
     stream: TcpStream,
     read_buf: RecvBuf,
+    /// Reply bytes not yet written to the socket.
     write_buf: Vec<u8>,
-    write_pos: usize,
     inflight: Vec<Inflight>,
     bucket: Option<TokenBucket>,
     /// Protocol violation seen: close once the error reply is flushed.
@@ -123,7 +116,6 @@ struct Reactor<B: Backend> {
     backend: B,
     config: NetConfig,
     metrics: NetMetrics,
-    global_bucket: Option<TokenBucket>,
 }
 
 /// The running network front-end; owns the reactor thread.
@@ -152,7 +144,7 @@ impl NetServer {
         config: NetConfig,
         client: GatewayClient,
     ) -> std::io::Result<NetServer> {
-        let backend = LocalBackend::new(client, config.overload_retry_after);
+        let backend = LocalBackend::new(client);
         NetServer::bind_with_backend(addr, config, backend)
     }
 
@@ -171,14 +163,10 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let metrics = NetMetrics::register(&backend.telemetry());
-        let global_bucket = config
-            .global_limit
-            .map(|limit| TokenBucket::new(limit, Instant::now()));
         let mut reactor = Reactor {
             backend,
             config,
             metrics,
-            global_bucket,
         };
         let (stop_tx, stop_rx) = mpsc::channel();
         let thread = std::thread::spawn(move || reactor.run(&listener, &stop_rx));
@@ -275,7 +263,7 @@ impl<B: Backend> Reactor<B> {
 
             sweep = sweep.wrapping_add(1);
             if !progress {
-                std::thread::sleep(self.config.idle_sleep);
+                std::thread::sleep(IDLE_SLEEP);
             }
         }
         // Stop path: account for the connections being dropped so the
@@ -291,7 +279,7 @@ impl<B: Backend> Reactor<B> {
     }
 
     fn accept(&mut self, stream: TcpStream, conns: &mut Vec<Conn>) {
-        if conns.len() >= self.config.max_connections {
+        if conns.len() >= MAX_CONNECTIONS {
             // Best-effort structured refusal: one retry-after frame, then
             // the connection is closed. A client that sees it knows the
             // listener (not its route) is saturated.
@@ -299,7 +287,7 @@ impl<B: Backend> Reactor<B> {
             let refusal = wire::encode(&Frame::Response(WireResponse {
                 id: 0,
                 body: ResponseBody::RetryAfter {
-                    retry_after_ms: self.retry_after_ms(self.config.overload_retry_after),
+                    retry_after_ms: OVERLOAD_RETRY_AFTER_MS,
                     reason: RetryReason::Overloaded,
                 },
             }));
@@ -318,7 +306,6 @@ impl<B: Backend> Reactor<B> {
             stream,
             read_buf: RecvBuf::new(),
             write_buf: Vec::new(),
-            write_pos: 0,
             inflight: Vec::new(),
             bucket: self
                 .config
@@ -330,21 +317,21 @@ impl<B: Backend> Reactor<B> {
     }
 
     /// Read under the fairness budget, each syscall asking for all of what
-    /// is left of it; backpressure a connection that is at its in-flight
-    /// cap *and* already has a frame's worth of bytes queued by leaving
-    /// further bytes in the kernel buffer (TCP flow control does the rest).
+    /// is left of it; backpressure a connection that may not be parsed
+    /// *and* already has a frame's worth of bytes queued by leaving further
+    /// bytes in the kernel buffer (TCP flow control does the rest).
     fn service_read(&mut self, conn: &mut Conn) -> bool {
         if conn.dead || conn.broken {
             return false;
         }
         let mut read_total = 0usize;
-        while read_total < self.config.read_budget {
-            if conn.inflight.len() >= self.config.max_inflight_per_conn
-                && conn.read_buf.len() >= wire::HEADER_LEN + self.config.max_frame_payload
+        while read_total < READ_CHUNK {
+            if !self.may_parse(conn)
+                && conn.read_buf.len() >= wire::HEADER_LEN + wire::DEFAULT_MAX_PAYLOAD
             {
                 break;
             }
-            let want = self.config.read_budget - read_total;
+            let want = READ_CHUNK - read_total;
             match conn.read_buf.read_from(&mut conn.stream, want) {
                 Ok(0) => {
                     conn.dead = true;
@@ -372,13 +359,21 @@ impl<B: Backend> Reactor<B> {
         read_total > 0
     }
 
+    /// Whether `conn` may have another frame parsed: it is below its
+    /// in-flight cap and has fewer than [`wire::DEFAULT_MAX_PAYLOAD`] reply
+    /// bytes unsent.
+    fn may_parse(&self, conn: &Conn) -> bool {
+        conn.inflight.len() < self.config.max_inflight_per_conn
+            && conn.write_buf.len() < wire::DEFAULT_MAX_PAYLOAD
+    }
+
     /// Parse and handle whole frames from the front of the read buffer,
     /// then drop the consumed bytes in one move.
     fn parse_frames(&mut self, conn: &mut Conn) -> bool {
         let mut buf = std::mem::take(&mut conn.read_buf);
         let mut at = 0;
-        while !conn.broken && conn.inflight.len() < self.config.max_inflight_per_conn {
-            match wire::decode_ref(&buf.bytes()[at..], self.config.max_frame_payload) {
+        while !conn.broken && self.may_parse(conn) {
+            match wire::decode_ref(&buf.bytes()[at..], wire::DEFAULT_MAX_PAYLOAD) {
                 Ok(FrameDecode::Incomplete { .. }) => break,
                 Ok(FrameDecode::Complete { frame, consumed }) => {
                     at += consumed;
@@ -448,20 +443,11 @@ impl<B: Backend> Reactor<B> {
     fn handle_request(&mut self, conn: &mut Conn, request: RequestRef<'_>) {
         let id = request.id;
 
-        // Rate limiting: the client's own bucket first, then the listener's
-        // global one. (A request that passes the per-client check but loses
-        // the global race has spent a client token — acceptable: the global
-        // bucket only engages when the listener as a whole is saturated.)
         let now = Instant::now();
         let denied = conn
             .bucket
             .as_ref()
-            .and_then(|bucket| bucket.try_acquire_at(now).err())
-            .or_else(|| {
-                self.global_bucket
-                    .as_ref()
-                    .and_then(|bucket| bucket.try_acquire_at(now).err())
-            });
+            .and_then(|bucket| bucket.try_acquire_at(now).err());
         if let Some(wait) = denied {
             self.metrics.shed_rate_limit.incr();
             self.metrics.shed_probe.observe(id, wait);
@@ -470,7 +456,7 @@ impl<B: Backend> Reactor<B> {
                 WireResponse {
                     id,
                     body: ResponseBody::RetryAfter {
-                        retry_after_ms: self.retry_after_ms(wait),
+                        retry_after_ms: u32::try_from(wait.as_millis().max(1)).unwrap_or(u32::MAX),
                         reason: RetryReason::RateLimited,
                     },
                 },
@@ -557,26 +543,18 @@ impl<B: Backend> Reactor<B> {
         self.metrics.frames_tx.incr();
     }
 
+    /// Write what the socket takes without blocking, then drop the sent
+    /// prefix; a connection with a protocol violation dies once its error
+    /// reply is out.
     fn flush(&mut self, conn: &mut Conn) -> bool {
-        if conn.write_pos >= conn.write_buf.len() {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            if conn.broken {
-                conn.dead = true;
-            }
-            return false;
-        }
-        let mut wrote = 0usize;
-        while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+        let mut sent = 0usize;
+        while sent < conn.write_buf.len() {
+            match conn.stream.write(&conn.write_buf[sent..]) {
                 Ok(0) => {
                     conn.dead = true;
                     break;
                 }
-                Ok(n) => {
-                    conn.write_pos += n;
-                    wrote += n;
-                }
+                Ok(n) => sent += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -585,20 +563,13 @@ impl<B: Backend> Reactor<B> {
                 }
             }
         }
-        if conn.write_pos >= conn.write_buf.len() {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            if conn.broken {
-                conn.dead = true;
-            }
+        conn.write_buf.drain(..sent);
+        if conn.broken && conn.write_buf.is_empty() {
+            conn.dead = true;
         }
-        if wrote > 0 {
-            self.metrics.bytes_tx.add(wrote as u64);
+        if sent > 0 {
+            self.metrics.bytes_tx.add(sent as u64);
         }
-        wrote > 0
-    }
-
-    fn retry_after_ms(&self, wait: Duration) -> u32 {
-        u32::try_from(wait.as_millis().max(1)).unwrap_or(u32::MAX)
+        sent > 0
     }
 }

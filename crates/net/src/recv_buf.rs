@@ -9,6 +9,11 @@
 
 use std::io::Read;
 
+/// Most bytes one socket read asks for — and the most the reactor reads
+/// from one connection per sweep, its fairness quantum: a whole 48 KiB
+/// reply (a 2× upscale of a 3×64×64 image) and more in one syscall.
+pub const READ_CHUNK: usize = 64 * 1024;
+
 /// Bytes read from a stream and not yet consumed.
 ///
 /// The free tail is zeroed only when the buffer grows, never per read, and

@@ -9,7 +9,6 @@ use sesr_net::{Backend, LocalBackend};
 use sesr_serve::{ArtifactId, DefenseRequest, GatewayBuilder, RouteKey};
 use sesr_store::{Checkpoint, ModelStore};
 use sesr_tensor::{Shape, Tensor};
-use std::time::Duration;
 
 fn save(store: &ModelStore, seed: u64) -> ArtifactId {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -49,7 +48,7 @@ fn reload_pinned_to_an_older_artifact_serves_it_bit_for_bit() {
 
     let v2 = save(&store, 102);
     assert!(v2 > v1, "v2 is the newest");
-    let mut backend = LocalBackend::new(client.clone(), Duration::from_millis(25));
+    let mut backend = LocalBackend::new(client.clone());
     let label = route.label();
     backend.reload(&label, None).unwrap();
     assert_ne!(serve(), v1_bits, "an unpinned reload builds the newest");

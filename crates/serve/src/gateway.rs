@@ -499,7 +499,6 @@ struct RouteDecl {
 pub struct GatewayBuilder {
     routes: Vec<RouteDecl>,
     default_route: Option<RouteKey>,
-    default_config: RouteConfig,
     cache_capacity: usize,
     seed: u64,
     store: Option<ModelStore>,
@@ -512,13 +511,11 @@ impl Default for GatewayBuilder {
 }
 
 impl GatewayBuilder {
-    /// An empty builder: no routes, paper-default route config, a 256-entry
-    /// cache, seed 0, no store.
+    /// An empty builder: no routes, a 256-entry cache, seed 0, no store.
     pub fn new() -> Self {
         GatewayBuilder {
             routes: Vec::new(),
             default_route: None,
-            default_config: RouteConfig::default(),
             cache_capacity: 256,
             seed: 0,
             store: None,
@@ -536,12 +533,6 @@ impl GatewayBuilder {
     /// store-hydrated learned routes with nothing stored).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// The [`RouteConfig`] used by routes declared without an explicit one.
-    pub fn default_route_config(mut self, config: RouteConfig) -> Self {
-        self.default_config = config;
         self
     }
 
@@ -567,8 +558,7 @@ impl GatewayBuilder {
 
     /// Declare a store-hydrated route with the default [`RouteConfig`].
     pub fn route(self, key: RouteKey) -> Self {
-        let config = self.default_config.clone();
-        self.route_with(key, config)
+        self.route_with(key, RouteConfig::default())
     }
 
     /// Declare a store-hydrated route with an explicit per-route
@@ -660,7 +650,6 @@ impl GatewayBuilder {
         let GatewayBuilder {
             routes,
             default_route,
-            default_config: _,
             cache_capacity,
             seed,
             store,

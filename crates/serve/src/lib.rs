@@ -122,6 +122,7 @@ pub use cache::{content_hash, LruCache};
 pub use eval::GatewayScenario;
 pub use gateway::{DefenseGateway, GatewayBuilder, GatewayClient, ReloadWatcher, WorkerFactory};
 pub use promotion::{Action, ArtifactId, Observation, PromotionPolicy};
+pub use reload::newest_artifact;
 pub use route::{DefenseRequest, RouteConfig, RouteKey};
 pub use server::{DefenseResponse, PendingResponse, ServeError, WorkerAssets};
 pub use slo::{SloMonitor, SloPolicy, SloRuntime};

@@ -285,7 +285,7 @@ impl ReloadWatcher {
             let lifecycle = &client.shared.lifecycle;
             for (key, policy, promoted_at, ok) in &mut watches {
                 let action = policy.step(Observation {
-                    newest: current_artifact(&store, key),
+                    newest: newest_artifact(&store, key),
                     health: client.route_health(key).unwrap_or(HealthState::Unhealthy),
                     probation_elapsed: promoted_at
                         .is_none_or(|at| at.elapsed() >= ReloadWatcher::DEFAULT_PROBATION),
@@ -344,7 +344,10 @@ impl ReloadWatcher {
     }
 }
 
-fn current_artifact(store: &ModelStore, key: &RouteKey) -> Option<ArtifactId> {
+/// The newest artifact `store` holds for `key`'s model and scale, as the
+/// `(version, digest)` a [`PromotionPolicy`] observes — what the reload
+/// watcher and the cluster supervisor both poll.
+pub fn newest_artifact(store: &ModelStore, key: &RouteKey) -> Option<ArtifactId> {
     store
         .resolve(key.model.name(), key.scale)
         .ok()

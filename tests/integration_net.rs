@@ -3,17 +3,23 @@
 //! deadline propagation (a request that expires in the queue is answered —
 //! never computed — and does not wedge the reactor), structured retry-after
 //! replies for overload and rate-limit sheds, protocol-violation handling,
-//! and `net.*` metrics visibility through the wire-level stats frame.
+//! the connection cap, reply buffering bounded for a client that does not
+//! read, and `net.*` metrics visibility through the wire-level stats frame.
 
 use sesr_defense::pipeline::PreprocessConfig;
 use sesr_models::SrModelKind;
+use sesr_net::wire::{self, DEFAULT_MAX_PAYLOAD};
 use sesr_net::{
-    Frame, NetClient, NetConfig, NetError, NetServer, RateLimit, RequestOptions, ResponseBody,
-    RetryReason, WireResponse,
+    Frame, FrameDecode, NetClient, NetConfig, NetError, NetServer, RateLimit, RecvBuf,
+    RequestOptions, ResponseBody, RetryReason, WireRequest, WireResponse, MAX_CONNECTIONS,
+    OVERLOAD_RETRY_AFTER_MS, READ_CHUNK,
 };
-use sesr_serve::{DefenseGateway, GatewayBuilder, RouteConfig, RouteKey};
+use sesr_serve::{content_hash, DefenseGateway, GatewayBuilder, RouteConfig, RouteKey};
 use sesr_telemetry::TelemetrySnapshot;
 use sesr_tensor::{Shape, Tensor};
+use std::collections::HashSet;
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 const RECV: Duration = Duration::from_secs(30);
@@ -60,6 +66,13 @@ fn no_rate_limit() -> NetConfig {
 fn shutdown(server: NetServer, gateway: DefenseGateway) {
     server.stop();
     gateway.shutdown();
+}
+
+/// One counter of the server's telemetry, read over a Stats frame.
+fn counter(client: &mut NetClient, name: &str) -> u64 {
+    let json = client.stats(RECV).expect("stats");
+    let snapshot = TelemetrySnapshot::from_json(&json).expect("parses");
+    snapshot.counter(name).unwrap_or(0)
 }
 
 #[test]
@@ -510,6 +523,133 @@ fn two_connections_overlap_their_service() {
     } else {
         println!("single core: skipping the multiplexing-speedup assertion");
     }
+
+    shutdown(server, gateway);
+}
+
+#[test]
+fn connection_past_the_cap_is_refused_once_and_closed() {
+    let (gateway, server) = serve(RouteConfig::default(), no_rate_limit());
+    let addr = server.local_addr();
+    let mut clients: Vec<NetClient> = (0..MAX_CONNECTIONS)
+        .map(|_| NetClient::connect(addr).expect("connect under the cap"))
+        .collect();
+
+    // Connections are accepted in arrival order, so the table is full when
+    // this one comes: one structured refusal, then EOF.
+    let mut refused = NetClient::connect(addr).expect("the kernel completes the handshake");
+    let reply = refused.recv(RECV).expect("a refusal before the close");
+    assert_eq!(
+        reply,
+        Frame::Response(WireResponse {
+            id: 0,
+            body: ResponseBody::RetryAfter {
+                retry_after_ms: OVERLOAD_RETRY_AFTER_MS,
+                reason: RetryReason::Overloaded,
+            },
+        })
+    );
+    assert!(matches!(refused.recv(RECV), Err(NetError::Disconnected)));
+
+    // Every connection under the cap is still served.
+    for (tag, client) in clients.iter_mut().enumerate() {
+        let reply = client
+            .defend(
+                image(70_000 + tag as u32, 8),
+                &RequestOptions::default(),
+                RECV,
+            )
+            .expect("served under the cap");
+        assert!(
+            matches!(reply.body, ResponseBody::Ok { .. }),
+            "{:?}",
+            reply.body
+        );
+    }
+    assert_eq!(counter(&mut clients[0], "net.conn_rejected"), 1);
+
+    drop(clients);
+    shutdown(server, gateway);
+}
+
+#[test]
+fn a_client_that_reads_no_replies_is_held_back_not_buffered_without_bound() {
+    // 4 000 cache hits of 16×16 on the nearest-neighbour route: ~12 KiB per
+    // reply, ~49 MiB in all, far more than the reactor's 16 MiB of unsent
+    // replies plus the socket buffers can hold.
+    const SENT: u64 = 4_000;
+    let (gateway, server) = serve(RouteConfig::default(), no_rate_limit());
+    let addr = server.local_addr();
+    let hot = image(9, 16);
+    let mut frames = Vec::new();
+    for id in 1..=SENT {
+        frames.extend(wire::encode(&Frame::Request(WireRequest {
+            id,
+            route: String::new(),
+            deadline_ms: 0,
+            skip_cache: false,
+            content_hash: content_hash(&hot, ""),
+            image: hot.clone(),
+        })));
+    }
+    let mut reader = TcpStream::connect(addr).expect("connect");
+    reader.set_read_timeout(Some(RECV)).expect("read timeout");
+    let mut writer = reader.try_clone().expect("second handle");
+    let mut stats = NetClient::connect(addr).expect("stats connection");
+
+    let answered = std::thread::scope(|scope| {
+        let writing = scope.spawn(move || writer.write_all(&frames));
+
+        // Wait for admission to stop moving while no reply is read.
+        let mut admitted = counter(&mut stats, "net.admitted");
+        let mut unchanged = 0;
+        while unchanged < 5 {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = counter(&mut stats, "net.admitted");
+            unchanged = if now == admitted { unchanged + 1 } else { 0 };
+            admitted = now;
+        }
+        assert!(
+            admitted < SENT,
+            "all {SENT} requests were admitted with their replies unread"
+        );
+
+        // Reading the replies lets the rest through, each answered once.
+        let mut buf = RecvBuf::new();
+        let mut answered = HashSet::new();
+        while answered.len() < SENT as usize {
+            match wire::decode(buf.bytes(), DEFAULT_MAX_PAYLOAD).expect("a valid reply") {
+                FrameDecode::Complete { frame, consumed } => {
+                    buf.consume(consumed);
+                    let Frame::Response(response) = frame else {
+                        panic!("expected a response, got {frame:?}");
+                    };
+                    assert!(
+                        matches!(response.body, ResponseBody::Ok { .. }),
+                        "{:?}",
+                        response.body
+                    );
+                    assert!(
+                        answered.insert(response.id),
+                        "id {} answered twice",
+                        response.id
+                    );
+                }
+                FrameDecode::Incomplete { .. } => {
+                    let n = buf
+                        .read_from(&mut reader, READ_CHUNK)
+                        .expect("replies arrive");
+                    assert!(n > 0, "closed with {} of {SENT} answered", answered.len());
+                }
+            }
+        }
+        writing
+            .join()
+            .expect("writer thread")
+            .expect("every request written");
+        answered
+    });
+    assert_eq!(answered, (1..=SENT).collect::<HashSet<u64>>());
 
     shutdown(server, gateway);
 }
